@@ -143,24 +143,14 @@ def average_csi_by_user_class(
 
 
 def centrality_by_class(
-    allcomm: nx.Graph,
+    centralities: metrics.Centralities,
     table: BotScoreTable,
     sync_users: set[str] | frozenset[str],
 ) -> dict[str, dict[str, float]]:
-    """Per-class mean centralities on the all-communication graph, restricted to
-    users that participate in synchronous activities."""
-    eligible = sorted(u for u in sync_users if allcomm.has_node(u))
-    if not eligible:
-        return {}
-    degrees = metrics.degree_centrality(allcomm) if allcomm.number_of_nodes() >= 2 else {}
-    betweenness = metrics.betweenness_centrality(allcomm)
-    if allcomm.number_of_edges() > 0:
-        eigenvector = metrics.eigenvector_centrality(allcomm)
-    else:
-        eigenvector = dict.fromkeys(allcomm.nodes, 0.0)
-
+    """Per-class mean all-communication centralities, restricted to users that
+    participate in synchronous activities."""
     buckets: dict[str, list[str]] = {}
-    for user in eligible:
+    for user in sorted(u for u in sync_users if u in centralities):
         cls = table.classify(user)
         if cls == "unknown":
             continue
@@ -169,9 +159,9 @@ def centrality_by_class(
     out: dict[str, dict[str, float]] = {}
     for cls, users in sorted(buckets.items()):
         out[cls] = {
-            "total_degree": fmean(degrees.get(u, 0.0) for u in users),
-            "betweenness": fmean(betweenness.get(u, 0.0) for u in users),
-            "eigenvector": fmean(eigenvector.get(u, 0.0) for u in users),
+            "total_degree": fmean(centralities.degree[u] for u in users),
+            "betweenness": fmean(centralities.betweenness[u] for u in users),
+            "eigenvector": fmean(centralities.eigenvector[u] for u in users),
             "count": len(users),
         }
     return out

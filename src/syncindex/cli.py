@@ -23,15 +23,7 @@ from . import metrics as metricmod
 from . import pipeline
 from . import simulate as simmod
 from . import synchrony
-from .events import (
-    CorpusRejectedError,
-    extract_actions,
-    filter_language,
-    filter_originals,
-    merge_datasets,
-    read_events_file,
-    write_events_jsonl,
-)
+from .events import CorpusRejectedError, load_events, write_events_jsonl
 
 USAGE_ERROR = 1
 DATA_ERROR = 2
@@ -117,15 +109,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_ingest(args: argparse.Namespace) -> int:
-    dataset = read_events_file(args.events, label=args.label)
-    if args.interactions:
-        dataset = merge_datasets(dataset, read_events_file(args.interactions), label=dataset.label)
-    if args.lang:
-        dataset = filter_language(dataset, args.lang)
+def _out_dir(args: argparse.Namespace) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    path = write_events_jsonl(dataset, out / "events.jsonl")
+    return out
+
+
+def _cmd_ingest(args: argparse.Namespace) -> int:
+    dataset = load_events(args.events, args.interactions, lang=args.lang, label=args.label)
+    path = write_events_jsonl(dataset, _out_dir(args) / "events.jsonl")
     print(
         f"wrote {path}: {len(dataset.posts)} posts, {len(dataset.interactions)} interactions, "
         f"{dataset.malformed} malformed lines"
@@ -134,45 +126,21 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def _cmd_detect(args: argparse.Namespace) -> int:
-    dataset = read_events_file(args.events)
-    if args.lang:
-        dataset = filter_language(dataset, args.lang)
-    actions = extract_actions(filter_originals(dataset))
-    counts = synchrony.detect(actions, synchrony.SyncWindowConfig(window_seconds=args.window))
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    path = synchrony.write_pair_counts_csv(counts, out / "pair_counts.csv")
+    counts = pipeline.detect_pairs(load_events(args.events, lang=args.lang), args.window).counts
+    path = synchrony.write_pair_counts_csv(counts, _out_dir(args) / "pair_counts.csv")
     print(f"wrote {path}: {len(counts)} pairs over {len(counts.users())} users")
     return 0
 
 
 def _cmd_score(args: argparse.Namespace) -> int:
     counts = synchrony.read_pair_counts_csv(args.pairs)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     config = csimod.CsiConfig(pair_formula=args.pair_formula, normalization=args.normalization)
-    if not counts:
-        (out / "pairs.csv").write_text(
-            "user_u,user_v,num_action_types,s_total,csi_userpair\n", encoding="utf-8"
-        )
-        (out / "users.csv").write_text("user_id,csi_user\n", encoding="utf-8")
-        summary = {
-            "csi_network": None,
-            "per_action": {a: None for a in ("hashtag", "url", "mention")},
-            "formula": config.pair_formula,
-            "normalization": config.normalization,
-            "reason": "no synchronized pairs",
-        }
-        (out / "network.json").write_text(
-            json.dumps(summary, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-        )
+    tables = pipeline.score_pairs(counts, config)
+    csimod.write_score_artifacts(tables, counts, config, _out_dir(args))
+    if tables is None:
         print("no synchronized pairs; wrote empty score tables")
-        return 0
-    tables = csimod.compute_tables(counts, config)
-    csimod.write_pair_scores_csv(tables, counts, out / "pairs.csv")
-    csimod.write_user_scores_csv(tables, out / "users.csv")
-    csimod.write_network_summary_json(tables, out / "network.json")
-    print(f"csi_network={tables.network_score!r} over {len(tables.user_scores)} users")
+    else:
+        print(f"csi_network={tables.network_score!r} over {len(tables.user_scores)} users")
     return 0
 
 
@@ -180,21 +148,14 @@ def _load_graph_inputs(args: argparse.Namespace):
     pair_scores = csimod.read_pair_scores_csv(args.pairs)
     user_scores = csimod.read_user_scores_csv(args.users) if args.users else None
     table = botmod.load_bot_scores(args.bots, threshold=args.bot_threshold) if args.bots else None
-    classes = None
-    if table is not None:
-        users = {u for pair in pair_scores for u in pair}
-        classes = botmod.user_classes(sorted(users), table)
-    return pair_scores, user_scores, table, classes
+    return pair_scores, user_scores, table
 
 
 def _cmd_graph(args: argparse.Namespace) -> int:
-    pair_scores, user_scores, _table, classes = _load_graph_inputs(args)
-    sync = graphmod.build_sync_graph(pair_scores, user_classes=classes, user_scores=user_scores)
-    pruned = graphmod.prune_by_partner_count(sync, args.min_partners)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    graphmod.export(sync, "graphml", out / "sync.graphml")
-    graphmod.export(pruned, "graphml", out / "sync_pruned.graphml")
+    pair_scores, user_scores, table = _load_graph_inputs(args)
+    sync, pruned = pipeline.sync_graphs(pair_scores, user_scores, table, args.min_partners)
+    out = _out_dir(args)
+    pipeline.write_sync_graphs(sync, pruned, out)
     graphmod.export(sync, "dot", out / "sync.dot")
     graphmod.export(sync, "edge_csv", out / "sync_edges.csv")
     print(
@@ -205,53 +166,14 @@ def _cmd_graph(args: argparse.Namespace) -> int:
 
 
 def _cmd_metrics(args: argparse.Namespace) -> int:
-    pair_scores, user_scores, table, _classes = _load_graph_inputs(args)
-    if not pair_scores:
-        raise csimod.UndefinedNetworkError("no pairs: metrics undefined")
+    pair_scores, user_scores, table = _load_graph_inputs(args)
     sync = graphmod.build_sync_graph(pair_scores, user_scores=user_scores)
-    partition = metricmod.louvain_partition(sync, seed=args.seed)
-    payload = {
-        "density": metricmod.density(sync),
-        "modularity": metricmod.newman_modularity(sync, partition),
-        "partition_method": "louvain",
-        "hierarchy": metricmod.krackhardt_hierarchy(sync, "csi_order", user_scores=user_scores or {}),
-        "hierarchy_orientation": "csi_order",
-        "transitivity": metricmod.transitivity(sync),
-        "avg_local_clustering": metricmod.avg_local_clustering(sync),
-    }
-    if table is not None:
-        payload["clustering_by_class"] = botmod.clustering_by_class(
-            graphmod.build_sync_graph(
-                pair_scores,
-                user_classes=botmod.user_classes(sorted({u for p in pair_scores for u in p}), table),
-            ),
-            table,
-        )
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    rounded = pipeline.round_floats(payload)
-    (out / "metrics.json").write_text(
-        json.dumps(rounded, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+    out = _out_dir(args)
+    structure = pipeline.structure_section(sync, user_scores, table, args.seed)
+    pipeline.write_metrics_json(structure, out / "metrics.json")
     if args.events:
-        dataset = read_events_file(args.events)
-        users = {p.user_id for p in dataset.posts}
-        for record in dataset.interactions:
-            users.add(record.source_user)
-            users.add(record.target_user)
-        allcomm = graphmod.build_allcomm_graph(dataset.interactions, users=users)
-        degrees = metricmod.degree_centrality(allcomm) if allcomm.number_of_nodes() >= 2 else {}
-        betweenness = metricmod.betweenness_centrality(allcomm)
-        if allcomm.number_of_edges() > 0:
-            eigen = metricmod.eigenvector_centrality(allcomm)
-        else:
-            eigen = dict.fromkeys(allcomm.nodes, 0.0)
-        with (out / "centrality.csv").open("w", encoding="utf-8", newline="") as handle:
-            handle.write("user_id,total_degree,betweenness,eigenvector\n")
-            for user in sorted(allcomm.nodes):
-                handle.write(
-                    f"{user},{degrees.get(user, 0.0)!r},{betweenness.get(user, 0.0)!r},{eigen.get(user, 0.0)!r}\n"
-                )
+        centralities = pipeline.allcomm_centralities(load_events(args.events))
+        pipeline.write_centrality_csv(centralities, out / "centrality.csv")
     print(f"wrote metrics for {sync.number_of_nodes()} nodes to {out / 'metrics.json'}")
     return 0
 
@@ -291,8 +213,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)
     dataset, truth = simmod.generate(config)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args)
     write_events_jsonl(dataset, out / "events.jsonl")
     simmod.write_ground_truth_csv(truth, out / "ground_truth.csv")
     simmod.write_bot_scores_csv(simmod.bot_scores_from_truth(truth), out / "bots.csv")

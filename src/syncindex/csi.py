@@ -17,9 +17,11 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
+from .events import ACTION_TYPES
 from .synchrony import PairSyncCounts
 
 PAIR_FORMULAS = ("anchored", "prose", "literal")
@@ -173,13 +175,17 @@ def compute_tables(counts: PairSyncCounts, config: CsiConfig | None = None) -> C
     )
 
 
+PAIR_COLUMNS = ("user_u", "user_v", "num_action_types", "s_total", "csi_userpair")
+USER_COLUMNS = ("user_id", "csi_user")
+
+
 def write_pair_scores_csv(
     tables: CsiTables, counts: PairSyncCounts, path: str | Path
 ) -> Path:
     path = Path(path)
     with path.open("w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
-        writer.writerow(["user_u", "user_v", "num_action_types", "s_total", "csi_userpair"])
+        writer.writerow(PAIR_COLUMNS)
         for pair in sorted(tables.pair_scores):
             writer.writerow(
                 [
@@ -193,19 +199,27 @@ def write_pair_scores_csv(
     return path
 
 
+def _finite_score(row: dict, column: str, path: str | Path, line: int) -> float:
+    value = float(row[column])
+    if not math.isfinite(value):
+        raise ValueError(f"{path}: line {line}: non-finite {column} {row[column]!r}")
+    return value
+
+
 def read_pair_scores_csv(path: str | Path) -> dict[tuple[str, str], float]:
-    scores: dict[tuple[str, str], float] = {}
     with Path(path).open("r", encoding="utf-8", newline="") as handle:
-        for row in csv.DictReader(handle):
-            scores[(row["user_u"], row["user_v"])] = float(row["csi_userpair"])
-    return scores
+        reader = csv.DictReader(handle)
+        return {
+            (row["user_u"], row["user_v"]): _finite_score(row, "csi_userpair", path, reader.line_num)
+            for row in reader
+        }
 
 
 def write_user_scores_csv(tables: CsiTables, path: str | Path) -> Path:
     path = Path(path)
     with path.open("w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
-        writer.writerow(["user_id", "csi_user"])
+        writer.writerow(USER_COLUMNS)
         for user in sorted(tables.user_scores):
             writer.writerow([user, repr(tables.user_scores[user])])
     return path
@@ -213,19 +227,40 @@ def write_user_scores_csv(tables: CsiTables, path: str | Path) -> Path:
 
 def read_user_scores_csv(path: str | Path) -> dict[str, float]:
     with Path(path).open("r", encoding="utf-8", newline="") as handle:
-        return {row["user_id"]: float(row["csi_user"]) for row in csv.DictReader(handle)}
+        reader = csv.DictReader(handle)
+        return {
+            row["user_id"]: _finite_score(row, "csi_user", path, reader.line_num) for row in reader
+        }
 
 
-def write_network_summary_json(tables: CsiTables, path: str | Path) -> Path:
+def network_summary(tables: CsiTables | None, config: CsiConfig) -> dict:
+    """Network and per-action scores; without tables (no pairs) they are null, with a reason."""
+    per_action = tables.per_action_network if tables is not None else {}
     summary = {
-        "csi_network": tables.network_score,
-        "per_action": {
-            action: tables.per_action_network.get(action)
-            for action in ("hashtag", "url", "mention")
-        },
-        "formula": tables.config.pair_formula,
-        "normalization": tables.config.normalization,
+        "csi_network": tables.network_score if tables is not None else None,
+        "per_action": {action: per_action.get(action) for action in ACTION_TYPES},
+        "formula": config.pair_formula,
+        "normalization": config.normalization,
     }
+    if tables is None:
+        summary["reason"] = "no synchronized pairs"
+    return summary
+
+
+def write_network_summary_json(summary: dict, path: str | Path) -> Path:
     path = Path(path)
     path.write_text(json.dumps(summary, sort_keys=True, indent=2) + "\n", encoding="utf-8")
     return path
+
+
+def write_score_artifacts(
+    tables: CsiTables | None, counts: PairSyncCounts, config: CsiConfig, out: Path
+) -> None:
+    """pairs.csv, users.csv and network.json; header-only tables when there are no pairs."""
+    if tables is None:
+        (out / "pairs.csv").write_text(",".join(PAIR_COLUMNS) + "\n", encoding="utf-8")
+        (out / "users.csv").write_text(",".join(USER_COLUMNS) + "\n", encoding="utf-8")
+    else:
+        write_pair_scores_csv(tables, counts, out / "pairs.csv")
+        write_user_scores_csv(tables, out / "users.csv")
+    write_network_summary_json(network_summary(tables, config), out / "network.json")

@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import json
 import logging
+import math
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from pathlib import Path
@@ -80,6 +81,8 @@ def _coerce_timestamp(value: object) -> int:
     if isinstance(value, int):
         ts = value
     elif isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError(f"non-finite timestamp: {value!r}")
         ts = int(value)
     elif isinstance(value, str):
         text = value.strip()
@@ -366,6 +369,19 @@ def read_events_file(path: str | Path, format: str | None = None, label: str = "
         format = "csv" if path.suffix.lower() == ".csv" else "jsonl"
     with path.open("r", encoding="utf-8", newline="") as handle:
         return parse_events(handle, format=format, label=label or path.stem)
+
+
+def load_events(
+    events_path: str | Path,
+    interactions_path: str | Path | None = None,
+    lang: str = "",
+    label: str = "",
+) -> EventDataset:
+    """Read an events file, merge an optional interactions file, filter by language."""
+    dataset = read_events_file(events_path, label=label)
+    if interactions_path is not None:
+        dataset = merge_datasets(dataset, read_events_file(interactions_path), label=dataset.label)
+    return filter_language(dataset, lang)
 
 
 def merge_datasets(*datasets: EventDataset, label: str = "") -> EventDataset:

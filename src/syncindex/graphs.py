@@ -9,6 +9,7 @@ ordering so emitted files are byte-stable.
 from __future__ import annotations
 
 import csv
+import io
 from pathlib import Path
 from typing import Iterable, Mapping
 from xml.sax.saxutils import escape, quoteattr
@@ -154,10 +155,12 @@ def _dot_text(graph: nx.Graph) -> str:
 
 
 def _edge_csv_text(graph: nx.Graph) -> str:
-    rows = ["user_u,user_v,weight"]
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(["user_u", "user_v", "weight"])
     for u, v, data in _sorted_edges(graph):
-        rows.append(f"{u},{v},{float(data.get('weight', 1.0))!r}")
-    return "\n".join(rows) + "\n"
+        writer.writerow([u, v, repr(float(data.get("weight", 1.0)))])
+    return buffer.getvalue()
 
 
 def export(graph: nx.Graph, format: str, path: str | Path) -> Path:

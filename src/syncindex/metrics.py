@@ -9,6 +9,7 @@ orders are fixed (sorted nodes) so outputs are bit-deterministic.
 from __future__ import annotations
 
 import logging
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from statistics import fmean, pstdev
@@ -129,6 +130,32 @@ def eigenvector_residual(graph: nx.Graph, centrality: dict[str, float]) -> float
     return max(abs(ax[node] - lam * centrality[node]) for node in nodes)
 
 
+@dataclass(frozen=True)
+class Centralities:
+    """Degree, betweenness and eigenvector centrality of one graph, keyed by every node."""
+
+    degree: dict[str, float]
+    betweenness: dict[str, float]
+    eigenvector: dict[str, float]
+
+    def __contains__(self, node: object) -> bool:
+        return node in self.degree
+
+
+def node_centralities(graph: nx.Graph) -> Centralities:
+    """All three centralities, each computed once.
+
+    Where a centrality is undefined it is 0 for every node: degree below 2
+    nodes, eigenvector on an edgeless graph.
+    """
+    zeros = dict.fromkeys(sorted(graph.nodes), 0.0)
+    return Centralities(
+        degree=degree_centrality(graph) if graph.number_of_nodes() >= 2 else zeros,
+        betweenness=betweenness_centrality(graph),
+        eigenvector=eigenvector_centrality(graph) if graph.number_of_edges() > 0 else zeros,
+    )
+
+
 def newman_modularity(graph: nx.Graph, partition: dict[str, int]) -> float:
     """Unweighted Q = sum_c (e_cc - a_c^2) over communities."""
     missing = [node for node in graph.nodes if node not in partition]
@@ -187,62 +214,34 @@ def krackhardt_hierarchy(
     csi_order orients each edge from the lower-scoring endpoint to the
     higher (scores from user_scores or the csi_user node attribute; ties
     point toward the lexicographically larger id). symmetric replaces each
-    edge with both arcs, which yields 0 on any connected graph. Graphs with
-    no reachable pairs score 1 by convention.
+    edge with both arcs. Graphs with no reachable pairs score 1 by
+    convention.
+
+    Both orientations have a closed form, so no reachability is computed:
+
+    - csi_order: every arc u -> v has key(u) < key(v) for key(x) = (score(x), x),
+      a strict total order when no score is NaN. Keys strictly increase along
+      any directed path, so there is no directed cycle and no pair of distinct
+      nodes reaches each other both ways. Mutual pairs are 0, so the value is
+      1 - 0 / reachable = 1, or 1 by convention when nothing is reachable.
+    - symmetric: a node pair is reachable in one direction exactly when it is
+      in the other, so every reachable pair is mutual. The value is 0 when any
+      edge exists, else 1 by convention.
     """
     if orientation not in ("csi_order", "symmetric"):
         raise ValueError(f"unknown orientation: {orientation}")
-    nodes = sorted(graph.nodes)
-    if not nodes:
+    if graph.number_of_nodes() == 0:
         raise MetricUndefinedError("hierarchy of an empty graph")
-
-    def score(node: str) -> float:
+    if orientation == "symmetric":
+        return 0.0 if graph.number_of_edges() > 0 else 1.0
+    for node in graph.nodes:
         if user_scores is not None and node in user_scores:
-            return float(user_scores[node])
-        return float(graph.nodes[node].get("csi_user", 0.0))
-
-    out: dict[str, list[str]] = {node: [] for node in nodes}
-    for u, v in graph.edges:
-        if orientation == "symmetric":
-            out[u].append(v)
-            out[v].append(u)
-            continue
-        su, sv = score(u), score(v)
-        if su < sv:
-            out[u].append(v)
-        elif sv < su:
-            out[v].append(u)
-        elif u < v:
-            out[u].append(v)
+            score = float(user_scores[node])
         else:
-            out[v].append(u)
-
-    reach: dict[str, set[str]] = {}
-    for node in nodes:
-        seen = {node}
-        queue = deque([node])
-        while queue:
-            current = queue.popleft()
-            for nxt in out[current]:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    queue.append(nxt)
-        seen.discard(node)
-        reach[node] = seen
-
-    reachable = 0
-    mutual = 0
-    for i, u in enumerate(nodes):
-        for v in nodes[i + 1 :]:
-            forward = v in reach[u]
-            backward = u in reach[v]
-            if forward or backward:
-                reachable += 1
-                if forward and backward:
-                    mutual += 1
-    if reachable == 0:
-        return 1.0
-    return 1.0 - mutual / reachable
+            score = float(graph.nodes[node].get("csi_user", 0.0))
+        if math.isnan(score):
+            raise ValueError(f"NaN score for {node!r}: csi_order is not a total order")
+    return 1.0
 
 
 def _triangles_and_triples(graph: nx.Graph) -> tuple[dict[str, int], dict[str, int]]:
@@ -306,7 +305,7 @@ class ParticipationCentrality:
 
 
 def centrality_by_action_type_count(
-    allcomm: nx.Graph, participation: dict[str, int]
+    centralities: Centralities, participation: dict[str, int]
 ) -> ParticipationCentrality:
     """Join synchrony participation levels with all-communication centralities.
 
@@ -314,28 +313,19 @@ def centrality_by_action_type_count(
     are the mean and population standard deviation per centrality.
     """
     result = ParticipationCentrality()
-    present = {user: level for user, level in participation.items() if allcomm.has_node(user)}
+    present = {user: level for user, level in participation.items() if user in centralities}
     result.excluded = sorted(set(participation) - set(present))
     if result.excluded:
         logger.warning("%d synchronizing users missing from the interaction graph", len(result.excluded))
-    if not present:
-        return result
-
-    degrees = degree_centrality(allcomm) if allcomm.number_of_nodes() >= 2 else {}
-    betweenness = betweenness_centrality(allcomm)
-    if allcomm.number_of_edges() > 0:
-        eigenvector = eigenvector_centrality(allcomm)
-    else:
-        eigenvector = dict.fromkeys(allcomm.nodes, 0.0)
 
     for user in sorted(present):
         result.rows.append(
             (
                 user,
                 present[user],
-                degrees.get(user, 0.0),
-                betweenness.get(user, 0.0),
-                eigenvector.get(user, 0.0),
+                centralities.degree[user],
+                centralities.betweenness[user],
+                centralities.eigenvector[user],
             )
         )
 

@@ -22,13 +22,7 @@ from . import csi as csimod
 from . import graphs as graphmod
 from . import metrics as metricmod
 from . import synchrony
-from .events import (
-    extract_actions,
-    filter_language,
-    filter_originals,
-    merge_datasets,
-    read_events_file,
-)
+from .events import EventDataset, extract_actions, filter_originals, load_events
 
 logger = logging.getLogger(__name__)
 
@@ -46,7 +40,6 @@ class PipelineOptions:
     min_partners: int = 5
     lang: str = ""
     seed: int = 0
-    events_format: str | None = None
     label: str = ""
 
 
@@ -135,12 +128,58 @@ def write_report_csv(report: EventReport, path: str | Path) -> Path:
     return path
 
 
-def _structure_section(
+@dataclass(frozen=True)
+class Detection:
+    """Output of the detect stage: pair counts and the sizes the report echoes."""
+
+    counts: synchrony.PairSyncCounts
+    original_posts: int
+    action_records: int
+
+
+def detect_pairs(dataset: EventDataset, window_seconds: int) -> Detection:
+    """Synchronized pairs among the original posts of a dataset."""
+    originals = filter_originals(dataset)
+    actions = extract_actions(originals)
+    window = synchrony.SyncWindowConfig(window_seconds=window_seconds)
+    return Detection(synchrony.detect(actions, window), len(originals.posts), len(actions))
+
+
+def score_pairs(
+    counts: synchrony.PairSyncCounts, config: csimod.CsiConfig
+) -> csimod.CsiTables | None:
+    """The index hierarchy, or None when there are no synchronized pairs."""
+    return csimod.compute_tables(counts, config) if counts else None
+
+
+def sync_graphs(
+    pair_scores: dict[tuple[str, str], float],
+    user_scores: dict[str, float] | None,
+    bot_table: botmod.BotScoreTable | None,
+    min_partners: int,
+) -> tuple[nx.Graph, nx.Graph]:
+    """The sync graph (with class and score node attributes) and its k-core pruning."""
+    classes = None
+    if bot_table is not None:
+        classes = botmod.user_classes({u for pair in pair_scores for u in pair}, bot_table)
+    sync = graphmod.build_sync_graph(pair_scores, user_classes=classes, user_scores=user_scores)
+    return sync, graphmod.prune_by_partner_count(sync, min_partners)
+
+
+def write_sync_graphs(sync: nx.Graph, pruned: nx.Graph, out: Path) -> None:
+    graphmod.export(sync, "graphml", out / "sync.graphml")
+    graphmod.export(pruned, "graphml", out / "sync_pruned.graphml")
+
+
+def structure_section(
     sync: nx.Graph,
-    user_scores: dict[str, float],
+    user_scores: dict[str, float] | None,
     bot_table: botmod.BotScoreTable | None,
     seed: int,
-) -> dict:
+) -> dict | None:
+    """Structure metrics of the sync graph; None when it has no edges (no pairs)."""
+    if sync.number_of_edges() == 0:
+        return None
     partition = metricmod.louvain_partition(sync, seed=seed)
     section = {
         "density": metricmod.density(sync),
@@ -156,11 +195,36 @@ def _structure_section(
     return section
 
 
-def _dominant_class(spread: botmod.ClassSpread) -> str | None:
-    candidates = {cls: spread.means[cls] for cls in ("bot", "human") if cls in spread.means}
-    if not candidates:
-        return None
-    return max(sorted(candidates), key=lambda cls: candidates[cls])
+def write_metrics_json(structure: dict | None, path: Path) -> None:
+    payload = round_floats(structure if structure is not None else {})
+    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+
+
+def allcomm_centralities(dataset: EventDataset) -> metricmod.Centralities:
+    """Centralities on the all-communication graph of every user in the dataset.
+
+    Post authors without interactions are isolated nodes.
+    """
+    users = {p.user_id for p in dataset.posts}
+    for record in dataset.interactions:
+        users.add(record.source_user)
+        users.add(record.target_user)
+    return metricmod.node_centralities(graphmod.build_allcomm_graph(dataset.interactions, users=users))
+
+
+def write_centrality_csv(centralities: metricmod.Centralities, path: Path) -> None:
+    with path.open("w", encoding="utf-8", newline="") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(["user_id", "total_degree", "betweenness", "eigenvector"])
+        for user in sorted(centralities.degree):
+            writer.writerow(
+                [
+                    user,
+                    repr(centralities.degree[user]),
+                    repr(centralities.betweenness[user]),
+                    repr(centralities.eigenvector[user]),
+                ]
+            )
 
 
 def _write_participation_centrality_csv(
@@ -173,9 +237,11 @@ def _write_participation_centrality_csv(
             writer.writerow([user, level, repr(deg), repr(bet), repr(eig)])
 
 
-def _write_metrics_json(structure: dict | None, path: Path) -> None:
-    payload = round_floats(structure if structure is not None else {})
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+def _dominant_class(spread: botmod.ClassSpread) -> str | None:
+    candidates = {cls: spread.means[cls] for cls in ("bot", "human") if cls in spread.means}
+    if not candidates:
+        return None
+    return max(sorted(candidates), key=lambda cls: candidates[cls])
 
 
 def run_pipeline(
@@ -187,98 +253,74 @@ def run_pipeline(
 ) -> EventReport:
     """Run the full analysis over an events file; write artifacts when out_dir given.
 
-    Artifacts: pair_counts.csv, pairs.csv, users.csv, network.json, sync
-    GraphML (raw and pruned), metrics.json, centrality_by_action_types.csv,
-    report.json. Deterministic for fixed inputs and options.
+    The stages are the ones the CLI runs one at a time (ingest, detect,
+    score, graph, metrics), so their shared artifacts are byte-identical:
+    pair_counts.csv, pairs.csv, users.csv, network.json, sync GraphML (raw
+    and pruned) and metrics.json. Also written: centrality_by_action_types.csv
+    and report.json. With no synchronized pairs the tables are header-only,
+    the graphs have no nodes and metrics.json is {}. Deterministic for fixed
+    inputs and options.
     """
     options = options or PipelineOptions()
-    notices: list[str] = []
-
-    dataset = read_events_file(events_path, format=options.events_format, label=options.label)
-    if interactions_path is not None:
-        extra = read_events_file(interactions_path, format=options.events_format)
-        dataset = merge_datasets(dataset, extra, label=dataset.label)
-    if options.lang:
-        dataset = filter_language(dataset, options.lang)
-
-    originals = filter_originals(dataset)
-    actions = extract_actions(originals)
-    window = synchrony.SyncWindowConfig(window_seconds=options.window_seconds)
-    counts = synchrony.detect(actions, window)
+    dataset = load_events(events_path, interactions_path, lang=options.lang, label=options.label)
+    detection = detect_pairs(dataset, options.window_seconds)
+    counts = detection.counts
 
     bot_table = None
+    notices: list[str] = []
     if bots_path is not None:
         bot_table = botmod.load_bot_scores(bots_path, threshold=options.bot_threshold)
     else:
         notices.append("bot scores not provided; class sections omitted")
 
-    config_echo = {
-        "window_seconds": options.window_seconds,
-        "pair_formula": options.pair_formula,
-        "normalization": options.normalization,
-        "bot_threshold": options.bot_threshold,
-        "min_partners": options.min_partners,
-        "lang": options.lang,
-        "seed": options.seed,
-    }
-    counts_section = {
-        "posts": len(dataset.posts),
-        "original_posts": len(originals.posts),
-        "interactions": len(dataset.interactions),
-        "action_records": len(actions),
-        "malformed_lines": dataset.malformed,
-        "sync_users": len(counts.users()),
-        "sync_pairs": len(counts),
-    }
-    report = EventReport(
-        event_label=dataset.label or Path(events_path).stem,
-        config=config_echo,
-        counts=counts_section,
-        action_type_participation={
-            str(level): value for level, value in synchrony.action_type_participation(counts).items()
-        },
-        notices=notices,
-    )
-
-    out = Path(out_dir) if out_dir is not None else None
-    if out is not None:
-        out.mkdir(parents=True, exist_ok=True)
-        synchrony.write_pair_counts_csv(counts, out / "pair_counts.csv")
-
-    if not counts:
-        report.reason = "no synchronized pairs detected"
-        report.csi_per_action = {a: None for a in ("hashtag", "url", "mention")}
-        if out is not None:
-            _write_metrics_json(None, out / "metrics.json")
-            write_report_json(report, out / "report.json")
-        return report
-
     csi_config = csimod.CsiConfig(
         pair_formula=options.pair_formula, normalization=options.normalization
     )
-    tables = csimod.compute_tables(counts, csi_config)
-    report.csi_network_combined = tables.network_score
-    report.csi_per_action = {
-        a: tables.per_action_network.get(a) for a in ("hashtag", "url", "mention")
-    }
-
-    user_classes = None
-    if bot_table is not None:
-        user_classes = botmod.user_classes(counts.users(), bot_table)
-    sync = graphmod.build_sync_graph(
-        tables.pair_scores, user_classes=user_classes, user_scores=tables.user_scores
+    tables = score_pairs(counts, csi_config)
+    summary = csimod.network_summary(tables, csi_config)
+    user_scores = tables.user_scores if tables is not None else {}
+    sync, pruned = sync_graphs(
+        tables.pair_scores if tables is not None else {}, user_scores, bot_table, options.min_partners
     )
-    pruned = graphmod.prune_by_partner_count(sync, options.min_partners)
 
-    allcomm_users = {p.user_id for p in dataset.posts}
-    for record in dataset.interactions:
-        allcomm_users.add(record.source_user)
-        allcomm_users.add(record.target_user)
-    allcomm = graphmod.build_allcomm_graph(dataset.interactions, users=allcomm_users)
-
-    report.structure = _structure_section(sync, tables.user_scores, bot_table, options.seed)
-
-    if bot_table is not None:
+    report = EventReport(
+        event_label=dataset.label or Path(events_path).stem,
+        config={
+            "window_seconds": options.window_seconds,
+            "pair_formula": options.pair_formula,
+            "normalization": options.normalization,
+            "bot_threshold": options.bot_threshold,
+            "min_partners": options.min_partners,
+            "lang": options.lang,
+            "seed": options.seed,
+        },
+        counts={
+            "posts": len(dataset.posts),
+            "original_posts": detection.original_posts,
+            "interactions": len(dataset.interactions),
+            "action_records": detection.action_records,
+            "malformed_lines": dataset.malformed,
+            "sync_users": len(counts.users()),
+            "sync_pairs": len(counts),
+        },
+        action_type_participation={
+            str(level): value for level, value in synchrony.action_type_participation(counts).items()
+        },
+        csi_network_combined=summary["csi_network"],
+        csi_per_action=summary["per_action"],
+        structure=structure_section(sync, user_scores, bot_table, options.seed),
+        notices=notices,
+    )
+    out = Path(out_dir) if out_dir is not None else None
+    participation = metricmod.ParticipationCentrality()
+    if tables is None:
+        report.reason = "no synchronized pairs detected"
+    else:
+        centralities = allcomm_centralities(dataset)
+        participation = metricmod.centrality_by_action_type_count(
+            centralities, synchrony.user_action_type_counts(counts)
+        )
+    if tables is not None and bot_table is not None:
         by_pair = botmod.average_csi_by_pair_class(tables.pair_scores, bot_table)
         report.avg_csi_userpair_by_pair_class = {
             cls: {"mean": by_pair.means[cls], "count": by_pair.counts[cls]}
@@ -296,23 +338,18 @@ def run_pipeline(
         if by_user.unknown:
             report.notices.append(f"{by_user.unknown} synchronizing users without bot scores")
         report.centrality_by_class = botmod.centrality_by_class(
-            allcomm, bot_table, set(tables.user_scores)
+            centralities, bot_table, set(tables.user_scores)
         )
         report.dominant_sync_class = _dominant_class(by_user)
 
     if out is not None:
-        csimod.write_pair_scores_csv(tables, counts, out / "pairs.csv")
-        csimod.write_user_scores_csv(tables, out / "users.csv")
-        csimod.write_network_summary_json(tables, out / "network.json")
-        graphmod.export(sync, "graphml", out / "sync.graphml")
-        graphmod.export(pruned, "graphml", out / "sync_pruned.graphml")
-        _write_metrics_json(report.structure, out / "metrics.json")
-        fig2 = metricmod.centrality_by_action_type_count(
-            allcomm, synchrony.user_action_type_counts(counts)
-        )
-        _write_participation_centrality_csv(fig2, out / "centrality_by_action_types.csv")
+        out.mkdir(parents=True, exist_ok=True)
+        synchrony.write_pair_counts_csv(counts, out / "pair_counts.csv")
+        csimod.write_score_artifacts(tables, counts, csi_config, out)
+        write_sync_graphs(sync, pruned, out)
+        write_metrics_json(report.structure, out / "metrics.json")
+        _write_participation_centrality_csv(participation, out / "centrality_by_action_types.csv")
         write_report_json(report, out / "report.json")
-
     return report
 
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 from collections import defaultdict
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations
 from pathlib import Path
@@ -115,24 +114,15 @@ class PairSyncCounts:
         return f"PairSyncCounts({len(self._table)} pairs)"
 
 
-def _count_groups(groups: Sequence[tuple[str, tuple[str, ...]]]) -> dict[tuple[str, str, str], int]:
-    agg: dict[tuple[str, str, str], int] = defaultdict(int)
-    for action_type, users in groups:
-        for u, v in combinations(users, 2):
-            agg[(u, v, action_type)] += 1
-    return agg
-
-
 def detect(
     actions: Iterable[ActionRecord],
     config: SyncWindowConfig | None = None,
-    max_workers: int = 1,
 ) -> PairSyncCounts:
     """Group actions by (action type, artifact, bucket) and count pair co-memberships.
 
     A user appearing several times in one group contributes as a single
     member: no self-pairs and no double counting within a group. The result
-    is independent of input order and of max_workers.
+    is independent of input order.
     """
     config = config or SyncWindowConfig()
     members: dict[tuple[str, str, int], set[str]] = defaultdict(set)
@@ -145,18 +135,14 @@ def detect(
         for key, users in members.items()
         if len(users) >= 2
     )
-
-    if max_workers <= 1 or len(groups) < 2:
-        partials = [_count_groups(groups)]
-    else:
-        chunks = [groups[i::max_workers] for i in range(max_workers)]
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            partials = list(pool.map(_count_groups, chunks))
+    agg: dict[tuple[str, str, str], int] = defaultdict(int)
+    for action_type, users in groups:
+        for u, v in combinations(users, 2):
+            agg[(u, v, action_type)] += 1
 
     counts = PairSyncCounts()
-    for partial in partials:
-        for (u, v, action_type), amount in partial.items():
-            counts.add(u, v, action_type, amount)
+    for (u, v, action_type), amount in agg.items():
+        counts.add(u, v, action_type, amount)
     return counts
 
 

@@ -6,8 +6,15 @@ import random
 from collections import deque
 
 import networkx as nx
+from hypothesis import strategies as st
 
 from syncindex.events import ACTION_TYPES, ActionRecord
+
+# Printable user ids; the CSV separator and quote character are drawn often.
+printable_ids = st.text(
+    st.one_of(st.sampled_from(',"'), st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp"))),
+    min_size=1,
+)
 
 
 def random_actions(
@@ -89,3 +96,51 @@ def naive_betweenness(graph: nx.Graph) -> dict[str, float]:
                     result[v] += sigma[s][v] * sigma[t][v] / total
     scale = 2.0 / ((n - 1) * (n - 2))
     return {v: value * scale for v, value in result.items()}
+
+
+def bfs_hierarchy(graph: nx.Graph, orientation: str, user_scores: dict[str, float] | None = None) -> float:
+    """Krackhardt hierarchy by definition: orient the edges, BFS from every
+    node, then count reachable and mutually reachable node pairs."""
+
+    def score(node: str) -> float:
+        if user_scores is not None and node in user_scores:
+            return float(user_scores[node])
+        return float(graph.nodes[node].get("csi_user", 0.0))
+
+    nodes = sorted(graph.nodes)
+    out: dict[str, list[str]] = {node: [] for node in nodes}
+    for u, v in graph.edges:
+        if orientation == "symmetric":
+            out[u].append(v)
+            out[v].append(u)
+            continue
+        su, sv = score(u), score(v)
+        if su < sv:
+            out[u].append(v)
+        elif sv < su:
+            out[v].append(u)
+        elif u < v:
+            out[u].append(v)
+        else:
+            out[v].append(u)
+
+    reach: dict[str, set[str]] = {}
+    for node in nodes:
+        seen = {node}
+        queue = deque([node])
+        while queue:
+            for nxt in out[queue.popleft()]:
+                if nxt not in seen:
+                    seen.add(nxt)
+                    queue.append(nxt)
+        seen.discard(node)
+        reach[node] = seen
+
+    reachable = mutual = 0
+    for i, u in enumerate(nodes):
+        for v in nodes[i + 1 :]:
+            forward, backward = v in reach[u], u in reach[v]
+            if forward or backward:
+                reachable += 1
+                mutual += forward and backward
+    return 1.0 if reachable == 0 else 1.0 - mutual / reachable

@@ -16,6 +16,7 @@ from syncindex.bots import (
     user_classes,
 )
 from syncindex.graphs import build_allcomm_graph, build_sync_graph
+from syncindex.metrics import node_centralities
 from syncindex.events import InteractionRecord
 
 
@@ -138,7 +139,7 @@ class TestCentralityByClass:
         graph = self.fixture()
         t = table({"b1": 0.9, "h1": 0.1, "h2": 0.2})
         sync_users = {"b1", "h1", "h2"}
-        result = centrality_by_class(graph, t, sync_users)
+        result = centrality_by_class(node_centralities(graph), t, sync_users)
         from syncindex.metrics import betweenness_centrality, degree_centrality, eigenvector_centrality
 
         degrees = degree_centrality(graph)
@@ -153,19 +154,19 @@ class TestCentralityByClass:
     def test_restricted_to_sync_users(self):
         graph = self.fixture()
         t = table({"b1": 0.9, "h1": 0.1, "h2": 0.2, "x1": 0.1})
-        result = centrality_by_class(graph, t, {"b1"})
+        result = centrality_by_class(node_centralities(graph), t, {"b1"})
         assert set(result) == {"bot"}
 
     def test_single_class_only(self):
         graph = self.fixture()
         t = table({"h1": 0.1, "h2": 0.2})
-        result = centrality_by_class(graph, t, {"h1", "h2"})
+        result = centrality_by_class(node_centralities(graph), t, {"h1", "h2"})
         assert set(result) == {"human"}
 
     def test_empty_when_no_overlap(self):
         graph = self.fixture()
         t = table({"b1": 0.9})
-        assert centrality_by_class(graph, t, {"nobody"}) == {}
+        assert centrality_by_class(node_centralities(graph), t, {"nobody"}) == {}
 
 
 class TestClusteringByClass:

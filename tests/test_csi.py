@@ -215,3 +215,20 @@ class TestConfigAndIo:
         user_path = write_user_scores_csv(tables, tmp_path / "users.csv")
         assert read_pair_scores_csv(pair_path) == tables.pair_scores
         assert read_user_scores_csv(user_path) == tables.user_scores
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_user_scores_reject_non_finite(self, tmp_path, value):
+        path = tmp_path / "users.csv"
+        path.write_text(f"user_id,csi_user\na,1.0\nb,{value}\n")
+        with pytest.raises(ValueError, match="line 3"):
+            read_user_scores_csv(path)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_pair_scores_reject_non_finite(self, tmp_path, value):
+        path = tmp_path / "pairs.csv"
+        path.write_text(
+            "user_u,user_v,num_action_types,s_total,csi_userpair\n"
+            f"a,b,1,1,{value}\nb,c,1,1,1.0\n"
+        )
+        with pytest.raises(ValueError, match="line 2"):
+            read_pair_scores_csv(path)

@@ -77,6 +77,13 @@ class TestParse:
         assert dataset.malformed == 1
         assert len(dataset.posts) == 2
 
+    @pytest.mark.parametrize("raw", ["1e999", "-1e999", "NaN", "Infinity"])
+    def test_non_finite_timestamp_is_malformed(self, raw):
+        bad = post_line(post_id="p3").replace('"timestamp": 100', f'"timestamp": {raw}')
+        dataset = parse_events([post_line(), post_line(post_id="p2"), bad])
+        assert dataset.malformed == 1
+        assert len(dataset.posts) == 2
+
     def test_unknown_post_type_rejected(self):
         dataset = parse_events([post_line(), post_line(post_id="p2"), post_line(post_id="p3", post_type="story")])
         assert dataset.malformed == 1

@@ -4,7 +4,9 @@ import random
 
 import networkx as nx
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from conftest import printable_ids
 from syncindex.events import InteractionRecord
 from syncindex.graphs import (
     build_allcomm_graph,
@@ -162,6 +164,18 @@ class TestExport:
         first = export(graph, "edge_csv", tmp_path / "edges1.csv")
         again = export(read_edge_csv(first), "edge_csv", tmp_path / "edges2.csv")
         assert first.read_bytes() == again.read_bytes()
+
+    @settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.lists(st.tuples(printable_ids, printable_ids), min_size=1, max_size=6))
+    def test_edge_csv_round_trips_any_printable_id(self, tmp_path, pairs):
+        graph = nx.Graph()
+        graph.add_weighted_edges_from((u, v, 1.5) for u, v in pairs if u != v)
+        again = read_edge_csv(export(graph, "edge_csv", tmp_path / "edges.csv"))
+
+        def edges(g):
+            return sorted((*sorted((u, v)), w) for u, v, w in g.edges(data="weight"))
+
+        assert edges(again) == edges(graph)
 
     def test_dot_contains_all_elements(self, tmp_path):
         path = export(self.build(), "dot", tmp_path / "g.dot")

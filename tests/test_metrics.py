@@ -5,8 +5,9 @@ import random
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import naive_betweenness, random_graph
+from conftest import bfs_hierarchy, naive_betweenness, random_graph
 from syncindex.metrics import (
     MetricUndefinedError,
     ParticipationCentrality,
@@ -21,6 +22,7 @@ from syncindex.metrics import (
     krackhardt_hierarchy,
     louvain_partition,
     newman_modularity,
+    node_centralities,
     transitivity,
 )
 
@@ -173,6 +175,19 @@ class TestLouvain:
             louvain_partition(nx.empty_graph(3), seed=1)
 
 
+@st.composite
+def scored_graphs(draw):
+    """Small graphs, some isolated nodes, finite scores with frequent ties; some nodes unscored."""
+    nodes = [f"n{i}" for i in range(draw(st.integers(1, 9)))]
+    pairs = [(u, v) for i, u in enumerate(nodes) for v in nodes[i + 1 :]]
+    graph = nx.Graph()
+    graph.add_nodes_from(nodes)
+    if pairs:
+        graph.add_edges_from(draw(st.lists(st.sampled_from(pairs), unique=True)))
+    score = st.one_of(st.sampled_from([0.0, 1.0, 2.0]), st.floats(allow_nan=False, allow_infinity=False))
+    return graph, draw(st.dictionaries(st.sampled_from(nodes), score))
+
+
 class TestHierarchy:
     def test_star_oriented_to_center(self):
         star = nx.star_graph(4)
@@ -195,6 +210,22 @@ class TestHierarchy:
         graph = nx.Graph([("a", "b")])
         # equal scores: arc points a -> b, one-way reachable pair
         assert krackhardt_hierarchy(graph, "csi_order", {"a": 1.0, "b": 1.0}) == 1.0
+
+    def test_unknown_orientation_rejected(self):
+        with pytest.raises(ValueError):
+            krackhardt_hierarchy(path3(), "upward")
+
+    def test_nan_score_rejected(self):
+        triangle = nx.Graph([("a", "b"), ("b", "c"), ("c", "a")])
+        with pytest.raises(ValueError, match="'b'"):
+            krackhardt_hierarchy(triangle, "csi_order", {"a": 2.0, "b": math.nan, "c": 1.0})
+
+    @settings(max_examples=200, deadline=None)
+    @given(scored_graphs(), st.sampled_from(["csi_order", "symmetric"]))
+    def test_closed_form_matches_bfs_definition(self, case, orientation):
+        graph, scores = case
+        expected = bfs_hierarchy(graph, orientation, scores)
+        assert krackhardt_hierarchy(graph, orientation, scores) == expected
 
     def test_scores_from_node_attributes(self):
         graph = nx.Graph()
@@ -268,19 +299,19 @@ class TestParticipationCentrality:
     def test_all_sync_users_isolated(self):
         graph = nx.empty_graph(0)
         graph.add_nodes_from(["u", "v"])
-        table = centrality_by_action_type_count(graph, {"u": 1, "v": 2})
+        table = centrality_by_action_type_count(node_centralities(graph), {"u": 1, "v": 2})
         for row in table.rows:
             assert row[2] == row[3] == row[4] == 0.0
 
     def test_absent_users_excluded(self):
         graph = nx.Graph([("a", "b")])
-        table = centrality_by_action_type_count(graph, {"a": 1, "ghost": 2})
+        table = centrality_by_action_type_count(node_centralities(graph), {"a": 1, "ghost": 2})
         assert table.excluded == ["ghost"]
         assert [row[0] for row in table.rows] == ["a"]
 
     def test_single_level_mean_matches_values(self):
         graph = self.fixture_graph()
-        table = centrality_by_action_type_count(graph, {"a": 2, "b": 2})
+        table = centrality_by_action_type_count(node_centralities(graph), {"a": 2, "b": 2})
         degrees = degree_centrality(graph)
         expected = (degrees["a"] + degrees["b"]) / 2
         assert table.level_stats[2]["total_degree"][0] == pytest.approx(expected)
@@ -288,7 +319,7 @@ class TestParticipationCentrality:
     def test_hand_computed_level_means(self):
         graph = self.fixture_graph()
         participation = {"a": 1, "b": 1, "c": 3, "e": 3, "f": 2, "g": 2}
-        table = centrality_by_action_type_count(graph, participation)
+        table = centrality_by_action_type_count(node_centralities(graph), participation)
         degrees = degree_centrality(graph)
         betweenness = betweenness_centrality(graph)
         eigen = eigenvector_centrality(graph)
@@ -305,5 +336,5 @@ class TestParticipationCentrality:
             )
 
     def test_empty_participation(self):
-        table = centrality_by_action_type_count(nx.Graph([("a", "b")]), {})
+        table = centrality_by_action_type_count(node_centralities(nx.Graph([("a", "b")])), {})
         assert table == ParticipationCentrality()

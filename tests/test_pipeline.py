@@ -1,11 +1,16 @@
 from __future__ import annotations
 
+import csv
 import json
 
+import networkx as nx
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from conftest import printable_ids
 from syncindex import cli
 from syncindex.events import write_events_jsonl
+from syncindex.metrics import node_centralities
 from syncindex.pipeline import (
     EventReport,
     PipelineOptions,
@@ -14,6 +19,7 @@ from syncindex.pipeline import (
     report_json_text,
     round_floats,
     run_pipeline,
+    write_centrality_csv,
     write_report_json,
 )
 from syncindex.simulate import (
@@ -43,6 +49,41 @@ def sim_inputs(tmp_path_factory):
     events = write_events_jsonl(dataset, root / "events.jsonl")
     bots = write_bot_scores_csv(bot_scores_from_truth(truth), root / "bots.csv")
     return events, bots, truth
+
+
+@pytest.fixture(scope="module")
+def no_sync_inputs(tmp_path_factory):
+    """Five users, each with its own hashtag, hours apart: no synchronized pairs."""
+    root = tmp_path_factory.mktemp("nosync")
+    lines = [
+        json.dumps(
+            {
+                "post_id": f"p{i}",
+                "user_id": f"u{i}",
+                "timestamp": i * 100_000,
+                "post_type": "original",
+                "hashtags": [f"#only{i}"],
+            }
+        )
+        for i in range(5)
+    ]
+    events = root / "events.jsonl"
+    events.write_text("\n".join(lines) + "\n")
+    bots = root / "bots.csv"
+    bots.write_text("user_id,score\nu0,0.9\nu1,0.1\n")
+    return events, bots
+
+
+# Files written by both `report` and the stage chain.
+SHARED_ARTIFACTS = (
+    "pair_counts.csv",
+    "pairs.csv",
+    "users.csv",
+    "network.json",
+    "sync.graphml",
+    "sync_pruned.graphml",
+    "metrics.json",
+)
 
 
 class TestRunPipeline:
@@ -101,53 +142,53 @@ class TestRunPipeline:
         assert report.dominant_sync_class is None
         assert any("bot scores" in note for note in report.notices)
 
-    def test_no_synchrony_report(self, tmp_path):
-        lines = [
-            json.dumps(
-                {
-                    "post_id": f"p{i}",
-                    "user_id": f"u{i}",
-                    "timestamp": i * 100_000,
-                    "post_type": "original",
-                    "hashtags": [f"#only{i}"],
-                }
-            )
-            for i in range(5)
-        ]
-        events = tmp_path / "events.jsonl"
-        events.write_text("\n".join(lines) + "\n")
+    def test_no_synchrony_report(self, no_sync_inputs, tmp_path):
+        events, _ = no_sync_inputs
         report = run_pipeline(events, out_dir=tmp_path / "out")
         assert report.csi_network_combined is None
         assert report.reason == "no synchronized pairs detected"
         assert (tmp_path / "out" / "report.json").exists()
+        assert json.loads((tmp_path / "out" / "metrics.json").read_text()) == {}
 
-    def test_rerun_from_intermediates_bit_exact(self, sim_inputs, tmp_path):
-        events, bots, _ = sim_inputs
-        out = tmp_path / "full"
-        run_pipeline(events, bots_path=bots, out_dir=out)
-
-        stage = tmp_path / "stage"
-        assert cli.main(["score", "--pairs", str(out / "pair_counts.csv"), "--out", str(stage)]) == 0
-        assert (stage / "pairs.csv").read_bytes() == (out / "pairs.csv").read_bytes()
-        assert (stage / "users.csv").read_bytes() == (out / "users.csv").read_bytes()
-
-        gstage = tmp_path / "gstage"
-        code = cli.main(
-            [
-                "graph",
-                "--pairs", str(stage / "pairs.csv"),
-                "--users", str(stage / "users.csv"),
-                "--bots", str(bots),
-                "--out", str(gstage),
-            ]
-        )
-        assert code == 0
-        assert (gstage / "sync.graphml").read_bytes() == (out / "sync.graphml").read_bytes()
+    @pytest.mark.parametrize("inputs", ["sim_inputs", "no_sync_inputs"])
+    def test_stage_chain_matches_report(self, inputs, request, tmp_path):
+        events, bots = request.getfixturevalue(inputs)[:2]
+        full, stage = tmp_path / "full", tmp_path / "stage"
+        assert cli.main(["report", "--events", str(events), "--bots", str(bots), "--out", str(full)]) == 0
+        staged = ["--pairs", str(stage / "pairs.csv"), "--users", str(stage / "users.csv"), "--bots", str(bots)]
+        for argv in (
+            ["ingest", "--events", str(events)],
+            ["detect", "--events", str(stage / "events.jsonl")],
+            ["score", "--pairs", str(stage / "pair_counts.csv")],
+            ["graph", *staged],
+            ["metrics", *staged, "--events", str(stage / "events.jsonl")],
+        ):
+            assert cli.main([*argv, "--out", str(stage)]) == 0, argv[0]
+        for name in SHARED_ARTIFACTS:
+            assert (stage / name).read_bytes() == (full / name).read_bytes(), name
 
     def test_language_filter_drops_everything_when_tagless(self, sim_inputs, tmp_path):
         events, _, _ = sim_inputs
         report = run_pipeline(events, options=PipelineOptions(lang="xx"))
         assert report.csi_network_combined is None
+
+
+class TestCentralityCsv:
+    @settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.lists(printable_ids, min_size=1, max_size=6, unique=True))
+    def test_round_trips_any_printable_id(self, tmp_path, users):
+        centralities = node_centralities(nx.path_graph(users))
+        path = tmp_path / "centrality.csv"
+        write_centrality_csv(centralities, path)
+        with path.open(encoding="utf-8", newline="") as handle:
+            rows = {
+                row["user_id"]: (float(row["total_degree"]), float(row["betweenness"]), float(row["eigenvector"]))
+                for row in csv.DictReader(handle)
+            }
+        assert rows == {
+            user: (centralities.degree[user], centralities.betweenness[user], centralities.eigenvector[user])
+            for user in users
+        }
 
 
 class TestReportSerialization:
@@ -275,6 +316,17 @@ class TestCli:
     def test_data_error_exit_code(self, tmp_path):
         missing = tmp_path / "nope.jsonl"
         assert cli.main(["report", "--events", str(missing), "--out", str(tmp_path)]) == 2
+
+    def test_non_finite_user_score_is_data_error(self, tmp_path):
+        pairs = tmp_path / "pairs.csv"
+        pairs.write_text(
+            "user_u,user_v,num_action_types,s_total,csi_userpair\n"
+            "a,b,1,1,1.0\na,c,1,1,1.0\nb,c,1,1,1.0\n"
+        )
+        users = tmp_path / "users.csv"
+        users.write_text("user_id,csi_user\na,2.0\nb,nan\nc,1.0\n")
+        argv = ["metrics", "--pairs", str(pairs), "--users", str(users), "--out", str(tmp_path / "m")]
+        assert cli.main(argv) == 2
 
     def test_csv_report_format(self, sim_inputs, tmp_path):
         events, bots, _ = sim_inputs

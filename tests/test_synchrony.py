@@ -85,13 +85,6 @@ class TestDetect:
         counts = detect([rec(f"u{i}", 10 * i) for i in range(k)])
         assert len(counts) == k * (k - 1) // 2
 
-    def test_worker_count_does_not_change_result(self):
-        rng = random.Random(11)
-        actions = random_actions(rng, max_users=20, max_records=200)
-        single = detect(actions, max_workers=1)
-        assert detect(actions, max_workers=4) == single
-        assert detect(actions, max_workers=8) == single
-
     def test_monotone_under_append(self):
         rng = random.Random(5)
         actions = random_actions(rng, max_users=12, max_records=60)
