@@ -162,9 +162,29 @@ def _interaction_from_mapping(obj: dict) -> InteractionRecord | None:
     )
 
 
-def _csv_row_to_mapping(row: dict) -> dict:
-    """Translate a CSV row to the JSONL record shape (pipe-delimited lists)."""
+def _undecodable(text: str) -> bool:
+    """True when text holds bytes that were not UTF-8.
+
+    Files are read with errors="surrogateescape", which maps each such byte
+    to a lone surrogate; only a lone surrogate fails to encode.
+    """
+    if text.isascii():
+        return False
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return True
+    return False
+
+
+def _csv_row_to_mapping(row: dict) -> dict | None:
+    """Translate a CSV row to the JSONL record shape (pipe-delimited lists).
+
+    None when a cell, extra cells included, is not valid UTF-8.
+    """
     obj: dict = {k: v for k, v in row.items() if k is not None and v not in (None, "")}
+    if _undecodable("".join([*obj.values(), *(row.get(None) or ())])):
+        return None
     for key in ("hashtags", "urls", "mentions"):
         if key in obj:
             obj[key] = [part for part in obj[key].split("|") if part]
@@ -179,8 +199,9 @@ def parse_events(
     """Parse line-delimited records into an EventDataset.
 
     Malformed lines are counted and skipped; duplicated post ids count as
-    malformed. Raises CorpusRejectedError when more than half of the
-    non-blank lines are malformed.
+    malformed, as do lines that are not valid UTF-8 (lone surrogates, as
+    read_events_file decodes them). Raises CorpusRejectedError when more
+    than half of the non-blank lines are malformed.
     """
     if format not in ("jsonl", "csv"):
         raise ValueError(f"unknown format: {format}")
@@ -237,6 +258,9 @@ def _iter_jsonl(stream: Iterable[str]) -> Iterator[dict | None]:
     for line in stream:
         line = line.strip()
         if not line:
+            continue
+        if _undecodable(line):
+            yield None
             continue
         try:
             obj = json.loads(line)
@@ -296,9 +320,11 @@ def extract_actions(dataset: EventDataset) -> list[ActionRecord]:
     """One ActionRecord per (post, action type, distinct canonical artifact).
 
     Duplicates of the same artifact within one post emit a single record.
-    Expects the dataset to be filtered to original posts already.
+    Expects the dataset to be filtered to original posts already. Rejected
+    artifacts are counted per action type and logged in one summary line.
     """
     records: list[ActionRecord] = []
+    rejected = dict.fromkeys(ACTION_TYPES, 0)
     for post in dataset.posts:
         for action_type, raws in (
             ("hashtag", post.hashtags),
@@ -310,7 +336,7 @@ def extract_actions(dataset: EventDataset) -> list[ActionRecord]:
                 try:
                     canons.add(canonicalize_artifact(action_type, raw))
                 except ArtifactError:
-                    logger.warning("rejected %s artifact %r on post %s", action_type, raw, post.post_id)
+                    rejected[action_type] += 1
             for artifact_id in sorted(canons):
                 records.append(
                     ActionRecord(
@@ -320,6 +346,12 @@ def extract_actions(dataset: EventDataset) -> list[ActionRecord]:
                         artifact_id=artifact_id,
                     )
                 )
+    if any(rejected.values()):
+        logger.warning(
+            "rejected %d artifacts (%s)",
+            sum(rejected.values()),
+            ", ".join(f"{kind} {count}" for kind, count in rejected.items() if count),
+        )
     return records
 
 
@@ -363,11 +395,14 @@ def write_events_jsonl(dataset: EventDataset, path: str | Path) -> Path:
 
 
 def read_events_file(path: str | Path, format: str | None = None, label: str = "") -> EventDataset:
-    """Parse an events file; format inferred from the suffix unless given."""
+    """Parse an events file; format inferred from the suffix unless given.
+
+    A line that is not valid UTF-8 is one malformed line, not a rejected file.
+    """
     path = Path(path)
     if format is None:
         format = "csv" if path.suffix.lower() == ".csv" else "jsonl"
-    with path.open("r", encoding="utf-8", newline="") as handle:
+    with path.open("r", encoding="utf-8", errors="surrogateescape", newline="") as handle:
         return parse_events(handle, format=format, label=label or path.stem)
 
 

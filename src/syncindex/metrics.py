@@ -4,13 +4,21 @@ Shortest paths are unweighted throughout: synchronization edge weights are
 similarity strengths, not distances. Eigenvector centrality does use the
 weights. All functions are pure and permutation-invariant; accumulation
 orders are fixed (sorted nodes) so outputs are bit-deterministic.
+
+The betweenness and eigenvector kernels run on integer indices assigned in
+sorted node order (NodeIndex), so index order is id order. Their floats
+depend only on the order of each accumulation, which is fixed: betweenness
+visits sources in ascending order and adds each node's dependency
+(sigma_v / sigma_w) * (1 + delta_w) once per successor w, in reverse BFS
+order, with neighbours scanned ascending; power iteration sums each row in
+ascending neighbour order, starting from the node's own value. A source
+with no neighbours adds nothing and is skipped.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from collections import deque
 from dataclasses import dataclass, field
 from statistics import fmean, pstdev
 
@@ -39,81 +47,117 @@ def degree_centrality(graph: nx.Graph) -> dict[str, float]:
     return {node: graph.degree(node) / (n - 1) for node in sorted(graph.nodes)}
 
 
-def betweenness_centrality(graph: nx.Graph) -> dict[str, float]:
+@dataclass(frozen=True)
+class NodeIndex:
+    """A graph relabeled to integers: node i is nodes[i] in sorted order.
+
+    adjacency[i] lists i's neighbour indices ascending, which is their id
+    order; weighted[i] pairs each of them with the edge weight (default 1.0).
+    """
+
+    nodes: list
+    adjacency: list[list[int]]
+    weighted: list[list[tuple[int, float]]]
+
+
+def node_index(graph: nx.Graph) -> NodeIndex:
+    nodes = sorted(graph.nodes)
+    index = {node: i for i, node in enumerate(nodes)}
+    adjacency = [sorted(index[nbr] for nbr in graph.adj[node]) for node in nodes]
+    weighted = []
+    for node, row in zip(nodes, adjacency):
+        attrs = graph.adj[node]
+        weighted.append([(j, float(attrs[nodes[j]].get("weight", 1.0))) for j in row])
+    return NodeIndex(nodes=nodes, adjacency=adjacency, weighted=weighted)
+
+
+def betweenness_centrality(graph: nx.Graph, *, index: NodeIndex | None = None) -> dict[str, float]:
     """Brandes betweenness on unweighted shortest paths, normalized by (n-1)(n-2)/2.
 
-    Fewer than 3 nodes: all zeros (no interior positions exist).
+    Fewer than 3 nodes: all zeros (no interior positions exist). index, when
+    given, must be node_index(graph).
     """
-    nodes = sorted(graph.nodes)
+    if index is None:
+        index = node_index(graph)
+    nodes = index.nodes
     n = len(nodes)
-    accum = {node: 0.0 for node in nodes}
     if n < 3:
-        return accum
-    adjacency = {node: sorted(graph.adj[node]) for node in nodes}
+        return dict.fromkeys(nodes, 0.0)
+    adjacency = index.adjacency
+    accum = [0.0] * n
+    dist = [-1] * n
+    sigma = [0] * n
+    delta = [0.0] * n
 
-    for source in nodes:
-        stack: list[str] = []
-        predecessors: dict[str, list[str]] = {node: [] for node in nodes}
-        sigma = dict.fromkeys(nodes, 0)
-        sigma[source] = 1
-        dist = dict.fromkeys(nodes, -1)
+    for source in range(n):
+        if not adjacency[source]:
+            continue  # an isolated source reaches nothing and adds nothing
         dist[source] = 0
-        queue = deque([source])
-        while queue:
-            v = queue.popleft()
-            stack.append(v)
+        sigma[source] = 1
+        order = [source]  # BFS order; the loop below appends while it reads
+        for v in order:
+            next_dist = dist[v] + 1
+            paths = sigma[v]
             for w in adjacency[v]:
-                if dist[w] < 0:
-                    dist[w] = dist[v] + 1
-                    queue.append(w)
-                if dist[w] == dist[v] + 1:
-                    sigma[w] += sigma[v]
-                    predecessors[w].append(v)
-        delta = dict.fromkeys(nodes, 0.0)
-        while stack:
-            w = stack.pop()
-            for v in predecessors[w]:
-                delta[v] += (sigma[v] / sigma[w]) * (1.0 + delta[w])
-            if w != source:
-                accum[w] += delta[w]
+                d = dist[w]
+                if d < 0:
+                    dist[w] = next_dist
+                    sigma[w] = paths
+                    order.append(w)
+                elif d == next_dist:
+                    sigma[w] += paths
+        # Dependencies in reverse BFS order. The predecessors of w are its
+        # neighbours one level up; the source has none and is skipped.
+        for w in reversed(order[1:]):
+            up = dist[w] - 1
+            paths = sigma[w]
+            weight = 1.0 + delta[w]
+            for v in adjacency[w]:
+                if dist[v] == up:
+                    delta[v] += (sigma[v] / paths) * weight
+            accum[w] += delta[w]
+        for v in order:
+            dist[v] = -1
+            sigma[v] = 0
+            delta[v] = 0.0
 
     # Each unordered pair is visited from both endpoints, so the pair-halving
     # and the (n-1)(n-2)/2 normalizer combine into one factor.
     scale = 1.0 / ((n - 1) * (n - 2))
-    return {node: accum[node] * scale for node in nodes}
+    return {node: value * scale for node, value in zip(nodes, accum)}
 
 
 def eigenvector_centrality(
-    graph: nx.Graph, tol: float = 1e-9, max_iter: int = 1000
+    graph: nx.Graph, tol: float = 1e-9, max_iter: int = 1000, *, index: NodeIndex | None = None
 ) -> dict[str, float]:
     """Power iteration on the weighted adjacency, scaled so the max component is 1.
 
     Starts from a uniform positive vector; converged when successive
     max-normalized iterates differ by less than tol in max norm. Iterates
-    with the identity added so bipartite graphs cannot oscillate.
+    with the identity added so bipartite graphs cannot oscillate. index,
+    when given, must be node_index(graph).
     """
     if graph.number_of_edges() == 0:
         raise MetricUndefinedError("eigenvector centrality needs at least one edge")
-    nodes = sorted(graph.nodes)
-    weighted = {
-        node: [(nbr, float(graph[node][nbr].get("weight", 1.0))) for nbr in sorted(graph.adj[node])]
-        for node in nodes
-    }
-    x = dict.fromkeys(nodes, 1.0)
+    if index is None:
+        index = node_index(graph)
+    weighted = index.weighted
+    x = [1.0] * len(weighted)
     for _ in range(max_iter):
-        nxt = {}
-        for node in nodes:
-            acc = x[node]
-            for nbr, w in weighted[node]:
-                acc += w * x[nbr]
-            nxt[node] = acc
-        peak = max(nxt.values())
-        nxt = {node: value / peak for node, value in nxt.items()}
-        delta = max(abs(nxt[node] - x[node]) for node in nodes)
+        nxt = []
+        for acc, row in zip(x, weighted):
+            for j, w in row:
+                acc += w * x[j]
+            nxt.append(acc)
+        peak = max(nxt)
+        nxt = [value / peak for value in nxt]
+        delta = max(abs(new - old) for new, old in zip(nxt, x))
         x = nxt
         if delta < tol:
-            return x
-    raise PowerIterationError(f"no convergence after {max_iter} iterations", last_iterate=x)
+            return dict(zip(index.nodes, x))
+    raise PowerIterationError(
+        f"no convergence after {max_iter} iterations", last_iterate=dict(zip(index.nodes, x))
+    )
 
 
 def eigenvector_residual(graph: nx.Graph, centrality: dict[str, float]) -> float:
@@ -148,11 +192,12 @@ def node_centralities(graph: nx.Graph) -> Centralities:
     Where a centrality is undefined it is 0 for every node: degree below 2
     nodes, eigenvector on an edgeless graph.
     """
-    zeros = dict.fromkeys(sorted(graph.nodes), 0.0)
+    index = node_index(graph)
+    zeros = dict.fromkeys(index.nodes, 0.0)
     return Centralities(
         degree=degree_centrality(graph) if graph.number_of_nodes() >= 2 else zeros,
-        betweenness=betweenness_centrality(graph),
-        eigenvector=eigenvector_centrality(graph) if graph.number_of_edges() > 0 else zeros,
+        betweenness=betweenness_centrality(graph, index=index),
+        eigenvector=eigenvector_centrality(graph, index=index) if graph.number_of_edges() > 0 else zeros,
     )
 
 
@@ -244,8 +289,12 @@ def krackhardt_hierarchy(
     return 1.0
 
 
-def _triangles_and_triples(graph: nx.Graph) -> tuple[dict[str, int], dict[str, int]]:
-    """Per node: number of edges among its neighbors, and C(degree, 2)."""
+def triangle_counts(graph: nx.Graph) -> tuple[dict[str, int], dict[str, int]]:
+    """Per node: number of edges among its neighbors, and C(degree, 2).
+
+    transitivity and avg_local_clustering both derive from these counts;
+    pass them in to count once for both.
+    """
     adjacency = {node: set(graph.adj[node]) for node in graph.nodes}
     triangles: dict[str, int] = {}
     triples: dict[str, int] = {}
@@ -263,9 +312,12 @@ def _triangles_and_triples(graph: nx.Graph) -> tuple[dict[str, int], dict[str, i
     return triangles, triples
 
 
-def transitivity(graph: nx.Graph) -> float:
-    """Global clustering coefficient: 3 * triangles / connected triples."""
-    triangles, triples = _triangles_and_triples(graph)
+def transitivity(graph: nx.Graph, counts: tuple[dict, dict] | None = None) -> float:
+    """Global clustering coefficient: 3 * triangles / connected triples.
+
+    counts, when given, must be triangle_counts(graph).
+    """
+    triangles, triples = counts if counts is not None else triangle_counts(graph)
     total_triples = sum(triples.values())
     if total_triples == 0:
         logger.warning("no connected triples: transitivity reported as 0")
@@ -273,12 +325,15 @@ def transitivity(graph: nx.Graph) -> float:
     return sum(triangles.values()) / total_triples
 
 
-def avg_local_clustering(graph: nx.Graph) -> float:
-    """Mean per-node clustering; nodes with degree < 2 contribute 0."""
+def avg_local_clustering(graph: nx.Graph, counts: tuple[dict, dict] | None = None) -> float:
+    """Mean per-node clustering; nodes with degree < 2 contribute 0.
+
+    counts, when given, must be triangle_counts(graph).
+    """
     if graph.number_of_nodes() == 0:
         logger.warning("average clustering of an empty graph reported as 0")
         return 0.0
-    triangles, triples = _triangles_and_triples(graph)
+    triangles, triples = counts if counts is not None else triangle_counts(graph)
     total = 0.0
     for node in sorted(graph.nodes):
         if triples[node] > 0:

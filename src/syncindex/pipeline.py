@@ -181,14 +181,15 @@ def structure_section(
     if sync.number_of_edges() == 0:
         return None
     partition = metricmod.louvain_partition(sync, seed=seed)
+    counts = metricmod.triangle_counts(sync)
     section = {
         "density": metricmod.density(sync),
         "modularity": metricmod.newman_modularity(sync, partition),
         "partition_method": "louvain",
         "hierarchy": metricmod.krackhardt_hierarchy(sync, "csi_order", user_scores=user_scores),
         "hierarchy_orientation": "csi_order",
-        "transitivity": metricmod.transitivity(sync),
-        "avg_local_clustering": metricmod.avg_local_clustering(sync),
+        "transitivity": metricmod.transitivity(sync, counts),
+        "avg_local_clustering": metricmod.avg_local_clustering(sync, counts),
     }
     if bot_table is not None:
         section["clustering_by_class"] = botmod.clustering_by_class(sync, bot_table)

@@ -98,6 +98,70 @@ def naive_betweenness(graph: nx.Graph) -> dict[str, float]:
     return {v: value * scale for v, value in result.items()}
 
 
+def dict_betweenness(graph: nx.Graph) -> dict[str, float]:
+    """Brandes betweenness over per-source dicts, with predecessor lists and a
+    BFS from every source: the definition the integer kernel must reproduce
+    bit for bit."""
+    nodes = sorted(graph.nodes)
+    n = len(nodes)
+    accum = {node: 0.0 for node in nodes}
+    if n < 3:
+        return accum
+    adjacency = {node: sorted(graph.adj[node]) for node in nodes}
+    for source in nodes:
+        stack = []
+        predecessors = {node: [] for node in nodes}
+        sigma = dict.fromkeys(nodes, 0)
+        sigma[source] = 1
+        dist = dict.fromkeys(nodes, -1)
+        dist[source] = 0
+        queue = deque([source])
+        while queue:
+            v = queue.popleft()
+            stack.append(v)
+            for w in adjacency[v]:
+                if dist[w] < 0:
+                    dist[w] = dist[v] + 1
+                    queue.append(w)
+                if dist[w] == dist[v] + 1:
+                    sigma[w] += sigma[v]
+                    predecessors[w].append(v)
+        delta = dict.fromkeys(nodes, 0.0)
+        while stack:
+            w = stack.pop()
+            for v in predecessors[w]:
+                delta[v] += (sigma[v] / sigma[w]) * (1.0 + delta[w])
+            if w != source:
+                accum[w] += delta[w]
+    scale = 1.0 / ((n - 1) * (n - 2))
+    return {node: accum[node] * scale for node in nodes}
+
+
+def dict_eigenvector(graph: nx.Graph, tol: float = 1e-9, max_iter: int = 1000) -> tuple[dict[str, float], bool]:
+    """Power iteration over per-iteration dicts (identity added, max-normalized).
+    Returns the last iterate and whether it converged within max_iter."""
+    nodes = sorted(graph.nodes)
+    weighted = {
+        node: [(nbr, float(graph[node][nbr].get("weight", 1.0))) for nbr in sorted(graph.adj[node])]
+        for node in nodes
+    }
+    x = dict.fromkeys(nodes, 1.0)
+    for _ in range(max_iter):
+        nxt = {}
+        for node in nodes:
+            acc = x[node]
+            for nbr, w in weighted[node]:
+                acc += w * x[nbr]
+            nxt[node] = acc
+        peak = max(nxt.values())
+        nxt = {node: value / peak for node, value in nxt.items()}
+        delta = max(abs(nxt[node] - x[node]) for node in nodes)
+        x = nxt
+        if delta < tol:
+            return x, True
+    return x, False
+
+
 def bfs_hierarchy(graph: nx.Graph, orientation: str, user_scores: dict[str, float] | None = None) -> float:
     """Krackhardt hierarchy by definition: orient the edges, BFS from every
     node, then count reachable and mutually reachable node pairs."""

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import io
 import json
+import logging
 import random
 
 import pytest
@@ -134,6 +135,47 @@ class TestParse:
         assert len(dataset.interactions) == 1
 
 
+class TestUndecodableBytes:
+    """A line that is not valid UTF-8 is one malformed line, not a rejected file."""
+
+    def test_jsonl_bad_byte_line_is_malformed(self, tmp_path):
+        path = tmp_path / "events.jsonl"
+        bad = post_line(post_id="p2", user_id="bob").encode().replace(b"bob", b"b\xffb")
+        path.write_bytes(post_line().encode() + b"\n" + bad + b"\n")
+        dataset = read_events_file(path)
+        assert [p.post_id for p in dataset.posts] == ["p1"]
+        assert dataset.malformed == 1
+
+    def test_csv_bad_byte_line_is_malformed(self, tmp_path):
+        path = tmp_path / "events.csv"
+        path.write_bytes(
+            b"post_id,user_id,timestamp,post_type,hashtags\n"
+            b"p1,alice,100,original,#a\n"
+            b"p2,bob,100,original,#\xff\n"
+        )
+        dataset = read_events_file(path)
+        assert [p.post_id for p in dataset.posts] == ["p1"]
+        assert dataset.malformed == 1
+
+    def test_bad_byte_in_extra_csv_cell_is_malformed(self, tmp_path):
+        path = tmp_path / "events.csv"
+        path.write_bytes(b"post_id,user_id,timestamp,post_type\np1,alice,100,original\np2,bob,100,original,\xff\n")
+        assert read_events_file(path).malformed == 1
+
+    def test_bad_lines_count_toward_rejection(self, tmp_path):
+        path = tmp_path / "events.jsonl"
+        path.write_bytes(post_line().encode() + b"\n\xff\n\xfe{}\n")
+        with pytest.raises(CorpusRejectedError, match="2 of 3"):
+            read_events_file(path)
+
+    def test_multibyte_utf8_is_not_malformed(self, tmp_path):
+        path = tmp_path / "events.jsonl"
+        path.write_text(post_line(user_id="zoë", hashtags=["#café"]) + "\n", encoding="utf-8")
+        dataset = read_events_file(path)
+        assert dataset.malformed == 0
+        assert dataset.posts[0].user_id == "zoë"
+
+
 class TestFilters:
     def test_filter_originals_keeps_only_originals(self):
         dataset = parse_events(
@@ -242,6 +284,22 @@ class TestExtract:
         records = extract_actions(EventDataset(posts=(post,)))
         seen = {(r.action_type, r.artifact_id) for r in records}
         assert len(records) == len(seen) == 2
+
+
+    def test_rejections_logged_once_per_call(self, caplog):
+        posts = (
+            make_post(post_id="p1", hashtags=frozenset({"#", "##", "#ok"}), urls=frozenset({" "})),
+            make_post(post_id="p2", hashtags=frozenset({"  "}), mentions=frozenset({"@bob"})),
+        )
+        with caplog.at_level(logging.WARNING, logger="syncindex.events"):
+            records = extract_actions(EventDataset(posts=posts))
+        assert len(records) == 2
+        assert [r.getMessage() for r in caplog.records] == ["rejected 4 artifacts (hashtag 3, url 1)"]
+
+    def test_no_rejections_no_log(self, caplog):
+        with caplog.at_level(logging.WARNING, logger="syncindex.events"):
+            extract_actions(EventDataset(posts=(make_post(hashtags=frozenset({"#a"})),)))
+        assert caplog.records == []
 
 
 class TestRoundTrip:

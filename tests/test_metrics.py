@@ -7,7 +7,7 @@ import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import bfs_hierarchy, naive_betweenness, random_graph
+from conftest import bfs_hierarchy, dict_betweenness, dict_eigenvector, naive_betweenness, random_graph
 from syncindex.metrics import (
     MetricUndefinedError,
     ParticipationCentrality,
@@ -24,6 +24,7 @@ from syncindex.metrics import (
     newman_modularity,
     node_centralities,
     transitivity,
+    triangle_counts,
 )
 
 
@@ -118,6 +119,59 @@ class TestEigenvector:
         with pytest.raises(PowerIterationError) as err:
             eigenvector_centrality(path3(), tol=0.0, max_iter=3)
         assert set(err.value.last_iterate) == {"u", "v", "w"}
+
+
+@st.composite
+def multi_component_graphs(draw):
+    """Weighted random graphs of one to three components plus isolated nodes.
+
+    Ids are added in a shuffled order, so insertion order is rarely sorted,
+    and some edges carry no weight attribute.
+    """
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    ids = [f"{rng.choice('abxyz')}{i}" for i in range(draw(st.integers(0, 24)))]
+    rng.shuffle(ids)
+    components = draw(st.integers(1, 3))
+    component = {node: rng.randrange(components) for node in ids}
+    edge_prob = draw(st.sampled_from([0.1, 0.25, 0.5]))
+    graph = nx.Graph()
+    graph.add_nodes_from(ids)
+    for i, u in enumerate(ids):
+        for v in ids[i + 1 :]:
+            if component[u] == component[v] and rng.random() < edge_prob:
+                weight = rng.choice([None, 1.0, 2.0, rng.uniform(0.125, 8.0)])
+                graph.add_edge(u, v, **({} if weight is None else {"weight": weight}))
+    return graph
+
+
+def hexed(values: dict) -> dict:
+    return {node: value.hex() for node, value in values.items()}
+
+
+class TestKernelsMatchDictOracles:
+    """The integer kernels reproduce the dict-based definitions bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(multi_component_graphs())
+    def test_betweenness_bit_identical(self, graph):
+        assert hexed(betweenness_centrality(graph)) == hexed(dict_betweenness(graph))
+
+    @settings(max_examples=200, deadline=None)
+    @given(multi_component_graphs(), st.sampled_from([3, 1000]))
+    def test_eigenvector_bit_identical(self, graph, max_iter):
+        if graph.number_of_edges() == 0:
+            return
+        expected, converged = dict_eigenvector(graph, max_iter=max_iter)
+        if converged:
+            assert hexed(eigenvector_centrality(graph, max_iter=max_iter)) == hexed(expected)
+        else:
+            with pytest.raises(PowerIterationError) as err:
+                eigenvector_centrality(graph, max_iter=max_iter)
+            assert hexed(err.value.last_iterate) == hexed(expected)
+        if max_iter == 1000 and converged:
+            shared = node_centralities(graph)
+            assert hexed(shared.eigenvector) == hexed(expected)
+            assert hexed(shared.betweenness) == hexed(dict_betweenness(graph))
 
 
 class TestModularity:
@@ -265,6 +319,15 @@ class TestClustering:
         graph = nx.Graph([("a", "b"), ("b", "c"), ("c", "a"), ("a", "pendant")])
         expected = (1 + 1 + (1 / 3) + 0) / 4  # "a" has degree 3 with 1 of 3 pairs closed
         assert avg_local_clustering(graph) == pytest.approx(expected)
+
+
+    def test_precomputed_counts_give_same_values(self):
+        rng = random.Random(61)
+        for _ in range(10):
+            graph = random_graph(rng, max_nodes=15, edge_prob=0.3)
+            counts = triangle_counts(graph)
+            assert transitivity(graph, counts) == transitivity(graph)
+            assert avg_local_clustering(graph, counts) == avg_local_clustering(graph)
 
 
 class TestDensity:

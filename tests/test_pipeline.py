@@ -9,6 +9,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from conftest import printable_ids
 from syncindex import cli
+from syncindex import metrics as metricmod
 from syncindex.events import write_events_jsonl
 from syncindex.metrics import node_centralities
 from syncindex.pipeline import (
@@ -19,6 +20,7 @@ from syncindex.pipeline import (
     report_json_text,
     round_floats,
     run_pipeline,
+    structure_section,
     write_centrality_csv,
     write_report_json,
 )
@@ -173,6 +175,17 @@ class TestRunPipeline:
         assert report.csi_network_combined is None
 
 
+def test_structure_section_counts_triangles_once(monkeypatch):
+    calls = []
+    count = metricmod.triangle_counts
+    monkeypatch.setattr(metricmod, "triangle_counts", lambda graph: calls.append(graph) or count(graph))
+    sync = nx.Graph([("a", "b"), ("b", "c"), ("c", "a"), ("c", "d")])
+    section = structure_section(sync, None, None, seed=0)
+    assert calls == [sync]
+    assert section["transitivity"] == metricmod.transitivity(sync)
+    assert section["avg_local_clustering"] == metricmod.avg_local_clustering(sync)
+
+
 class TestCentralityCsv:
     @settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(st.lists(printable_ids, min_size=1, max_size=6, unique=True))
@@ -316,6 +329,13 @@ class TestCli:
     def test_data_error_exit_code(self, tmp_path):
         missing = tmp_path / "nope.jsonl"
         assert cli.main(["report", "--events", str(missing), "--out", str(tmp_path)]) == 2
+
+    def test_bad_byte_line_is_counted_not_fatal(self, tmp_path, capsys):
+        events = tmp_path / "events.jsonl"
+        good = b'{"post_id": "p1", "user_id": "a", "timestamp": 1, "post_type": "original"}'
+        events.write_bytes(good + b"\n" + good.replace(b'"a"', b'"\xff"').replace(b"p1", b"p2") + b"\n")
+        assert cli.main(["ingest", "--events", str(events), "--out", str(tmp_path / "out")]) == 0
+        assert "1 posts, 0 interactions, 1 malformed lines" in capsys.readouterr().out
 
     def test_non_finite_user_score_is_data_error(self, tmp_path):
         pairs = tmp_path / "pairs.csv"
