@@ -18,11 +18,11 @@ from typing import Iterable, Mapping
 import networkx as nx
 
 from . import metrics
+from .events import _undecodable
 
 logger = logging.getLogger(__name__)
 
 DEFAULT_THRESHOLD = 0.70
-PAIR_CLASSES = ("bot-bot", "bot-human", "human-human", "unknown-involved")
 
 
 class ScoreError(ValueError):
@@ -67,10 +67,13 @@ class BotScoreTable:
 
 
 def load_bot_scores(path: str | Path, threshold: float = DEFAULT_THRESHOLD) -> BotScoreTable:
-    """Read the user_id,score CSV (header required); invalid rows are rejected."""
+    """Read the user_id,score CSV (header required); invalid rows are rejected.
+
+    A row whose user id is not valid UTF-8 is one rejected row.
+    """
     scores: dict[str, float] = {}
     rejected = 0
-    with Path(path).open("r", encoding="utf-8", newline="") as handle:
+    with Path(path).open("r", encoding="utf-8", errors="surrogateescape", newline="") as handle:
         reader = csv.DictReader(handle)
         names = reader.fieldnames or []
         if "user_id" not in names or "score" not in names:
@@ -79,7 +82,7 @@ def load_bot_scores(path: str | Path, threshold: float = DEFAULT_THRESHOLD) -> B
             user = (row.get("user_id") or "").strip()
             try:
                 score = float(row.get("score") or "")
-                if not 0.0 <= score <= 1.0 or not user:
+                if not 0.0 <= score <= 1.0 or not user or _undecodable(user):
                     raise ValueError
             except ValueError:
                 rejected += 1
@@ -90,42 +93,29 @@ def load_bot_scores(path: str | Path, threshold: float = DEFAULT_THRESHOLD) -> B
     return BotScoreTable(scores=scores, threshold=threshold, rejected=rejected)
 
 
-@dataclass
-class ClassMeans:
-    """Per-class mean (and count); classes with no members are absent."""
-
-    means: dict[str, float] = field(default_factory=dict)
-    counts: dict[str, int] = field(default_factory=dict)
-
-
 def average_csi_by_pair_class(
     pair_scores: Mapping[tuple[str, str], float], table: BotScoreTable
-) -> ClassMeans:
-    """Mean pair score per pair class; pairs with an unknown member kept separate."""
+) -> dict[str, dict]:
+    """{pair class: {"mean", "count"}} over the pair scores, classes in sorted
+    order; pairs with an unknown member form their own class, and classes
+    with no pairs are absent."""
     buckets: dict[str, list[float]] = {}
     for pair in sorted(pair_scores):
-        cls = table.pair_class(*pair)
-        buckets.setdefault(cls, []).append(pair_scores[pair])
-    result = ClassMeans()
-    for cls, values in buckets.items():
-        result.means[cls] = fmean(values)
-        result.counts[cls] = len(values)
-    return result
-
-
-@dataclass
-class ClassSpread:
-    """Per-class mean and population standard deviation; unknowns counted apart."""
-
-    means: dict[str, float] = field(default_factory=dict)
-    sds: dict[str, float] = field(default_factory=dict)
-    counts: dict[str, int] = field(default_factory=dict)
-    unknown: int = 0
+        buckets.setdefault(table.pair_class(*pair), []).append(pair_scores[pair])
+    return {
+        cls: {"mean": fmean(values), "count": len(values)}
+        for cls, values in sorted(buckets.items())
+    }
 
 
 def average_csi_by_user_class(
     user_scores: Mapping[str, float], table: BotScoreTable
-) -> ClassSpread:
+) -> tuple[dict[str, dict], int]:
+    """({user class: {"mean", "sd", "count"}}, number of unscored users).
+
+    sd is the population standard deviation (0 for one user). Classes are in
+    sorted order; unscored users are only counted, and empty classes are absent.
+    """
     buckets: dict[str, list[float]] = {}
     unknown = 0
     for user in sorted(user_scores):
@@ -134,21 +124,25 @@ def average_csi_by_user_class(
             unknown += 1
             continue
         buckets.setdefault(cls, []).append(user_scores[user])
-    result = ClassSpread(unknown=unknown)
-    for cls, values in buckets.items():
-        result.means[cls] = fmean(values)
-        result.sds[cls] = pstdev(values) if len(values) > 1 else 0.0
-        result.counts[cls] = len(values)
-    return result
+    by_class = {
+        cls: {
+            "mean": fmean(values),
+            "sd": pstdev(values) if len(values) > 1 else 0.0,
+            "count": len(values),
+        }
+        for cls, values in sorted(buckets.items())
+    }
+    return by_class, unknown
 
 
 def centrality_by_class(
     centralities: metrics.Centralities,
     table: BotScoreTable,
     sync_users: set[str] | frozenset[str],
-) -> dict[str, dict[str, float]]:
+) -> dict[str, dict[str, float | None]]:
     """Per-class mean all-communication centralities, restricted to users that
-    participate in synchronous activities."""
+    participate in synchronous activities. eigenvector is None when it did
+    not converge."""
     buckets: dict[str, list[str]] = {}
     for user in sorted(u for u in sync_users if u in centralities):
         cls = table.classify(user)
@@ -156,12 +150,13 @@ def centrality_by_class(
             continue
         buckets.setdefault(cls, []).append(user)
 
-    out: dict[str, dict[str, float]] = {}
+    eigenvector = centralities.eigenvector
+    out: dict[str, dict[str, float | None]] = {}
     for cls, users in sorted(buckets.items()):
         out[cls] = {
             "total_degree": fmean(centralities.degree[u] for u in users),
             "betweenness": fmean(centralities.betweenness[u] for u in users),
-            "eigenvector": fmean(centralities.eigenvector[u] for u in users),
+            "eigenvector": None if eigenvector is None else fmean(eigenvector[u] for u in users),
             "count": len(users),
         }
     return out
@@ -181,12 +176,3 @@ def clustering_by_class(sync_graph: nx.Graph, table: BotScoreTable) -> dict[str,
 def user_classes(users: Iterable[str], table: BotScoreTable) -> dict[str, str]:
     """Classify a user collection; handy for graph node attributes."""
     return {user: table.classify(user) for user in users}
-
-
-def pair_class_counts(
-    pair_scores: Mapping[tuple[str, str], float], table: BotScoreTable
-) -> dict[str, int]:
-    counts = dict.fromkeys(PAIR_CLASSES, 0)
-    for pair in pair_scores:
-        counts[table.pair_class(*pair)] += 1
-    return counts

@@ -102,11 +102,18 @@ def _coerce_timestamp(value: object) -> int:
     return ts
 
 
+def _valid_str(value: str, name: str) -> str:
+    """value, stripped; a lone surrogate (a JSON escape such as "\\ud800") is malformed."""
+    if not value.isascii() and _undecodable(value):
+        raise ValueError(f"{name} is not valid UTF-8")
+    return value.strip()
+
+
 def _required_str(obj: dict, key: str) -> str:
     value = obj.get(key)
     if not isinstance(value, str) or not value.strip():
         raise ValueError(f"missing or empty field: {key}")
-    return value.strip()
+    return _valid_str(value, key)
 
 
 def _artifact_set(value: object) -> frozenset[str]:
@@ -118,7 +125,7 @@ def _artifact_set(value: object) -> frozenset[str]:
     for item in value:
         if not isinstance(item, str):
             raise ValueError("artifact entries must be strings")
-        item = item.strip()
+        item = _valid_str(item, "artifact")
         if item:
             cleaned.add(item)
     return frozenset(cleaned)
@@ -132,7 +139,7 @@ def _post_from_mapping(obj: dict) -> PostEvent:
     if lang is not None:
         if not isinstance(lang, str):
             raise ValueError("lang must be a string")
-        lang = lang.strip().lower() or None
+        lang = _valid_str(lang, "lang").lower() or None
     return PostEvent(
         post_id=_required_str(obj, "post_id"),
         user_id=_required_str(obj, "user_id"),
@@ -200,8 +207,10 @@ def parse_events(
 
     Malformed lines are counted and skipped; duplicated post ids count as
     malformed, as do lines that are not valid UTF-8 (lone surrogates, as
-    read_events_file decodes them). Raises CorpusRejectedError when more
-    than half of the non-blank lines are malformed.
+    read_events_file decodes them) and lines whose id, type, artifact or
+    lang string holds a lone surrogate (a JSON escape such as "\\ud800").
+    Raises CorpusRejectedError when more than half of the non-blank lines
+    are malformed.
     """
     if format not in ("jsonl", "csv"):
         raise ValueError(f"unknown format: {format}")

@@ -80,12 +80,6 @@ def prune_by_partner_count(graph: nx.Graph, min_partners: int = 5) -> nx.Graph:
         pruned.remove_nodes_from(drop)
 
 
-def induced_subgraph(graph: nx.Graph, user_class: str) -> nx.Graph:
-    """Subgraph of nodes with the given class; unclassified nodes are excluded."""
-    nodes = [n for n, data in graph.nodes(data=True) if data.get("user_class") == user_class]
-    return graph.subgraph(nodes).copy()
-
-
 def _sorted_nodes(graph: nx.Graph) -> list[str]:
     return sorted(graph.nodes)
 

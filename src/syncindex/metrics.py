@@ -19,8 +19,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
-from statistics import fmean, pstdev
+from dataclasses import dataclass
 
 import networkx as nx
 
@@ -176,11 +175,14 @@ def eigenvector_residual(graph: nx.Graph, centrality: dict[str, float]) -> float
 
 @dataclass(frozen=True)
 class Centralities:
-    """Degree, betweenness and eigenvector centrality of one graph, keyed by every node."""
+    """Degree, betweenness and eigenvector centrality of one graph, keyed by every node.
+
+    eigenvector is None when power iteration did not converge.
+    """
 
     degree: dict[str, float]
     betweenness: dict[str, float]
-    eigenvector: dict[str, float]
+    eigenvector: dict[str, float] | None
 
     def __contains__(self, node: object) -> bool:
         return node in self.degree
@@ -190,14 +192,23 @@ def node_centralities(graph: nx.Graph) -> Centralities:
     """All three centralities, each computed once.
 
     Where a centrality is undefined it is 0 for every node: degree below 2
-    nodes, eigenvector on an edgeless graph.
+    nodes, eigenvector on an edgeless graph. Eigenvector centrality is None
+    when power iteration does not converge (e.g. two components with close
+    spectral radii).
     """
     index = node_index(graph)
     zeros = dict.fromkeys(index.nodes, 0.0)
+    eigenvector: dict[str, float] | None = zeros
+    if graph.number_of_edges() > 0:
+        try:
+            eigenvector = eigenvector_centrality(graph, index=index)
+        except PowerIterationError as exc:
+            logger.warning("eigenvector centrality undefined: %s", exc)
+            eigenvector = None
     return Centralities(
         degree=degree_centrality(graph) if graph.number_of_nodes() >= 2 else zeros,
         betweenness=betweenness_centrality(graph, index=index),
-        eigenvector=eigenvector_centrality(graph, index=index) if graph.number_of_edges() > 0 else zeros,
+        eigenvector=eigenvector,
     )
 
 
@@ -349,46 +360,27 @@ def density(graph: nx.Graph) -> float:
     return 2.0 * graph.number_of_edges() / (n * (n - 1))
 
 
-@dataclass
-class ParticipationCentrality:
-    """Per-user centralities on the all-communication graph, grouped by the
-    number of action types the user synchronizes across."""
-
-    rows: list[tuple[str, int, float, float, float]] = field(default_factory=list)
-    level_stats: dict[int, dict[str, tuple[float, float]]] = field(default_factory=dict)
-    excluded: list[str] = field(default_factory=list)
-
-
 def centrality_by_action_type_count(
     centralities: Centralities, participation: dict[str, int]
-) -> ParticipationCentrality:
-    """Join synchrony participation levels with all-communication centralities.
+) -> list[tuple[str, int, float, float, float | None]]:
+    """(user, number of action types, total degree, betweenness, eigenvector)
+    rows, sorted by user, for the synchronizing users in the graph.
 
-    Users absent from the graph are excluded and reported. Level statistics
-    are the mean and population standard deviation per centrality.
+    Users absent from the graph are left out with a warning. eigenvector is
+    None when it did not converge.
     """
-    result = ParticipationCentrality()
-    present = {user: level for user, level in participation.items() if user in centralities}
-    result.excluded = sorted(set(participation) - set(present))
-    if result.excluded:
-        logger.warning("%d synchronizing users missing from the interaction graph", len(result.excluded))
-
-    for user in sorted(present):
-        result.rows.append(
-            (
-                user,
-                present[user],
-                centralities.degree[user],
-                centralities.betweenness[user],
-                centralities.eigenvector[user],
-            )
+    present = sorted(user for user in participation if user in centralities)
+    missing = len(participation) - len(present)
+    if missing:
+        logger.warning("%d synchronizing users missing from the interaction graph", missing)
+    eigenvector = centralities.eigenvector
+    return [
+        (
+            user,
+            participation[user],
+            centralities.degree[user],
+            centralities.betweenness[user],
+            None if eigenvector is None else eigenvector[user],
         )
-
-    for level in sorted(set(present.values())):
-        level_rows = [row for row in result.rows if row[1] == level]
-        stats: dict[str, tuple[float, float]] = {}
-        for name, position in (("total_degree", 2), ("betweenness", 3), ("eigenvector", 4)):
-            values = [row[position] for row in level_rows]
-            stats[name] = (fmean(values), pstdev(values) if len(values) > 1 else 0.0)
-        result.level_stats[level] = stats
-    return result
+        for user in present
+    ]

@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Sequence
 
@@ -59,23 +59,6 @@ class EventReport:
     structure: dict | None = None
     notices: list[str] = field(default_factory=list)
 
-    def to_dict(self) -> dict:
-        return {
-            "event_label": self.event_label,
-            "config": self.config,
-            "counts": self.counts,
-            "action_type_participation": self.action_type_participation,
-            "csi_network_combined": self.csi_network_combined,
-            "csi_per_action": self.csi_per_action,
-            "reason": self.reason,
-            "avg_csi_userpair_by_pair_class": self.avg_csi_userpair_by_pair_class,
-            "avg_csi_user_by_user_class": self.avg_csi_user_by_user_class,
-            "centrality_by_class": self.centrality_by_class,
-            "dominant_sync_class": self.dominant_sync_class,
-            "structure": self.structure,
-            "notices": self.notices,
-        }
-
 
 def _round_sig(value: float, digits: int = 6) -> float:
     return float(f"{value:.{digits}g}")
@@ -95,7 +78,7 @@ def round_floats(obj: object, digits: int = 6) -> object:
 
 
 def report_json_text(report: EventReport) -> str:
-    payload = round_floats(report.to_dict())
+    payload = round_floats(asdict(report))
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
@@ -118,7 +101,7 @@ def write_report_csv(report: EventReport, path: str | Path) -> Path:
         else:
             yield prefix, obj
 
-    payload = round_floats(report.to_dict())
+    payload = round_floats(asdict(report))
     path = Path(path)
     with path.open("w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
@@ -214,6 +197,9 @@ def allcomm_centralities(dataset: EventDataset) -> metricmod.Centralities:
 
 
 def write_centrality_csv(centralities: metricmod.Centralities, path: Path) -> None:
+    """All three centralities at full precision; eigenvector cells are empty when
+    it did not converge."""
+    eigenvector = centralities.eigenvector
     with path.open("w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(["user_id", "total_degree", "betweenness", "eigenvector"])
@@ -223,23 +209,23 @@ def write_centrality_csv(centralities: metricmod.Centralities, path: Path) -> No
                     user,
                     repr(centralities.degree[user]),
                     repr(centralities.betweenness[user]),
-                    repr(centralities.eigenvector[user]),
+                    "" if eigenvector is None else repr(eigenvector[user]),
                 ]
             )
 
 
 def _write_participation_centrality_csv(
-    table: metricmod.ParticipationCentrality, path: Path
+    rows: list[tuple[str, int, float, float, float | None]], path: Path
 ) -> None:
     with path.open("w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["user_id", "num_action_types", "total_degree", "betweenness", "eigenvector"])
-        for user, level, deg, bet, eig in table.rows:
-            writer.writerow([user, level, repr(deg), repr(bet), repr(eig)])
+        for user, level, deg, bet, eig in rows:
+            writer.writerow([user, level, repr(deg), repr(bet), "" if eig is None else repr(eig)])
 
 
-def _dominant_class(spread: botmod.ClassSpread) -> str | None:
-    candidates = {cls: spread.means[cls] for cls in ("bot", "human") if cls in spread.means}
+def _dominant_class(by_user: dict[str, dict]) -> str | None:
+    candidates = {cls: by_user[cls]["mean"] for cls in ("bot", "human") if cls in by_user}
     if not candidates:
         return None
     return max(sorted(candidates), key=lambda cls: candidates[cls])
@@ -286,15 +272,7 @@ def run_pipeline(
 
     report = EventReport(
         event_label=dataset.label or Path(events_path).stem,
-        config={
-            "window_seconds": options.window_seconds,
-            "pair_formula": options.pair_formula,
-            "normalization": options.normalization,
-            "bot_threshold": options.bot_threshold,
-            "min_partners": options.min_partners,
-            "lang": options.lang,
-            "seed": options.seed,
-        },
+        config={key: value for key, value in asdict(options).items() if key != "label"},
         counts={
             "posts": len(dataset.posts),
             "original_posts": detection.original_posts,
@@ -313,31 +291,24 @@ def run_pipeline(
         notices=notices,
     )
     out = Path(out_dir) if out_dir is not None else None
-    participation = metricmod.ParticipationCentrality()
+    participation = []
     if tables is None:
         report.reason = "no synchronized pairs detected"
     else:
         centralities = allcomm_centralities(dataset)
+        if centralities.eigenvector is None:
+            notices.append("eigenvector centrality did not converge; reported as null")
         participation = metricmod.centrality_by_action_type_count(
             centralities, synchrony.user_action_type_counts(counts)
         )
     if tables is not None and bot_table is not None:
-        by_pair = botmod.average_csi_by_pair_class(tables.pair_scores, bot_table)
-        report.avg_csi_userpair_by_pair_class = {
-            cls: {"mean": by_pair.means[cls], "count": by_pair.counts[cls]}
-            for cls in sorted(by_pair.means)
-        }
-        by_user = botmod.average_csi_by_user_class(tables.user_scores, bot_table)
-        report.avg_csi_user_by_user_class = {
-            cls: {
-                "mean": by_user.means[cls],
-                "sd": by_user.sds[cls],
-                "count": by_user.counts[cls],
-            }
-            for cls in sorted(by_user.means)
-        }
-        if by_user.unknown:
-            report.notices.append(f"{by_user.unknown} synchronizing users without bot scores")
+        report.avg_csi_userpair_by_pair_class = botmod.average_csi_by_pair_class(
+            tables.pair_scores, bot_table
+        )
+        by_user, unknown = botmod.average_csi_by_user_class(tables.user_scores, bot_table)
+        report.avg_csi_user_by_user_class = by_user
+        if unknown:
+            notices.append(f"{unknown} synchronizing users without bot scores")
         report.centrality_by_class = botmod.centrality_by_class(
             centralities, bot_table, set(tables.user_scores)
         )

@@ -13,9 +13,9 @@ from collections import defaultdict
 from dataclasses import dataclass
 from itertools import combinations
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Sequence
 
-from .events import ACTION_TYPES, ActionRecord
+from .events import ActionRecord
 
 BRUTE_FORCE_LIMIT = 10_000
 
@@ -25,13 +25,10 @@ class SyncWindowConfig:
     """Fixed epoch-aligned bucketing; bucket = floor(timestamp / window_seconds)."""
 
     window_seconds: int = 300
-    alignment: str = "epoch_buckets"
 
     def __post_init__(self) -> None:
         if self.window_seconds <= 0:
             raise ValueError("window_seconds must be positive")
-        if self.alignment != "epoch_buckets":
-            raise ValueError(f"unsupported alignment: {self.alignment}")
 
     def bucket(self, timestamp: int) -> int:
         return timestamp // self.window_seconds
@@ -217,15 +214,3 @@ def read_pair_counts_csv(path: str | Path) -> PairSyncCounts:
             counts.add(row["user_u"], row["user_v"], row["action_type"], int(row["count"]))
     return counts
 
-
-def counts_from_mapping(
-    table: Mapping[tuple[str, str], Mapping[str, int]]
-) -> PairSyncCounts:
-    """Build a count table from {(u, v): {action_type: count}} (test/fixture helper)."""
-    counts = PairSyncCounts()
-    for (u, v), actions in table.items():
-        for action_type, amount in actions.items():
-            if action_type not in ACTION_TYPES:
-                raise ValueError(f"unknown action type: {action_type}")
-            counts.add(u, v, action_type, amount)
-    return counts

@@ -4,17 +4,47 @@ from __future__ import annotations
 
 import random
 from collections import deque
+from typing import Mapping
 
 import networkx as nx
 from hypothesis import strategies as st
 
+from syncindex.bots import BotScoreTable
 from syncindex.events import ACTION_TYPES, ActionRecord
+from syncindex.synchrony import PairSyncCounts
+
+PAIR_CLASSES = ("bot-bot", "bot-human", "human-human", "unknown-involved")
 
 # Printable user ids; the CSV separator and quote character are drawn often.
 printable_ids = st.text(
     st.one_of(st.sampled_from(',"'), st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp"))),
     min_size=1,
 )
+
+
+def counts_from_mapping(table: Mapping[tuple[str, str], Mapping[str, int]]) -> PairSyncCounts:
+    """Build a count table from {(u, v): {action_type: count}}."""
+    counts = PairSyncCounts()
+    for (u, v), actions in table.items():
+        for action_type, amount in actions.items():
+            if action_type not in ACTION_TYPES:
+                raise ValueError(f"unknown action type: {action_type}")
+            counts.add(u, v, action_type, amount)
+    return counts
+
+
+def induced_subgraph(graph: nx.Graph, user_class: str) -> nx.Graph:
+    """Subgraph of nodes with the given user_class attribute; unclassified nodes are excluded."""
+    nodes = [n for n, data in graph.nodes(data=True) if data.get("user_class") == user_class]
+    return graph.subgraph(nodes).copy()
+
+
+def pair_class_counts(pair_scores: Mapping[tuple[str, str], float], table: BotScoreTable) -> dict[str, int]:
+    """Number of pairs in each pair class, every class present."""
+    counts = dict.fromkeys(PAIR_CLASSES, 0)
+    for pair in pair_scores:
+        counts[table.pair_class(*pair)] += 1
+    return counts
 
 
 def random_actions(

@@ -3,6 +3,7 @@ from __future__ import annotations
 import networkx as nx
 import pytest
 
+from conftest import induced_subgraph, pair_class_counts
 from syncindex.bots import (
     BotScoreTable,
     ScoreError,
@@ -12,7 +13,6 @@ from syncindex.bots import (
     classify_user,
     clustering_by_class,
     load_bot_scores,
-    pair_class_counts,
     user_classes,
 )
 from syncindex.graphs import build_allcomm_graph, build_sync_graph
@@ -77,23 +77,35 @@ class TestLoad:
         assert set(t.scores) == {"alice"}
         assert t.rejected == 2
 
+    def test_bad_byte_row_rejected_not_fatal(self, tmp_path):
+        path = tmp_path / "bots.csv"
+        path.write_bytes(b"user_id,score\nalice,0.95\nb\xffb,0.10\n")
+        t = load_bot_scores(path)
+        assert set(t.scores) == {"alice"}
+        assert t.rejected == 1
+
 
 class TestPairClassAverages:
     def test_hand_means(self):
         t = table({"b1": 0.9, "b2": 0.8, "h1": 0.1, "h2": 0.2})
         pair_scores = {("b1", "b2"): 2.0, ("b1", "h1"): 4.0, ("h1", "h2"): 3.0}
         result = average_csi_by_pair_class(pair_scores, t)
-        assert result.means == {"bot-bot": 2.0, "bot-human": 4.0, "human-human": 3.0}
+        assert result == {
+            "bot-bot": {"mean": 2.0, "count": 1},
+            "bot-human": {"mean": 4.0, "count": 1},
+            "human-human": {"mean": 3.0, "count": 1},
+        }
+        assert list(result) == sorted(result)
 
     def test_single_pair_single_key(self):
         t = table({"a": 0.9, "b": 0.9})
         result = average_csi_by_pair_class({("a", "b"): 5.0}, t)
-        assert set(result.means) == {"bot-bot"}
+        assert set(result) == {"bot-bot"}
 
     def test_unknown_reported_separately(self):
         t = table({"a": 0.9})
         result = average_csi_by_pair_class({("a", "mystery"): 5.0}, t)
-        assert result.means == {"unknown-involved": 5.0}
+        assert result == {"unknown-involved": {"mean": 5.0, "count": 1}}
 
     def test_counts_partition_pairs(self):
         t = table({"b": 0.9, "h": 0.1})
@@ -106,23 +118,23 @@ class TestPairClassAverages:
 class TestUserClassAverages:
     def test_mean_and_population_sd(self):
         t = table({"b1": 0.9, "b2": 0.8, "h1": 0.1})
-        result = average_csi_by_user_class({"b1": 2.0, "b2": 4.0, "h1": 3.0}, t)
-        assert result.means["bot"] == pytest.approx(3.0)
-        assert result.sds["bot"] == pytest.approx(1.0)
-        assert result.means["human"] == pytest.approx(3.0)
-        assert result.sds["human"] == 0.0
+        result, unknown = average_csi_by_user_class({"b1": 2.0, "b2": 4.0, "h1": 3.0}, t)
+        assert result["bot"]["mean"] == pytest.approx(3.0)
+        assert result["bot"]["sd"] == pytest.approx(1.0)
+        assert result["human"]["mean"] == pytest.approx(3.0)
+        assert result["human"]["sd"] == 0.0
+        assert (result["bot"]["count"], result["human"]["count"], unknown) == (2, 1, 0)
 
     def test_single_user(self):
         t = table({"x": 0.9})
-        result = average_csi_by_user_class({"x": 7.0}, t)
-        assert result.means == {"bot": 7.0}
-        assert result.sds == {"bot": 0.0}
+        result, _ = average_csi_by_user_class({"x": 7.0}, t)
+        assert result == {"bot": {"mean": 7.0, "sd": 0.0, "count": 1}}
 
     def test_unknowns_counted(self):
         t = table({"x": 0.9})
-        result = average_csi_by_user_class({"x": 1.0, "ghost": 2.0}, t)
-        assert result.unknown == 1
-        assert "unknown" not in result.means
+        result, unknown = average_csi_by_user_class({"x": 1.0, "ghost": 2.0}, t)
+        assert unknown == 1
+        assert "unknown" not in result
 
 
 class TestCentralityByClass:
@@ -191,7 +203,6 @@ class TestClusteringByClass:
         assert set(result) == {"human"}
 
     def test_matches_induced_subgraph_transitivity(self):
-        from syncindex.graphs import induced_subgraph
         from syncindex.metrics import transitivity
 
         scores = {("b1", "b2"): 1.0, ("b2", "b3"): 2.0, ("b1", "b3"): 1.0, ("b1", "h1"): 1.0}

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from conftest import random_actions
+from conftest import counts_from_mapping, random_actions
 from syncindex.csi import (
     CsiConfig,
     UndefinedNetworkError,
@@ -20,7 +20,7 @@ from syncindex.csi import (
     write_pair_scores_csv,
     write_user_scores_csv,
 )
-from syncindex.synchrony import counts_from_mapping, detect
+from syncindex.synchrony import detect
 
 
 class TestNormalize:

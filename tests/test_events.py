@@ -168,6 +168,26 @@ class TestUndecodableBytes:
         with pytest.raises(CorpusRejectedError, match="2 of 3"):
             read_events_file(path)
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            post_line(post_id="p2", user_id="\ud800"),
+            post_line(post_id="p\udfff"),
+            post_line(post_id="p2", hashtags=["#a", "#\ud800"]),
+            post_line(post_id="p2", lang="e\udc80"),
+            json.dumps({"source_user": "alice", "target_user": "\ud800", "interaction_type": "reply", "timestamp": 5}),
+        ],
+        ids=["user_id", "post_id", "hashtag", "lang", "target_user"],
+    )
+    def test_json_escaped_lone_surrogate_is_malformed(self, tmp_path, bad):
+        assert bad.isascii()  # the surrogate arrives as a JSON escape, not as a byte
+        path = tmp_path / "events.jsonl"
+        path.write_text(post_line() + "\n" + bad + "\n", encoding="utf-8")
+        dataset = read_events_file(path)
+        assert [p.post_id for p in dataset.posts] == ["p1"]
+        assert dataset.interactions == ()
+        assert dataset.malformed == 1
+
     def test_multibyte_utf8_is_not_malformed(self, tmp_path):
         path = tmp_path / "events.jsonl"
         path.write_text(post_line(user_id="zoë", hashtags=["#café"]) + "\n", encoding="utf-8")

@@ -6,13 +6,12 @@ import networkx as nx
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from conftest import printable_ids
+from conftest import induced_subgraph, printable_ids
 from syncindex.events import InteractionRecord
 from syncindex.graphs import (
     build_allcomm_graph,
     build_sync_graph,
     export,
-    induced_subgraph,
     prune_by_partner_count,
     read_edge_csv,
 )

@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 from conftest import bfs_hierarchy, dict_betweenness, dict_eigenvector, naive_betweenness, random_graph
 from syncindex.metrics import (
     MetricUndefinedError,
-    ParticipationCentrality,
     PowerIterationError,
     avg_local_clustering,
     betweenness_centrality,
@@ -362,42 +361,26 @@ class TestParticipationCentrality:
     def test_all_sync_users_isolated(self):
         graph = nx.empty_graph(0)
         graph.add_nodes_from(["u", "v"])
-        table = centrality_by_action_type_count(node_centralities(graph), {"u": 1, "v": 2})
-        for row in table.rows:
-            assert row[2] == row[3] == row[4] == 0.0
+        rows = centrality_by_action_type_count(node_centralities(graph), {"u": 1, "v": 2})
+        assert rows == [("u", 1, 0.0, 0.0, 0.0), ("v", 2, 0.0, 0.0, 0.0)]
 
-    def test_absent_users_excluded(self):
+    def test_absent_users_excluded(self, caplog):
         graph = nx.Graph([("a", "b")])
-        table = centrality_by_action_type_count(node_centralities(graph), {"a": 1, "ghost": 2})
-        assert table.excluded == ["ghost"]
-        assert [row[0] for row in table.rows] == ["a"]
+        rows = centrality_by_action_type_count(node_centralities(graph), {"a": 1, "ghost": 2})
+        assert [row[0] for row in rows] == ["a"]
+        assert "1 synchronizing users missing" in caplog.text
 
-    def test_single_level_mean_matches_values(self):
+    def test_rows_match_centrality_functions(self):
         graph = self.fixture_graph()
-        table = centrality_by_action_type_count(node_centralities(graph), {"a": 2, "b": 2})
-        degrees = degree_centrality(graph)
-        expected = (degrees["a"] + degrees["b"]) / 2
-        assert table.level_stats[2]["total_degree"][0] == pytest.approx(expected)
-
-    def test_hand_computed_level_means(self):
-        graph = self.fixture_graph()
-        participation = {"a": 1, "b": 1, "c": 3, "e": 3, "f": 2, "g": 2}
-        table = centrality_by_action_type_count(node_centralities(graph), participation)
+        participation = {"g": 2, "a": 1, "e": 3, "b": 1, "c": 3, "f": 2}
+        rows = centrality_by_action_type_count(node_centralities(graph), participation)
         degrees = degree_centrality(graph)
         betweenness = betweenness_centrality(graph)
         eigen = eigenvector_centrality(graph)
-        for level, members in ((1, ["a", "b"]), (2, ["f", "g"]), (3, ["c", "e"])):
-            stats = table.level_stats[level]
-            assert stats["total_degree"][0] == pytest.approx(
-                sum(degrees[m] for m in members) / len(members)
-            )
-            assert stats["betweenness"][0] == pytest.approx(
-                sum(betweenness[m] for m in members) / len(members)
-            )
-            assert stats["eigenvector"][0] == pytest.approx(
-                sum(eigen[m] for m in members) / len(members)
-            )
+        assert rows == [
+            (user, participation[user], degrees[user], betweenness[user], eigen[user])
+            for user in sorted(participation)
+        ]
 
     def test_empty_participation(self):
-        table = centrality_by_action_type_count(node_centralities(nx.Graph([("a", "b")])), {})
-        assert table == ParticipationCentrality()
+        assert centrality_by_action_type_count(node_centralities(nx.Graph([("a", "b")])), {}) == []

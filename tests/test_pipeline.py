@@ -2,12 +2,17 @@ from __future__ import annotations
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import networkx as nx
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from conftest import printable_ids
+import syncindex
 from syncindex import cli
 from syncindex import metrics as metricmod
 from syncindex.events import write_events_jsonl
@@ -173,6 +178,27 @@ class TestRunPipeline:
         events, _, _ = sim_inputs
         report = run_pipeline(events, options=PipelineOptions(lang="xx"))
         assert report.csi_network_combined is None
+
+
+def test_report_independent_of_hash_seed(tmp_path):
+    """String hashing is randomized per process; no artifact may depend on it."""
+    data = Path(__file__).parent / "data"
+    env = dict(os.environ, PYTHONPATH=str(Path(syncindex.__file__).resolve().parents[1]))
+    outputs = []
+    for seed in ("1", "2"):
+        out = tmp_path / f"seed{seed}"
+        argv = [
+            sys.executable, "-m", "syncindex.cli", "report",
+            "--events", str(data / "fixture_events.jsonl"),
+            "--bots", str(data / "fixture_bots.csv"),
+            "--out", str(out),
+        ]
+        subprocess.run(argv, env={**env, "PYTHONHASHSEED": seed}, check=True, capture_output=True)
+        outputs.append(out)
+    names = (*SHARED_ARTIFACTS, "centrality_by_action_types.csv", "report.json")
+    assert sorted(p.name for p in outputs[0].iterdir()) == sorted(names)
+    for name in names:
+        assert (outputs[0] / name).read_bytes() == (outputs[1] / name).read_bytes(), name
 
 
 def test_structure_section_counts_triangles_once(monkeypatch):
@@ -356,3 +382,41 @@ class TestCli:
         ) == 0
         assert (out / "report.csv").exists()
         assert (out / "report.json").exists()
+
+    def test_unconverged_eigenvector_reported_as_null(self, tmp_path, capsys):
+        # Two reply chains (7 and 6 users) have close spectral radii, so power
+        # iteration does not converge within its budget; s1 and s2 share a hashtag.
+        lines = [
+            json.dumps({"post_id": f"q{i}", "user_id": user, "timestamp": 100 + i, "post_type": "original",
+                        "hashtags": ["#same"]})
+            for i, user in enumerate(("s1", "s2"))
+        ]
+        for prefix, length in (("a", 7), ("b", 6)):
+            lines += [
+                json.dumps({"source_user": f"{prefix}{i}", "target_user": f"{prefix}{i + 1}",
+                            "interaction_type": "reply", "timestamp": 200 + i})
+                for i in range(length - 1)
+            ]
+        events = tmp_path / "events.jsonl"
+        events.write_text("\n".join(lines) + "\n")
+        bots = tmp_path / "bots.csv"
+        bots.write_text("user_id,score\ns1,0.9\ns2,0.1\n")
+        full = tmp_path / "full"
+
+        assert cli.main(["report", "--events", str(events), "--bots", str(bots), "--out", str(full)]) == 0
+        report = json.loads((full / "report.json").read_text())
+        assert {cls: row["eigenvector"] for cls, row in report["centrality_by_class"].items()} == {
+            "bot": None,
+            "human": None,
+        }
+        assert "eigenvector centrality did not converge; reported as null" in report["notices"]
+        with (full / "centrality_by_action_types.csv").open(newline="") as handle:
+            assert [row["eigenvector"] for row in csv.DictReader(handle)] == ["", ""]
+
+        argv = ["metrics", "--pairs", str(full / "pairs.csv"), "--events", str(events), "--out", str(tmp_path / "m")]
+        assert cli.main(argv) == 0
+        with (tmp_path / "m" / "centrality.csv").open(newline="") as handle:
+            rows = list(csv.DictReader(handle))
+        assert len(rows) == 15
+        assert {row["eigenvector"] for row in rows} == {""}
+        capsys.readouterr()

@@ -5,14 +5,13 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_actions
+from conftest import counts_from_mapping, random_actions
 from syncindex.events import ActionRecord
 from syncindex.synchrony import (
     PairSyncCounts,
     SyncWindowConfig,
     action_type_participation,
     brute_force_detect,
-    counts_from_mapping,
     detect,
     pair_key,
     read_pair_counts_csv,
@@ -35,10 +34,6 @@ class TestConfig:
     def test_rejects_bad_window(self):
         with pytest.raises(ValueError):
             SyncWindowConfig(window_seconds=0)
-
-    def test_rejects_unknown_alignment(self):
-        with pytest.raises(ValueError):
-            SyncWindowConfig(alignment="sliding")
 
 
 class TestDetect:
