@@ -12,10 +12,6 @@ from .csi import (
     UndefinedNetworkError,
     compute_tables,
     csi_network,
-    csi_single_action,
-    csi_user,
-    csi_userpair,
-    normalize_counts,
 )
 from .events import (
     ActionRecord,
@@ -57,13 +53,9 @@ __all__ = [
     "canonicalize_artifact",
     "compute_tables",
     "csi_network",
-    "csi_single_action",
-    "csi_user",
-    "csi_userpair",
     "detect",
     "extract_actions",
     "filter_language",
     "filter_originals",
-    "normalize_counts",
     "parse_events",
 ]

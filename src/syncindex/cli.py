@@ -156,8 +156,6 @@ def _cmd_graph(args: argparse.Namespace) -> int:
     sync, pruned = pipeline.sync_graphs(pair_scores, user_scores, table, args.min_partners)
     out = _out_dir(args)
     pipeline.write_sync_graphs(sync, pruned, out)
-    graphmod.export(sync, "dot", out / "sync.dot")
-    graphmod.export(sync, "edge_csv", out / "sync_edges.csv")
     print(
         f"sync graph: {sync.number_of_nodes()} nodes, {sync.number_of_edges()} edges; "
         f"pruned(k={args.min_partners}): {pruned.number_of_nodes()} nodes, {pruned.number_of_edges()} edges"

@@ -55,34 +55,6 @@ class CsiTables:
     config: CsiConfig
 
 
-def normalize_counts(
-    counts: PairSyncCounts, strategy: str = "none"
-) -> dict[tuple[str, str], dict[str, float]]:
-    """Per-pair normalized counts n(u, v, a).
-
-    none: identity. per_action_max: divide by the maximum count observed for
-    that action type across all pairs, so values land in (0, 1]. Action
-    types with no pairs contribute nothing.
-    """
-    if strategy not in NORMALIZATIONS:
-        raise ValueError(f"unknown normalization: {strategy}")
-    table = {pair: counts.actions(pair) for pair in counts.pairs()}
-    if strategy == "none":
-        return {
-            pair: {a: float(s) for a, s in sorted(actions.items())}
-            for pair, actions in table.items()
-        }
-    max_per_action: dict[str, int] = {}
-    for actions in table.values():
-        for action_type, count in actions.items():
-            if count > max_per_action.get(action_type, 0):
-                max_per_action[action_type] = count
-    return {
-        pair: {a: s / max_per_action[a] for a, s in sorted(actions.items())}
-        for pair, actions in table.items()
-    }
-
-
 def _formula_score(values: list[float], formula: str) -> float:
     k = len(values)
     sigma = sum(values)
@@ -95,45 +67,6 @@ def _formula_score(values: list[float], formula: str) -> float:
     raise ValueError(f"unknown pair formula: {formula}")
 
 
-def csi_userpair(
-    normalized: dict[tuple[str, str], dict[str, float]],
-    pair: tuple[str, str],
-    formula: str = "anchored",
-) -> float:
-    """Pair score from normalized per-action counts; the pair must be present."""
-    actions = normalized.get(pair)
-    if not actions:
-        raise ValueError(f"pair not in synchrony table: {pair}")
-    return _formula_score([actions[a] for a in sorted(actions)], formula)
-
-
-def compute_pair_scores(
-    counts: PairSyncCounts, config: CsiConfig | None = None
-) -> dict[tuple[str, str], float]:
-    config = config or CsiConfig()
-    normalized = normalize_counts(counts, config.normalization)
-    return {
-        pair: csi_userpair(normalized, pair, config.pair_formula)
-        for pair in counts.pairs()
-    }
-
-
-def csi_user(
-    pair_scores: dict[tuple[str, str], float], counts: PairSyncCounts
-) -> dict[str, float]:
-    """User score: sum over the user's pairs of S_total(u, v) * pair score.
-
-    Accumulation runs in lexicographic pair order so results are
-    bit-identical regardless of evaluation strategy.
-    """
-    scores: dict[str, float] = {}
-    for pair in sorted(pair_scores):
-        term = counts.s_total(pair) * pair_scores[pair]
-        for user in pair:
-            scores[user] = scores.get(user, 0.0) + term
-    return scores
-
-
 def csi_network(user_scores: dict[str, float]) -> float:
     """Mean user score over synchronizing users; undefined when there are none."""
     if not user_scores:
@@ -144,33 +77,48 @@ def csi_network(user_scores: dict[str, float]) -> float:
     return total / len(user_scores)
 
 
-def csi_single_action(
-    counts: PairSyncCounts, action_type: str, config: CsiConfig | None = None
-) -> float:
-    """Network score of the pipeline restricted to pairs of one action type."""
-    restricted = counts.restrict(action_type)
-    if not restricted:
-        raise UndefinedNetworkError(f"no synchronizing pairs for action type {action_type!r}")
-    config = config or CsiConfig()
-    pair_scores = compute_pair_scores(restricted, config)
-    return csi_network(csi_user(pair_scores, restricted))
-
-
 def compute_tables(counts: PairSyncCounts, config: CsiConfig | None = None) -> CsiTables:
-    """Run the full hierarchy; per-action networks cover action types with pairs."""
+    """All index levels in one pass over the pairs in ascending order.
+
+    n(u, v, a) is S(u, v, a), divided under per_action_max by the largest
+    count of action type a over all pairs. Each pair adds S_total(u, v) * its
+    score to both users' sums and, for each of its action types a,
+    S(u, v, a) * the one-action score of n(u, v, a) to a's user sums: the
+    index of the table restricted to a. Every sum receives its additions in
+    pair order (README "Determinism"). Per-action networks cover action
+    types with pairs.
+    """
     config = config or CsiConfig()
-    pair_scores = compute_pair_scores(counts, config)
-    user_scores = csi_user(pair_scores, counts)
-    network = csi_network(user_scores)
-    per_action: dict[str, float] = {}
-    present = sorted({a for pair in counts.pairs() for a in counts.actions(pair)})
-    for action_type in present:
-        per_action[action_type] = csi_single_action(counts, action_type, config)
+    formula = config.pair_formula
+    items = counts.items()
+    scale: dict[str, int] | None = None
+    if config.normalization == "per_action_max":
+        scale = {}
+        for _, actions in items:
+            for action_type, count in actions.items():
+                if count > scale.get(action_type, 0):
+                    scale[action_type] = count
+    pair_scores: dict[tuple[str, str], float] = {}
+    user_scores: dict[str, float] = {}
+    action_user_scores: dict[str, dict[str, float]] = {}
+    for pair, actions in items:
+        types = sorted(actions)
+        values = [float(actions[a]) if scale is None else actions[a] / scale[a] for a in types]
+        score = _formula_score(values, formula)
+        pair_scores[pair] = score
+        term = sum(actions.values()) * score
+        for user in pair:
+            user_scores[user] = user_scores.get(user, 0.0) + term
+        for action_type, value in zip(types, values):
+            single = actions[action_type] * _formula_score([value], formula)
+            sums = action_user_scores.setdefault(action_type, {})
+            for user in pair:
+                sums[user] = sums.get(user, 0.0) + single
     return CsiTables(
         pair_scores=pair_scores,
         user_scores=user_scores,
-        network_score=network,
-        per_action_network=per_action,
+        network_score=csi_network(user_scores),
+        per_action_network={a: csi_network(action_user_scores[a]) for a in sorted(action_user_scores)},
         config=config,
     )
 

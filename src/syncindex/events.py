@@ -273,7 +273,7 @@ def _iter_jsonl(stream: Iterable[str]) -> Iterator[dict | None]:
             continue
         try:
             obj = json.loads(line)
-        except json.JSONDecodeError:
+        except (ValueError, RecursionError):  # bad JSON, too-deep nesting, too many int digits
             yield None
             continue
         yield obj if isinstance(obj, dict) else None

@@ -8,8 +8,6 @@ ordering so emitted files are byte-stable.
 
 from __future__ import annotations
 
-import csv
-import io
 from pathlib import Path
 from typing import Iterable, Mapping
 from xml.sax.saxutils import escape, quoteattr
@@ -19,7 +17,6 @@ import networkx as nx
 from .events import InteractionRecord
 
 USER_CLASSES = ("bot", "human", "unknown")
-EXPORT_FORMATS = ("graphml", "dot", "edge_csv")
 
 
 def build_sync_graph(
@@ -80,20 +77,6 @@ def prune_by_partner_count(graph: nx.Graph, min_partners: int = 5) -> nx.Graph:
         pruned.remove_nodes_from(drop)
 
 
-def _sorted_nodes(graph: nx.Graph) -> list[str]:
-    return sorted(graph.nodes)
-
-
-def _sorted_edges(graph: nx.Graph) -> list[tuple[str, str, dict]]:
-    edges = []
-    for u, v, data in graph.edges(data=True):
-        if v < u:
-            u, v = v, u
-        edges.append((u, v, data))
-    edges.sort(key=lambda e: (e[0], e[1]))
-    return edges
-
-
 def _graphml_text(graph: nx.Graph) -> str:
     has_class = any("user_class" in d for _, d in graph.nodes(data=True))
     has_csi = any("csi_user" in d for _, d in graph.nodes(data=True))
@@ -107,19 +90,22 @@ def _graphml_text(graph: nx.Graph) -> str:
     if has_csi:
         lines.append('  <key id="csi_user" for="node" attr.name="csi_user" attr.type="double"/>')
     lines.append('  <graph edgedefault="undirected">')
-    for node in _sorted_nodes(graph):
+    quoted: dict[str, str] = {}
+    for node in sorted(graph.nodes):
         data = graph.nodes[node]
-        parts = [f"    <node id={quoteattr(str(node))}>"]
+        quoted[node] = quoteattr(str(node))
+        parts = [f"    <node id={quoted[node]}>"]
         if "user_class" in data:
             parts.append(f'<data key="user_class">{escape(str(data["user_class"]))}</data>')
         if "csi_user" in data:
             parts.append(f'<data key="csi_user">{data["csi_user"]!r}</data>')
         parts.append("</node>")
         lines.append("".join(parts))
-    for u, v, data in _sorted_edges(graph):
+    edges = sorted((u, v, data) if u < v else (v, u, data) for u, v, data in graph.edges(data=True))
+    for u, v, data in edges:
         weight = float(data.get("weight", 1.0))
         lines.append(
-            f"    <edge source={quoteattr(str(u))} target={quoteattr(str(v))}>"
+            f"    <edge source={quoted[u]} target={quoted[v]}>"
             f'<data key="weight">{weight!r}</data></edge>'
         )
     lines.append("  </graph>")
@@ -127,55 +113,8 @@ def _graphml_text(graph: nx.Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _dot_text(graph: nx.Graph) -> str:
-    def quote(value: str) -> str:
-        return '"' + str(value).replace("\\", "\\\\").replace('"', '\\"') + '"'
-
-    lines = ["graph sync {"]
-    for node in _sorted_nodes(graph):
-        data = graph.nodes[node]
-        attrs = []
-        if "user_class" in data:
-            attrs.append(f"user_class={quote(data['user_class'])}")
-        if "csi_user" in data:
-            attrs.append(f"csi_user={quote(repr(float(data['csi_user'])))}")
-        suffix = f" [{', '.join(attrs)}]" if attrs else ""
-        lines.append(f"  {quote(node)}{suffix};")
-    for u, v, data in _sorted_edges(graph):
-        weight = float(data.get("weight", 1.0))
-        lines.append(f"  {quote(u)} -- {quote(v)} [weight={weight!r}];")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
-def _edge_csv_text(graph: nx.Graph) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["user_u", "user_v", "weight"])
-    for u, v, data in _sorted_edges(graph):
-        writer.writerow([u, v, repr(float(data.get("weight", 1.0)))])
-    return buffer.getvalue()
-
-
-def export(graph: nx.Graph, format: str, path: str | Path) -> Path:
-    """Serialize the graph with stable lexicographic ordering."""
-    if format == "graphml":
-        text = _graphml_text(graph)
-    elif format == "dot":
-        text = _dot_text(graph)
-    elif format == "edge_csv":
-        text = _edge_csv_text(graph)
-    else:
-        raise ValueError(f"unknown export format: {format}")
+def export(graph: nx.Graph, path: str | Path) -> Path:
+    """Write the graph as GraphML with stable lexicographic node and edge ordering."""
     path = Path(path)
-    path.write_text(text, encoding="utf-8")
+    path.write_text(_graphml_text(graph), encoding="utf-8")
     return path
-
-
-def read_edge_csv(path: str | Path) -> nx.Graph:
-    """Inverse of the edge_csv export; node set is the union of edge endpoints."""
-    graph = nx.Graph()
-    with Path(path).open("r", encoding="utf-8", newline="") as handle:
-        for row in csv.DictReader(handle):
-            graph.add_edge(row["user_u"], row["user_v"], weight=float(row["weight"]))
-    return graph

@@ -324,14 +324,13 @@ def triangle_counts(graph: nx.Graph) -> tuple[dict[str, int], dict[str, int]]:
 
 
 def transitivity(graph: nx.Graph, counts: tuple[dict, dict] | None = None) -> float:
-    """Global clustering coefficient: 3 * triangles / connected triples.
+    """Global clustering coefficient: 3 * triangles / connected triples; 0 without triples.
 
     counts, when given, must be triangle_counts(graph).
     """
     triangles, triples = counts if counts is not None else triangle_counts(graph)
     total_triples = sum(triples.values())
     if total_triples == 0:
-        logger.warning("no connected triples: transitivity reported as 0")
         return 0.0
     return sum(triangles.values()) / total_triples
 

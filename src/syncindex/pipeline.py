@@ -150,8 +150,8 @@ def sync_graphs(
 
 
 def write_sync_graphs(sync: nx.Graph, pruned: nx.Graph, out: Path) -> None:
-    graphmod.export(sync, "graphml", out / "sync.graphml")
-    graphmod.export(pruned, "graphml", out / "sync_pruned.graphml")
+    graphmod.export(sync, out / "sync.graphml")
+    graphmod.export(pruned, out / "sync_pruned.graphml")
 
 
 def structure_section(
@@ -160,7 +160,11 @@ def structure_section(
     bot_table: botmod.BotScoreTable | None,
     seed: int,
 ) -> dict | None:
-    """Structure metrics of the sync graph; None when it has no edges (no pairs)."""
+    """Structure metrics of the sync graph; None when it has no edges (no pairs).
+
+    Logs one warning naming each graph (sync, bot, human) whose transitivity
+    is reported as 0 because it has no connected triples.
+    """
     if sync.number_of_edges() == 0:
         return None
     partition = metricmod.louvain_partition(sync, seed=seed)
@@ -174,8 +178,15 @@ def structure_section(
         "transitivity": metricmod.transitivity(sync, counts),
         "avg_local_clustering": metricmod.avg_local_clustering(sync, counts),
     }
+    no_triples = [] if any(counts[1].values()) else ["sync"]
     if bot_table is not None:
-        section["clustering_by_class"] = botmod.clustering_by_class(sync, bot_table)
+        by_class = section["clustering_by_class"] = botmod.clustering_by_class(sync, bot_table)
+        for cls in [cls for cls, value in by_class.items() if value == 0.0]:
+            subgraph = sync.subgraph(n for n in sync if bot_table.classify(n) == cls)
+            if all(degree < 2 for _, degree in subgraph.degree()):
+                no_triples.append(cls)
+    if no_triples:
+        logger.warning("no connected triples: transitivity reported as 0 for %s", ", ".join(no_triples))
     return section
 
 

@@ -70,28 +70,19 @@ class PairSyncCounts:
     def pairs(self) -> list[tuple[str, str]]:
         return sorted(self._table)
 
+    def items(self) -> list[tuple[tuple[str, str], dict[str, int]]]:
+        """Sorted (pair, {action_type: count}) items; the dicts are the table's own."""
+        return sorted(self._table.items())
+
     def users(self) -> list[str]:
         seen = {u for pair in self._table for u in pair}
         return sorted(seen)
 
-    def restrict(self, action_type: str) -> "PairSyncCounts":
-        """Counts keeping only one action type; pairs without it disappear."""
-        out = PairSyncCounts()
-        for pair, actions in self._table.items():
-            if action_type in actions:
-                out._table[pair] = {action_type: actions[action_type]}
-        return out
-
-    def copy(self) -> "PairSyncCounts":
-        out = PairSyncCounts()
-        out._table = {pair: dict(actions) for pair, actions in self._table.items()}
-        return out
-
     def rows(self) -> Iterator[tuple[str, str, str, int]]:
         """Sorted (user_u, user_v, action_type, count) rows."""
-        for pair in self.pairs():
-            for action_type, count in sorted(self._table[pair].items()):
-                yield pair[0], pair[1], action_type, count
+        for (u, v), actions in self.items():
+            for action_type, count in sorted(actions.items()):
+                yield u, v, action_type, count
 
     def __len__(self) -> int:
         return len(self._table)
@@ -132,14 +123,12 @@ def detect(
         for key, users in members.items()
         if len(users) >= 2
     )
-    agg: dict[tuple[str, str, str], int] = defaultdict(int)
-    for action_type, users in groups:
-        for u, v in combinations(users, 2):
-            agg[(u, v, action_type)] += 1
-
     counts = PairSyncCounts()
-    for (u, v, action_type), amount in agg.items():
-        counts.add(u, v, action_type, amount)
+    table = counts._table
+    for action_type, users in groups:
+        for pair in combinations(users, 2):  # users are sorted, so u < v
+            actions = table.setdefault(pair, {})
+            actions[action_type] = actions.get(action_type, 0) + 1
     return counts
 
 
@@ -177,10 +166,9 @@ def brute_force_detect(
 def user_action_type_counts(counts: PairSyncCounts) -> dict[str, int]:
     """Per user, the number of distinct action types with at least one synchronizing pair."""
     per_user: dict[str, set[str]] = defaultdict(set)
-    for pair in counts.pairs():
-        for action_type in counts.actions(pair):
-            per_user[pair[0]].add(action_type)
-            per_user[pair[1]].add(action_type)
+    for (u, v), actions in counts.items():
+        per_user[u].update(actions)
+        per_user[v].update(actions)
     return {user: len(types) for user, types in per_user.items()}
 
 

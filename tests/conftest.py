@@ -10,6 +10,14 @@ import networkx as nx
 from hypothesis import strategies as st
 
 from syncindex.bots import BotScoreTable
+from syncindex.csi import (
+    NORMALIZATIONS,
+    CsiConfig,
+    CsiTables,
+    UndefinedNetworkError,
+    _formula_score,
+    csi_network,
+)
 from syncindex.events import ACTION_TYPES, ActionRecord
 from syncindex.synchrony import PairSyncCounts
 
@@ -31,6 +39,115 @@ def counts_from_mapping(table: Mapping[tuple[str, str], Mapping[str, int]]) -> P
                 raise ValueError(f"unknown action type: {action_type}")
             counts.add(u, v, action_type, amount)
     return counts
+
+
+def restrict(counts: PairSyncCounts, action_type: str) -> PairSyncCounts:
+    """Counts keeping only one action type; pairs without it disappear."""
+    out = PairSyncCounts()
+    for (u, v), actions in counts.items():
+        if action_type in actions:
+            out.add(u, v, action_type, actions[action_type])
+    return out
+
+
+def normalize_counts(
+    counts: PairSyncCounts, strategy: str = "none"
+) -> dict[tuple[str, str], dict[str, float]]:
+    """Per-pair normalized counts n(u, v, a).
+
+    none: identity. per_action_max: divide by the maximum count observed for
+    that action type across all pairs, so values land in (0, 1]. Action
+    types with no pairs contribute nothing.
+    """
+    if strategy not in NORMALIZATIONS:
+        raise ValueError(f"unknown normalization: {strategy}")
+    table = {pair: counts.actions(pair) for pair in counts.pairs()}
+    if strategy == "none":
+        return {
+            pair: {a: float(s) for a, s in sorted(actions.items())}
+            for pair, actions in table.items()
+        }
+    max_per_action: dict[str, int] = {}
+    for actions in table.values():
+        for action_type, count in actions.items():
+            if count > max_per_action.get(action_type, 0):
+                max_per_action[action_type] = count
+    return {
+        pair: {a: s / max_per_action[a] for a, s in sorted(actions.items())}
+        for pair, actions in table.items()
+    }
+
+
+def csi_userpair(
+    normalized: dict[tuple[str, str], dict[str, float]],
+    pair: tuple[str, str],
+    formula: str = "anchored",
+) -> float:
+    """Pair score from normalized per-action counts; the pair must be present."""
+    actions = normalized.get(pair)
+    if not actions:
+        raise ValueError(f"pair not in synchrony table: {pair}")
+    return _formula_score([actions[a] for a in sorted(actions)], formula)
+
+
+def compute_pair_scores(
+    counts: PairSyncCounts, config: CsiConfig | None = None
+) -> dict[tuple[str, str], float]:
+    config = config or CsiConfig()
+    normalized = normalize_counts(counts, config.normalization)
+    return {
+        pair: csi_userpair(normalized, pair, config.pair_formula)
+        for pair in counts.pairs()
+    }
+
+
+def csi_user(
+    pair_scores: dict[tuple[str, str], float], counts: PairSyncCounts
+) -> dict[str, float]:
+    """User score: sum over the user's pairs of S_total(u, v) * pair score.
+
+    Accumulation runs in lexicographic pair order so results are
+    bit-identical regardless of evaluation strategy.
+    """
+    scores: dict[str, float] = {}
+    for pair in sorted(pair_scores):
+        term = counts.s_total(pair) * pair_scores[pair]
+        for user in pair:
+            scores[user] = scores.get(user, 0.0) + term
+    return scores
+
+
+def csi_single_action(
+    counts: PairSyncCounts, action_type: str, config: CsiConfig | None = None
+) -> float:
+    """Network score of the pipeline restricted to pairs of one action type."""
+    restricted = restrict(counts, action_type)
+    if not restricted:
+        raise UndefinedNetworkError(f"no synchronizing pairs for action type {action_type!r}")
+    config = config or CsiConfig()
+    pair_scores = compute_pair_scores(restricted, config)
+    return csi_network(csi_user(pair_scores, restricted))
+
+
+def oracle_tables(counts: PairSyncCounts, config: CsiConfig | None = None) -> CsiTables:
+    """The index by definition: normalize, score every pair, sum users, take the
+    mean; then restrict the table to each action type and rescore it. The
+    one-pass compute_tables must reproduce it bit for bit."""
+    config = config or CsiConfig()
+    pair_scores = compute_pair_scores(counts, config)
+    user_scores = csi_user(pair_scores, counts)
+    network = csi_network(user_scores)
+    per_action: dict[str, float] = {}
+    present = sorted({a for pair in counts.pairs() for a in counts.actions(pair)})
+    for action_type in present:
+        per_action[action_type] = csi_single_action(counts, action_type, config)
+    return CsiTables(
+        pair_scores=pair_scores,
+        user_scores=user_scores,
+        network_score=network,
+        per_action_network=per_action,
+        config=config,
+    )
 
 
 def induced_subgraph(graph: nx.Graph, user_class: str) -> nx.Graph:

@@ -13,7 +13,7 @@ import pytest
 
 from conftest import counts_from_mapping, naive_betweenness, random_actions, random_graph
 from syncindex.bots import classify_user
-from syncindex.csi import compute_pair_scores, compute_tables, csi_single_action
+from syncindex.csi import compute_tables
 from syncindex.events import ActionRecord, extract_actions, filter_originals
 from syncindex.graphs import build_sync_graph, prune_by_partner_count
 from syncindex.metrics import (
@@ -64,9 +64,9 @@ def test_criterion_02_csi_unit_fixtures():
         one = counts_from_mapping({("u", "v"): {"hashtag": 1}})
         two = counts_from_mapping({("u", "v"): {"hashtag": 2, "url": 3}})
         three = counts_from_mapping({("u", "v"): {"hashtag": 1, "url": 1, "mention": 1}})
-        assert compute_pair_scores(one)[("u", "v")] == pytest.approx(1.0, abs=1e-12)
-        assert compute_pair_scores(two)[("u", "v")] == pytest.approx(8.0, abs=1e-12)
-        assert compute_pair_scores(three)[("u", "v")] == pytest.approx(3.0, abs=1e-12)
+        assert compute_tables(one).pair_scores[("u", "v")] == pytest.approx(1.0, abs=1e-12)
+        assert compute_tables(two).pair_scores[("u", "v")] == pytest.approx(8.0, abs=1e-12)
+        assert compute_tables(three).pair_scores[("u", "v")] == pytest.approx(3.0, abs=1e-12)
 
         user_fixture = counts_from_mapping(
             {("u", "v"): {"hashtag": 2}, ("u", "w"): {"hashtag": 1}}
@@ -85,8 +85,8 @@ def test_criterion_02_csi_unit_fixtures():
             (two, 2 * (5 - 2), 5 - 4),
             (three, 3 * (3 - 3), 3 - 9),
         ):
-            prose = compute_pair_scores(counts, CsiConfig(pair_formula="prose"))[("u", "v")]
-            literal = compute_pair_scores(counts, CsiConfig(pair_formula="literal"))[("u", "v")]
+            prose = compute_tables(counts, CsiConfig(pair_formula="prose")).pair_scores[("u", "v")]
+            literal = compute_tables(counts, CsiConfig(pair_formula="literal")).pair_scores[("u", "v")]
             assert prose == pytest.approx(prose_expected, abs=1e-12)
             assert literal == pytest.approx(literal_expected, abs=1e-12)
 
@@ -114,7 +114,7 @@ def test_criterion_03_planted_coordination_recovery():
         for p in truth.pairs:
             assert counts.get(p.user_u, p.user_v, p.action_type) >= p.min_count
 
-        scores = compute_pair_scores(counts)
+        scores = compute_tables(counts).pair_scores
         top10 = {
             pair
             for pair, _ in sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))[:10]
@@ -124,7 +124,7 @@ def test_criterion_03_planted_coordination_recovery():
         for _ in range(3):
             _, again, _ = build()
             assert again == counts
-            assert compute_pair_scores(again) == scores
+            assert compute_tables(again).pair_scores == scores
 
 
 
@@ -179,8 +179,8 @@ def test_criterion_06_monotonicity_suite():
                 for action, count in before.actions(pair).items():
                     assert after.get(pair[0], pair[1], action) >= count
 
-            before_scores = compute_pair_scores(before) if before else {}
-            after_scores = compute_pair_scores(after) if after else {}
+            before_scores = compute_tables(before).pair_scores if before else {}
+            after_scores = compute_tables(after).pair_scores if after else {}
             for pair, score in before_scores.items():
                 assert after_scores[pair] >= score - 1e-12
 
@@ -241,12 +241,9 @@ def test_criterion_09_single_vs_combined_consistency():
         combined_total = tables.network_score * len(tables.user_scores)
 
         recombined = 0.0
-        for action in ("hashtag", "url", "mention"):
-            restricted = counts.restrict(action)
-            if not restricted:
-                continue
-            single = csi_single_action(counts, action)
-            recombined += single * len(restricted.users())
+        for action, single in tables.per_action_network.items():
+            users = {u for pair, actions in counts.items() if action in actions for u in pair}
+            recombined += single * len(users)
         assert recombined == combined_total == 30.0  # integer-valued fixture: exact
         assert tables.network_score == 30 / 7
 

@@ -3,64 +3,70 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import counts_from_mapping, random_actions
+from conftest import counts_from_mapping, oracle_tables, random_actions
 from syncindex.csi import (
+    NORMALIZATIONS,
+    PAIR_FORMULAS,
     CsiConfig,
     UndefinedNetworkError,
-    compute_pair_scores,
     compute_tables,
     csi_network,
-    csi_single_action,
-    csi_user,
-    csi_userpair,
-    normalize_counts,
     read_pair_scores_csv,
     read_user_scores_csv,
     write_pair_scores_csv,
     write_user_scores_csv,
 )
+from syncindex.events import ACTION_TYPES
 from syncindex.synchrony import detect
+
+USERS = [f"u{i}" for i in range(10)]
+# Random tables: pairs over few users so users share pairs, 1-3 action types a pair.
+count_tables = st.dictionaries(
+    st.tuples(st.sampled_from(USERS), st.sampled_from(USERS)).filter(lambda p: p[0] != p[1]),
+    st.dictionaries(st.sampled_from(ACTION_TYPES), st.integers(1, 60), min_size=1, max_size=3),
+    min_size=1,
+    max_size=25,
+)
+
+
+def pair_scores(counts, **config):
+    return compute_tables(counts, CsiConfig(**config)).pair_scores
 
 
 class TestNormalize:
+    """One action type per pair: the anchored pair score is the normalized count."""
+
     def test_none_is_identity(self):
         counts = counts_from_mapping({("u", "v"): {"hashtag": 4}})
-        normalized = normalize_counts(counts, "none")
-        assert normalized[("u", "v")] == {"hashtag": 4.0}
+        assert pair_scores(counts, normalization="none") == {("u", "v"): 4.0}
 
     def test_per_action_max(self):
         counts = counts_from_mapping(
             {("u", "v"): {"hashtag": 2}, ("w", "x"): {"hashtag": 4}}
         )
-        normalized = normalize_counts(counts, "per_action_max")
-        assert normalized[("u", "v")] == {"hashtag": 0.5}
-        assert normalized[("w", "x")] == {"hashtag": 1.0}
+        scores = pair_scores(counts, normalization="per_action_max")
+        assert scores[("u", "v")] == 0.5
+        assert scores[("w", "x")] == 1.0
 
     def test_single_pair_is_its_own_max(self):
         counts = counts_from_mapping({("u", "v"): {"url": 7}})
-        assert normalize_counts(counts, "per_action_max")[("u", "v")] == {"url": 1.0}
-
-    def test_unknown_strategy(self):
-        with pytest.raises(ValueError):
-            normalize_counts(counts_from_mapping({}), "zscore")
+        assert pair_scores(counts, normalization="per_action_max") == {("u", "v"): 1.0}
 
 
 class TestPairFormulas:
     def test_anchored_single_action_one_point(self):
         counts = counts_from_mapping({("u", "v"): {"hashtag": 1}})
-        normalized = normalize_counts(counts)
-        assert csi_userpair(normalized, ("u", "v"), "anchored") == pytest.approx(1.0, abs=1e-12)
+        assert pair_scores(counts)[("u", "v")] == pytest.approx(1.0, abs=1e-12)
 
     def test_anchored_two_actions(self):
         counts = counts_from_mapping({("u", "v"): {"hashtag": 2, "url": 3}})
-        normalized = normalize_counts(counts)
-        assert csi_userpair(normalized, ("u", "v"), "anchored") == pytest.approx(8.0, abs=1e-12)
+        assert pair_scores(counts)[("u", "v")] == pytest.approx(8.0, abs=1e-12)
 
     def test_anchored_three_actions(self):
         counts = counts_from_mapping({("u", "v"): {"hashtag": 1, "url": 1, "mention": 1}})
-        normalized = normalize_counts(counts)
-        assert csi_userpair(normalized, ("u", "v"), "anchored") == pytest.approx(3.0, abs=1e-12)
+        assert pair_scores(counts)[("u", "v")] == pytest.approx(3.0, abs=1e-12)
 
     @pytest.mark.parametrize(
         "actions,prose,literal",
@@ -72,17 +78,12 @@ class TestPairFormulas:
     )
     def test_prose_and_literal_closed_forms(self, actions, prose, literal):
         counts = counts_from_mapping({("u", "v"): actions})
-        normalized = normalize_counts(counts)
-        assert csi_userpair(normalized, ("u", "v"), "prose") == pytest.approx(prose, abs=1e-12)
-        assert csi_userpair(normalized, ("u", "v"), "literal") == pytest.approx(literal, abs=1e-12)
-
-    def test_absent_pair_is_caller_error(self):
-        with pytest.raises(ValueError):
-            csi_userpair({}, ("u", "v"))
+        assert pair_scores(counts, pair_formula="prose")[("u", "v")] == pytest.approx(prose, abs=1e-12)
+        assert pair_scores(counts, pair_formula="literal")[("u", "v")] == pytest.approx(literal, abs=1e-12)
 
     def test_symmetry_of_unordered_pair(self):
         counts = counts_from_mapping({("b", "a"): {"url": 2}})
-        scores = compute_pair_scores(counts)
+        scores = pair_scores(counts)
         assert set(scores) == {("a", "b")}
 
 
@@ -91,21 +92,22 @@ class TestUserAndNetwork:
         counts = counts_from_mapping(
             {("u", "v"): {"hashtag": 2}, ("u", "w"): {"hashtag": 1}}
         )
-        scores = compute_pair_scores(counts)
+        tables = compute_tables(counts)
+        scores = tables.pair_scores
         assert scores[("u", "v")] == 2.0
         assert scores[("u", "w")] == 1.0
-        users = csi_user(scores, counts)
+        users = tables.user_scores
         assert users["u"] == pytest.approx(2 * 2 + 1 * 1, abs=1e-12)
 
     def test_symmetric_contribution(self):
         counts = counts_from_mapping({("u", "v"): {"hashtag": 2}})
-        users = csi_user(compute_pair_scores(counts), counts)
+        users = compute_tables(counts).user_scores
         assert users["v"] == pytest.approx(4.0, abs=1e-12)
         assert users["u"] == users["v"]
 
     def test_single_pair_minimal_score(self):
         counts = counts_from_mapping({("u", "v"): {"mention": 1}})
-        users = csi_user(compute_pair_scores(counts), counts)
+        users = compute_tables(counts).user_scores
         assert users["u"] == 1.0
 
     def test_network_mean(self):
@@ -128,19 +130,18 @@ class TestSingleAction:
             {("u", "v"): {"hashtag": 2}, ("w", "x"): {"hashtag": 5}}
         )
         tables = compute_tables(counts)
-        assert csi_single_action(counts, "hashtag") == pytest.approx(tables.network_score, abs=1e-12)
+        assert tables.per_action_network["hashtag"] == pytest.approx(tables.network_score, abs=1e-12)
 
     def test_hand_pipeline(self):
         counts = counts_from_mapping(
             {("a", "b"): {"hashtag": 1}, ("c", "d"): {"hashtag": 3}}
         )
         # pair scores {1, 3}; user scores {1, 1, 9, 9}; mean 5
-        assert csi_single_action(counts, "hashtag") == pytest.approx(5.0, abs=1e-12)
+        assert compute_tables(counts).per_action_network["hashtag"] == pytest.approx(5.0, abs=1e-12)
 
-    def test_absent_action_type_errors(self):
+    def test_absent_action_type_has_no_network(self):
         counts = counts_from_mapping({("u", "v"): {"hashtag": 1}})
-        with pytest.raises(UndefinedNetworkError):
-            csi_single_action(counts, "url")
+        assert list(compute_tables(counts).per_action_network) == ["hashtag"]
 
 
 class TestInvariantsAndProperties:
@@ -150,7 +151,7 @@ class TestInvariantsAndProperties:
             counts = detect(random_actions(rng, max_users=12, max_records=120))
             if not counts:
                 continue
-            scores = compute_pair_scores(counts)
+            scores = pair_scores(counts)
             for pair, score in scores.items():
                 assert score >= counts.num_action_types(pair) >= 1
 
@@ -167,16 +168,15 @@ class TestInvariantsAndProperties:
     def test_monotone_in_each_count(self):
         base = counts_from_mapping({("u", "v"): {"hashtag": 2, "url": 1}})
         bumped = counts_from_mapping({("u", "v"): {"hashtag": 3, "url": 1}})
-        assert compute_pair_scores(bumped)[("u", "v")] > compute_pair_scores(base)[("u", "v")]
+        assert pair_scores(bumped)[("u", "v")] > pair_scores(base)[("u", "v")]
 
     def test_formula_variants_agree_on_order_for_fixed_k(self):
         low = counts_from_mapping({("u", "v"): {"hashtag": 1, "url": 2}})
         high = counts_from_mapping({("u", "v"): {"hashtag": 4, "url": 2}})
         for formula in ("anchored", "prose", "literal"):
-            config = CsiConfig(pair_formula=formula)
             assert (
-                compute_pair_scores(high, config)[("u", "v")]
-                > compute_pair_scores(low, config)[("u", "v")]
+                pair_scores(high, pair_formula=formula)[("u", "v")]
+                > pair_scores(low, pair_formula=formula)[("u", "v")]
             )
 
     def test_user_set_matches_pairs(self):
@@ -195,6 +195,31 @@ class TestInvariantsAndProperties:
         tables = compute_tables(counts)
         mean = sum(tables.user_scores.values()) / len(tables.user_scores)
         assert tables.network_score == pytest.approx(mean, abs=1e-9)
+
+
+def hexed(scores: dict) -> list:
+    return [(key, value.hex()) for key, value in scores.items()]
+
+
+class TestOnePassMatchesOracle:
+    """compute_tables against the multi-pass definition, float for float and key for key."""
+
+    @pytest.mark.parametrize("normalization", NORMALIZATIONS)
+    @pytest.mark.parametrize("formula", PAIR_FORMULAS)
+    @settings(max_examples=60, deadline=None)
+    @given(table=count_tables)
+    def test_bit_identical(self, formula, normalization, table):
+        counts = counts_from_mapping(table)
+        config = CsiConfig(pair_formula=formula, normalization=normalization)
+        got, want = compute_tables(counts, config), oracle_tables(counts, config)
+        assert hexed(got.pair_scores) == hexed(want.pair_scores)
+        assert hexed(got.user_scores) == hexed(want.user_scores)
+        assert got.network_score.hex() == want.network_score.hex()
+        assert hexed(got.per_action_network) == hexed(want.per_action_network)
+
+    def test_empty_table_is_undefined(self):
+        with pytest.raises(UndefinedNetworkError):
+            compute_tables(counts_from_mapping({}))
 
 
 class TestConfigAndIo:

@@ -85,6 +85,17 @@ class TestParse:
         assert dataset.malformed == 1
         assert len(dataset.posts) == 2
 
+    def test_deeply_nested_line_is_malformed(self):
+        dataset = parse_events([post_line(), post_line(post_id="p2"), "[" * 200_000])
+        assert dataset.malformed == 1
+        assert len(dataset.posts) == 2
+
+    def test_int_beyond_digit_limit_is_malformed(self):
+        bad = post_line(post_id="p3").replace('"timestamp": 100', '"timestamp": ' + "1" * 5000)
+        dataset = parse_events([post_line(), post_line(post_id="p2"), bad])
+        assert dataset.malformed == 1
+        assert len(dataset.posts) == 2
+
     def test_unknown_post_type_rejected(self):
         dataset = parse_events([post_line(), post_line(post_id="p2"), post_line(post_id="p3", post_type="story")])
         assert dataset.malformed == 1

@@ -13,7 +13,12 @@ from syncindex.graphs import (
     build_sync_graph,
     export,
     prune_by_partner_count,
-    read_edge_csv,
+)
+
+
+# GraphML ids: printable ids plus XML's special characters. XML 1.0 forbids U+FFFE and U+FFFF.
+graphml_ids = st.builds(str.__add__, printable_ids, st.text(st.sampled_from("&<>'"))).filter(
+    lambda text: "\ufffe" not in text and "\uffff" not in text
 )
 
 
@@ -145,7 +150,7 @@ class TestExport:
         )
 
     def test_graphml_counts_and_attributes(self, tmp_path):
-        path = export(self.build(), "graphml", tmp_path / "g.graphml")
+        path = export(self.build(), tmp_path / "g.graphml")
         parsed = nx.read_graphml(path)
         assert parsed.number_of_nodes() == 4
         assert parsed.number_of_edges() == 3
@@ -154,39 +159,33 @@ class TestExport:
         assert parsed["c"]["d"]["weight"] == 8.0
 
     def test_empty_graph_is_valid(self, tmp_path):
-        path = export(nx.Graph(), "graphml", tmp_path / "empty.graphml")
+        path = export(nx.Graph(), tmp_path / "empty.graphml")
         parsed = nx.read_graphml(path)
         assert parsed.number_of_nodes() == 0
 
-    def test_edge_csv_round_trip_identical(self, tmp_path):
-        graph = self.build()
-        first = export(graph, "edge_csv", tmp_path / "edges1.csv")
-        again = export(read_edge_csv(first), "edge_csv", tmp_path / "edges2.csv")
-        assert first.read_bytes() == again.read_bytes()
-
     @settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(st.lists(st.tuples(printable_ids, printable_ids), min_size=1, max_size=6))
-    def test_edge_csv_round_trips_any_printable_id(self, tmp_path, pairs):
-        graph = nx.Graph()
-        graph.add_weighted_edges_from((u, v, 1.5) for u, v in pairs if u != v)
-        again = read_edge_csv(export(graph, "edge_csv", tmp_path / "edges.csv"))
+    @given(
+        st.lists(st.tuples(graphml_ids, graphml_ids), min_size=1, max_size=6),
+        st.sampled_from(["bot", "human", "unknown"]),
+    )
+    def test_graphml_round_trips_any_printable_id(self, tmp_path, pairs, user_class):
+        scores = {(u, v): 1.5 + i for i, (u, v) in enumerate(pairs) if u != v}
+        users = {u for pair in scores for u in pair}
+        graph = build_sync_graph(
+            scores,
+            user_classes=dict.fromkeys(users, user_class),
+            user_scores={u: 0.25 * len(u) for u in users},
+        )
+        parsed = nx.read_graphml(export(graph, tmp_path / "g.graphml"))
 
         def edges(g):
             return sorted((*sorted((u, v)), w) for u, v, w in g.edges(data="weight"))
 
-        assert edges(again) == edges(graph)
-
-    def test_dot_contains_all_elements(self, tmp_path):
-        path = export(self.build(), "dot", tmp_path / "g.dot")
-        text = path.read_text()
-        assert text.count(" -- ") == 3
-        assert '"a"' in text and '"d"' in text
+        assert sorted(parsed.nodes(data=True)) == sorted(graph.nodes(data=True))
+        assert edges(parsed) == edges(graph)
 
     def test_export_is_byte_stable(self, tmp_path):
-        one = export(self.build(), "graphml", tmp_path / "one.graphml")
-        two = export(self.build(), "graphml", tmp_path / "two.graphml")
+        one = export(self.build(), tmp_path / "one.graphml")
+        two = export(self.build(), tmp_path / "two.graphml")
         assert one.read_bytes() == two.read_bytes()
 
-    def test_unknown_format_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
-            export(nx.Graph(), "gexf", tmp_path / "g.gexf")

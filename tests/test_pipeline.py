@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import csv
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -210,6 +211,27 @@ def test_structure_section_counts_triangles_once(monkeypatch):
     assert calls == [sync]
     assert section["transitivity"] == metricmod.transitivity(sync)
     assert section["avg_local_clustering"] == metricmod.avg_local_clustering(sync)
+
+
+def test_transitivity_without_triples_warns_once(tmp_path, caplog):
+    """One synchronized pair (u0 bot, u1 human) and a late third post: the sync,
+    bot and human graphs all lack connected triples."""
+    lines = [
+        json.dumps(
+            {"post_id": f"p{i}", "user_id": f"u{i}", "timestamp": t, "post_type": "original", "hashtags": ["#x"]}
+        )
+        for i, t in enumerate((0, 10, 100_000))
+    ]
+    events = tmp_path / "events.jsonl"
+    events.write_text("\n".join(lines) + "\n")
+    bots = tmp_path / "bots.csv"
+    bots.write_text("user_id,score\nu0,0.9\nu1,0.1\n")
+    with caplog.at_level(logging.WARNING, logger="syncindex"):
+        report = run_pipeline(events, bots_path=bots, out_dir=tmp_path / "out")
+    assert report.structure["transitivity"] == 0.0
+    assert [r.getMessage() for r in caplog.records if "triples" in r.getMessage()] == [
+        "no connected triples: transitivity reported as 0 for sync, bot, human"
+    ]
 
 
 class TestCentralityCsv:
