@@ -2,7 +2,7 @@
 
 Input is line-delimited JSON (canonical) or CSV with the same column names
 (list fields pipe-delimited). Timestamps are normalized to UTC epoch seconds
-at parse time; sub-second precision is truncated.
+at parse time; sub-second precision is dropped (rounded down).
 """
 
 from __future__ import annotations
@@ -11,8 +11,9 @@ import csv
 import json
 import logging
 import math
+import re
 from dataclasses import dataclass, field, replace
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 from pathlib import Path
 from typing import Iterable, Iterator
 from urllib.parse import urlsplit, urlunsplit
@@ -22,6 +23,17 @@ logger = logging.getLogger(__name__)
 POST_TYPES = ("original", "retweet", "quote", "reply")
 INTERACTION_TYPES = ("retweet", "quote", "mention", "reply")
 ACTION_TYPES = ("hashtag", "url", "mention")
+
+# 9999-12-31T23:59:59Z, the last second a four-digit ISO-8601 year can name.
+# Every timestamp path accepts 0 to MAX_TIMESTAMP, after rounding down.
+MAX_TIMESTAMP = 253_402_300_799
+_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+_SECOND = timedelta(seconds=1)
+
+# Characters XML 1.0 cannot carry, even escaped: C0 controls other than tab,
+# newline and carriage return, surrogates, U+FFFE and U+FFFF. None of them
+# is printable.
+_XML_FORBIDDEN = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
 
 
 class CorpusRejectedError(ValueError):
@@ -75,7 +87,8 @@ class EventDataset:
 
 
 def _coerce_timestamp(value: object) -> int:
-    """Accept epoch seconds (int/float/int-string) or ISO-8601; return UTC epoch seconds."""
+    """Accept epoch seconds (int/float/int-string) or ISO-8601; return UTC epoch
+    seconds, rounded down, in [0, MAX_TIMESTAMP]."""
     if isinstance(value, bool):
         raise ValueError("timestamp must be a number or ISO-8601 string")
     if isinstance(value, int):
@@ -83,7 +96,7 @@ def _coerce_timestamp(value: object) -> int:
     elif isinstance(value, float):
         if not math.isfinite(value):
             raise ValueError(f"non-finite timestamp: {value!r}")
-        ts = int(value)
+        ts = math.floor(value)
     elif isinstance(value, str):
         text = value.strip()
         if not text:
@@ -94,18 +107,24 @@ def _coerce_timestamp(value: object) -> int:
             dt = datetime.fromisoformat(text.replace("Z", "+00:00"))
             if dt.tzinfo is None:
                 dt = dt.replace(tzinfo=timezone.utc)
-            ts = int(dt.timestamp())
+            ts = (dt - _EPOCH) // _SECOND
     else:
         raise ValueError(f"bad timestamp type: {type(value).__name__}")
     if ts < 0:
         raise ValueError("timestamp before epoch")
+    if ts > MAX_TIMESTAMP:
+        raise ValueError("timestamp after 9999-12-31T23:59:59Z")
     return ts
 
 
 def _valid_str(value: str, name: str) -> str:
-    """value, stripped; a lone surrogate (a JSON escape such as "\\ud800") is malformed."""
-    if not value.isascii() and _undecodable(value):
-        raise ValueError(f"{name} is not valid UTF-8")
+    """value, stripped; a character XML 1.0 forbids is malformed.
+
+    That covers control characters such as "\\x01" and lone surrogates (a
+    JSON escape such as "\\ud800"), which no export could carry.
+    """
+    if not value.isprintable() and _XML_FORBIDDEN.search(value):
+        raise ValueError(f"{name} holds a character XML 1.0 forbids")
     return value.strip()
 
 
@@ -207,8 +226,10 @@ def parse_events(
 
     Malformed lines are counted and skipped; duplicated post ids count as
     malformed, as do lines that are not valid UTF-8 (lone surrogates, as
-    read_events_file decodes them) and lines whose id, type, artifact or
-    lang string holds a lone surrogate (a JSON escape such as "\\ud800").
+    read_events_file decodes them), lines whose timestamp lies outside
+    [0, MAX_TIMESTAMP], and lines whose id, type, artifact or lang string
+    holds a character XML 1.0 forbids (a control character such as "\\x01",
+    a lone surrogate such as the JSON escape "\\ud800", U+FFFE or U+FFFF).
     Raises CorpusRejectedError when more than half of the non-blank lines
     are malformed.
     """

@@ -13,17 +13,37 @@ visits sources in ascending order and adds each node's dependency
 order, with neighbours scanned ascending; power iteration sums each row in
 ascending neighbour order, starting from the node's own value. A source
 with no neighbours adds nothing and is skipped.
+
+Betweenness folds leaves without changing a float. A source s of degree 1
+whose neighbour t has degree > 1 runs no BFS: its BFS is t's with s
+removed, in the same order, so delta_s(v) = delta_t(v) bit for bit for
+every v outside {s, t}, and delta_s(t) is the sum from 0.0 of
+1 + delta_t(w) over t's other neighbours w in descending id order (reverse
+BFS order; each term is (1 / 1) * (1 + delta_t(w)) exactly). t's BFS runs
+once, at the first of t and its leaves in source order, and its nonzero
+dependencies are kept until the last of them; a zero dependency is not
+added, which is exact because the sums never hold -0.0. At most
+FOLD_STORE_CAP entries are kept at once, and a hub that does not fit is
+recomputed at each of its users. In back-propagation a leaf other than the
+root has its parent's sigma and no dependency, so it adds exactly 1.0 to
+its parent and nothing to the sums.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+from array import array
 from dataclasses import dataclass
 
 import networkx as nx
 
 logger = logging.getLogger(__name__)
+
+# Most entries (16 bytes each at most, so 4 MiB) that betweenness_centrality
+# keeps at once for the later users of folded hubs; a hub that does not fit
+# is recomputed at each of its users.
+FOLD_STORE_CAP = 1 << 18
 
 
 class MetricUndefinedError(ValueError):
@@ -83,17 +103,41 @@ def betweenness_centrality(graph: nx.Graph, *, index: NodeIndex | None = None) -
     if n < 3:
         return dict.fromkeys(nodes, 0.0)
     adjacency = index.adjacency
+    # parent[v]: the one neighbour of a degree-1 node, else -1.
+    parent = [row[0] if len(row) == 1 else -1 for row in adjacency]
+    # hub[s]: the node whose BFS s's turn uses. A leaf whose neighbour t has
+    # degree > 1 uses t's; last[t] is the last source that uses t's.
+    hub = list(range(n))
+    last = list(range(n))
+    for s, t in enumerate(parent):
+        if t >= 0 and parent[t] < 0:
+            hub[s] = t
+            last[t] = s if s > t else t
     accum = [0.0] * n
     dist = [-1] * n
     sigma = [0] * n
     delta = [0.0] * n
+    folds: dict[int, tuple[array, array, array]] = {}  # hub -> its later users' data
+    stored = 0
 
     for source in range(n):
         if not adjacency[source]:
             continue  # an isolated source reaches nothing and adds nothing
-        dist[source] = 0
-        sigma[source] = 1
-        order = [source]  # BFS order; the loop below appends while it reads
+        t = hub[source]
+        fold = folds.get(t)
+        if fold is not None:
+            ids, deps, around = fold
+            if t != source:
+                accum[t] += _leaf_dependency(adjacency[t], around, source)
+            for v, d in zip(ids, deps):
+                accum[v] += d
+            if last[t] == source:
+                del folds[t]
+                stored -= len(ids) + len(around)
+            continue
+        dist[t] = 0
+        sigma[t] = 1
+        order = [t]  # BFS order; the loop below appends while it reads
         for v in order:
             next_dist = dist[v] + 1
             paths = sigma[v]
@@ -106,8 +150,13 @@ def betweenness_centrality(graph: nx.Graph, *, index: NodeIndex | None = None) -
                 elif d == next_dist:
                     sigma[w] += paths
         # Dependencies in reverse BFS order. The predecessors of w are its
-        # neighbours one level up; the source has none and is skipped.
+        # neighbours one level up; the root has none and is skipped. A leaf
+        # has its parent's sigma and no dependency, so it adds exactly 1.0.
         for w in reversed(order[1:]):
+            p = parent[w]
+            if p >= 0:
+                delta[p] += 1.0
+                continue
             up = dist[w] - 1
             paths = sigma[w]
             weight = 1.0 + delta[w]
@@ -115,6 +164,15 @@ def betweenness_centrality(graph: nx.Graph, *, index: NodeIndex | None = None) -
                 if dist[v] == up:
                     delta[v] += (sigma[v] / paths) * weight
             accum[w] += delta[w]
+        row = adjacency[t]
+        if t != source:
+            accum[t] += _leaf_dependency(row, [delta[w] for w in row], source)
+        if last[t] != source and stored + len(order) + len(row) <= FOLD_STORE_CAP:
+            # Zero dependencies are left out: the sums never hold -0.0, so
+            # adding 0.0 would change nothing.
+            ids = array("l", [w for w in order[1:] if delta[w]])
+            folds[t] = (ids, array("d", [delta[w] for w in ids]), array("d", [delta[w] for w in row]))
+            stored += len(ids) + len(row)
         for v in order:
             dist[v] = -1
             sigma[v] = 0
@@ -124,6 +182,17 @@ def betweenness_centrality(graph: nx.Graph, *, index: NodeIndex | None = None) -
     # and the (n-1)(n-2)/2 normalizer combine into one factor.
     scale = 1.0 / ((n - 1) * (n - 2))
     return {node: value * scale for node, value in zip(nodes, accum)}
+
+
+def _leaf_dependency(row: list[int], around, leaf: int) -> float:
+    """A folded leaf's dependency on its hub: 1.0 + delta_w summed over the
+    hub's other neighbours w in descending id order (reverse BFS order from
+    the leaf), where around[i] is the hub BFS's delta of row[i]."""
+    total = 0.0
+    for w, d in zip(reversed(row), reversed(around)):
+        if w != leaf:
+            total += 1.0 + d
+    return total
 
 
 def eigenvector_centrality(

@@ -58,17 +58,11 @@ class PairSyncCounts:
     def get(self, u: str, v: str, action_type: str) -> int:
         return self._table.get(pair_key(u, v), {}).get(action_type, 0)
 
-    def actions(self, pair: tuple[str, str]) -> dict[str, int]:
-        return dict(self._table.get(pair, {}))
-
     def s_total(self, pair: tuple[str, str]) -> int:
         return sum(self._table.get(pair, {}).values())
 
     def num_action_types(self, pair: tuple[str, str]) -> int:
         return len(self._table.get(pair, {}))
-
-    def pairs(self) -> list[tuple[str, str]]:
-        return sorted(self._table)
 
     def items(self) -> list[tuple[tuple[str, str], dict[str, int]]]:
         """Sorted (pair, {action_type: count}) items; the dicts are the table's own."""

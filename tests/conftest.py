@@ -61,7 +61,7 @@ def normalize_counts(
     """
     if strategy not in NORMALIZATIONS:
         raise ValueError(f"unknown normalization: {strategy}")
-    table = {pair: counts.actions(pair) for pair in counts.pairs()}
+    table = dict(counts.items())
     if strategy == "none":
         return {
             pair: {a: float(s) for a, s in sorted(actions.items())}
@@ -97,7 +97,7 @@ def compute_pair_scores(
     normalized = normalize_counts(counts, config.normalization)
     return {
         pair: csi_userpair(normalized, pair, config.pair_formula)
-        for pair in counts.pairs()
+        for pair, _ in counts.items()
     }
 
 
@@ -138,7 +138,7 @@ def oracle_tables(counts: PairSyncCounts, config: CsiConfig | None = None) -> Cs
     user_scores = csi_user(pair_scores, counts)
     network = csi_network(user_scores)
     per_action: dict[str, float] = {}
-    present = sorted({a for pair in counts.pairs() for a in counts.actions(pair)})
+    present = sorted({a for _, actions in counts.items() for a in actions})
     for action_type in present:
         per_action[action_type] = csi_single_action(counts, action_type, config)
     return CsiTables(

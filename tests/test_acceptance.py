@@ -175,8 +175,8 @@ def test_criterion_06_monotonicity_suite():
 
             before = detect(actions)
             after = detect(actions + [extra])
-            for pair in before.pairs():
-                for action, count in before.actions(pair).items():
+            for pair, actions in before.items():
+                for action, count in actions.items():
                     assert after.get(pair[0], pair[1], action) >= count
 
             before_scores = compute_tables(before).pair_scores if before else {}

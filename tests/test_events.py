@@ -4,11 +4,13 @@ import io
 import json
 import logging
 import random
+import re
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from syncindex.events import (
+    MAX_TIMESTAMP,
     ArtifactError,
     CorpusRejectedError,
     EventDataset,
@@ -96,6 +98,35 @@ class TestParse:
         assert dataset.malformed == 1
         assert len(dataset.posts) == 2
 
+    @pytest.mark.parametrize(
+        "raw, expected",
+        [
+            (MAX_TIMESTAMP, MAX_TIMESTAMP),
+            (MAX_TIMESTAMP + 1, None),
+            (MAX_TIMESTAMP + 0.5, MAX_TIMESTAMP),
+            (float(MAX_TIMESTAMP + 1), None),
+            (1e300, None),
+            (str(MAX_TIMESTAMP), MAX_TIMESTAMP),
+            (str(MAX_TIMESTAMP + 1), None),
+            ("99999999999999999999", None),
+            ("9999-12-31T23:59:59Z", MAX_TIMESTAMP),
+            ("9999-12-31T23:59:59.999999Z", MAX_TIMESTAMP),
+            ("9999-12-31T23:59:59-00:00:01", None),
+            ("9999-12-31T23:59:59-23:59", None),
+            ("1970-01-01T00:00:00Z", 0),
+            ("1969-12-31T23:59:59.5Z", None),
+            (-0.5, None),
+        ],
+    )
+    def test_timestamp_bounds_on_every_path(self, raw, expected):
+        dataset = parse_events([post_line(), post_line(post_id="p2", timestamp=raw)])
+        if expected is None:
+            assert dataset.malformed == 1
+            assert [p.post_id for p in dataset.posts] == ["p1"]
+        else:
+            assert dataset.malformed == 0
+            assert {p.post_id: p.timestamp for p in dataset.posts}["p2"] == expected
+
     def test_unknown_post_type_rejected(self):
         dataset = parse_events([post_line(), post_line(post_id="p2"), post_line(post_id="p3", post_type="story")])
         assert dataset.malformed == 1
@@ -144,6 +175,65 @@ class TestParse:
         )
         dataset = parse_events(io.StringIO(text), format="csv")
         assert len(dataset.interactions) == 1
+
+
+# Raw lines for the counting property: arbitrary text (lone surrogates
+# included), JSON records whose fields are drawn from a few ids, types and
+# timestamps of every kind (so duplicates, self-interactions and every
+# malformed case occur), deep nesting and integers beyond the digit limit.
+_ids = st.one_of(st.sampled_from(["a", "b", " a ", "a\x01", "\ud800", ""]), st.text(max_size=4))
+_timestamps = st.one_of(
+    st.integers(-10, 2 * MAX_TIMESTAMP), st.floats(), st.text(max_size=12),
+    st.sampled_from(["1970-01-01T00:00:05Z", "9999-12-31T23:59:59-23:59", str(MAX_TIMESTAMP)]),
+    st.none(), st.lists(st.integers(), max_size=1),
+)
+_post_lines = st.fixed_dictionaries(
+    {
+        "post_id": _ids,
+        "user_id": _ids,
+        "timestamp": _timestamps,
+        "post_type": st.sampled_from(["original", "reply", "x"]),
+    },
+    optional={"hashtags": st.one_of(st.lists(_ids, max_size=3), _ids), "lang": st.one_of(_ids, st.integers())},
+).map(json.dumps)
+_interaction_lines = st.fixed_dictionaries(
+    {"source_user": _ids, "target_user": _ids, "timestamp": _timestamps,
+     "interaction_type": st.sampled_from(["reply", "mention", "like"])}
+).map(json.dumps)
+_raw_lines = st.one_of(
+    st.text(st.one_of(st.characters(), st.sampled_from("{}[]\":,\udcff"))),
+    _post_lines,
+    _interaction_lines,
+    st.sampled_from([10, 5_000]).map(lambda depth: "[" * depth),
+    st.integers(4000, 5000).map(lambda digits: '{"timestamp": ' + "7" * digits + "}"),
+)
+
+
+class _Records(logging.Handler):
+    def __init__(self):
+        super().__init__()
+        self.messages = []
+
+    def emit(self, record):
+        self.messages.append(record.getMessage())
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_raw_lines, max_size=10))
+def test_any_lines_are_counted_or_the_corpus_rejected(lines):
+    handler = _Records()
+    events_logger = logging.getLogger("syncindex.events")
+    events_logger.addHandler(handler)
+    try:
+        dataset = parse_events(lines)
+    except CorpusRejectedError:
+        return
+    finally:
+        events_logger.removeHandler(handler)
+    dropped = [re.match(r"dropped (\d+) self-interaction", message) for message in handler.messages]
+    dropped_self = sum(int(match.group(1)) for match in dropped if match)
+    nonblank = sum(1 for line in lines if line.strip())
+    assert len(dataset.posts) + len(dataset.interactions) + dataset.malformed == nonblank - dropped_self
 
 
 class TestUndecodableBytes:
@@ -198,6 +288,44 @@ class TestUndecodableBytes:
         assert [p.post_id for p in dataset.posts] == ["p1"]
         assert dataset.interactions == ()
         assert dataset.malformed == 1
+
+    @pytest.mark.parametrize("char", ["\x00", "\x01", "\x08", "\x0b", "\x0c", "\x0e", "\x1f", "\ufffe", "\uffff"])
+    @pytest.mark.parametrize(
+        "field",
+        ["user_id", "post_id", "hashtag", "lang", "target_user", "interaction_type"],
+    )
+    def test_character_xml_forbids_is_malformed(self, tmp_path, field, char):
+        text = f"a{char}b"
+        if field == "hashtag":
+            bad = post_line(post_id="p2", hashtags=["#ok", "#" + text])
+        elif field in ("target_user", "interaction_type"):
+            record = {"source_user": "alice", "target_user": "bob", "interaction_type": "reply", "timestamp": 5}
+            record[field] = "reply" + char if field == "interaction_type" else text
+            bad = json.dumps(record)
+        else:
+            bad = post_line(**{"post_id": "p2", field: text})
+        path = tmp_path / "events.jsonl"
+        path.write_text(post_line() + "\n" + bad + "\n", encoding="utf-8")
+        dataset = read_events_file(path)
+        assert [p.post_id for p in dataset.posts] == ["p1"]
+        assert dataset.interactions == ()
+        assert dataset.malformed == 1
+
+    def test_control_character_in_csv_cell_is_malformed(self, tmp_path):
+        path = tmp_path / "events.csv"
+        path.write_text(
+            "post_id,user_id,timestamp,post_type\np1,alice,100,original\np2,a\x01b,100,original\n",
+            encoding="utf-8",
+        )
+        dataset = read_events_file(path)
+        assert [p.post_id for p in dataset.posts] == ["p1"]
+        assert dataset.malformed == 1
+
+    def test_xml_allowed_characters_are_kept(self):
+        ids = ["a\tb", "a\x7fb", "a\x85b", "a\u200bb", "a\ue000b", "a\U0001f600b"]
+        dataset = parse_events([post_line(post_id=f"p{i}", user_id=uid) for i, uid in enumerate(ids)])
+        assert dataset.malformed == 0
+        assert sorted(p.user_id for p in dataset.posts) == sorted(ids)
 
     def test_multibyte_utf8_is_not_malformed(self, tmp_path):
         path = tmp_path / "events.jsonl"

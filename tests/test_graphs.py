@@ -1,13 +1,14 @@
 from __future__ import annotations
 
+import json
 import random
 
 import networkx as nx
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from conftest import induced_subgraph, printable_ids
-from syncindex.events import InteractionRecord
+from conftest import induced_subgraph
+from syncindex.events import CorpusRejectedError, InteractionRecord, parse_events
 from syncindex.graphs import (
     build_allcomm_graph,
     build_sync_graph,
@@ -16,9 +17,25 @@ from syncindex.graphs import (
 )
 
 
-# GraphML ids: printable ids plus XML's special characters. XML 1.0 forbids U+FFFE and U+FFFF.
-graphml_ids = st.builds(str.__add__, printable_ids, st.text(st.sampled_from("&<>'"))).filter(
-    lambda text: "\ufffe" not in text and "\uffff" not in text
+def parsed_user_id(text: str) -> str | None:
+    """The user id the event parser keeps for text, or None when it rejects it."""
+    line = json.dumps({"post_id": "p", "user_id": text, "timestamp": 0, "post_type": "original"})
+    try:
+        return parse_events([line]).posts[0].user_id
+    except CorpusRejectedError:
+        return None
+
+
+# Any id the parser accepts: arbitrary text with XML's special characters,
+# the controls XML allows (escaped in attributes) and some it forbids,
+# which the parser rejects.
+graphml_ids = (
+    st.text(
+        st.one_of(st.characters(), st.sampled_from("&<>'\",\t\n\r\x00\x01\x0b\x7f\x85\ud800\ufffe\uffff")),
+        min_size=1,
+    )
+    .map(parsed_user_id)
+    .filter(lambda user_id: user_id is not None)
 )
 
 
@@ -169,6 +186,7 @@ class TestExport:
         st.sampled_from(["bot", "human", "unknown"]),
     )
     def test_graphml_round_trips_any_printable_id(self, tmp_path, pairs, user_class):
+        """Any id the event parser accepts, printable or not, reads back unchanged."""
         scores = {(u, v): 1.5 + i for i, (u, v) in enumerate(pairs) if u != v}
         users = {u for pair in scores for u in pair}
         graph = build_sync_graph(

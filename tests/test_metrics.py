@@ -2,13 +2,17 @@ from __future__ import annotations
 
 import math
 import random
+import tracemalloc
+from unittest import mock
 
 import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import bfs_hierarchy, dict_betweenness, dict_eigenvector, naive_betweenness, random_graph
+from syncindex import metrics as metricmod
 from syncindex.metrics import (
+    FOLD_STORE_CAP,
     MetricUndefinedError,
     PowerIterationError,
     avg_local_clustering,
@@ -22,6 +26,7 @@ from syncindex.metrics import (
     louvain_partition,
     newman_modularity,
     node_centralities,
+    node_index,
     transitivity,
     triangle_counts,
 )
@@ -143,6 +148,53 @@ def multi_component_graphs(draw):
     return graph
 
 
+@st.composite
+def leafy_graphs(draw):
+    """Graphs made mostly of leaves: random trees (with up to two chords),
+    stars, combs, K2 components and isolated nodes, with interleaved ids.
+
+    A comb is a path whose every node carries one leaf; its parent ids sort
+    either all before or all after its leaf ids.
+    """
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    serial = iter(range(1_000_000))
+
+    def fresh(letters: str) -> str:
+        return f"{rng.choice(letters)}{next(serial)}"
+
+    graph = nx.Graph()
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["tree", "star", "comb", "k2", "isolated"]))
+        size = draw(st.integers(1, 10))
+        if kind == "tree":
+            nodes = [fresh("abxyz") for _ in range(size + 1)]
+            graph.add_edges_from((nodes[i], rng.choice(nodes[:i])) for i in range(1, len(nodes)))
+            for _ in range(rng.randrange(3)):
+                graph.add_edge(*rng.sample(nodes, 2))
+        elif kind == "star":
+            center = fresh("abxyz")
+            graph.add_edges_from((center, fresh("abxyz")) for _ in range(size))
+        elif kind == "comb":
+            parents, leaves = ("ab", "yz") if draw(st.booleans()) else ("yz", "ab")
+            spine = [fresh(parents) for _ in range(size)]
+            nx.add_path(graph, spine)
+            graph.add_edges_from((node, fresh(leaves)) for node in spine)
+        elif kind == "k2":
+            graph.add_edge(fresh("abxyz"), fresh("abxyz"))
+        else:
+            graph.add_node(fresh("abxyz"))
+    return graph
+
+
+def comb(spine: int) -> nx.Graph:
+    """A path of spine parents, each with one leaf; every parent id sorts
+    before every leaf id, so every folded hub's data is wanted at once."""
+    graph = nx.Graph()
+    nx.add_path(graph, [f"p{i:05d}" for i in range(spine)])
+    graph.add_edges_from((f"p{i:05d}", f"q{i:05d}") for i in range(spine))
+    return graph
+
+
 def hexed(values: dict) -> dict:
     return {node: value.hex() for node, value in values.items()}
 
@@ -171,6 +223,35 @@ class TestKernelsMatchDictOracles:
             shared = node_centralities(graph)
             assert hexed(shared.eigenvector) == hexed(expected)
             assert hexed(shared.betweenness) == hexed(dict_betweenness(graph))
+
+    # cap 0 recomputes every folded hub at each of its users; 12 keeps the
+    # data of small hubs and recomputes the larger ones.
+    @pytest.mark.parametrize("cap", [FOLD_STORE_CAP, 0, 12], ids=["default-cap", "cap-0", "cap-12"])
+    @settings(max_examples=200, deadline=None)
+    @given(graph=leafy_graphs())
+    def test_betweenness_bit_identical_on_leafy_graphs(self, graph, cap):
+        expected = hexed(dict_betweenness(graph))
+        with mock.patch.object(metricmod, "FOLD_STORE_CAP", cap):
+            assert hexed(betweenness_centrality(graph)) == expected
+
+    def test_comb_peak_memory_within_store_cap(self):
+        graph = comb(600)  # 1,200 nodes; each parent's data lives until its leaf's turn
+        index = node_index(graph)
+        with mock.patch.object(metricmod, "FOLD_STORE_CAP", 0):
+            recomputed = betweenness_centrality(graph, index=index)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            folded = betweenness_centrality(graph, index=index)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert hexed(folded) == hexed(recomputed)
+        # At most 16 bytes per stored entry, plus 512 bytes per node for what
+        # the kernel holds besides the entries: its per-node lists, floats and
+        # result, and the array headers of each hub's stored data. Keeping
+        # every hub's data would take about 5.8 MiB here.
+        assert peak <= 16 * FOLD_STORE_CAP + 512 * graph.number_of_nodes()
 
 
 class TestModularity:

@@ -405,6 +405,22 @@ class TestCli:
         assert (out / "report.csv").exists()
         assert (out / "report.json").exists()
 
+    def test_control_character_id_is_one_malformed_line(self, tmp_path, capsys):
+        lines = [
+            json.dumps({"post_id": f"p{i}", "user_id": user, "timestamp": 100 + i, "post_type": "original",
+                        "hashtags": ["#same"]})
+            for i, user in enumerate(("a\u0001b", "c", "d"))
+        ]
+        events = tmp_path / "events.jsonl"
+        events.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out"
+
+        assert cli.main(["report", "--events", str(events), "--out", str(out)]) == 0
+        assert json.loads((out / "report.json").read_text())["counts"]["malformed_lines"] == 1
+        graph = nx.read_graphml(out / "sync.graphml")
+        assert sorted(graph.nodes) == ["c", "d"]
+        capsys.readouterr()
+
     def test_unconverged_eigenvector_reported_as_null(self, tmp_path, capsys):
         # Two reply chains (7 and 6 users) have close spectral radii, so power
         # iteration does not converge within its budget; s1 and s2 share a hashtag.

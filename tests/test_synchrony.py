@@ -52,8 +52,8 @@ class TestDetect:
     def test_three_users_make_three_pairs(self):
         counts = detect([rec("u", 10), rec("v", 20), rec("w", 30)])
         assert len(counts) == 3
-        for pair in counts.pairs():
-            assert counts.actions(pair) == {"hashtag": 1}
+        for _, actions in counts.items():
+            assert actions == {"hashtag": 1}
 
     def test_repeat_user_counts_once_per_group(self):
         counts = detect([rec("u", 10), rec("u", 20), rec("v", 30)])
@@ -61,7 +61,7 @@ class TestDetect:
 
     def test_action_types_independent(self):
         counts = detect([rec("u", 10), rec("v", 20), rec("u", 30, action="url"), rec("v", 40, action="url")])
-        assert counts.actions(pair_key("u", "v")) == {"hashtag": 1, "url": 1}
+        assert counts.items() == [(pair_key("u", "v"), {"hashtag": 1, "url": 1})]
 
     def test_empty_input(self):
         assert not detect([])
@@ -87,8 +87,8 @@ class TestDetect:
         anchor = rng.choice(actions)
         extra = ActionRecord("zz_new", anchor.timestamp, anchor.action_type, anchor.artifact_id)
         after = detect(actions + [extra])
-        for pair in before.pairs():
-            for action, count in before.actions(pair).items():
+        for pair, actions in before.items():
+            for action, count in actions.items():
                 assert after.get(pair[0], pair[1], action) >= count
 
 
