@@ -18,7 +18,7 @@ from typing import Iterable, Mapping
 import networkx as nx
 
 from . import metrics
-from .events import _undecodable
+from .events import _xml_forbidden
 
 logger = logging.getLogger(__name__)
 
@@ -69,7 +69,8 @@ class BotScoreTable:
 def load_bot_scores(path: str | Path, threshold: float = DEFAULT_THRESHOLD) -> BotScoreTable:
     """Read the user_id,score CSV (header required); invalid rows are rejected.
 
-    A row whose user id is not valid UTF-8 is one rejected row.
+    A row whose user id is not valid UTF-8 or holds another character XML 1.0
+    forbids is one rejected row.
     """
     scores: dict[str, float] = {}
     rejected = 0
@@ -82,7 +83,7 @@ def load_bot_scores(path: str | Path, threshold: float = DEFAULT_THRESHOLD) -> B
             user = (row.get("user_id") or "").strip()
             try:
                 score = float(row.get("score") or "")
-                if not 0.0 <= score <= 1.0 or not user or _undecodable(user):
+                if not 0.0 <= score <= 1.0 or not user or _xml_forbidden(user):
                     raise ValueError
             except ValueError:
                 rejected += 1
@@ -162,15 +163,27 @@ def centrality_by_class(
     return out
 
 
-def clustering_by_class(sync_graph: nx.Graph, table: BotScoreTable) -> dict[str, float]:
-    """Transitivity of each class-induced subgraph; empty classes are absent."""
-    out: dict[str, float] = {}
-    for cls in ("bot", "human"):
-        nodes = [n for n in sync_graph.nodes if table.classify(n) == cls]
-        if not nodes:
-            continue
-        out[cls] = metrics.transitivity(sync_graph.subgraph(nodes))
-    return out
+def class_triangle_totals(bits: metrics.NeighbourBits, table: BotScoreTable) -> dict[str, tuple[int, int]]:
+    """Per class, the triangle and connected-triple totals of triangle_counts
+    on the class-induced subgraph; empty classes are absent."""
+    members = {"bot": 0, "human": 0}
+    for i, node in enumerate(bits.nodes):
+        cls = table.classify(node)
+        if cls in members:
+            members[cls] |= 1 << i
+    return {cls: metrics.induced_triangle_totals(bits, mask) for cls, mask in members.items() if mask}
+
+
+def clustering_by_class(
+    sync_graph: nx.Graph, table: BotScoreTable, *, totals: dict[str, tuple[int, int]] | None = None
+) -> dict[str, float]:
+    """Transitivity of each class-induced subgraph; empty classes are absent.
+
+    totals, when given, must be class_triangle_totals(metrics.neighbour_bits(sync_graph), table).
+    """
+    if totals is None:
+        totals = class_triangle_totals(metrics.neighbour_bits(sync_graph), table)
+    return {cls: triangles / triples if triples else 0.0 for cls, (triangles, triples) in totals.items()}
 
 
 def user_classes(users: Iterable[str], table: BotScoreTable) -> dict[str, str]:

@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .events import ACTION_TYPES
+from .events import ACTION_TYPES, csv_id
 from .synchrony import PairSyncCounts
 
 PAIR_FORMULAS = ("anchored", "prose", "literal")
@@ -155,12 +155,14 @@ def _finite_score(row: dict, column: str, path: str | Path, line: int) -> float:
 
 
 def read_pair_scores_csv(path: str | Path) -> dict[tuple[str, str], float]:
+    scores = {}
     with Path(path).open("r", encoding="utf-8", newline="") as handle:
         reader = csv.DictReader(handle)
-        return {
-            (row["user_u"], row["user_v"]): _finite_score(row, "csi_userpair", path, reader.line_num)
-            for row in reader
-        }
+        for row in reader:
+            line = reader.line_num
+            pair = (csv_id(row, "user_u", path, line), csv_id(row, "user_v", path, line))
+            scores[pair] = _finite_score(row, "csi_userpair", path, line)
+    return scores
 
 
 def write_user_scores_csv(tables: CsiTables, path: str | Path) -> Path:
@@ -177,7 +179,8 @@ def read_user_scores_csv(path: str | Path) -> dict[str, float]:
     with Path(path).open("r", encoding="utf-8", newline="") as handle:
         reader = csv.DictReader(handle)
         return {
-            row["user_id"]: _finite_score(row, "csi_user", path, reader.line_num) for row in reader
+            csv_id(row, "user_id", path, reader.line_num): _finite_score(row, "csi_user", path, reader.line_num)
+            for row in reader
         }
 
 

@@ -123,9 +123,23 @@ def _valid_str(value: str, name: str) -> str:
     That covers control characters such as "\\x01" and lone surrogates (a
     JSON escape such as "\\ud800"), which no export could carry.
     """
-    if not value.isprintable() and _XML_FORBIDDEN.search(value):
+    if _xml_forbidden(value):
         raise ValueError(f"{name} holds a character XML 1.0 forbids")
     return value.strip()
+
+
+def _xml_forbidden(text: str) -> bool:
+    """True when text holds a character XML 1.0 forbids."""
+    return not text.isprintable() and _XML_FORBIDDEN.search(text) is not None
+
+
+def csv_id(row: dict, column: str, path: str | Path, line: int) -> str:
+    """row[column] of a stage CSV; ValueError naming the file and line when it
+    holds a character XML 1.0 forbids, which no GraphML export could carry."""
+    value = row[column]
+    if _xml_forbidden(value):
+        raise ValueError(f"{path}: line {line}: {column} holds a character XML 1.0 forbids")
+    return value
 
 
 def _required_str(obj: dict, key: str) -> str:

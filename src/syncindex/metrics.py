@@ -27,12 +27,29 @@ FOLD_STORE_CAP entries are kept at once, and a hub that does not fit is
 recomputed at each of its users. In back-propagation a leaf other than the
 root has its parent's sigma and no dependency, so it adds exactly 1.0 to
 its parent and nothing to the sums.
+
+louvain_partition is networkx's louvain_communities(weight=None, seed) on
+the graph relabeled to sorted integer indices, replayed move for move on
+integer lists and dicts, so its partition equals the installed networkx's
+on every graph. It keeps each order networkx has: the relabeled graph's
+edges in graph.edges order, the weight-1 copy's adjacency insertion order,
+one random.Random(seed) shuffling the nodes at each level, a node's
+candidate communities in the order its neighbours first reach them (its
+own appended last when absent), the remove_cost and gain expressions as
+written, community graphs merging edges in edge order, and a stop test that
+sums modularity community by community with threshold 1e-7.
+
+Triangle counts are exact integers from int bitsets (NeighbourBits): each
+edge (a, b) adds (mask_a & mask_b).bit_count() to both ends, which counts
+every triangle at a node twice. Counts on a class-induced subgraph AND the
+same masks with a class mask.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+import random
 from array import array
 from dataclasses import dataclass
 
@@ -307,26 +324,119 @@ def newman_modularity(graph: nx.Graph, partition: dict[str, int]) -> float:
 
 
 def louvain_partition(graph: nx.Graph, seed: int = 0) -> dict[str, int]:
-    """Greedy modularity partition (unweighted, seeded, deterministic).
+    """Greedy modularity partition (Blondel et al. 2008; unweighted, seeded).
 
-    Community ids are assigned 0..k-1 in order of each community's smallest
-    member. Nodes are relabeled to sorted integer indices first so results
-    do not depend on string hash randomization.
+    The partition is networkx's louvain_communities(weight=None, seed=seed,
+    resolution 1, threshold 1e-7) on the graph relabeled to sorted integer
+    indices (edges added in graph.edges order), replayed move for move on
+    integer lists; see the module docstring. Community ids are assigned
+    0..k-1 in order of each community's smallest member.
     """
     if graph.number_of_edges() == 0:
         raise MetricUndefinedError("community detection needs at least one edge")
     nodes = sorted(graph.nodes)
     index = {node: i for i, node in enumerate(nodes)}
-    relabeled = nx.Graph()
-    relabeled.add_nodes_from(range(len(nodes)))
-    relabeled.add_edges_from((index[u], index[v]) for u, v in graph.edges)
-    communities = nx.community.louvain_communities(relabeled, weight=None, seed=seed)
-    groups = sorted((sorted(c) for c in communities), key=lambda c: c[0])
-    partition: dict[str, int] = {}
-    for community_id, group in enumerate(groups):
-        for i in group:
-            partition[nodes[i]] = community_id
-    return partition
+    relabeled: list[dict[int, None]] = [{} for _ in nodes]
+    for u, v in graph.edges:
+        a, b = index[u], index[v]
+        relabeled[a][b] = relabeled[b][a] = None
+    # The weight-1 copy adds the relabeled graph's edges in its edge order:
+    # ascending lower end, then that end's adjacency order.
+    adjacency: list[dict[int, int]] = [{} for _ in nodes]
+    for a, row in enumerate(relabeled):
+        for b in row:
+            if b >= a:
+                adjacency[a][b] = adjacency[b][a] = 1
+    del relabeled
+    degrees = _weighted_degrees(adjacency)
+    m = sum(degrees) / 2
+    norm = 1 / sum(degrees) ** 2
+    mod = _singleton_modularity(adjacency, degrees, m, norm)
+    rng = random.Random(seed)
+    label = list(range(len(nodes)))  # original node -> node of the current level
+    level = 0
+    while True:
+        com, moved = _louvain_level(adjacency, degrees, m, rng)
+        if level and not moved:
+            break
+        # Non-empty communities in ascending index order become the nodes of
+        # the community graph, which merges edges in edge order: a merged edge
+        # keeps the adjacency position of its first member, and the edges
+        # inside a community become its self-loop.
+        renumber = {c: i for i, c in enumerate(sorted(set(com)))}
+        com = [renumber[c] for c in com]
+        label = [com[x] for x in label]
+        merged: list[dict[int, int]] = [{} for _ in renumber]
+        for u, row in enumerate(adjacency):
+            cu = com[u]
+            for v, w in row.items():
+                if v >= u:
+                    cv = com[v]
+                    merged[cu][cv] = merged[cv][cu] = w + merged[cu].get(cv, 0)
+        adjacency = merged
+        degrees = _weighted_degrees(adjacency)
+        # The partition's modularity is its community graph's singleton modularity.
+        new_mod = _singleton_modularity(adjacency, degrees, m, norm)
+        if new_mod - mod <= 1e-7:
+            break
+        mod = new_mod
+        level += 1
+    ids: dict[int, int] = {}
+    return {node: ids.setdefault(c, len(ids)) for node, c in zip(nodes, label)}
+
+
+def _weighted_degrees(adjacency: list[dict[int, int]]) -> list[int]:
+    """Edge-weight sums per node; a self-loop counts twice."""
+    return [sum(row.values()) + row.get(u, 0) for u, row in enumerate(adjacency)]
+
+
+def _singleton_modularity(adjacency: list[dict[int, int]], degrees: list[int], m: float, norm: float) -> float:
+    """Modularity of the partition into single nodes, summed in node order as
+    networkx's modularity sums communities."""
+    return sum(row.get(u, 0) / m - d * d * norm for u, (row, d) in enumerate(zip(adjacency, degrees)))
+
+
+def _louvain_level(
+    adjacency: list[dict[int, int]], degrees: list[int], m: float, rng: random.Random
+) -> tuple[list[int], bool]:
+    """One Louvain level: local moves until none improves modularity.
+
+    Returns each node's community index (a node index) and whether any node
+    moved. Nodes are visited in rng-shuffled order; a node's candidate
+    communities are its neighbours' in adjacency order, then its own when no
+    neighbour shares it; the first strictly best gain wins.
+    """
+    neighbours = [[(v, w) for v, w in row.items() if v != u] for u, row in enumerate(adjacency)]
+    node2com = list(range(len(adjacency)))
+    stot = list(degrees)
+    order = list(range(len(adjacency)))
+    rng.shuffle(order)
+    scale = 2 * m**2
+    moved = False
+    moves = 1
+    while moves:
+        moves = 0
+        for u in order:
+            best_mod = 0
+            best = own = node2com[u]
+            weights: dict[int, float] = {}
+            for v, w in neighbours[u]:
+                c = node2com[v]
+                weights[c] = weights.get(c, 0.0) + w
+            degree = degrees[u]
+            stot[own] -= degree
+            remove_cost = -weights.setdefault(own, 0.0) / m + (stot[own] * degree) / scale
+            for c, w in weights.items():
+                gain = remove_cost + w / m - (stot[c] * degree) / scale
+                if gain > best_mod:
+                    best_mod = gain
+                    best = c
+            stot[best] += degree
+            if best != own:
+                node2com[u] = best
+                moved = True
+                moves += 1
+    return node2com, moved
 
 
 def krackhardt_hierarchy(
@@ -369,27 +479,86 @@ def krackhardt_hierarchy(
     return 1.0
 
 
-def triangle_counts(graph: nx.Graph) -> tuple[dict[str, int], dict[str, int]]:
+@dataclass(frozen=True)
+class NeighbourBits:
+    """A graph's adjacency as int bitsets over sorted node indices.
+
+    Bit j of masks[i] is set when nodes[j] is a neighbour of nodes[i]. A
+    self-loop sets no bit; its node is listed in loops. edges lists every
+    other edge once, as (i, j) with i < j.
+    """
+
+    nodes: list
+    masks: list[int]
+    edges: list[tuple[int, int]]
+    loops: list[int]
+
+
+def neighbour_bits(graph: nx.Graph) -> NeighbourBits:
+    nodes = sorted(graph.nodes)
+    index = {node: i for i, node in enumerate(nodes)}
+    masks = [0] * len(nodes)
+    edges = []
+    loops = []
+    for u, v in graph.edges:
+        a, b = index[u], index[v]
+        if a == b:
+            loops.append(a)
+            continue
+        if a > b:
+            a, b = b, a
+        masks[a] |= 1 << b
+        masks[b] |= 1 << a
+        edges.append((a, b))
+    return NeighbourBits(nodes=nodes, masks=masks, edges=edges, loops=loops)
+
+
+def _triangle_lists(bits: NeighbourBits, members: int = -1) -> tuple[list[int], list[int]]:
+    """Per node index, the two counts of triangle_counts on the subgraph
+    induced by members (a bitset of node indices; -1 is every node). Nodes
+    outside it count 0.
+
+    Each edge (a, b) adds the number of common neighbours to both ends, so
+    every node receives each of its triangles twice. A node with a self-loop
+    is its own neighbour: each other neighbour closes a pair with it.
+    """
+    masks = bits.masks
+    if members != -1:
+        masks = [mask & members if members >> i & 1 else 0 for i, mask in enumerate(masks)]
+    twice = [0] * len(masks)
+    for a, b in bits.edges:
+        common = (masks[a] & masks[b]).bit_count()
+        twice[a] += common
+        twice[b] += common
+    triangles = [count >> 1 for count in twice]
+    degrees = [mask.bit_count() for mask in masks]
+    for x in bits.loops:
+        if members >> x & 1:
+            triangles[x] += degrees[x]
+            degrees[x] += 1
+    return triangles, [d * (d - 1) // 2 for d in degrees]
+
+
+def triangle_counts(
+    graph: nx.Graph, *, bits: NeighbourBits | None = None
+) -> tuple[dict[str, int], dict[str, int]]:
     """Per node: number of edges among its neighbors, and C(degree, 2).
 
     transitivity and avg_local_clustering both derive from these counts;
-    pass them in to count once for both.
+    pass them in to count once for both. bits, when given, must be
+    neighbour_bits(graph).
     """
-    adjacency = {node: set(graph.adj[node]) for node in graph.nodes}
-    triangles: dict[str, int] = {}
-    triples: dict[str, int] = {}
-    for node in graph.nodes:
-        neighbors = sorted(adjacency[node])
-        degree = len(neighbors)
-        triples[node] = degree * (degree - 1) // 2
-        count = 0
-        for i, u in enumerate(neighbors):
-            adj_u = adjacency[u]
-            for v in neighbors[i + 1 :]:
-                if v in adj_u:
-                    count += 1
-        triangles[node] = count
-    return triangles, triples
+    if bits is None:
+        bits = neighbour_bits(graph)
+    triangles, triples = _triangle_lists(bits)
+    return dict(zip(bits.nodes, triangles)), dict(zip(bits.nodes, triples))
+
+
+def induced_triangle_totals(bits: NeighbourBits, members: int) -> tuple[int, int]:
+    """Sums of both triangle_counts over the subgraph induced by members, a
+    bitset of indices into bits.nodes."""
+    triangles, triples = _triangle_lists(bits, members)
+    return sum(triangles), sum(triples)
 
 
 def transitivity(graph: nx.Graph, counts: tuple[dict, dict] | None = None) -> float:

@@ -168,7 +168,8 @@ def structure_section(
     if sync.number_of_edges() == 0:
         return None
     partition = metricmod.louvain_partition(sync, seed=seed)
-    counts = metricmod.triangle_counts(sync)
+    bits = metricmod.neighbour_bits(sync)
+    counts = metricmod.triangle_counts(sync, bits=bits)
     section = {
         "density": metricmod.density(sync),
         "modularity": metricmod.newman_modularity(sync, partition),
@@ -180,11 +181,9 @@ def structure_section(
     }
     no_triples = [] if any(counts[1].values()) else ["sync"]
     if bot_table is not None:
-        by_class = section["clustering_by_class"] = botmod.clustering_by_class(sync, bot_table)
-        for cls in [cls for cls, value in by_class.items() if value == 0.0]:
-            subgraph = sync.subgraph(n for n in sync if bot_table.classify(n) == cls)
-            if all(degree < 2 for _, degree in subgraph.degree()):
-                no_triples.append(cls)
+        totals = botmod.class_triangle_totals(bits, bot_table)
+        section["clustering_by_class"] = botmod.clustering_by_class(sync, bot_table, totals=totals)
+        no_triples += [cls for cls, (_, triples) in totals.items() if not triples]
     if no_triples:
         logger.warning("no connected triples: transitivity reported as 0 for %s", ", ".join(no_triples))
     return section
@@ -280,6 +279,7 @@ def run_pipeline(
     sync, pruned = sync_graphs(
         tables.pair_scores if tables is not None else {}, user_scores, bot_table, options.min_partners
     )
+    per_user = synchrony.user_action_type_counts(counts)
 
     report = EventReport(
         event_label=dataset.label or Path(events_path).stem,
@@ -294,7 +294,8 @@ def run_pipeline(
             "sync_pairs": len(counts),
         },
         action_type_participation={
-            str(level): value for level, value in synchrony.action_type_participation(counts).items()
+            str(level): value
+            for level, value in synchrony.action_type_participation(counts, per_user).items()
         },
         csi_network_combined=summary["csi_network"],
         csi_per_action=summary["per_action"],
@@ -309,9 +310,7 @@ def run_pipeline(
         centralities = allcomm_centralities(dataset)
         if centralities.eigenvector is None:
             notices.append("eigenvector centrality did not converge; reported as null")
-        participation = metricmod.centrality_by_action_type_count(
-            centralities, synchrony.user_action_type_counts(counts)
-        )
+        participation = metricmod.centrality_by_action_type_count(centralities, per_user)
     if tables is not None and bot_table is not None:
         report.avg_csi_userpair_by_pair_class = botmod.average_csi_by_pair_class(
             tables.pair_scores, bot_table

@@ -15,7 +15,7 @@ from itertools import combinations
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
-from .events import ActionRecord
+from .events import ActionRecord, csv_id
 
 BRUTE_FORCE_LIMIT = 10_000
 
@@ -166,9 +166,15 @@ def user_action_type_counts(counts: PairSyncCounts) -> dict[str, int]:
     return {user: len(types) for user, types in per_user.items()}
 
 
-def action_type_participation(counts: PairSyncCounts) -> dict[int, float]:
-    """Fraction of synchronizing users coordinating across 1, 2 and 3 action types."""
-    per_user = user_action_type_counts(counts)
+def action_type_participation(
+    counts: PairSyncCounts, per_user: dict[str, int] | None = None
+) -> dict[int, float]:
+    """Fraction of synchronizing users coordinating across 1, 2 and 3 action types.
+
+    per_user, when given, must be user_action_type_counts(counts).
+    """
+    if per_user is None:
+        per_user = user_action_type_counts(counts)
     if not per_user:
         return {}
     total = len(per_user)
@@ -192,7 +198,10 @@ def write_pair_counts_csv(counts: PairSyncCounts, path: str | Path) -> Path:
 def read_pair_counts_csv(path: str | Path) -> PairSyncCounts:
     counts = PairSyncCounts()
     with Path(path).open("r", encoding="utf-8", newline="") as handle:
-        for row in csv.DictReader(handle):
-            counts.add(row["user_u"], row["user_v"], row["action_type"], int(row["count"]))
+        reader = csv.DictReader(handle)
+        for row in reader:
+            u = csv_id(row, "user_u", path, reader.line_num)
+            v = csv_id(row, "user_v", path, reader.line_num)
+            counts.add(u, v, row["action_type"], int(row["count"]))
     return counts
 

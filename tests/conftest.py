@@ -355,3 +355,38 @@ def bfs_hierarchy(graph: nx.Graph, orientation: str, user_scores: dict[str, floa
                 reachable += 1
                 mutual += forward and backward
     return 1.0 if reachable == 0 else 1.0 - mutual / reachable
+
+
+def nx_louvain_partition(graph: nx.Graph, seed: int = 0) -> dict:
+    """louvain_partition's former definition: the installed networkx's
+    louvain_communities(weight=None) on the graph relabeled to sorted integer
+    indices, ids assigned in order of each community's smallest member."""
+    nodes = sorted(graph.nodes)
+    index = {node: i for i, node in enumerate(nodes)}
+    relabeled = nx.Graph()
+    relabeled.add_nodes_from(range(len(nodes)))
+    relabeled.add_edges_from((index[u], index[v]) for u, v in graph.edges)
+    communities = nx.community.louvain_communities(relabeled, weight=None, seed=seed)
+    groups = sorted((sorted(c) for c in communities), key=lambda c: c[0])
+    return {nodes[i]: community_id for community_id, group in enumerate(groups) for i in group}
+
+
+def set_triangle_counts(graph: nx.Graph) -> tuple[dict, dict]:
+    """triangle_counts' former set-based definition: per node, the edges among
+    its neighbours (a self-loop makes a node its own neighbour) and C(degree, 2)."""
+    adjacency = {node: set(graph.adj[node]) for node in graph.nodes}
+    triangles, triples = {}, {}
+    for node in graph.nodes:
+        neighbors = sorted(adjacency[node])
+        degree = len(neighbors)
+        triples[node] = degree * (degree - 1) // 2
+        triangles[node] = sum(
+            1 for i, u in enumerate(neighbors) for v in neighbors[i + 1 :] if v in adjacency[u]
+        )
+    return triangles, triples
+
+
+def set_transitivity(graph: nx.Graph) -> float:
+    triangles, triples = set_triangle_counts(graph)
+    total = sum(triples.values())
+    return sum(triangles.values()) / total if total else 0.0

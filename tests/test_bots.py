@@ -84,6 +84,13 @@ class TestLoad:
         assert set(t.scores) == {"alice"}
         assert t.rejected == 1
 
+    def test_xml_forbidden_id_row_rejected(self, tmp_path):
+        path = tmp_path / "bots.csv"
+        path.write_text("user_id,score\nalice,0.95\nb\x01b,0.10\nc\ufffe,0.2\n", encoding="utf-8")
+        t = load_bot_scores(path)
+        assert set(t.scores) == {"alice"}
+        assert t.rejected == 2
+
 
 class TestPairClassAverages:
     def test_hand_means(self):

@@ -241,6 +241,16 @@ class TestConfigAndIo:
         assert read_pair_scores_csv(pair_path) == tables.pair_scores
         assert read_user_scores_csv(user_path) == tables.user_scores
 
+    def test_xml_forbidden_ids_rejected_with_line(self, tmp_path):
+        pairs = tmp_path / "pairs.csv"
+        pairs.write_text("user_u,user_v,num_action_types,s_total,csi_userpair\na\x01b,c,1,1,1.0\n")
+        with pytest.raises(ValueError, match=r"pairs.csv: line 2: user_u holds a character XML 1.0 forbids"):
+            read_pair_scores_csv(pairs)
+        users = tmp_path / "users.csv"
+        users.write_text("user_id,csi_user\na,1.0\nb\x1f,1.0\n")
+        with pytest.raises(ValueError, match=r"users.csv: line 3: user_id holds a character XML 1.0 forbids"):
+            read_user_scores_csv(users)
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_user_scores_reject_non_finite(self, tmp_path, value):
         path = tmp_path / "users.csv"

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import math
 import random
 import tracemalloc
@@ -9,7 +10,17 @@ import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import bfs_hierarchy, dict_betweenness, dict_eigenvector, naive_betweenness, random_graph
+from conftest import (
+    bfs_hierarchy,
+    dict_betweenness,
+    dict_eigenvector,
+    naive_betweenness,
+    nx_louvain_partition,
+    random_graph,
+    set_transitivity,
+    set_triangle_counts,
+)
+from syncindex.bots import BotScoreTable, clustering_by_class
 from syncindex import metrics as metricmod
 from syncindex.metrics import (
     FOLD_STORE_CAP,
@@ -252,6 +263,86 @@ class TestKernelsMatchDictOracles:
         # result, and the array headers of each hub's stored data. Keeping
         # every hub's data would take about 5.8 MiB here.
         assert peak <= 16 * FOLD_STORE_CAP + 512 * graph.number_of_nodes()
+
+
+@st.composite
+def clustered_graphs(draw):
+    """Unweighted graphs of one to three components, each two clusters that
+    are dense inside and sparse between, plus self-loops and isolated nodes.
+
+    Nodes and edges are added in shuffled orders under shuffled string ids,
+    and each edge's endpoints in either order.
+    """
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    ids = [f"{rng.choice('abxyz')}{i}" for i in range(draw(st.integers(2, 40)))]
+    rng.shuffle(ids)
+    components = draw(st.integers(1, 3))
+    cluster = {node: rng.randrange(2 * components) for node in ids}
+    inside, between = draw(st.sampled_from([(0.6, 0.05), (0.3, 0.1), (0.2, 0.2)]))
+    edges = []
+    for i, u in enumerate(ids):
+        for v in ids[i + 1 :]:
+            if cluster[u] // 2 == cluster[v] // 2:
+                if rng.random() < (inside if cluster[u] == cluster[v] else between):
+                    edges.append((u, v) if rng.random() < 0.5 else (v, u))
+    edges += [(u, u) for u in ids if rng.random() < 0.1]
+    rng.shuffle(edges)
+    graph = nx.Graph()
+    graph.add_nodes_from(ids)
+    graph.add_edges_from(edges)
+    return graph
+
+
+class TestStructureMatchesOracles:
+    """Louvain replays networkx move for move; the bitset triangle counts
+    equal the set-based ones."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(clustered_graphs(), st.integers(0, 50))
+    def test_louvain_equals_networkx(self, graph, seed):
+        if graph.number_of_edges() == 0:
+            return
+        assert louvain_partition(graph, seed=seed) == nx_louvain_partition(graph, seed=seed)
+
+    @pytest.mark.parametrize(
+        "graph",
+        [
+            nx.barabasi_albert_graph(300, 3, seed=1),
+            nx.connected_caveman_graph(12, 8),
+            nx.relabel_nodes(nx.gnp_random_graph(150, 0.05, seed=4), lambda v: f"u{(v * 37) % 151}"),
+        ],
+        ids=["barabasi-albert", "caveman", "gnp-string-ids"],
+    )
+    def test_louvain_equals_networkx_on_larger_graphs(self, graph):
+        for seed in (0, 7):
+            assert louvain_partition(graph, seed=seed) == nx_louvain_partition(graph, seed=seed)
+
+    def test_louvain_leaves_no_cyclic_garbage(self):
+        graph = nx.barabasi_albert_graph(300, 3, seed=2)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            gc.collect()
+            louvain_partition(graph, seed=0)
+            assert gc.collect() == 0
+        finally:
+            if enabled:
+                gc.enable()
+
+    @settings(max_examples=200, deadline=None)
+    @given(clustered_graphs(), st.integers(0, 2**32))
+    def test_triangles_and_class_transitivity_equal_set_oracle(self, graph, draw_seed):
+        counts = triangle_counts(graph)
+        assert counts == set_triangle_counts(graph)
+        assert transitivity(graph, counts) == set_transitivity(graph)
+        rng = random.Random(draw_seed)
+        table = BotScoreTable(scores={node: rng.random() for node in graph if rng.random() < 0.8})
+        expected = {}
+        for cls in ("bot", "human"):
+            members = [node for node in graph if table.classify(node) == cls]
+            if members:
+                expected[cls] = set_transitivity(graph.subgraph(members))
+        assert clustering_by_class(graph, table) == expected
 
 
 class TestModularity:

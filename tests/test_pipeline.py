@@ -16,6 +16,7 @@ from conftest import printable_ids
 import syncindex
 from syncindex import cli
 from syncindex import metrics as metricmod
+from syncindex import synchrony
 from syncindex.events import write_events_jsonl
 from syncindex.metrics import node_centralities
 from syncindex.pipeline import (
@@ -181,6 +182,62 @@ class TestRunPipeline:
         assert report.csi_network_combined is None
 
 
+# Ids holding the CSV separator and quote, line breaks, tabs and spaces; the
+# parser strips ids, so each is wrapped in letters.
+odd_ids = st.text(st.sampled_from([",", '"', "\n", "\r", "\t", " ", "a"]), min_size=1, max_size=5).map(
+    lambda core: f"u{core}z"
+)
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.lists(odd_ids, min_size=3, max_size=9, unique=True), st.randoms(use_true_random=False))
+def test_stage_chain_matches_report_on_odd_ids(tmp_path_factory, users, rnd):
+    root = tmp_path_factory.mktemp("odd")
+    lines = []
+    for i, user in enumerate(users):
+        post = {"post_id": f"p{i}", "user_id": user, "timestamp": 60 * rnd.randrange(3),
+                "post_type": "original", "hashtags": [f"#h{rnd.randrange(2)}"]}
+        if rnd.random() < 0.5:
+            post["mentions"] = [f"@{rnd.choice(users)}"]
+        lines.append(json.dumps(post))
+        target = rnd.choice(users)
+        if target != user:
+            lines.append(json.dumps({"source_user": user, "target_user": target,
+                                     "interaction_type": "retweet", "timestamp": 100 + i}))
+    events = root / "events.jsonl"
+    events.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    bots = root / "bots.csv"
+    with bots.open("w", encoding="utf-8", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["user_id", "score"])
+        writer.writerows([user, rnd.choice(["0.1", "0.9"])] for user in users[1:])
+    full, stage = root / "full", root / "stage"
+    assert cli.main(["report", "--events", str(events), "--bots", str(bots), "--out", str(full)]) == 0
+    staged = ["--pairs", str(stage / "pairs.csv"), "--users", str(stage / "users.csv"), "--bots", str(bots)]
+    for argv in (
+        ["ingest", "--events", str(events)],
+        ["detect", "--events", str(stage / "events.jsonl")],
+        ["score", "--pairs", str(stage / "pair_counts.csv")],
+        ["graph", *staged],
+        ["metrics", *staged, "--events", str(stage / "events.jsonl")],
+    ):
+        assert cli.main([*argv, "--out", str(stage)]) == 0, argv[0]
+    for name in SHARED_ARTIFACTS:
+        assert (stage / name).read_bytes() == (full / name).read_bytes(), name
+
+
+def test_run_pipeline_counts_action_types_once(sim_inputs, monkeypatch):
+    calls = []
+    count = synchrony.user_action_type_counts
+    monkeypatch.setattr(synchrony, "user_action_type_counts", lambda counts: calls.append(counts) or count(counts))
+    events, bots, _ = sim_inputs
+    report = run_pipeline(events, bots_path=bots)
+    assert len(calls) == 1
+    assert report.action_type_participation == {
+        str(level): value for level, value in synchrony.action_type_participation(calls[0]).items()
+    }
+
+
 def test_report_independent_of_hash_seed(tmp_path):
     """String hashing is randomized per process; no artifact may depend on it."""
     data = Path(__file__).parent / "data"
@@ -205,7 +262,9 @@ def test_report_independent_of_hash_seed(tmp_path):
 def test_structure_section_counts_triangles_once(monkeypatch):
     calls = []
     count = metricmod.triangle_counts
-    monkeypatch.setattr(metricmod, "triangle_counts", lambda graph: calls.append(graph) or count(graph))
+    monkeypatch.setattr(
+        metricmod, "triangle_counts", lambda graph, **kwargs: calls.append(graph) or count(graph, **kwargs)
+    )
     sync = nx.Graph([("a", "b"), ("b", "c"), ("c", "a"), ("c", "d")])
     section = structure_section(sync, None, None, seed=0)
     assert calls == [sync]
@@ -395,6 +454,16 @@ class TestCli:
         users.write_text("user_id,csi_user\na,2.0\nb,nan\nc,1.0\n")
         argv = ["metrics", "--pairs", str(pairs), "--users", str(users), "--out", str(tmp_path / "m")]
         assert cli.main(argv) == 2
+
+    def test_xml_forbidden_stage_id_is_data_error(self, tmp_path, capsys):
+        counts = tmp_path / "pair_counts.csv"
+        counts.write_text("user_u,user_v,action_type,count\na\x01b,c,hashtag,2\n")
+        assert cli.main(["score", "--pairs", str(counts), "--out", str(tmp_path / "s")]) == 2
+        pairs = tmp_path / "pairs.csv"
+        pairs.write_text("user_u,user_v,num_action_types,s_total,csi_userpair\na\x01b,c,1,2,2.0\n")
+        assert cli.main(["graph", "--pairs", str(pairs), "--out", str(tmp_path / "g")]) == 2
+        assert not (tmp_path / "g" / "sync.graphml").exists()
+        assert "line 2: user_u holds a character XML 1.0 forbids" in capsys.readouterr().err
 
     def test_csv_report_format(self, sim_inputs, tmp_path):
         events, bots, _ = sim_inputs

@@ -176,6 +176,13 @@ class TestCsv:
         assert lines[0] == "user_u,user_v,action_type,count"
         assert lines[1].startswith("a,z")
 
+    @pytest.mark.parametrize("user", ["a\x01b", "a\x0bb", "a\ufffeb"])
+    def test_xml_forbidden_id_rejected_with_line(self, tmp_path, user):
+        path = tmp_path / "pair_counts.csv"
+        path.write_text(f"user_u,user_v,action_type,count\nc,d,url,1\nc,{user},hashtag,2\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=r"pair_counts.csv: line 3: user_v holds a character XML 1.0 forbids"):
+            read_pair_counts_csv(path)
+
 
 class TestPairKey:
     def test_orders_lexicographically(self):
