@@ -15,13 +15,11 @@ sigma = sum of normalized per-action counts):
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .events import ACTION_TYPES, csv_id
+from .events import ACTION_TYPES, read_csv, write_csv, write_json
 from .synchrony import PairSyncCounts
 
 PAIR_FORMULAS = ("anchored", "prose", "literal")
@@ -52,7 +50,6 @@ class CsiTables:
     user_scores: dict[str, float]
     network_score: float
     per_action_network: dict[str, float]
-    config: CsiConfig
 
 
 def _formula_score(values: list[float], formula: str) -> float:
@@ -119,7 +116,6 @@ def compute_tables(counts: PairSyncCounts, config: CsiConfig | None = None) -> C
         user_scores=user_scores,
         network_score=csi_network(user_scores),
         per_action_network={a: csi_network(action_user_scores[a]) for a in sorted(action_user_scores)},
-        config=config,
     )
 
 
@@ -130,58 +126,36 @@ USER_COLUMNS = ("user_id", "csi_user")
 def write_pair_scores_csv(
     tables: CsiTables, counts: PairSyncCounts, path: str | Path
 ) -> Path:
-    path = Path(path)
-    with path.open("w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(PAIR_COLUMNS)
-        for pair in sorted(tables.pair_scores):
-            writer.writerow(
-                [
-                    pair[0],
-                    pair[1],
-                    counts.num_action_types(pair),
-                    counts.s_total(pair),
-                    repr(tables.pair_scores[pair]),
-                ]
-            )
-    return path
+    rows = (
+        (*pair, counts.num_action_types(pair), counts.s_total(pair), repr(tables.pair_scores[pair]))
+        for pair in sorted(tables.pair_scores)
+    )
+    return write_csv(path, PAIR_COLUMNS, rows)
 
 
-def _finite_score(row: dict, column: str, path: str | Path, line: int) -> float:
-    value = float(row[column])
+def _finite_score(text: str, column: str, path: str | Path, line: int) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
     if not math.isfinite(value):
-        raise ValueError(f"{path}: line {line}: non-finite {column} {row[column]!r}")
+        raise ValueError(f"{path}: line {line}: {column} {text!r} is not a finite number")
     return value
 
 
 def read_pair_scores_csv(path: str | Path) -> dict[tuple[str, str], float]:
-    scores = {}
-    with Path(path).open("r", encoding="utf-8", newline="") as handle:
-        reader = csv.DictReader(handle)
-        for row in reader:
-            line = reader.line_num
-            pair = (csv_id(row, "user_u", path, line), csv_id(row, "user_v", path, line))
-            scores[pair] = _finite_score(row, "csi_userpair", path, line)
-    return scores
+    rows = read_csv(path, ("user_u", "user_v", "csi_userpair"), ids=("user_u", "user_v"))
+    return {(u, v): _finite_score(score, "csi_userpair", path, line) for line, (u, v, score) in rows}
 
 
 def write_user_scores_csv(tables: CsiTables, path: str | Path) -> Path:
-    path = Path(path)
-    with path.open("w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(USER_COLUMNS)
-        for user in sorted(tables.user_scores):
-            writer.writerow([user, repr(tables.user_scores[user])])
-    return path
+    rows = ((user, repr(tables.user_scores[user])) for user in sorted(tables.user_scores))
+    return write_csv(path, USER_COLUMNS, rows)
 
 
 def read_user_scores_csv(path: str | Path) -> dict[str, float]:
-    with Path(path).open("r", encoding="utf-8", newline="") as handle:
-        reader = csv.DictReader(handle)
-        return {
-            csv_id(row, "user_id", path, reader.line_num): _finite_score(row, "csi_user", path, reader.line_num)
-            for row in reader
-        }
+    rows = read_csv(path, USER_COLUMNS, ids=("user_id",))
+    return {user: _finite_score(score, "csi_user", path, line) for line, (user, score) in rows}
 
 
 def network_summary(tables: CsiTables | None, config: CsiConfig) -> dict:
@@ -199,9 +173,7 @@ def network_summary(tables: CsiTables | None, config: CsiConfig) -> dict:
 
 
 def write_network_summary_json(summary: dict, path: str | Path) -> Path:
-    path = Path(path)
-    path.write_text(json.dumps(summary, sort_keys=True, indent=2) + "\n", encoding="utf-8")
-    return path
+    return write_json(path, summary)
 
 
 def write_score_artifacts(
@@ -209,8 +181,8 @@ def write_score_artifacts(
 ) -> None:
     """pairs.csv, users.csv and network.json; header-only tables when there are no pairs."""
     if tables is None:
-        (out / "pairs.csv").write_text(",".join(PAIR_COLUMNS) + "\n", encoding="utf-8")
-        (out / "users.csv").write_text(",".join(USER_COLUMNS) + "\n", encoding="utf-8")
+        write_csv(out / "pairs.csv", PAIR_COLUMNS, ())
+        write_csv(out / "users.csv", USER_COLUMNS, ())
     else:
         write_pair_scores_csv(tables, counts, out / "pairs.csv")
         write_user_scores_csv(tables, out / "users.csv")

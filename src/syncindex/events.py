@@ -15,7 +15,7 @@ import re
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 from urllib.parse import urlsplit, urlunsplit
 
 logger = logging.getLogger(__name__)
@@ -133,13 +133,58 @@ def _xml_forbidden(text: str) -> bool:
     return not text.isprintable() and _XML_FORBIDDEN.search(text) is not None
 
 
-def csv_id(row: dict, column: str, path: str | Path, line: int) -> str:
-    """row[column] of a stage CSV; ValueError naming the file and line when it
-    holds a character XML 1.0 forbids, which no GraphML export could carry."""
-    value = row[column]
-    if _xml_forbidden(value):
-        raise ValueError(f"{path}: line {line}: {column} holds a character XML 1.0 forbids")
-    return value
+def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence[object]]) -> Path:
+    """A stage table: the header row, then the rows, in the csv module's default
+    dialect (minimal quoting, "\\r\\n" line ends)."""
+    path = Path(path)
+    with path.open("w", encoding="utf-8", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        writer.writerows(rows)
+    return path
+
+
+def read_csv(
+    path: str | Path, columns: Sequence[str], ids: Iterable[str] = ()
+) -> Iterator[tuple[int, tuple[str, ...]]]:
+    """(line, cells of columns in order) for each row of a stage table; blank
+    rows and extra cells are skipped.
+
+    ValueError naming the file, and the line for a row problem, when the
+    header lacks one of columns, a row has fewer cells than the header, a
+    cell is too large for the csv module, or an ids column holds a character
+    XML 1.0 forbids (no GraphML export could carry it). Bytes that are not
+    UTF-8 are read as lone surrogates, so they fail the check of their cell.
+    """
+    with Path(path).open("r", encoding="utf-8", errors="surrogateescape", newline="") as handle:
+        reader = csv.reader(handle)
+        try:
+            header = next(reader, [])
+            position = {name: i for i, name in enumerate(header)}
+            missing = [name for name in columns if name not in position]
+            if missing:
+                raise ValueError(f"{path}: line 1: header lacks column {missing[0]}")
+            wanted = [position[name] for name in columns]
+            checked = [(name, position[name]) for name in ids]
+            for cells in reader:
+                line = reader.line_num
+                if not cells:
+                    continue
+                if len(cells) < len(header):
+                    raise ValueError(f"{path}: line {line}: {len(cells)} cells, header has {len(header)}")
+                for name, i in checked:
+                    if _xml_forbidden(cells[i]):
+                        raise ValueError(f"{path}: line {line}: {name} holds a character XML 1.0 forbids")
+                yield line, tuple([cells[i] for i in wanted])
+        except csv.Error as exc:
+            raise ValueError(f"{path}: line {reader.line_num}: {exc}") from exc
+
+
+def write_json(path: str | Path, obj: object) -> Path:
+    """obj as JSON with sorted keys, indented by 2, ending in a newline."""
+    path = Path(path)
+    path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    return path
 
 
 def _required_str(obj: dict, key: str) -> str:

@@ -8,7 +8,6 @@ stages can be re-run from files bit-exactly.
 
 from __future__ import annotations
 
-import csv
 import json
 import logging
 from dataclasses import asdict, dataclass, field
@@ -22,7 +21,7 @@ from . import csi as csimod
 from . import graphs as graphmod
 from . import metrics as metricmod
 from . import synchrony
-from .events import EventDataset, extract_actions, filter_originals, load_events
+from .events import EventDataset, extract_actions, filter_originals, load_events, write_csv, write_json
 
 logger = logging.getLogger(__name__)
 
@@ -77,15 +76,8 @@ def round_floats(obj: object, digits: int = 6) -> object:
     return obj
 
 
-def report_json_text(report: EventReport) -> str:
-    payload = round_floats(asdict(report))
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
-
-
 def write_report_json(report: EventReport, path: str | Path) -> Path:
-    path = Path(path)
-    path.write_text(report_json_text(report), encoding="utf-8")
-    return path
+    return write_json(path, round_floats(asdict(report)))
 
 
 def write_report_csv(report: EventReport, path: str | Path) -> Path:
@@ -101,14 +93,7 @@ def write_report_csv(report: EventReport, path: str | Path) -> Path:
         else:
             yield prefix, obj
 
-    payload = round_floats(asdict(report))
-    path = Path(path)
-    with path.open("w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["field", "value"])
-        for name, value in rows("", payload):
-            writer.writerow([name, "" if value is None else value])
-    return path
+    return write_csv(path, ("field", "value"), rows("", round_floats(asdict(report))))  # None is written ""
 
 
 @dataclass(frozen=True)
@@ -190,8 +175,7 @@ def structure_section(
 
 
 def write_metrics_json(structure: dict | None, path: Path) -> None:
-    payload = round_floats(structure if structure is not None else {})
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    write_json(path, round_floats(structure if structure is not None else {}))
 
 
 def allcomm_centralities(dataset: EventDataset) -> metricmod.Centralities:
@@ -210,28 +194,16 @@ def write_centrality_csv(centralities: metricmod.Centralities, path: Path) -> No
     """All three centralities at full precision; eigenvector cells are empty when
     it did not converge."""
     eigenvector = centralities.eigenvector
-    with path.open("w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["user_id", "total_degree", "betweenness", "eigenvector"])
-        for user in sorted(centralities.degree):
-            writer.writerow(
-                [
-                    user,
-                    repr(centralities.degree[user]),
-                    repr(centralities.betweenness[user]),
-                    "" if eigenvector is None else repr(eigenvector[user]),
-                ]
-            )
-
-
-def _write_participation_centrality_csv(
-    rows: list[tuple[str, int, float, float, float | None]], path: Path
-) -> None:
-    with path.open("w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["user_id", "num_action_types", "total_degree", "betweenness", "eigenvector"])
-        for user, level, deg, bet, eig in rows:
-            writer.writerow([user, level, repr(deg), repr(bet), "" if eig is None else repr(eig)])
+    rows = (
+        (
+            user,
+            repr(centralities.degree[user]),
+            repr(centralities.betweenness[user]),
+            "" if eigenvector is None else repr(eigenvector[user]),
+        )
+        for user in sorted(centralities.degree)
+    )
+    write_csv(path, ("user_id", "total_degree", "betweenness", "eigenvector"), rows)
 
 
 def _dominant_class(by_user: dict[str, dict]) -> str | None:
@@ -330,7 +302,14 @@ def run_pipeline(
         csimod.write_score_artifacts(tables, counts, csi_config, out)
         write_sync_graphs(sync, pruned, out)
         write_metrics_json(report.structure, out / "metrics.json")
-        _write_participation_centrality_csv(participation, out / "centrality_by_action_types.csv")
+        write_csv(
+            out / "centrality_by_action_types.csv",
+            ("user_id", "num_action_types", "total_degree", "betweenness", "eigenvector"),
+            (
+                (user, level, repr(deg), repr(bet), "" if eig is None else repr(eig))
+                for user, level, deg, bet, eig in participation
+            ),
+        )
         write_report_json(report, out / "report.json")
     return report
 

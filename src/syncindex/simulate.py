@@ -11,7 +11,6 @@ random streams so tuning one leaves the other untouched.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import random
@@ -20,7 +19,7 @@ from itertools import combinations
 from pathlib import Path
 from typing import Mapping
 
-from .events import ACTION_TYPES, EventDataset, PostEvent
+from .events import ACTION_TYPES, EventDataset, PostEvent, write_csv
 
 DEFAULT_VOCABULARY = 10_000
 
@@ -197,25 +196,13 @@ def bot_scores_from_truth(
 
 
 def write_ground_truth_csv(truth: GroundTruth, path: str | Path) -> Path:
-    path = Path(path)
-    with path.open("w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["user_u", "user_v", "action_type", "min_count"])
-        for pair in sorted(
-            truth.pairs, key=lambda p: (p.user_u, p.user_v, p.action_type)
-        ):
-            writer.writerow([pair.user_u, pair.user_v, pair.action_type, pair.min_count])
-    return path
+    rows = sorted((p.user_u, p.user_v, p.action_type, p.min_count) for p in truth.pairs)
+    return write_csv(path, ("user_u", "user_v", "action_type", "min_count"), rows)
 
 
 def write_bot_scores_csv(scores: Mapping[str, float], path: str | Path) -> Path:
-    path = Path(path)
-    with path.open("w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["user_id", "score"])
-        for user in sorted(scores):
-            writer.writerow([user, repr(float(scores[user]))])
-    return path
+    rows = ((user, repr(float(scores[user]))) for user in sorted(scores))
+    return write_csv(path, ("user_id", "score"), rows)
 
 
 def config_from_json(path: str | Path) -> SimConfig:

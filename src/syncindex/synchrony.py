@@ -8,16 +8,19 @@ contributes one count to each of its C(k, 2) unordered pairs.
 
 from __future__ import annotations
 
-import csv
 from collections import defaultdict
 from dataclasses import dataclass
 from itertools import combinations
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
-from .events import ActionRecord, csv_id
+from .events import ACTION_TYPES, ActionRecord, read_csv, write_csv
 
 BRUTE_FORCE_LIMIT = 10_000
+PAIR_COUNT_COLUMNS = ("user_u", "user_v", "action_type", "count")
+# The largest count a stage table may carry: float(count) is exact up to
+# 2**53, and every score and user sum stays finite.
+MAX_COUNT = 2**53
 
 
 @dataclass(frozen=True)
@@ -186,22 +189,23 @@ def action_type_participation(
 
 def write_pair_counts_csv(counts: PairSyncCounts, path: str | Path) -> Path:
     """Pair-count export: user_u,user_v,action_type,count with lexicographic rows."""
-    path = Path(path)
-    with path.open("w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["user_u", "user_v", "action_type", "count"])
-        for row in counts.rows():
-            writer.writerow(row)
-    return path
+    return write_csv(path, PAIR_COUNT_COLUMNS, counts.rows())
 
 
 def read_pair_counts_csv(path: str | Path) -> PairSyncCounts:
+    """The pair-count table; ValueError naming the file and line for a self-pair,
+    an action type outside ACTION_TYPES or a count outside 1..MAX_COUNT."""
     counts = PairSyncCounts()
-    with Path(path).open("r", encoding="utf-8", newline="") as handle:
-        reader = csv.DictReader(handle)
-        for row in reader:
-            u = csv_id(row, "user_u", path, reader.line_num)
-            v = csv_id(row, "user_v", path, reader.line_num)
-            counts.add(u, v, row["action_type"], int(row["count"]))
+    for line, (u, v, action_type, text) in read_csv(path, PAIR_COUNT_COLUMNS, ids=("user_u", "user_v")):
+        try:
+            count = int(text)
+        except ValueError:
+            count = 0
+        if u == v:
+            raise ValueError(f"{path}: line {line}: self-pair {u!r}")
+        if action_type not in ACTION_TYPES:
+            raise ValueError(f"{path}: line {line}: unknown action_type {action_type!r}")
+        if not 0 < count <= MAX_COUNT:
+            raise ValueError(f"{path}: line {line}: count {text!r} is not an integer in 1..2**53")
+        counts.add(u, v, action_type, count)
     return counts
-

@@ -146,7 +146,6 @@ def oracle_tables(counts: PairSyncCounts, config: CsiConfig | None = None) -> Cs
         user_scores=user_scores,
         network_score=network,
         per_action_network=per_action,
-        config=config,
     )
 
 

@@ -213,7 +213,8 @@ def test_criterion_08_end_to_end_determinism(tmp_path):
         events = DATA / "fixture_events.jsonl"
         bots = DATA / "fixture_bots.csv"
         golden = (DATA / "golden_report.json").read_bytes()
-        assert sum(1 for _ in events.open()) == 1000
+        with events.open() as handle:
+            assert sum(1 for _ in handle) == 1000
 
         started = time.perf_counter()
         run_pipeline(events, bots_path=bots, out_dir=tmp_path / "one")

@@ -22,7 +22,9 @@ from syncindex.events import (
     filter_originals,
     merge_datasets,
     parse_events,
+    read_csv,
     read_events_file,
+    write_csv,
     write_events_jsonl,
 )
 
@@ -493,3 +495,44 @@ class TestRoundTrip:
         b = parse_events([post_line(post_id="p2", timestamp=10)])
         merged = merge_datasets(a, b, label="m")
         assert [p.post_id for p in merged.posts] == ["p2", "p1"]
+
+
+class TestStageCsv:
+    def test_write_then_read(self, tmp_path):
+        rows = [("a,b", 'q"x', 1), ("c", "d", None)]
+        path = write_csv(tmp_path / "t.csv", ("u", "v", "n"), rows)
+        assert path.read_bytes() == b'u,v,n\r\n"a,b","q""x",1\r\nc,d,\r\n'
+        assert list(read_csv(path, ("n", "u"))) == [(2, ("1", "a,b")), (3, ("", "c"))]
+
+    def test_header_only(self, tmp_path):
+        path = write_csv(tmp_path / "t.csv", ("u", "v"), ())
+        assert path.read_bytes() == b"u,v\r\n"
+        assert list(read_csv(path, ("u", "v"))) == []
+
+    def test_extra_cells_and_blank_rows_are_skipped(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("u,v\na,b,extra\n\nc,d\n", encoding="utf-8")
+        assert list(read_csv(path, ("u",))) == [(2, ("a",)), (4, ("c",))]
+
+    @pytest.mark.parametrize(
+        ("text", "message"),
+        [
+            ("", "line 1: header lacks column u"),
+            ("u\na\n", "line 1: header lacks column v"),
+            ("u,v,w\na,b,c\na,b\n", "line 3: 2 cells, header has 3"),
+            ("u,v\na,b\nc\x01,d\n", "line 3: u holds a character XML 1.0 forbids"),
+            ("u,v\na,b\nc,\ufffe\n", "line 3: v holds a character XML 1.0 forbids"),
+            ("u,v\na," + "b" * 200_000 + "\n", "line 2: field larger than field limit"),
+        ],
+    )
+    def test_malformed_table_names_file_and_line(self, tmp_path, text, message):
+        path = tmp_path / "t.csv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
+            list(read_csv(path, ("u", "v"), ids=("u", "v")))
+
+    def test_undecodable_id_is_forbidden(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_bytes(b"u,v\na,b\xff\n")
+        with pytest.raises(ValueError, match="line 2: v holds a character XML 1.0 forbids"):
+            list(read_csv(path, ("u", "v"), ids=("v",)))

@@ -15,6 +15,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from conftest import printable_ids
 import syncindex
 from syncindex import cli
+from syncindex import csi as csimod
 from syncindex import metrics as metricmod
 from syncindex import synchrony
 from syncindex.events import write_events_jsonl
@@ -24,7 +25,6 @@ from syncindex.pipeline import (
     PipelineOptions,
     ReportParseError,
     compare,
-    report_json_text,
     round_floats,
     run_pipeline,
     structure_section,
@@ -226,6 +226,59 @@ def test_stage_chain_matches_report_on_odd_ids(tmp_path_factory, users, rnd):
         assert (stage / name).read_bytes() == (full / name).read_bytes(), name
 
 
+# Stage-table cells: ids, action types and numbers, well formed or not.
+stage_cells = st.one_of(
+    st.sampled_from(["a", "b", "c", "hashtag", "url", "mention", "Hashtag", "1", "2", "0", "-1", "2.5",
+                     "1e308", "nan", "1e999", "", "9" * 5000, "9" * 400]),
+    st.text(st.sampled_from(["a", "b", "1", ",", '"', "\x01", "\n", " ", "."]), max_size=4),
+)
+
+
+def stage_tables(columns: tuple[str, ...]):
+    """(header, rows) of a stage table: its columns, some dropped, reordered or
+    extra, over rows of any length."""
+    header = st.one_of(st.permutations(columns), st.lists(st.sampled_from([*columns, "extra"]), max_size=6))
+    return st.tuples(header, st.lists(st.lists(stage_cells, max_size=6), max_size=5))
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    counts=stage_tables(synchrony.PAIR_COUNT_COLUMNS),
+    pairs=stage_tables(csimod.PAIR_COLUMNS),
+    users=stage_tables(csimod.USER_COLUMNS),
+)
+def test_stage_tables_exit_0_or_2(tmp_path_factory, counts, pairs, users):
+    root = tmp_path_factory.mktemp("tables")
+    for name, (header, rows) in (("pair_counts.csv", counts), ("pairs.csv", pairs), ("users.csv", users)):
+        with (root / name).open("w", encoding="utf-8", newline="") as handle:
+            writer = csv.writer(handle)
+            writer.writerow(header)
+            writer.writerows(rows)
+    scored = ["--pairs", str(root / "pairs.csv"), "--users", str(root / "users.csv")]
+    for argv in (
+        ["score", "--pairs", str(root / "pair_counts.csv")],
+        ["graph", *scored],
+        ["metrics", *scored],
+    ):
+        assert cli.main([*argv, "--out", str(root / argv[0])]) in (0, 2), argv[0]
+
+
+def test_every_table_has_one_dialect(sim_inputs, no_sync_inputs, tmp_path):
+    """Every CSV the package writes ends its lines in "\\r\\n", header-only ones included."""
+    for inputs in (sim_inputs, no_sync_inputs):
+        events, bots = inputs[:2]
+        out = tmp_path / events.parent.name
+        assert cli.main(["report", "--events", str(events), "--bots", str(bots), "--format", "csv",
+                         "--out", str(out)]) == 0
+        assert cli.main(["metrics", "--pairs", str(out / "pairs.csv"), "--events", str(events),
+                         "--out", str(out)]) == 0
+        tables = sorted(out.glob("*.csv"))
+        assert len(tables) == 6
+        for table in tables:
+            data = table.read_bytes()
+            assert data.endswith(b"\r\n") and data.count(b"\n") == data.count(b"\r\n"), table.name
+
+
 def test_run_pipeline_counts_action_types_once(sim_inputs, monkeypatch):
     calls = []
     count = synchrony.user_action_type_counts
@@ -319,11 +372,12 @@ class TestReportSerialization:
         assert round_floats(True) is True
         assert round_floats(7) == 7
 
-    def test_json_text_stable(self, sim_inputs):
+    def test_json_text_stable(self, sim_inputs, tmp_path):
         events, bots, _ = sim_inputs
         report = run_pipeline(events, bots_path=bots)
-        assert report_json_text(report) == report_json_text(report)
-        payload = json.loads(report_json_text(report))
+        first = write_report_json(report, tmp_path / "one.json").read_bytes()
+        assert write_report_json(report, tmp_path / "two.json").read_bytes() == first
+        payload = json.loads(first)
         assert payload["event_label"] == report.event_label
 
 
@@ -464,6 +518,29 @@ class TestCli:
         assert cli.main(["graph", "--pairs", str(pairs), "--out", str(tmp_path / "g")]) == 2
         assert not (tmp_path / "g" / "sync.graphml").exists()
         assert "line 2: user_u holds a character XML 1.0 forbids" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        ("stage", "name", "text", "message"),
+        [
+            ("score", "pair_counts.csv", "user_u,user_v,action_type,count\na,b,hashtag\n", "line 2: 3 cells, header has 4"),
+            ("score", "pair_counts.csv", "user_u,user_v\na,b\n", "line 1: header lacks column action_type"),
+            ("graph", "pairs.csv", "user_u,user_v,num_action_types,s_total,csi_userpair\na,b,1,2\n",
+             "line 2: 4 cells, header has 5"),
+        ],
+        ids=["short-pair-count-row", "pair-counts-without-action-type", "short-pair-score-row"],
+    )
+    def test_malformed_stage_table_is_data_error(self, tmp_path, capsys, stage, name, text, message):
+        path = tmp_path / name
+        path.write_text(text)
+        assert cli.main([stage, "--pairs", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert f"{path}: {message}" in capsys.readouterr().err
+
+    def test_unknown_action_type_is_data_error(self, tmp_path, capsys):
+        counts = tmp_path / "pair_counts.csv"
+        counts.write_text("user_u,user_v,action_type,count\na,b,Hashtag,2\nb,c,bogus,3\n")
+        assert cli.main(["score", "--pairs", str(counts), "--out", str(tmp_path / "s")]) == 2
+        assert f"{counts}: line 2: unknown action_type 'Hashtag'" in capsys.readouterr().err
+        assert not (tmp_path / "s" / "network.json").exists()
 
     def test_csv_report_format(self, sim_inputs, tmp_path):
         events, bots, _ = sim_inputs

@@ -183,6 +183,31 @@ class TestCsv:
         with pytest.raises(ValueError, match=r"pair_counts.csv: line 3: user_v holds a character XML 1.0 forbids"):
             read_pair_counts_csv(path)
 
+    @pytest.mark.parametrize(
+        ("row", "message"),
+        [
+            ("c,d,Hashtag,2", "unknown action_type 'Hashtag'"),
+            ("c,d,bogus,3", "unknown action_type 'bogus'"),
+            ("c,d,url,0", "count '0' is not an integer in 1..2**53"),
+            ("c,d,url,-1", "count '-1' is not an integer in 1..2**53"),
+            ("c,d,url,2.5", "count '2.5' is not an integer in 1..2**53"),
+            ("c,d,url,", "count '' is not an integer in 1..2**53"),
+            (f"c,d,url,{2**53 + 1}", f"count '{2**53 + 1}' is not an integer in 1..2**53"),
+            ("c,c,url,1", "self-pair 'c'"),
+        ],
+    )
+    def test_bad_row_rejected_with_line(self, tmp_path, row, message):
+        path = tmp_path / "pair_counts.csv"
+        path.write_text(f"user_u,user_v,action_type,count\na,b,hashtag,1\n{row}\n", encoding="utf-8")
+        with pytest.raises(ValueError) as err:
+            read_pair_counts_csv(path)
+        assert str(err.value) == f"{path}: line 3: {message}"
+
+    def test_largest_count_is_read(self, tmp_path):
+        path = tmp_path / "pair_counts.csv"
+        path.write_text(f"user_u,user_v,action_type,count\na,b,url,{2**53}\n", encoding="utf-8")
+        assert read_pair_counts_csv(path).get("a", "b", "url") == 2**53
+
 
 class TestPairKey:
     def test_orders_lexicographically(self):
