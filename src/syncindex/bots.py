@@ -8,17 +8,14 @@ separately rather than silently defaulted.
 
 from __future__ import annotations
 
-import csv
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
 from statistics import fmean, pstdev
 from typing import Iterable, Mapping
 
-import networkx as nx
-
 from . import metrics
-from .events import _xml_forbidden
+from .events import _xml_forbidden, dict_rows
 
 logger = logging.getLogger(__name__)
 
@@ -70,18 +67,23 @@ def load_bot_scores(path: str | Path, threshold: float = DEFAULT_THRESHOLD) -> B
     """Read the user_id,score CSV (header required); invalid rows are rejected.
 
     A row whose user id is not valid UTF-8 or holds another character XML 1.0
-    forbids is one rejected row.
+    forbids is one rejected row, as is a row holding a cell over the csv
+    module's field limit.
     """
     scores: dict[str, float] = {}
     rejected = 0
     with Path(path).open("r", encoding="utf-8", errors="surrogateescape", newline="") as handle:
-        reader = csv.DictReader(handle)
-        names = reader.fieldnames or []
+        try:
+            names, rows = dict_rows(handle)
+        except ValueError as exc:
+            raise ScoreError(f"bot score file {path}: {exc}") from exc
         if "user_id" not in names or "score" not in names:
             raise ScoreError(f"bot score file {path} must have a user_id,score header")
-        for row in reader:
-            user = (row.get("user_id") or "").strip()
+        for row in rows:
             try:
+                if row is None:
+                    raise ValueError
+                user = (row.get("user_id") or "").strip()
                 score = float(row.get("score") or "")
                 if not 0.0 <= score <= 1.0 or not user or _xml_forbidden(user):
                     raise ValueError
@@ -163,26 +165,25 @@ def centrality_by_class(
     return out
 
 
-def class_triangle_totals(bits: metrics.NeighbourBits, table: BotScoreTable) -> dict[str, tuple[int, int]]:
+def class_triangle_totals(index: metrics.NodeIndex, table: BotScoreTable) -> dict[str, tuple[int, int]]:
     """Per class, the triangle and connected-triple totals of triangle_counts
     on the class-induced subgraph; empty classes are absent."""
     members = {"bot": 0, "human": 0}
-    for i, node in enumerate(bits.nodes):
+    for i, node in enumerate(index.nodes):
         cls = table.classify(node)
         if cls in members:
             members[cls] |= 1 << i
-    return {cls: metrics.induced_triangle_totals(bits, mask) for cls, mask in members.items() if mask}
+    totals = {}
+    for cls, mask in members.items():
+        if mask:
+            triangles, triples = metrics.triangle_counts(index, mask)
+            totals[cls] = (sum(triangles), sum(triples))
+    return totals
 
 
-def clustering_by_class(
-    sync_graph: nx.Graph, table: BotScoreTable, *, totals: dict[str, tuple[int, int]] | None = None
-) -> dict[str, float]:
-    """Transitivity of each class-induced subgraph; empty classes are absent.
-
-    totals, when given, must be class_triangle_totals(metrics.neighbour_bits(sync_graph), table).
-    """
-    if totals is None:
-        totals = class_triangle_totals(metrics.neighbour_bits(sync_graph), table)
+def clustering_by_class(totals: dict[str, tuple[int, int]]) -> dict[str, float]:
+    """Transitivity of each class-induced subgraph from class_triangle_totals;
+    empty classes are absent."""
     return {cls: triangles / triples if triples else 0.0 for cls, (triangles, triples) in totals.items()}
 
 

@@ -144,8 +144,16 @@ def _finite_score(text: str, column: str, path: str | Path, line: int) -> float:
 
 
 def read_pair_scores_csv(path: str | Path) -> dict[tuple[str, str], float]:
-    rows = read_csv(path, ("user_u", "user_v", "csi_userpair"), ids=("user_u", "user_v"))
-    return {(u, v): _finite_score(score, "csi_userpair", path, line) for line, (u, v, score) in rows}
+    """The pair-score table; ValueError naming the file and line for a
+    self-pair or a pair listed twice (in either order)."""
+    scores: dict[tuple[str, str], float] = {}
+    for line, (u, v, text) in read_csv(path, ("user_u", "user_v", "csi_userpair"), ids=("user_u", "user_v")):
+        if u == v:
+            raise ValueError(f"{path}: line {line}: self-pair {u!r}")
+        if (u, v) in scores or (v, u) in scores:
+            raise ValueError(f"{path}: line {line}: pair ({u!r}, {v!r}) listed twice")
+        scores[(u, v)] = _finite_score(text, "csi_userpair", path, line)
+    return scores
 
 
 def write_user_scores_csv(tables: CsiTables, path: str | Path) -> Path:

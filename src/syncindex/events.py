@@ -180,6 +180,30 @@ def read_csv(
             raise ValueError(f"{path}: line {reader.line_num}: {exc}") from exc
 
 
+def dict_rows(handle: Iterable[str]) -> tuple[list[str], Iterator[dict | None]]:
+    """(header, rows) of a CSV with a header row, rows as csv.DictReader gives
+    them. A row the csv module cannot read (a cell over its field limit) is
+    None, and reading resumes at the next row; ValueError when the header
+    cannot be read."""
+    reader = csv.DictReader(handle)
+    try:
+        header = reader.fieldnames or []
+    except csv.Error as exc:
+        raise ValueError(f"CSV header: {exc}") from exc
+
+    def rows() -> Iterator[dict | None]:
+        while True:
+            try:
+                row = next(reader)
+            except StopIteration:
+                return
+            except csv.Error:
+                row = None
+            yield row
+
+    return header, rows()
+
+
 def write_json(path: str | Path, obj: object) -> Path:
     """obj as JSON with sorted keys, indented by 2, ending in a newline."""
     path = Path(path)
@@ -284,7 +308,8 @@ def parse_events(
     """Parse line-delimited records into an EventDataset.
 
     Malformed lines are counted and skipped; duplicated post ids count as
-    malformed, as do lines that are not valid UTF-8 (lone surrogates, as
+    malformed, as do CSV rows holding a cell over the csv module's field
+    limit, lines that are not valid UTF-8 (lone surrogates, as
     read_events_file decodes them), lines whose timestamp lies outside
     [0, MAX_TIMESTAMP], and lines whose id, type, artifact or lang string
     holds a character XML 1.0 forbids (a control character such as "\\x01",
@@ -303,7 +328,9 @@ def parse_events(
     total = 0
 
     if format == "csv":
-        records: Iterator[dict] = (_csv_row_to_mapping(row) for row in csv.DictReader(stream))
+        records: Iterator[dict | None] = (
+            None if row is None else _csv_row_to_mapping(row) for row in dict_rows(stream)[1]
+        )
     else:
         records = _iter_jsonl(stream)
 

@@ -5,8 +5,10 @@ similarity strengths, not distances. Eigenvector centrality does use the
 weights. All functions are pure and permutation-invariant; accumulation
 orders are fixed (sorted nodes) so outputs are bit-deterministic.
 
-The betweenness and eigenvector kernels run on integer indices assigned in
-sorted node order (NodeIndex), so index order is id order. Their floats
+Every metric that needs integer labels reads one NodeIndex per graph: node
+i is the i-th node in sorted order, so index order is id order, and the
+edges are relabeled once, in graph.edges order. The betweenness and
+eigenvector kernels read its sorted adjacency rows. Their floats
 depend only on the order of each accumulation, which is fixed: betweenness
 visits sources in ascending order and adds each node's dependency
 (sigma_v / sigma_w) * (1 + delta_w) once per successor w, in reverse BFS
@@ -31,15 +33,16 @@ its parent and nothing to the sums.
 louvain_partition is networkx's louvain_communities(weight=None, seed) on
 the graph relabeled to sorted integer indices, replayed move for move on
 integer lists and dicts, so its partition equals the installed networkx's
-on every graph. It keeps each order networkx has: the relabeled graph's
-edges in graph.edges order, the weight-1 copy's adjacency insertion order,
+on every graph. It keeps each order networkx has: the weight-1 copy adds
+the relabeled edges by ascending lower end and, within one lower end, in
+graph.edges order (a stable sort of the index's edges by their lower end),
 one random.Random(seed) shuffling the nodes at each level, a node's
 candidate communities in the order its neighbours first reach them (its
 own appended last when absent), the remove_cost and gain expressions as
 written, community graphs merging edges in edge order, and a stop test that
 sums modularity community by community with threshold 1e-7.
 
-Triangle counts are exact integers from int bitsets (NeighbourBits): each
+Triangle counts are exact integers from the index's int bitsets: each
 edge (a, b) adds (mask_a & mask_b).bit_count() to both ends, which counts
 every triangle at a node twice. Counts on a class-induced subgraph AND the
 same masks with a class mask.
@@ -52,6 +55,7 @@ import math
 import random
 from array import array
 from dataclasses import dataclass
+from functools import cached_property
 
 import networkx as nx
 
@@ -87,24 +91,42 @@ def degree_centrality(graph: nx.Graph) -> dict[str, float]:
 class NodeIndex:
     """A graph relabeled to integers: node i is nodes[i] in sorted order.
 
-    adjacency[i] lists i's neighbour indices ascending, which is their id
-    order; weighted[i] pairs each of them with the edge weight (default 1.0).
+    edges lists each edge once as (index[u], index[v]) in graph.edges order;
+    a self-loop is (i, i). The adjacency rows and neighbour bitsets derive
+    from edges on first use.
     """
 
     nodes: list
-    adjacency: list[list[int]]
-    weighted: list[list[tuple[int, float]]]
+    edges: list[tuple[int, int]]
+
+    @cached_property
+    def adjacency(self) -> list[list[int]]:
+        """adjacency[i] lists i's neighbour indices ascending (i itself when
+        it has a self-loop), which is their id order."""
+        rows: list[list[int]] = [[] for _ in self.nodes]
+        for a, b in self.edges:
+            rows[a].append(b)
+            if a != b:
+                rows[b].append(a)
+        for row in rows:
+            row.sort()
+        return rows
+
+    @cached_property
+    def masks(self) -> list[int]:
+        """Bit j of masks[i] is set when j is a neighbour of i; a self-loop sets no bit."""
+        masks = [0] * len(self.nodes)
+        for a, b in self.edges:
+            if a != b:
+                masks[a] |= 1 << b
+                masks[b] |= 1 << a
+        return masks
 
 
 def node_index(graph: nx.Graph) -> NodeIndex:
     nodes = sorted(graph.nodes)
     index = {node: i for i, node in enumerate(nodes)}
-    adjacency = [sorted(index[nbr] for nbr in graph.adj[node]) for node in nodes]
-    weighted = []
-    for node, row in zip(nodes, adjacency):
-        attrs = graph.adj[node]
-        weighted.append([(j, float(attrs[nodes[j]].get("weight", 1.0))) for j in row])
-    return NodeIndex(nodes=nodes, adjacency=adjacency, weighted=weighted)
+    return NodeIndex(nodes=nodes, edges=[(index[u], index[v]) for u, v in graph.edges])
 
 
 def betweenness_centrality(graph: nx.Graph, *, index: NodeIndex | None = None) -> dict[str, float]:
@@ -226,7 +248,11 @@ def eigenvector_centrality(
         raise MetricUndefinedError("eigenvector centrality needs at least one edge")
     if index is None:
         index = node_index(graph)
-    weighted = index.weighted
+    nodes = index.nodes
+    weighted = []
+    for node, row in zip(nodes, index.adjacency):
+        attrs = graph.adj[node]
+        weighted.append([(j, float(attrs[nodes[j]].get("weight", 1.0))) for j in row])
     x = [1.0] * len(weighted)
     for _ in range(max_iter):
         nxt = []
@@ -239,10 +265,8 @@ def eigenvector_centrality(
         delta = max(abs(new - old) for new, old in zip(nxt, x))
         x = nxt
         if delta < tol:
-            return dict(zip(index.nodes, x))
-    raise PowerIterationError(
-        f"no convergence after {max_iter} iterations", last_iterate=dict(zip(index.nodes, x))
-    )
+            return dict(zip(nodes, x))
+    raise PowerIterationError(f"no convergence after {max_iter} iterations", last_iterate=dict(zip(nodes, x)))
 
 
 def eigenvector_residual(graph: nx.Graph, centrality: dict[str, float]) -> float:
@@ -323,7 +347,7 @@ def newman_modularity(graph: nx.Graph, partition: dict[str, int]) -> float:
     return q
 
 
-def louvain_partition(graph: nx.Graph, seed: int = 0) -> dict[str, int]:
+def louvain_partition(index: NodeIndex, seed: int = 0) -> dict[str, int]:
     """Greedy modularity partition (Blondel et al. 2008; unweighted, seeded).
 
     The partition is networkx's louvain_communities(weight=None, seed=seed,
@@ -332,22 +356,14 @@ def louvain_partition(graph: nx.Graph, seed: int = 0) -> dict[str, int]:
     integer lists; see the module docstring. Community ids are assigned
     0..k-1 in order of each community's smallest member.
     """
-    if graph.number_of_edges() == 0:
+    if not index.edges:
         raise MetricUndefinedError("community detection needs at least one edge")
-    nodes = sorted(graph.nodes)
-    index = {node: i for i, node in enumerate(nodes)}
-    relabeled: list[dict[int, None]] = [{} for _ in nodes]
-    for u, v in graph.edges:
-        a, b = index[u], index[v]
-        relabeled[a][b] = relabeled[b][a] = None
+    nodes = index.nodes
     # The weight-1 copy adds the relabeled graph's edges in its edge order:
-    # ascending lower end, then that end's adjacency order.
+    # ascending lower end, then graph.edges order (the sort is stable).
     adjacency: list[dict[int, int]] = [{} for _ in nodes]
-    for a, row in enumerate(relabeled):
-        for b in row:
-            if b >= a:
-                adjacency[a][b] = adjacency[b][a] = 1
-    del relabeled
+    for a, b in sorted(index.edges, key=min):
+        adjacency[a][b] = adjacency[b][a] = 1
     degrees = _weighted_degrees(adjacency)
     m = sum(degrees) / 2
     norm = 1 / sum(degrees) ** 2
@@ -439,36 +455,22 @@ def _louvain_level(
     return node2com, moved
 
 
-def krackhardt_hierarchy(
-    graph: nx.Graph,
-    orientation: str = "csi_order",
-    user_scores: dict[str, float] | None = None,
-) -> float:
-    """1 minus the fraction of reachable node pairs that are mutually reachable.
+def krackhardt_hierarchy(graph: nx.Graph, user_scores: dict[str, float] | None = None) -> float:
+    """1 minus the fraction of reachable node pairs that are mutually reachable,
+    with each edge oriented from the lower-scoring endpoint to the higher
+    (scores from user_scores or the csi_user node attribute; ties point
+    toward the lexicographically larger id). Graphs with no reachable pairs
+    score 1 by convention.
 
-    csi_order orients each edge from the lower-scoring endpoint to the
-    higher (scores from user_scores or the csi_user node attribute; ties
-    point toward the lexicographically larger id). symmetric replaces each
-    edge with both arcs. Graphs with no reachable pairs score 1 by
-    convention.
-
-    Both orientations have a closed form, so no reachability is computed:
-
-    - csi_order: every arc u -> v has key(u) < key(v) for key(x) = (score(x), x),
-      a strict total order when no score is NaN. Keys strictly increase along
-      any directed path, so there is no directed cycle and no pair of distinct
-      nodes reaches each other both ways. Mutual pairs are 0, so the value is
-      1 - 0 / reachable = 1, or 1 by convention when nothing is reachable.
-    - symmetric: a node pair is reachable in one direction exactly when it is
-      in the other, so every reachable pair is mutual. The value is 0 when any
-      edge exists, else 1 by convention.
+    The value has a closed form, so no reachability is computed: every arc
+    u -> v has key(u) < key(v) for key(x) = (score(x), x), a strict total
+    order when no score is NaN. Keys strictly increase along any directed
+    path, so there is no directed cycle and no pair of distinct nodes reaches
+    each other both ways. Mutual pairs are 0, so the value is
+    1 - 0 / reachable = 1, or 1 by convention when nothing is reachable.
     """
-    if orientation not in ("csi_order", "symmetric"):
-        raise ValueError(f"unknown orientation: {orientation}")
     if graph.number_of_nodes() == 0:
         raise MetricUndefinedError("hierarchy of an empty graph")
-    if orientation == "symmetric":
-        return 0.0 if graph.number_of_edges() > 0 else 1.0
     for node in graph.nodes:
         if user_scores is not None and node in user_scores:
             score = float(user_scores[node])
@@ -479,114 +481,58 @@ def krackhardt_hierarchy(
     return 1.0
 
 
-@dataclass(frozen=True)
-class NeighbourBits:
-    """A graph's adjacency as int bitsets over sorted node indices.
-
-    Bit j of masks[i] is set when nodes[j] is a neighbour of nodes[i]. A
-    self-loop sets no bit; its node is listed in loops. edges lists every
-    other edge once, as (i, j) with i < j.
-    """
-
-    nodes: list
-    masks: list[int]
-    edges: list[tuple[int, int]]
-    loops: list[int]
-
-
-def neighbour_bits(graph: nx.Graph) -> NeighbourBits:
-    nodes = sorted(graph.nodes)
-    index = {node: i for i, node in enumerate(nodes)}
-    masks = [0] * len(nodes)
-    edges = []
-    loops = []
-    for u, v in graph.edges:
-        a, b = index[u], index[v]
-        if a == b:
-            loops.append(a)
-            continue
-        if a > b:
-            a, b = b, a
-        masks[a] |= 1 << b
-        masks[b] |= 1 << a
-        edges.append((a, b))
-    return NeighbourBits(nodes=nodes, masks=masks, edges=edges, loops=loops)
-
-
-def _triangle_lists(bits: NeighbourBits, members: int = -1) -> tuple[list[int], list[int]]:
-    """Per node index, the two counts of triangle_counts on the subgraph
-    induced by members (a bitset of node indices; -1 is every node). Nodes
-    outside it count 0.
+def triangle_counts(index: NodeIndex, members: int = -1) -> tuple[list[int], list[int]]:
+    """Per node index: the number of edges among its neighbours, and
+    C(degree, 2), on the subgraph induced by members (a bitset of node
+    indices; -1 is every node). Nodes outside it count 0.
 
     Each edge (a, b) adds the number of common neighbours to both ends, so
     every node receives each of its triangles twice. A node with a self-loop
     is its own neighbour: each other neighbour closes a pair with it.
     """
-    masks = bits.masks
+    masks = index.masks
     if members != -1:
         masks = [mask & members if members >> i & 1 else 0 for i, mask in enumerate(masks)]
     twice = [0] * len(masks)
-    for a, b in bits.edges:
+    loops = []
+    for a, b in index.edges:
+        if a == b:
+            loops.append(a)
+            continue
         common = (masks[a] & masks[b]).bit_count()
         twice[a] += common
         twice[b] += common
     triangles = [count >> 1 for count in twice]
     degrees = [mask.bit_count() for mask in masks]
-    for x in bits.loops:
+    for x in loops:
         if members >> x & 1:
             triangles[x] += degrees[x]
             degrees[x] += 1
     return triangles, [d * (d - 1) // 2 for d in degrees]
 
 
-def triangle_counts(
-    graph: nx.Graph, *, bits: NeighbourBits | None = None
-) -> tuple[dict[str, int], dict[str, int]]:
-    """Per node: number of edges among its neighbors, and C(degree, 2).
-
-    transitivity and avg_local_clustering both derive from these counts;
-    pass them in to count once for both. bits, when given, must be
-    neighbour_bits(graph).
-    """
-    if bits is None:
-        bits = neighbour_bits(graph)
-    triangles, triples = _triangle_lists(bits)
-    return dict(zip(bits.nodes, triangles)), dict(zip(bits.nodes, triples))
-
-
-def induced_triangle_totals(bits: NeighbourBits, members: int) -> tuple[int, int]:
-    """Sums of both triangle_counts over the subgraph induced by members, a
-    bitset of indices into bits.nodes."""
-    triangles, triples = _triangle_lists(bits, members)
-    return sum(triangles), sum(triples)
-
-
-def transitivity(graph: nx.Graph, counts: tuple[dict, dict] | None = None) -> float:
-    """Global clustering coefficient: 3 * triangles / connected triples; 0 without triples.
-
-    counts, when given, must be triangle_counts(graph).
-    """
-    triangles, triples = counts if counts is not None else triangle_counts(graph)
-    total_triples = sum(triples.values())
+def transitivity(counts: tuple[list[int], list[int]]) -> float:
+    """Global clustering coefficient, 3 * triangles / connected triples, from
+    triangle_counts; 0 without triples."""
+    triangles, triples = counts
+    total_triples = sum(triples)
     if total_triples == 0:
         return 0.0
-    return sum(triangles.values()) / total_triples
+    return sum(triangles) / total_triples
 
 
-def avg_local_clustering(graph: nx.Graph, counts: tuple[dict, dict] | None = None) -> float:
-    """Mean per-node clustering; nodes with degree < 2 contribute 0.
-
-    counts, when given, must be triangle_counts(graph).
-    """
-    if graph.number_of_nodes() == 0:
+def avg_local_clustering(counts: tuple[list[int], list[int]]) -> float:
+    """Mean per-node clustering from triangle_counts, summed in index order;
+    nodes with degree < 2 contribute 0."""
+    triangles, triples = counts
+    if not triples:
         logger.warning("average clustering of an empty graph reported as 0")
         return 0.0
-    triangles, triples = counts if counts is not None else triangle_counts(graph)
     total = 0.0
-    for node in sorted(graph.nodes):
-        if triples[node] > 0:
-            total += triangles[node] / triples[node]
-    return total / graph.number_of_nodes()
+    for closed, pairs in zip(triangles, triples):
+        if pairs > 0:
+            total += closed / pairs
+    return total / len(triples)
 
 
 def density(graph: nx.Graph) -> float:

@@ -152,22 +152,22 @@ def structure_section(
     """
     if sync.number_of_edges() == 0:
         return None
-    partition = metricmod.louvain_partition(sync, seed=seed)
-    bits = metricmod.neighbour_bits(sync)
-    counts = metricmod.triangle_counts(sync, bits=bits)
+    index = metricmod.node_index(sync)
+    partition = metricmod.louvain_partition(index, seed=seed)
+    counts = metricmod.triangle_counts(index)
     section = {
         "density": metricmod.density(sync),
         "modularity": metricmod.newman_modularity(sync, partition),
         "partition_method": "louvain",
-        "hierarchy": metricmod.krackhardt_hierarchy(sync, "csi_order", user_scores=user_scores),
+        "hierarchy": metricmod.krackhardt_hierarchy(sync, user_scores),
         "hierarchy_orientation": "csi_order",
-        "transitivity": metricmod.transitivity(sync, counts),
-        "avg_local_clustering": metricmod.avg_local_clustering(sync, counts),
+        "transitivity": metricmod.transitivity(counts),
+        "avg_local_clustering": metricmod.avg_local_clustering(counts),
     }
-    no_triples = [] if any(counts[1].values()) else ["sync"]
+    no_triples = [] if any(counts[1]) else ["sync"]
     if bot_table is not None:
-        totals = botmod.class_triangle_totals(bits, bot_table)
-        section["clustering_by_class"] = botmod.clustering_by_class(sync, bot_table, totals=totals)
+        totals = botmod.class_triangle_totals(index, bot_table)
+        section["clustering_by_class"] = botmod.clustering_by_class(totals)
         no_triples += [cls for cls, (_, triples) in totals.items() if not triples]
     if no_triples:
         logger.warning("no connected triples: transitivity reported as 0 for %s", ", ".join(no_triples))
@@ -267,7 +267,7 @@ def run_pipeline(
         },
         action_type_participation={
             str(level): value
-            for level, value in synchrony.action_type_participation(counts, per_user).items()
+            for level, value in synchrony.action_type_participation(per_user).items()
         },
         csi_network_combined=summary["csi_network"],
         csi_per_action=summary["per_action"],

@@ -206,8 +206,16 @@ def write_bot_scores_csv(scores: Mapping[str, float], path: str | Path) -> Path:
 
 
 def config_from_json(path: str | Path) -> SimConfig:
-    """Load a SimConfig from its documented JSON shape."""
+    """Load a SimConfig from its documented JSON shape; SimConfigError naming
+    the file when the JSON does not have that shape."""
     obj = json.loads(Path(path).read_text(encoding="utf-8"))
+    try:
+        return _config_from_mapping(obj)
+    except (AttributeError, KeyError, TypeError, OverflowError) as exc:
+        raise SimConfigError(f"{path}: not a simulation config ({type(exc).__name__}: {exc})") from exc
+
+
+def _config_from_mapping(obj: dict) -> SimConfig:
     cohorts = tuple(
         CohortSpec(
             member_count=int(c["member_count"]),

@@ -169,15 +169,9 @@ def user_action_type_counts(counts: PairSyncCounts) -> dict[str, int]:
     return {user: len(types) for user, types in per_user.items()}
 
 
-def action_type_participation(
-    counts: PairSyncCounts, per_user: dict[str, int] | None = None
-) -> dict[int, float]:
-    """Fraction of synchronizing users coordinating across 1, 2 and 3 action types.
-
-    per_user, when given, must be user_action_type_counts(counts).
-    """
-    if per_user is None:
-        per_user = user_action_type_counts(counts)
+def action_type_participation(per_user: dict[str, int]) -> dict[int, float]:
+    """Fraction of synchronizing users coordinating across 1, 2 and 3 action
+    types, from user_action_type_counts."""
     if not per_user:
         return {}
     total = len(per_user)

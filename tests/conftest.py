@@ -308,9 +308,10 @@ def dict_eigenvector(graph: nx.Graph, tol: float = 1e-9, max_iter: int = 1000) -
     return x, False
 
 
-def bfs_hierarchy(graph: nx.Graph, orientation: str, user_scores: dict[str, float] | None = None) -> float:
-    """Krackhardt hierarchy by definition: orient the edges, BFS from every
-    node, then count reachable and mutually reachable node pairs."""
+def bfs_hierarchy(graph: nx.Graph, user_scores: dict[str, float] | None = None) -> float:
+    """Krackhardt hierarchy by definition: orient the edges from lower to
+    higher score, BFS from every node, then count reachable and mutually
+    reachable node pairs."""
 
     def score(node: str) -> float:
         if user_scores is not None and node in user_scores:
@@ -320,10 +321,6 @@ def bfs_hierarchy(graph: nx.Graph, orientation: str, user_scores: dict[str, floa
     nodes = sorted(graph.nodes)
     out: dict[str, list[str]] = {node: [] for node in nodes}
     for u, v in graph.edges:
-        if orientation == "symmetric":
-            out[u].append(v)
-            out[v].append(u)
-            continue
         su, sv = score(u), score(v)
         if su < sv:
             out[u].append(v)

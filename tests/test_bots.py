@@ -11,12 +11,13 @@ from syncindex.bots import (
     average_csi_by_user_class,
     centrality_by_class,
     classify_user,
+    class_triangle_totals,
     clustering_by_class,
     load_bot_scores,
     user_classes,
 )
 from syncindex.graphs import build_allcomm_graph, build_sync_graph
-from syncindex.metrics import node_centralities
+from syncindex.metrics import node_centralities, node_index, transitivity, triangle_counts
 from syncindex.events import InteractionRecord
 
 
@@ -83,6 +84,19 @@ class TestLoad:
         t = load_bot_scores(path)
         assert set(t.scores) == {"alice"}
         assert t.rejected == 1
+
+    def test_cell_over_field_limit_row_rejected(self, tmp_path):
+        path = tmp_path / "bots.csv"
+        path.write_text(f"user_id,score\nalice,0.95\n{'b' * 200_000},0.10\ncarol,0.2\n", encoding="utf-8")
+        t = load_bot_scores(path)
+        assert set(t.scores) == {"alice", "carol"}
+        assert t.rejected == 1
+
+    def test_header_over_field_limit_is_score_error(self, tmp_path):
+        path = tmp_path / "bots.csv"
+        path.write_text(f"user_id,{'s' * 200_000}\nalice,0.95\n", encoding="utf-8")
+        with pytest.raises(ScoreError, match="field larger than field limit"):
+            load_bot_scores(path)
 
     def test_xml_forbidden_id_row_rejected(self, tmp_path):
         path = tmp_path / "bots.csv"
@@ -199,22 +213,20 @@ class TestClusteringByClass:
         }
         t = table({"b1": 0.9, "b2": 0.9, "b3": 0.9, "h1": 0.1, "h2": 0.1, "h3": 0.1})
         sync = build_sync_graph(scores, user_classes=user_classes(sorted({u for p in scores for u in p}), t))
-        result = clustering_by_class(sync, t)
+        result = clustering_by_class(class_triangle_totals(node_index(sync), t))
         assert result == {"bot": 1.0, "human": 0.0}
 
     def test_empty_partition_key_absent(self):
         scores = {("h1", "h2"): 1.0}
         t = table({"h1": 0.1, "h2": 0.1})
         sync = build_sync_graph(scores)
-        result = clustering_by_class(sync, t)
+        result = clustering_by_class(class_triangle_totals(node_index(sync), t))
         assert set(result) == {"human"}
 
     def test_matches_induced_subgraph_transitivity(self):
-        from syncindex.metrics import transitivity
-
         scores = {("b1", "b2"): 1.0, ("b2", "b3"): 2.0, ("b1", "b3"): 1.0, ("b1", "h1"): 1.0}
         t = table({"b1": 0.9, "b2": 0.9, "b3": 0.9, "h1": 0.1})
         classes = user_classes(["b1", "b2", "b3", "h1"], t)
         sync = build_sync_graph(scores, user_classes=classes)
-        result = clustering_by_class(sync, t)
-        assert result["bot"] == transitivity(induced_subgraph(sync, "bot"))
+        result = clustering_by_class(class_triangle_totals(node_index(sync), t))
+        assert result["bot"] == transitivity(triangle_counts(node_index(induced_subgraph(sync, "bot"))))

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -250,6 +251,21 @@ class TestConfigAndIo:
         users.write_text("user_id,csi_user\na,1.0\nb\x1f,1.0\n")
         with pytest.raises(ValueError, match=r"users.csv: line 3: user_id holds a character XML 1.0 forbids"):
             read_user_scores_csv(users)
+
+    @pytest.mark.parametrize(
+        ("rows", "message"),
+        [
+            ("a,a,1,1,1.0\n", "line 2: self-pair 'a'"),
+            ("a,b,1,1,1.0\nb,c,1,1,2.0\nb,a,1,1,5.0\n", "line 4: pair ('b', 'a') listed twice"),
+            ("a,b,1,1,1.0\na,b,1,1,1.0\n", "line 3: pair ('a', 'b') listed twice"),
+        ],
+        ids=["self-pair", "reversed-repeat", "exact-repeat"],
+    )
+    def test_pair_scores_reject_self_and_repeated_pairs(self, tmp_path, rows, message):
+        path = tmp_path / "pairs.csv"
+        path.write_text("user_u,user_v,num_action_types,s_total,csi_userpair\n" + rows)
+        with pytest.raises(ValueError, match=rf"pairs.csv: {re.escape(message)}"):
+            read_pair_scores_csv(path)
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_user_scores_reject_non_finite(self, tmp_path, value):

@@ -265,6 +265,23 @@ class TestUndecodableBytes:
         path.write_bytes(b"post_id,user_id,timestamp,post_type\np1,alice,100,original\np2,bob,100,original,\xff\n")
         assert read_events_file(path).malformed == 1
 
+    def test_csv_cell_over_field_limit_is_malformed(self, tmp_path):
+        path = tmp_path / "events.csv"
+        path.write_text(
+            "post_id,user_id,timestamp,post_type\n"
+            f"p1,alice,100,original\np2,{'b' * 200_000},100,original\np3,carol,100,original\n",
+            encoding="utf-8",
+        )
+        dataset = read_events_file(path)
+        assert [p.post_id for p in dataset.posts] == ["p1", "p3"]
+        assert dataset.malformed == 1
+
+    def test_csv_header_over_field_limit_is_data_error(self, tmp_path):
+        path = tmp_path / "events.csv"
+        path.write_text(f"post_id,{'u' * 200_000}\np1,alice\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="CSV header: field larger than field limit"):
+            read_events_file(path)
+
     def test_bad_lines_count_toward_rejection(self, tmp_path):
         path = tmp_path / "events.jsonl"
         path.write_bytes(post_line().encode() + b"\n\xff\n\xfe{}\n")

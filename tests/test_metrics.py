@@ -20,7 +20,7 @@ from conftest import (
     set_transitivity,
     set_triangle_counts,
 )
-from syncindex.bots import BotScoreTable, clustering_by_class
+from syncindex.bots import BotScoreTable, class_triangle_totals, clustering_by_class
 from syncindex import metrics as metricmod
 from syncindex.metrics import (
     FOLD_STORE_CAP,
@@ -41,6 +41,10 @@ from syncindex.metrics import (
     transitivity,
     triangle_counts,
 )
+
+
+def triangles_of(graph):
+    return triangle_counts(node_index(graph))
 
 
 def path3():
@@ -218,6 +222,15 @@ class TestKernelsMatchDictOracles:
     def test_betweenness_bit_identical(self, graph):
         assert hexed(betweenness_centrality(graph)) == hexed(dict_betweenness(graph))
 
+    @pytest.mark.parametrize("loops", [["a"], ["a", "c", "e"]], ids=["leaf-loop", "three-loops"])
+    def test_kernels_keep_self_loops(self, loops):
+        graph = nx.Graph([("a", "b"), ("b", "c"), ("c", "d"), ("d", "e"), ("b", "d")])
+        graph.add_edges_from((node, node, {"weight": 2.0}) for node in loops)
+        expected, converged = dict_eigenvector(graph)
+        assert converged
+        assert hexed(eigenvector_centrality(graph)) == hexed(expected)
+        assert hexed(betweenness_centrality(graph)) == hexed(dict_betweenness(graph))
+
     @settings(max_examples=200, deadline=None)
     @given(multi_component_graphs(), st.sampled_from([3, 1000]))
     def test_eigenvector_bit_identical(self, graph, max_iter):
@@ -302,7 +315,7 @@ class TestStructureMatchesOracles:
     def test_louvain_equals_networkx(self, graph, seed):
         if graph.number_of_edges() == 0:
             return
-        assert louvain_partition(graph, seed=seed) == nx_louvain_partition(graph, seed=seed)
+        assert louvain_partition(node_index(graph), seed=seed) == nx_louvain_partition(graph, seed=seed)
 
     @pytest.mark.parametrize(
         "graph",
@@ -314,8 +327,9 @@ class TestStructureMatchesOracles:
         ids=["barabasi-albert", "caveman", "gnp-string-ids"],
     )
     def test_louvain_equals_networkx_on_larger_graphs(self, graph):
+        index = node_index(graph)
         for seed in (0, 7):
-            assert louvain_partition(graph, seed=seed) == nx_louvain_partition(graph, seed=seed)
+            assert louvain_partition(index, seed=seed) == nx_louvain_partition(graph, seed=seed)
 
     def test_louvain_leaves_no_cyclic_garbage(self):
         graph = nx.barabasi_albert_graph(300, 3, seed=2)
@@ -323,7 +337,7 @@ class TestStructureMatchesOracles:
         gc.disable()
         try:
             gc.collect()
-            louvain_partition(graph, seed=0)
+            louvain_partition(node_index(graph), seed=0)
             assert gc.collect() == 0
         finally:
             if enabled:
@@ -332,9 +346,10 @@ class TestStructureMatchesOracles:
     @settings(max_examples=200, deadline=None)
     @given(clustered_graphs(), st.integers(0, 2**32))
     def test_triangles_and_class_transitivity_equal_set_oracle(self, graph, draw_seed):
-        counts = triangle_counts(graph)
-        assert counts == set_triangle_counts(graph)
-        assert transitivity(graph, counts) == set_transitivity(graph)
+        index = node_index(graph)
+        counts = triangle_counts(index)
+        assert tuple(dict(zip(index.nodes, column)) for column in counts) == set_triangle_counts(graph)
+        assert transitivity(counts) == set_transitivity(graph)
         rng = random.Random(draw_seed)
         table = BotScoreTable(scores={node: rng.random() for node in graph if rng.random() < 0.8})
         expected = {}
@@ -342,7 +357,7 @@ class TestStructureMatchesOracles:
             members = [node for node in graph if table.classify(node) == cls]
             if members:
                 expected[cls] = set_transitivity(graph.subgraph(members))
-        assert clustering_by_class(graph, table) == expected
+        assert clustering_by_class(class_triangle_totals(index, table)) == expected
 
 
 class TestModularity:
@@ -379,25 +394,25 @@ class TestModularity:
 class TestLouvain:
     def test_recovers_disjoint_triangles(self):
         graph = two_triangles()
-        partition = louvain_partition(graph, seed=5)
+        partition = louvain_partition(node_index(graph), seed=5)
         assert {partition[0], partition[1], partition[2]} == {partition[0]}
         assert partition[0] != partition[3]
         assert newman_modularity(graph, partition) == pytest.approx(0.5)
 
     def test_complete_graph_single_community(self):
-        partition = louvain_partition(nx.complete_graph(4), seed=5)
+        partition = louvain_partition(node_index(nx.complete_graph(4)), seed=5)
         assert len(set(partition.values())) == 1
 
     def test_fixed_seed_is_deterministic(self):
         rng = random.Random(43)
         graph = random_graph(rng, max_nodes=25, edge_prob=0.25)
-        first = louvain_partition(graph, seed=9)
+        first = louvain_partition(node_index(graph), seed=9)
         for _ in range(3):
-            assert louvain_partition(graph, seed=9) == first
+            assert louvain_partition(node_index(graph), seed=9) == first
 
     def test_needs_an_edge(self):
         with pytest.raises(MetricUndefinedError):
-            louvain_partition(nx.empty_graph(3), seed=1)
+            louvain_partition(node_index(nx.empty_graph(3)), seed=1)
 
 
 @st.composite
@@ -418,14 +433,10 @@ class TestHierarchy:
         star = nx.star_graph(4)
         star = nx.relabel_nodes(star, {i: f"n{i}" for i in star})
         scores = {"n0": 9.0, "n1": 1.0, "n2": 1.0, "n3": 1.0, "n4": 1.0}
-        assert krackhardt_hierarchy(star, "csi_order", scores) == 1.0
-
-    def test_symmetric_connected_is_zero(self):
-        for graph in (path3(), nx.complete_graph(5), nx.cycle_graph(6)):
-            assert krackhardt_hierarchy(graph, "symmetric") == 0.0
+        assert krackhardt_hierarchy(star, scores) == 1.0
 
     def test_single_node_is_one(self):
-        assert krackhardt_hierarchy(nx.empty_graph(1), "csi_order") == 1.0
+        assert krackhardt_hierarchy(nx.empty_graph(1)) == 1.0
 
     def test_empty_graph_undefined(self):
         with pytest.raises(MetricUndefinedError):
@@ -434,71 +445,58 @@ class TestHierarchy:
     def test_ties_break_toward_larger_id(self):
         graph = nx.Graph([("a", "b")])
         # equal scores: arc points a -> b, one-way reachable pair
-        assert krackhardt_hierarchy(graph, "csi_order", {"a": 1.0, "b": 1.0}) == 1.0
-
-    def test_unknown_orientation_rejected(self):
-        with pytest.raises(ValueError):
-            krackhardt_hierarchy(path3(), "upward")
+        assert krackhardt_hierarchy(graph, {"a": 1.0, "b": 1.0}) == 1.0
 
     def test_nan_score_rejected(self):
         triangle = nx.Graph([("a", "b"), ("b", "c"), ("c", "a")])
         with pytest.raises(ValueError, match="'b'"):
-            krackhardt_hierarchy(triangle, "csi_order", {"a": 2.0, "b": math.nan, "c": 1.0})
+            krackhardt_hierarchy(triangle, {"a": 2.0, "b": math.nan, "c": 1.0})
 
     @settings(max_examples=200, deadline=None)
-    @given(scored_graphs(), st.sampled_from(["csi_order", "symmetric"]))
-    def test_closed_form_matches_bfs_definition(self, case, orientation):
+    @given(scored_graphs())
+    def test_closed_form_matches_bfs_definition(self, case):
         graph, scores = case
-        expected = bfs_hierarchy(graph, orientation, scores)
-        assert krackhardt_hierarchy(graph, orientation, scores) == expected
+        assert krackhardt_hierarchy(graph, scores) == bfs_hierarchy(graph, scores)
 
     def test_scores_from_node_attributes(self):
         graph = nx.Graph()
         graph.add_edge("a", "b")
         graph.nodes["a"]["csi_user"] = 5.0
         graph.nodes["b"]["csi_user"] = 1.0
-        assert krackhardt_hierarchy(graph, "csi_order") == 1.0
+        assert krackhardt_hierarchy(graph) == 1.0
 
 
 class TestClustering:
     def test_triangle_transitivity(self):
-        assert transitivity(nx.complete_graph(3)) == 1.0
+        assert transitivity(triangles_of(nx.complete_graph(3))) == 1.0
 
     def test_path_transitivity(self):
-        assert transitivity(path3()) == 0.0
+        assert transitivity(triangles_of(path3())) == 0.0
 
     def test_k4_minus_edge(self):
         graph = nx.complete_graph(4)
         graph.remove_edge(2, 3)
-        assert transitivity(graph) == pytest.approx(0.75, abs=1e-12)
+        assert transitivity(triangles_of(graph)) == pytest.approx(0.75, abs=1e-12)
 
     def test_no_triples_warns_zero(self):
-        assert transitivity(nx.Graph([("a", "b")])) == 0.0
+        assert transitivity(triangles_of(nx.Graph([("a", "b")]))) == 0.0
 
     def test_both_one_on_complete_graphs(self):
         for n in (3, 4, 6):
             graph = nx.complete_graph(n)
-            assert transitivity(graph) == 1.0
-            assert avg_local_clustering(graph) == 1.0
+            counts = triangles_of(nx.complete_graph(n))
+            assert transitivity(counts) == 1.0
+            assert avg_local_clustering(counts) == 1.0
 
     def test_both_zero_on_trees(self):
-        tree = nx.balanced_tree(2, 3)
-        assert transitivity(tree) == 0.0
-        assert avg_local_clustering(tree) == 0.0
+        counts = triangles_of(nx.balanced_tree(2, 3))
+        assert transitivity(counts) == 0.0
+        assert avg_local_clustering(counts) == 0.0
 
     def test_low_degree_nodes_contribute_zero(self):
         graph = nx.Graph([("a", "b"), ("b", "c"), ("c", "a"), ("a", "pendant")])
         expected = (1 + 1 + (1 / 3) + 0) / 4  # "a" has degree 3 with 1 of 3 pairs closed
-        assert avg_local_clustering(graph) == pytest.approx(expected)
-
-
-    def test_precomputed_counts_give_same_values(self):
-        rng = random.Random(61)
-        for _ in range(10):
-            graph = random_graph(rng, max_nodes=15, edge_prob=0.3)
-            counts = triangle_counts(graph)
-            assert transitivity(graph, counts) == transitivity(graph)
-            assert avg_local_clustering(graph, counts) == avg_local_clustering(graph)
+        assert avg_local_clustering(triangles_of(graph)) == pytest.approx(expected)
 
 
 class TestDensity:

@@ -287,7 +287,7 @@ def test_run_pipeline_counts_action_types_once(sim_inputs, monkeypatch):
     report = run_pipeline(events, bots_path=bots)
     assert len(calls) == 1
     assert report.action_type_participation == {
-        str(level): value for level, value in synchrony.action_type_participation(calls[0]).items()
+        str(level): value for level, value in synchrony.action_type_participation(count(calls[0])).items()
     }
 
 
@@ -313,16 +313,19 @@ def test_report_independent_of_hash_seed(tmp_path):
 
 
 def test_structure_section_counts_triangles_once(monkeypatch):
-    calls = []
-    count = metricmod.triangle_counts
+    indexed, counted = [], []
+    index_of, count = metricmod.node_index, metricmod.triangle_counts
+    monkeypatch.setattr(metricmod, "node_index", lambda graph: indexed.append(graph) or index_of(graph))
     monkeypatch.setattr(
-        metricmod, "triangle_counts", lambda graph, **kwargs: calls.append(graph) or count(graph, **kwargs)
+        metricmod, "triangle_counts", lambda index, *members: counted.append(members) or count(index, *members)
     )
     sync = nx.Graph([("a", "b"), ("b", "c"), ("c", "a"), ("c", "d")])
     section = structure_section(sync, None, None, seed=0)
-    assert calls == [sync]
-    assert section["transitivity"] == metricmod.transitivity(sync)
-    assert section["avg_local_clustering"] == metricmod.avg_local_clustering(sync)
+    assert indexed == [sync]
+    assert counted == [()]
+    counts = count(index_of(sync))
+    assert section["transitivity"] == metricmod.transitivity(counts)
+    assert section["avg_local_clustering"] == metricmod.avg_local_clustering(counts)
 
 
 def test_transitivity_without_triples_warns_once(tmp_path, caplog):
@@ -526,8 +529,13 @@ class TestCli:
             ("score", "pair_counts.csv", "user_u,user_v\na,b\n", "line 1: header lacks column action_type"),
             ("graph", "pairs.csv", "user_u,user_v,num_action_types,s_total,csi_userpair\na,b,1,2\n",
              "line 2: 4 cells, header has 5"),
+            ("graph", "pairs.csv", "user_u,user_v,num_action_types,s_total,csi_userpair\na,a,1,1,1.0\n",
+             "line 2: self-pair 'a'"),
+            ("graph", "pairs.csv", "user_u,user_v,num_action_types,s_total,csi_userpair\na,b,1,1,1.0\nb,a,1,1,5.0\n",
+             "line 3: pair ('b', 'a') listed twice"),
         ],
-        ids=["short-pair-count-row", "pair-counts-without-action-type", "short-pair-score-row"],
+        ids=["short-pair-count-row", "pair-counts-without-action-type", "short-pair-score-row", "pair-score-self-pair",
+             "pair-score-repeated"],
     )
     def test_malformed_stage_table_is_data_error(self, tmp_path, capsys, stage, name, text, message):
         path = tmp_path / name

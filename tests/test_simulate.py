@@ -167,6 +167,21 @@ class TestOutputs:
         assert len(truth.pairs) == 3
         assert dataset.label == "sim-3"
 
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            [{"member_count": 3}],
+            {"background_users": 5, "cohorts": [{"windows_active": 2}]},
+            {"background_users": 5, "cohorts": [{"member_count": None}]},
+        ],
+        ids=["top-level-list", "cohort-without-member-count", "null-member-count"],
+    )
+    def test_malformed_config_is_config_error(self, tmp_path, payload):
+        path = tmp_path / "sim.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(SimConfigError, match="sim.json: not a simulation config"):
+            config_from_json(path)
+
     def test_ground_truth_is_frozen_mapping(self):
         truth = GroundTruth(pairs=(), user_classes={"a": "bot"})
         assert truth.user_classes["a"] == "bot"

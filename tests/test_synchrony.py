@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from conftest import counts_from_mapping, random_actions
 from syncindex.events import ActionRecord
 from syncindex.synchrony import (
-    PairSyncCounts,
     SyncWindowConfig,
     action_type_participation,
     brute_force_detect,
@@ -134,24 +133,24 @@ class TestParticipation:
         counts = counts_from_mapping(
             {("u", "v"): {"hashtag": 1, "url": 1}, ("u", "w"): {"hashtag": 1}}
         )
-        dist = action_type_participation(counts)
+        dist = action_type_participation(user_action_type_counts(counts))
         assert dist == {1: pytest.approx(1 / 3), 2: pytest.approx(2 / 3), 3: 0.0}
 
     def test_single_pair_single_action(self):
         counts = counts_from_mapping({("u", "v"): {"url": 2}})
-        assert action_type_participation(counts) == {1: 1.0, 2: 0.0, 3: 0.0}
+        assert action_type_participation(user_action_type_counts(counts)) == {1: 1.0, 2: 0.0, 3: 0.0}
 
     def test_all_three_actions(self):
         counts = counts_from_mapping({("u", "v"): {"hashtag": 1, "url": 1, "mention": 1}})
-        assert action_type_participation(counts) == {1: 0.0, 2: 0.0, 3: 1.0}
+        assert action_type_participation(user_action_type_counts(counts)) == {1: 0.0, 2: 0.0, 3: 1.0}
 
     def test_empty(self):
-        assert action_type_participation(PairSyncCounts()) == {}
+        assert action_type_participation({}) == {}
 
     def test_fractions_sum_to_one(self):
         rng = random.Random(2)
         counts = detect(random_actions(rng, max_users=25, max_records=300))
-        dist = action_type_participation(counts)
+        dist = action_type_participation(user_action_type_counts(counts))
         if dist:
             assert sum(dist.values()) == pytest.approx(1.0, abs=1e-9)
 
