@@ -30,7 +30,6 @@ from .synchrony import (
     PairSyncCounts,
     SyncWindowConfig,
     action_type_participation,
-    brute_force_detect,
     detect,
 )
 
@@ -49,7 +48,6 @@ __all__ = [
     "SyncWindowConfig",
     "UndefinedNetworkError",
     "action_type_participation",
-    "brute_force_detect",
     "canonicalize_artifact",
     "compute_tables",
     "csi_network",

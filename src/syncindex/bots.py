@@ -15,7 +15,7 @@ from statistics import fmean, pstdev
 from typing import Iterable, Mapping
 
 from . import metrics
-from .events import _xml_forbidden, dict_rows
+from .events import _xml_forbidden, csv_rows
 
 logger = logging.getLogger(__name__)
 
@@ -74,17 +74,19 @@ def load_bot_scores(path: str | Path, threshold: float = DEFAULT_THRESHOLD) -> B
     rejected = 0
     with Path(path).open("r", encoding="utf-8", errors="surrogateescape", newline="") as handle:
         try:
-            names, rows = dict_rows(handle)
+            names, rows = csv_rows(handle)
         except ValueError as exc:
             raise ScoreError(f"bot score file {path}: {exc}") from exc
-        if "user_id" not in names or "score" not in names:
+        position = {name: i for i, name in enumerate(names)}  # a repeated name reads its last column
+        if "user_id" not in position or "score" not in position:
             raise ScoreError(f"bot score file {path} must have a user_id,score header")
-        for row in rows:
+        user_at, score_at = position["user_id"], position["score"]
+        for cells in rows:
             try:
-                if row is None:
+                if cells is None:
                     raise ValueError
-                user = (row.get("user_id") or "").strip()
-                score = float(row.get("score") or "")
+                user = cells[user_at].strip() if user_at < len(cells) else ""
+                score = float(cells[score_at] if score_at < len(cells) else "")
                 if not 0.0 <= score <= 1.0 or not user or _xml_forbidden(user):
                     raise ValueError
             except ValueError:

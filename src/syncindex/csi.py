@@ -162,8 +162,14 @@ def write_user_scores_csv(tables: CsiTables, path: str | Path) -> Path:
 
 
 def read_user_scores_csv(path: str | Path) -> dict[str, float]:
-    rows = read_csv(path, USER_COLUMNS, ids=("user_id",))
-    return {user: _finite_score(score, "csi_user", path, line) for line, (user, score) in rows}
+    """The user-score table; ValueError naming the file and line for a user
+    listed twice."""
+    scores: dict[str, float] = {}
+    for line, (user, text) in read_csv(path, USER_COLUMNS, ids=("user_id",)):
+        if user in scores:
+            raise ValueError(f"{path}: line {line}: user {user!r} listed twice")
+        scores[user] = _finite_score(text, "csi_user", path, line)
+    return scores
 
 
 def network_summary(tables: CsiTables | None, config: CsiConfig) -> dict:

@@ -13,9 +13,10 @@ import logging
 import math
 import re
 from dataclasses import dataclass, field, replace
-from datetime import datetime, timedelta, timezone
+from datetime import datetime, timezone
+from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 from urllib.parse import urlsplit, urlunsplit
 
 logger = logging.getLogger(__name__)
@@ -28,12 +29,14 @@ ACTION_TYPES = ("hashtag", "url", "mention")
 # Every timestamp path accepts 0 to MAX_TIMESTAMP, after rounding down.
 MAX_TIMESTAMP = 253_402_300_799
 _EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
-_SECOND = timedelta(seconds=1)
 
 # Characters XML 1.0 cannot carry, even escaped: C0 controls other than tab,
 # newline and carriage return, surrogates, U+FFFE and U+FFFF. None of them
 # is printable.
 _XML_FORBIDDEN = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
+
+_decode_json = json.JSONDecoder().raw_decode
+_NO_ARTIFACTS: frozenset[str] = frozenset()
 
 
 class CorpusRejectedError(ValueError):
@@ -44,8 +47,7 @@ class ArtifactError(ValueError):
     """Raw artifact cannot be canonicalized."""
 
 
-@dataclass(frozen=True)
-class PostEvent:
+class PostEvent(NamedTuple):
     """One authored post with its extracted action artifacts (raw strings)."""
 
     post_id: str
@@ -58,22 +60,26 @@ class PostEvent:
     mentions: frozenset[str] = frozenset()
 
 
-@dataclass(frozen=True)
-class InteractionRecord:
+class InteractionRecord(NamedTuple):
     source_user: str
     target_user: str
     interaction_type: str
     timestamp: int
 
 
-@dataclass(frozen=True)
-class ActionRecord:
+class ActionRecord(NamedTuple):
     """A single canonicalized action taken by a user at a point in time."""
 
     user_id: str
     timestamp: int
     action_type: str
     artifact_id: str
+
+
+# Record order: posts by (timestamp, post_id), interactions by (timestamp,
+# source_user, target_user, interaction_type).
+_POST_ORDER = itemgetter(2, 0)
+_INTERACTION_ORDER = itemgetter(3, 0, 1, 2)
 
 
 @dataclass(frozen=True)
@@ -89,6 +95,8 @@ class EventDataset:
 def _coerce_timestamp(value: object) -> int:
     """Accept epoch seconds (int/float/int-string) or ISO-8601; return UTC epoch
     seconds, rounded down, in [0, MAX_TIMESTAMP]."""
+    if value.__class__ is int and 0 <= value <= MAX_TIMESTAMP:
+        return value
     if isinstance(value, bool):
         raise ValueError("timestamp must be a number or ISO-8601 string")
     if isinstance(value, int):
@@ -101,13 +109,18 @@ def _coerce_timestamp(value: object) -> int:
         text = value.strip()
         if not text:
             raise ValueError("empty timestamp")
-        try:
-            ts = int(text)
-        except ValueError:
+        ts = None
+        if ":" not in text:  # int() rejects an ISO-8601 time, but slowly
+            try:
+                ts = int(text)
+            except ValueError:
+                pass
+        if ts is None:
             dt = datetime.fromisoformat(text.replace("Z", "+00:00"))
             if dt.tzinfo is None:
                 dt = dt.replace(tzinfo=timezone.utc)
-            ts = (dt - _EPOCH) // _SECOND
+            since = dt - _EPOCH  # days, then seconds in [0, 86400) and microseconds >= 0
+            ts = since.days * 86_400 + since.seconds
     else:
         raise ValueError(f"bad timestamp type: {type(value).__name__}")
     if ts < 0:
@@ -115,17 +128,6 @@ def _coerce_timestamp(value: object) -> int:
     if ts > MAX_TIMESTAMP:
         raise ValueError("timestamp after 9999-12-31T23:59:59Z")
     return ts
-
-
-def _valid_str(value: str, name: str) -> str:
-    """value, stripped; a character XML 1.0 forbids is malformed.
-
-    That covers control characters such as "\\x01" and lone surrogates (a
-    JSON escape such as "\\ud800"), which no export could carry.
-    """
-    if _xml_forbidden(value):
-        raise ValueError(f"{name} holds a character XML 1.0 forbids")
-    return value.strip()
 
 
 def _xml_forbidden(text: str) -> bool:
@@ -180,26 +182,28 @@ def read_csv(
             raise ValueError(f"{path}: line {reader.line_num}: {exc}") from exc
 
 
-def dict_rows(handle: Iterable[str]) -> tuple[list[str], Iterator[dict | None]]:
-    """(header, rows) of a CSV with a header row, rows as csv.DictReader gives
-    them. A row the csv module cannot read (a cell over its field limit) is
-    None, and reading resumes at the next row; ValueError when the header
-    cannot be read."""
-    reader = csv.DictReader(handle)
+def csv_rows(handle: Iterable[str]) -> tuple[list[str], Iterator[list[str] | None]]:
+    """(header, rows) of a CSV with a header row: the cells of each row, blank
+    rows skipped. A row the csv module cannot read (a cell over its field
+    limit) is None, and reading resumes at the next line; ValueError when the
+    header cannot be read."""
+    reader = csv.reader(handle)
     try:
-        header = reader.fieldnames or []
+        header = next(reader, [])
     except csv.Error as exc:
         raise ValueError(f"CSV header: {exc}") from exc
 
-    def rows() -> Iterator[dict | None]:
+    def rows() -> Iterator[list[str] | None]:
         while True:
             try:
-                row = next(reader)
+                cells = next(reader)
             except StopIteration:
                 return
             except csv.Error:
-                row = None
-            yield row
+                yield None
+                continue
+            if cells:
+                yield cells
 
     return header, rows()
 
@@ -211,64 +215,79 @@ def write_json(path: str | Path, obj: object) -> Path:
     return path
 
 
-def _required_str(obj: dict, key: str) -> str:
-    value = obj.get(key)
-    if not isinstance(value, str) or not value.strip():
-        raise ValueError(f"missing or empty field: {key}")
-    return _valid_str(value, key)
-
-
 def _artifact_set(value: object) -> frozenset[str]:
-    if value is None or value == "":
-        return frozenset()
-    if not isinstance(value, (list, tuple, set, frozenset)):
-        raise ValueError("artifact field must be a list")
-    cleaned = set()
-    for item in value:
-        if not isinstance(item, str):
-            raise ValueError("artifact entries must be strings")
-        item = _valid_str(item, "artifact")
-        if item:
-            cleaned.add(item)
-    return frozenset(cleaned)
+    """The stripped, non-empty entries of a list field; None or "" is empty.
+    TypeError for an entry that is not a string."""
+    if value.__class__ is not list:
+        if value is None or value == "":
+            return _NO_ARTIFACTS
+        if not isinstance(value, (list, tuple, set, frozenset)):
+            raise ValueError("artifact field must be a list")
+    if not value:
+        return _NO_ARTIFACTS
+    cleaned = frozenset(map(str.strip, value))
+    return cleaned - {""} if "" in cleaned else cleaned
 
 
-def _post_from_mapping(obj: dict) -> PostEvent:
-    post_type = _required_str(obj, "post_type")
-    if post_type not in POST_TYPES:
-        raise ValueError(f"unknown post_type: {post_type}")
-    lang = obj.get("lang")
+def _post(fields: tuple, check: bool) -> PostEvent:
+    """The post of one record's raw field values, in PostEvent order with None
+    for an absent field; ValueError or TypeError when the record is malformed.
+
+    check is False when the raw line cannot hold a character XML 1.0 forbids;
+    otherwise the strings read here are searched for one.
+    """
+    post_id, user_id, timestamp, post_type, lang, hashtags, urls, mentions = fields
+    kind = post_type
+    if kind not in POST_TYPES:
+        if not isinstance(kind, str) or kind.strip() not in POST_TYPES:
+            raise ValueError(f"unknown post_type: {post_type!r}")
+        kind = kind.strip()
+    if not (isinstance(post_id, str) and isinstance(user_id, str)):
+        raise ValueError("post_id and user_id must be strings")
+    code = None
     if lang is not None:
         if not isinstance(lang, str):
             raise ValueError("lang must be a string")
-        lang = _valid_str(lang, "lang").lower() or None
-    return PostEvent(
-        post_id=_required_str(obj, "post_id"),
-        user_id=_required_str(obj, "user_id"),
-        timestamp=_coerce_timestamp(obj["timestamp"]),
-        post_type=post_type,
-        lang=lang,
-        hashtags=_artifact_set(obj.get("hashtags")),
-        urls=_artifact_set(obj.get("urls")),
-        mentions=_artifact_set(obj.get("mentions")),
+        code = lang.strip().lower() or None
+    post = PostEvent(
+        post_id.strip(),
+        user_id.strip(),
+        _coerce_timestamp(timestamp),
+        kind,
+        code,
+        _artifact_set(hashtags),
+        _artifact_set(urls),
+        _artifact_set(mentions),
     )
+    if not (post.post_id and post.user_id):
+        raise ValueError("empty post_id or user_id")
+    if check and _xml_forbidden(
+        "".join([post_type, post_id, user_id, lang or "", *(hashtags or ()), *(urls or ()), *(mentions or ())])
+    ):
+        raise ValueError("a field holds a character XML 1.0 forbids")
+    return post
 
 
-def _interaction_from_mapping(obj: dict) -> InteractionRecord | None:
-    """Returns None for self-interactions, which are dropped (not malformed)."""
-    interaction_type = _required_str(obj, "interaction_type")
-    if interaction_type not in INTERACTION_TYPES:
-        raise ValueError(f"unknown interaction_type: {interaction_type}")
-    source = _required_str(obj, "source_user")
-    target = _required_str(obj, "target_user")
-    if source == target:
+def _interaction(fields: tuple, check: bool) -> InteractionRecord | None:
+    """The interaction of one record's raw field values, in InteractionRecord
+    order, as _post reads a post; None for a self-interaction, which is
+    dropped, not malformed."""
+    source, target, interaction_type, timestamp = fields
+    kind = interaction_type
+    if kind not in INTERACTION_TYPES:
+        if not isinstance(kind, str) or kind.strip() not in INTERACTION_TYPES:
+            raise ValueError(f"unknown interaction_type: {interaction_type!r}")
+        kind = kind.strip()
+    if not (isinstance(source, str) and isinstance(target, str)):
+        raise ValueError("source_user and target_user must be strings")
+    source_user, target_user = source.strip(), target.strip()
+    if not (source_user and target_user):
+        raise ValueError("empty source_user or target_user")
+    if check and _xml_forbidden(interaction_type + source + target):
+        raise ValueError("a field holds a character XML 1.0 forbids")
+    if source_user == target_user:
         return None
-    return InteractionRecord(
-        source_user=source,
-        target_user=target,
-        interaction_type=interaction_type,
-        timestamp=_coerce_timestamp(obj["timestamp"]),
-    )
+    return InteractionRecord(source_user, target_user, kind, _coerce_timestamp(timestamp))
 
 
 def _undecodable(text: str) -> bool:
@@ -286,36 +305,94 @@ def _undecodable(text: str) -> bool:
     return False
 
 
-def _csv_row_to_mapping(row: dict) -> dict | None:
-    """Translate a CSV row to the JSONL record shape (pipe-delimited lists).
+# Each record source yields, per non-blank line, None for a malformed line or
+# (validator, raw field values, check) for a record. A line that is
+# printable holds no character XML 1.0 forbids (none of them is printable)
+# and no byte that was not UTF-8 (a lone surrogate is not printable either),
+# so check is False and neither is searched for.
 
-    None when a cell, extra cells included, is not valid UTF-8.
-    """
-    obj: dict = {k: v for k, v in row.items() if k is not None and v not in (None, "")}
-    if _undecodable("".join([*obj.values(), *(row.get(None) or ())])):
-        return None
-    for key in ("hashtags", "urls", "mentions"):
-        if key in obj:
-            obj[key] = [part for part in obj[key].split("|") if part]
-    return obj
+
+def _jsonl_records(stream: Iterable[str]) -> Iterator[tuple | None]:
+    for line in stream:
+        line = line.strip()
+        if not line:
+            continue
+        # Without a backslash, no JSON escape can decode to a forbidden character.
+        check = "\\" in line or not line.isprintable()
+        if check and _undecodable(line):
+            yield None
+            continue
+        try:
+            obj, end = _decode_json(line)
+        except (ValueError, RecursionError):  # bad JSON, too-deep nesting, too many int digits
+            yield None
+            continue
+        if end != len(line) or not isinstance(obj, dict):  # the line is stripped, so end is its length
+            yield None
+        elif "source_user" in obj or "target_user" in obj:
+            yield _interaction, tuple(map(obj.get, InteractionRecord._fields)), check
+        else:
+            yield _post, tuple(map(obj.get, PostEvent._fields)), check
+
+
+def _csv_records(stream: Iterable[str]) -> Iterator[tuple | None]:
+    """As csv.DictReader would map each row: a repeated column name reads its
+    last column, a short row lacks its missing fields, and an empty cell is an
+    absent field. The list fields are pipe-delimited."""
+    header, rows = csv_rows(stream)
+    width = len(header)
+    position = {name: i for i, name in enumerate(header)}
+    # A column the header lacks reads index width, which every row holds as "".
+    post_cells = itemgetter(*[position.get(name, width) for name in PostEvent._fields])
+    interaction_cells = itemgetter(*[position.get(name, width) for name in InteractionRecord._fields])
+    source, target = position.get("source_user", width), position.get("target_user", width)
+    # The cells a row's record is read from, extra cells included: all of them,
+    # unless a repeated name hides a column.
+    shown = sorted(position.values()) if len(position) < width else None
+    for cells in rows:
+        if cells is None:
+            yield None
+            continue
+        n = len(cells)
+        if shown is None:
+            text = "".join(cells)
+        else:
+            text = "".join([cells[i] for i in shown if i < n] + cells[width:])
+        check = not text.isprintable()
+        if check and _undecodable(text):
+            yield None
+            continue
+        if n > width:
+            cells[width] = ""
+        else:
+            cells += [""] * (width + 1 - n)
+        if cells[source] or cells[target]:
+            yield _interaction, interaction_cells(cells), check
+        else:
+            post_id, user_id, timestamp, post_type, lang, hashtags, urls, mentions = post_cells(cells)
+            lists = [cell.split("|") if cell else None for cell in (hashtags, urls, mentions)]
+            yield _post, (post_id, user_id, timestamp, post_type, lang, *lists), check
 
 
 def parse_events(
-    stream: Iterable[str] | Iterable[dict],
+    stream: Iterable[str],
     format: str = "jsonl",
     label: str = "",
 ) -> EventDataset:
     """Parse line-delimited records into an EventDataset.
 
-    Malformed lines are counted and skipped; duplicated post ids count as
-    malformed, as do CSV rows holding a cell over the csv module's field
-    limit, lines that are not valid UTF-8 (lone surrogates, as
-    read_events_file decodes them), lines whose timestamp lies outside
-    [0, MAX_TIMESTAMP], and lines whose id, type, artifact or lang string
-    holds a character XML 1.0 forbids (a control character such as "\\x01",
-    a lone surrogate such as the JSON escape "\\ud800", U+FFFE or U+FFFF).
-    Raises CorpusRejectedError when more than half of the non-blank lines
-    are malformed.
+    Each record is validated once. Malformed lines are counted and skipped;
+    duplicated post ids count as malformed, as do CSV rows holding a cell
+    over the csv module's field limit, lines that are not valid UTF-8 (lone
+    surrogates, as read_events_file decodes them), lines whose timestamp
+    lies outside [0, MAX_TIMESTAMP], and lines whose id, type, artifact or
+    lang string holds a character XML 1.0 forbids (a control character such
+    as "\\x01", a lone surrogate such as the JSON escape "\\ud800", U+FFFE or
+    U+FFFF). A quoted CSV cell over the field limit that spans lines is not
+    skipped whole: the csv module drops the line it fails on and reads the
+    cell's later lines as rows of their own, so a cell holding one line
+    break counts as two malformed lines. Raises CorpusRejectedError when
+    more than half of the non-blank lines are malformed.
     """
     if format not in ("jsonl", "csv"):
         raise ValueError(f"unknown format: {format}")
@@ -327,63 +404,41 @@ def parse_events(
     dropped_self = 0
     total = 0
 
-    if format == "csv":
-        records: Iterator[dict | None] = (
-            None if row is None else _csv_row_to_mapping(row) for row in dict_rows(stream)[1]
-        )
-    else:
-        records = _iter_jsonl(stream)
-
-    for obj in records:
+    for record in (_csv_records if format == "csv" else _jsonl_records)(stream):
         total += 1
-        if obj is None:
+        if record is None:
             malformed += 1
             continue
+        validate, fields, check = record
         try:
-            if "source_user" in obj or "target_user" in obj:
-                record = _interaction_from_mapping(obj)
-                if record is None:
-                    dropped_self += 1
-                else:
-                    interactions.append(record)
-            else:
-                post = _post_from_mapping(obj)
-                if post.post_id in seen_post_ids:
-                    raise ValueError(f"duplicate post_id: {post.post_id}")
-                seen_post_ids.add(post.post_id)
-                posts.append(post)
-        except (ValueError, KeyError, TypeError):
+            parsed = validate(fields, check)
+        except (ValueError, TypeError):
             malformed += 1
+            continue
+        if validate is _interaction:
+            if parsed is None:
+                dropped_self += 1
+            else:
+                interactions.append(parsed)
+        elif parsed.post_id in seen_post_ids:
+            malformed += 1
+        else:
+            seen_post_ids.add(parsed.post_id)
+            posts.append(parsed)
 
     if total and malformed * 2 > total:
         raise CorpusRejectedError(f"{malformed} of {total} lines malformed")
     if dropped_self:
         logger.warning("dropped %d self-interaction records", dropped_self)
 
-    posts.sort(key=lambda p: (p.timestamp, p.post_id))
-    interactions.sort(key=lambda r: (r.timestamp, r.source_user, r.target_user, r.interaction_type))
+    posts.sort(key=_POST_ORDER)
+    interactions.sort(key=_INTERACTION_ORDER)
     return EventDataset(
         posts=tuple(posts),
         interactions=tuple(interactions),
         label=label,
         malformed=malformed,
     )
-
-
-def _iter_jsonl(stream: Iterable[str]) -> Iterator[dict | None]:
-    for line in stream:
-        line = line.strip()
-        if not line:
-            continue
-        if _undecodable(line):
-            yield None
-            continue
-        try:
-            obj = json.loads(line)
-        except (ValueError, RecursionError):  # bad JSON, too-deep nesting, too many int digits
-            yield None
-            continue
-        yield obj if isinstance(obj, dict) else None
 
 
 def filter_originals(dataset: EventDataset) -> EventDataset:
@@ -436,32 +491,36 @@ def extract_actions(dataset: EventDataset) -> list[ActionRecord]:
     """One ActionRecord per (post, action type, distinct canonical artifact).
 
     Duplicates of the same artifact within one post emit a single record.
-    Expects the dataset to be filtered to original posts already. Rejected
-    artifacts are counted per action type and logged in one summary line.
+    Expects the dataset to be filtered to original posts already. Each
+    distinct raw artifact is canonicalized once per call. Rejected artifacts
+    are counted per action type, once per occurrence, and logged in one
+    summary line.
     """
     records: list[ActionRecord] = []
     rejected = dict.fromkeys(ACTION_TYPES, 0)
+    # Per action type, raw artifact -> canonical id, or None when rejected.
+    canonical: dict[str, dict[str, str | None]] = {action_type: {} for action_type in ACTION_TYPES}
     for post in dataset.posts:
-        for action_type, raws in (
-            ("hashtag", post.hashtags),
-            ("url", post.urls),
-            ("mention", post.mentions),
-        ):
+        for action_type, raws in zip(ACTION_TYPES, (post.hashtags, post.urls, post.mentions)):
+            if not raws:
+                continue
+            known = canonical[action_type]
             canons = set()
             for raw in raws:
                 try:
-                    canons.add(canonicalize_artifact(action_type, raw))
-                except ArtifactError:
+                    canon = known[raw]
+                except KeyError:
+                    try:
+                        canon = canonicalize_artifact(action_type, raw)
+                    except ArtifactError:
+                        canon = None
+                    known[raw] = canon
+                if canon is None:
                     rejected[action_type] += 1
+                else:
+                    canons.add(canon)
             for artifact_id in sorted(canons):
-                records.append(
-                    ActionRecord(
-                        user_id=post.user_id,
-                        timestamp=post.timestamp,
-                        action_type=action_type,
-                        artifact_id=artifact_id,
-                    )
-                )
+                records.append(ActionRecord(post.user_id, post.timestamp, action_type, artifact_id))
     if any(rejected.values()):
         logger.warning(
             "rejected %d artifacts (%s)",
@@ -536,17 +595,26 @@ def load_events(
 
 
 def merge_datasets(*datasets: EventDataset, label: str = "") -> EventDataset:
-    """Combine datasets (e.g. separate post and interaction files) into one."""
-    posts = sorted(
-        (p for d in datasets for p in d.posts), key=lambda p: (p.timestamp, p.post_id)
-    )
-    interactions = sorted(
-        (r for d in datasets for r in d.interactions),
-        key=lambda r: (r.timestamp, r.source_user, r.target_user, r.interaction_type),
-    )
+    """Combine datasets (e.g. separate post and interaction files) into one.
+
+    A post whose post_id an earlier post holds counts as malformed, as a
+    repeated post_id within one file does; the first one is kept.
+    """
+    posts: list[PostEvent] = []
+    seen_post_ids: set[str] = set()
+    repeated = 0
+    for dataset in datasets:
+        for post in dataset.posts:
+            if post.post_id in seen_post_ids:
+                repeated += 1
+            else:
+                seen_post_ids.add(post.post_id)
+                posts.append(post)
+    posts.sort(key=_POST_ORDER)
+    interactions = sorted((r for d in datasets for r in d.interactions), key=_INTERACTION_ORDER)
     return EventDataset(
         posts=tuple(posts),
         interactions=tuple(interactions),
         label=label or (datasets[0].label if datasets else ""),
-        malformed=sum(d.malformed for d in datasets),
+        malformed=sum(d.malformed for d in datasets) + repeated,
     )

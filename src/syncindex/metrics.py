@@ -72,11 +72,7 @@ class MetricUndefinedError(ValueError):
 
 
 class PowerIterationError(RuntimeError):
-    """Eigenvector iteration failed to converge; carries the last iterate."""
-
-    def __init__(self, message: str, last_iterate: dict[str, float]):
-        super().__init__(message)
-        self.last_iterate = last_iterate
+    """Eigenvector iteration failed to converge."""
 
 
 def degree_centrality(graph: nx.Graph) -> dict[str, float]:
@@ -266,7 +262,7 @@ def eigenvector_centrality(
         x = nxt
         if delta < tol:
             return dict(zip(nodes, x))
-    raise PowerIterationError(f"no convergence after {max_iter} iterations", last_iterate=dict(zip(nodes, x)))
+    raise PowerIterationError(f"no convergence after {max_iter} iterations")
 
 
 def eigenvector_residual(graph: nx.Graph, centrality: dict[str, float]) -> float:

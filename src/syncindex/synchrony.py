@@ -12,11 +12,10 @@ from collections import defaultdict
 from dataclasses import dataclass
 from itertools import combinations
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from .events import ACTION_TYPES, ActionRecord, read_csv, write_csv
 
-BRUTE_FORCE_LIMIT = 10_000
 PAIR_COUNT_COLUMNS = ("user_u", "user_v", "action_type", "count")
 # The largest count a stage table may carry: float(count) is exact up to
 # 2**53, and every score and user sum stays finite.
@@ -126,37 +125,6 @@ def detect(
         for pair in combinations(users, 2):  # users are sorted, so u < v
             actions = table.setdefault(pair, {})
             actions[action_type] = actions.get(action_type, 0) + 1
-    return counts
-
-
-def brute_force_detect(
-    actions: Sequence[ActionRecord],
-    config: SyncWindowConfig | None = None,
-) -> PairSyncCounts:
-    """Oracle: enumerate every record pair, then collapse per-group duplicates.
-
-    Same output contract as detect, computed without grouping. Intended for
-    small inputs only.
-    """
-    if len(actions) > BRUTE_FORCE_LIMIT:
-        raise ValueError(f"brute force oracle limited to {BRUTE_FORCE_LIMIT} records")
-    config = config or SyncWindowConfig()
-    keys = [(r.action_type, r.artifact_id, config.bucket(r.timestamp)) for r in actions]
-    users = [r.user_id for r in actions]
-
-    hits: set[tuple[str, str, int, str, str]] = set()
-    n = len(actions)
-    for i in range(n):
-        key_i = keys[i]
-        user_i = users[i]
-        for j in range(i + 1, n):
-            if keys[j] == key_i and users[j] != user_i:
-                u, v = (user_i, users[j]) if user_i < users[j] else (users[j], user_i)
-                hits.add(key_i + (u, v))
-
-    counts = PairSyncCounts()
-    for action_type, _artifact, _bucket, u, v in hits:
-        counts.add(u, v, action_type)
     return counts
 
 

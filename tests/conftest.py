@@ -2,9 +2,15 @@
 
 from __future__ import annotations
 
+import csv
+import json
+import logging
+import math
 import random
+import re
 from collections import deque
-from typing import Mapping
+from datetime import datetime, timedelta, timezone
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import networkx as nx
 from hypothesis import strategies as st
@@ -18,8 +24,18 @@ from syncindex.csi import (
     _formula_score,
     csi_network,
 )
-from syncindex.events import ACTION_TYPES, ActionRecord
-from syncindex.synchrony import PairSyncCounts
+from syncindex.events import (
+    ACTION_TYPES,
+    INTERACTION_TYPES,
+    MAX_TIMESTAMP,
+    POST_TYPES,
+    ActionRecord,
+    CorpusRejectedError,
+    EventDataset,
+    InteractionRecord,
+    PostEvent,
+)
+from syncindex.synchrony import PairSyncCounts, SyncWindowConfig
 
 PAIR_CLASSES = ("bot-bot", "bot-human", "human-human", "unknown-involved")
 
@@ -160,6 +176,40 @@ def pair_class_counts(pair_scores: Mapping[tuple[str, str], float], table: BotSc
     counts = dict.fromkeys(PAIR_CLASSES, 0)
     for pair in pair_scores:
         counts[table.pair_class(*pair)] += 1
+    return counts
+
+
+BRUTE_FORCE_LIMIT = 10_000
+
+
+def brute_force_detect(
+    actions: Sequence[ActionRecord],
+    config: SyncWindowConfig | None = None,
+) -> PairSyncCounts:
+    """Oracle: enumerate every record pair, then collapse per-group duplicates.
+
+    Same output contract as detect, computed without grouping. Intended for
+    small inputs only.
+    """
+    if len(actions) > BRUTE_FORCE_LIMIT:
+        raise ValueError(f"brute force oracle limited to {BRUTE_FORCE_LIMIT} records")
+    config = config or SyncWindowConfig()
+    keys = [(r.action_type, r.artifact_id, config.bucket(r.timestamp)) for r in actions]
+    users = [r.user_id for r in actions]
+
+    hits: set[tuple[str, str, int, str, str]] = set()
+    n = len(actions)
+    for i in range(n):
+        key_i = keys[i]
+        user_i = users[i]
+        for j in range(i + 1, n):
+            if keys[j] == key_i and users[j] != user_i:
+                u, v = (user_i, users[j]) if user_i < users[j] else (users[j], user_i)
+                hits.add(key_i + (u, v))
+
+    counts = PairSyncCounts()
+    for action_type, _artifact, _bucket, u, v in hits:
+        counts.add(u, v, action_type)
     return counts
 
 
@@ -386,3 +436,258 @@ def set_transitivity(graph: nx.Graph) -> float:
     triangles, triples = set_triangle_counts(graph)
     total = sum(triples.values())
     return sum(triangles.values()) / total if total else 0.0
+
+
+# The events parser's former per-field definition, kept verbatim as the
+# oracle of the one-pass parse_events: each field is validated by its own
+# helper, and CSV rows come from csv.DictReader.
+_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+_SECOND = timedelta(seconds=1)
+_XML_FORBIDDEN = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
+logger = logging.getLogger(__name__)
+
+
+def _coerce_timestamp(value: object) -> int:
+    """Accept epoch seconds (int/float/int-string) or ISO-8601; return UTC epoch
+    seconds, rounded down, in [0, MAX_TIMESTAMP]."""
+    if isinstance(value, bool):
+        raise ValueError("timestamp must be a number or ISO-8601 string")
+    if isinstance(value, int):
+        ts = value
+    elif isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError(f"non-finite timestamp: {value!r}")
+        ts = math.floor(value)
+    elif isinstance(value, str):
+        text = value.strip()
+        if not text:
+            raise ValueError("empty timestamp")
+        try:
+            ts = int(text)
+        except ValueError:
+            dt = datetime.fromisoformat(text.replace("Z", "+00:00"))
+            if dt.tzinfo is None:
+                dt = dt.replace(tzinfo=timezone.utc)
+            ts = (dt - _EPOCH) // _SECOND
+    else:
+        raise ValueError(f"bad timestamp type: {type(value).__name__}")
+    if ts < 0:
+        raise ValueError("timestamp before epoch")
+    if ts > MAX_TIMESTAMP:
+        raise ValueError("timestamp after 9999-12-31T23:59:59Z")
+    return ts
+
+
+def _valid_str(value: str, name: str) -> str:
+    """value, stripped; a character XML 1.0 forbids is malformed.
+
+    That covers control characters such as "\\x01" and lone surrogates (a
+    JSON escape such as "\\ud800"), which no export could carry.
+    """
+    if _xml_forbidden(value):
+        raise ValueError(f"{name} holds a character XML 1.0 forbids")
+    return value.strip()
+
+
+def _xml_forbidden(text: str) -> bool:
+    """True when text holds a character XML 1.0 forbids."""
+    return not text.isprintable() and _XML_FORBIDDEN.search(text) is not None
+
+
+def dict_rows(handle: Iterable[str]) -> tuple[list[str], Iterator[dict | None]]:
+    """(header, rows) of a CSV with a header row, rows as csv.DictReader gives
+    them. A row the csv module cannot read (a cell over its field limit) is
+    None, and reading resumes at the next row; ValueError when the header
+    cannot be read."""
+    reader = csv.DictReader(handle)
+    try:
+        header = reader.fieldnames or []
+    except csv.Error as exc:
+        raise ValueError(f"CSV header: {exc}") from exc
+
+    def rows() -> Iterator[dict | None]:
+        while True:
+            try:
+                row = next(reader)
+            except StopIteration:
+                return
+            except csv.Error:
+                row = None
+            yield row
+
+    return header, rows()
+
+
+def _required_str(obj: dict, key: str) -> str:
+    value = obj.get(key)
+    if not isinstance(value, str) or not value.strip():
+        raise ValueError(f"missing or empty field: {key}")
+    return _valid_str(value, key)
+
+
+def _artifact_set(value: object) -> frozenset[str]:
+    if value is None or value == "":
+        return frozenset()
+    if not isinstance(value, (list, tuple, set, frozenset)):
+        raise ValueError("artifact field must be a list")
+    cleaned = set()
+    for item in value:
+        if not isinstance(item, str):
+            raise ValueError("artifact entries must be strings")
+        item = _valid_str(item, "artifact")
+        if item:
+            cleaned.add(item)
+    return frozenset(cleaned)
+
+
+def _post_from_mapping(obj: dict) -> PostEvent:
+    post_type = _required_str(obj, "post_type")
+    if post_type not in POST_TYPES:
+        raise ValueError(f"unknown post_type: {post_type}")
+    lang = obj.get("lang")
+    if lang is not None:
+        if not isinstance(lang, str):
+            raise ValueError("lang must be a string")
+        lang = _valid_str(lang, "lang").lower() or None
+    return PostEvent(
+        post_id=_required_str(obj, "post_id"),
+        user_id=_required_str(obj, "user_id"),
+        timestamp=_coerce_timestamp(obj["timestamp"]),
+        post_type=post_type,
+        lang=lang,
+        hashtags=_artifact_set(obj.get("hashtags")),
+        urls=_artifact_set(obj.get("urls")),
+        mentions=_artifact_set(obj.get("mentions")),
+    )
+
+
+def _interaction_from_mapping(obj: dict) -> InteractionRecord | None:
+    """Returns None for self-interactions, which are dropped (not malformed)."""
+    interaction_type = _required_str(obj, "interaction_type")
+    if interaction_type not in INTERACTION_TYPES:
+        raise ValueError(f"unknown interaction_type: {interaction_type}")
+    source = _required_str(obj, "source_user")
+    target = _required_str(obj, "target_user")
+    if source == target:
+        return None
+    return InteractionRecord(
+        source_user=source,
+        target_user=target,
+        interaction_type=interaction_type,
+        timestamp=_coerce_timestamp(obj["timestamp"]),
+    )
+
+
+def _undecodable(text: str) -> bool:
+    """True when text holds bytes that were not UTF-8.
+
+    Files are read with errors="surrogateescape", which maps each such byte
+    to a lone surrogate; only a lone surrogate fails to encode.
+    """
+    if text.isascii():
+        return False
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return True
+    return False
+
+
+def _csv_row_to_mapping(row: dict) -> dict | None:
+    """Translate a CSV row to the JSONL record shape (pipe-delimited lists).
+
+    None when a cell, extra cells included, is not valid UTF-8.
+    """
+    obj: dict = {k: v for k, v in row.items() if k is not None and v not in (None, "")}
+    if _undecodable("".join([*obj.values(), *(row.get(None) or ())])):
+        return None
+    for key in ("hashtags", "urls", "mentions"):
+        if key in obj:
+            obj[key] = [part for part in obj[key].split("|") if part]
+    return obj
+
+
+def reference_parse_events(
+    stream: Iterable[str] | Iterable[dict],
+    format: str = "jsonl",
+    label: str = "",
+) -> EventDataset:
+    """Parse line-delimited records into an EventDataset.
+
+    Malformed lines are counted and skipped; duplicated post ids count as
+    malformed, as do CSV rows holding a cell over the csv module's field
+    limit, lines that are not valid UTF-8 (lone surrogates, as
+    read_events_file decodes them), lines whose timestamp lies outside
+    [0, MAX_TIMESTAMP], and lines whose id, type, artifact or lang string
+    holds a character XML 1.0 forbids (a control character such as "\\x01",
+    a lone surrogate such as the JSON escape "\\ud800", U+FFFE or U+FFFF).
+    Raises CorpusRejectedError when more than half of the non-blank lines
+    are malformed.
+    """
+    if format not in ("jsonl", "csv"):
+        raise ValueError(f"unknown format: {format}")
+
+    posts: list[PostEvent] = []
+    interactions: list[InteractionRecord] = []
+    seen_post_ids: set[str] = set()
+    malformed = 0
+    dropped_self = 0
+    total = 0
+
+    if format == "csv":
+        records: Iterator[dict | None] = (
+            None if row is None else _csv_row_to_mapping(row) for row in dict_rows(stream)[1]
+        )
+    else:
+        records = _iter_jsonl(stream)
+
+    for obj in records:
+        total += 1
+        if obj is None:
+            malformed += 1
+            continue
+        try:
+            if "source_user" in obj or "target_user" in obj:
+                record = _interaction_from_mapping(obj)
+                if record is None:
+                    dropped_self += 1
+                else:
+                    interactions.append(record)
+            else:
+                post = _post_from_mapping(obj)
+                if post.post_id in seen_post_ids:
+                    raise ValueError(f"duplicate post_id: {post.post_id}")
+                seen_post_ids.add(post.post_id)
+                posts.append(post)
+        except (ValueError, KeyError, TypeError):
+            malformed += 1
+
+    if total and malformed * 2 > total:
+        raise CorpusRejectedError(f"{malformed} of {total} lines malformed")
+    if dropped_self:
+        logger.warning("dropped %d self-interaction records", dropped_self)
+
+    posts.sort(key=lambda p: (p.timestamp, p.post_id))
+    interactions.sort(key=lambda r: (r.timestamp, r.source_user, r.target_user, r.interaction_type))
+    return EventDataset(
+        posts=tuple(posts),
+        interactions=tuple(interactions),
+        label=label,
+        malformed=malformed,
+    )
+
+
+def _iter_jsonl(stream: Iterable[str]) -> Iterator[dict | None]:
+    for line in stream:
+        line = line.strip()
+        if not line:
+            continue
+        if _undecodable(line):
+            yield None
+            continue
+        try:
+            obj = json.loads(line)
+        except (ValueError, RecursionError):  # bad JSON, too-deep nesting, too many int digits
+            yield None
+            continue
+        yield obj if isinstance(obj, dict) else None

@@ -11,7 +11,7 @@ from pathlib import Path
 import networkx as nx
 import pytest
 
-from conftest import counts_from_mapping, naive_betweenness, random_actions, random_graph
+from conftest import brute_force_detect, counts_from_mapping, naive_betweenness, random_actions, random_graph
 from syncindex.bots import classify_user
 from syncindex.csi import compute_tables
 from syncindex.events import ActionRecord, extract_actions, filter_originals
@@ -28,7 +28,7 @@ from syncindex.metrics import (
 )
 from syncindex.pipeline import EventReport, compare, run_pipeline, write_report_json
 from syncindex.simulate import CohortSpec, SimConfig, generate
-from syncindex.synchrony import SyncWindowConfig, brute_force_detect, detect
+from syncindex.synchrony import SyncWindowConfig, detect
 
 DATA = Path(__file__).parent / "data"
 

@@ -274,6 +274,12 @@ class TestConfigAndIo:
         with pytest.raises(ValueError, match="line 3"):
             read_user_scores_csv(path)
 
+    def test_user_scores_reject_repeated_user(self, tmp_path):
+        path = tmp_path / "users.csv"
+        path.write_text("user_id,csi_user\na,1.0\nb,2.0\na,9.0\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: line 4: user 'a' listed twice")):
+            read_user_scores_csv(path)
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_pair_scores_reject_non_finite(self, tmp_path, value):
         path = tmp_path / "pairs.csv"

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import csv
 import io
 import json
 import logging
@@ -9,11 +10,13 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import reference_parse_events
 from syncindex.events import (
     MAX_TIMESTAMP,
     ArtifactError,
     CorpusRejectedError,
     EventDataset,
+    InteractionRecord,
     PostEvent,
     canonicalize_artifact,
     dataset_lines,
@@ -238,6 +241,125 @@ def test_any_lines_are_counted_or_the_corpus_rejected(lines):
     assert len(dataset.posts) + len(dataset.interactions) + dataset.malformed == nonblank - dropped_self
 
 
+# Inputs for the property that parse_events equals the per-field reference
+# parser. Each field is well formed 14 times in 15, so most files are
+# accepted and hold records. The well-formed strings include tabs (not
+# printable), backslashes (JSON escapes) and padding; the others are values
+# of every JSON type, characters XML 1.0 forbids (some of them whitespace
+# that strip() removes), lone surrogates, timestamps out of range, and, in
+# CSV, a cell over the csv module's field limit, with and without a line
+# break.
+def _mostly(valid, odd):
+    return st.integers(0, 14).flatmap(lambda k: odd if k == 0 else valid)
+
+
+_odd_texts = st.one_of(
+    st.sampled_from(["", " ", "a\x01", "a\x1f", "\x0b", "\ud800", "\udcff", "\ufffe", "reply\x1f", "x", "soon"]),
+    st.text(max_size=3),
+)
+_odd = st.one_of(
+    _odd_texts, st.none(), st.booleans(), st.integers(-3, 2 * MAX_TIMESTAMP), st.floats(),
+    st.lists(_odd_texts, max_size=2), st.dictionaries(st.just("k"), st.integers(), max_size=1),
+)
+_users = st.sampled_from(["a", "b", "c", " a ", "a\x1c", "zoë", "a\tb", "a\\b", 'q"x', "a,b", "a\x85b"])
+_stamps = st.one_of(
+    st.integers(0, 10**6),
+    st.sampled_from(["5", " 7 ", "1_000", "+9", "1970-01-01T00:00:05Z", "2021-01-01T03:04:10+02:00",
+                     "2021-01-01T01:49:25.999Z", "2021-01-01", "9999-12-31T23:59:59Z", "12:00", 5.5, 1e6 + 0.25]),
+)
+_artifacts = st.lists(st.sampled_from(["#a", "#A", " #b ", "", " ", "https://x.y/Z", "@c", "\x0b#d"]), max_size=3)
+_post_fields = {
+    "post_id": _mostly(st.one_of(st.integers(0, 30).map("p{}".format), st.just(" p1 ")), _odd),
+    "user_id": _mostly(_users, _odd),
+    "timestamp": _mostly(_stamps, _odd),
+    "post_type": _mostly(st.sampled_from(["original", "retweet", " quote ", "reply"]), _odd),
+}
+_post_optional = {
+    "lang": _mostly(st.sampled_from(["en", " EN ", "", "fr", "en\x1f"]), _odd),
+    "hashtags": _mostly(_artifacts, _odd),
+    "urls": _mostly(_artifacts, _odd),
+    "mentions": _mostly(_artifacts, _odd),
+    "extra": _odd,
+}
+_interaction_fields = {
+    "source_user": _mostly(_users, _odd),
+    "target_user": _mostly(_users, _odd),
+    "timestamp": _mostly(_stamps, _odd),
+    "interaction_type": _mostly(st.sampled_from(["retweet", "mention", " reply ", "quote", "quote\x1c"]), _odd),
+}
+_records = st.one_of(
+    st.fixed_dictionaries(_post_fields, optional=_post_optional),
+    st.fixed_dictionaries(_interaction_fields, optional={"post_id": _odd, "extra": _odd}),
+)
+_jsonl_lines = _mostly(
+    st.tuples(_records, st.booleans(), st.sampled_from(["", " ", "\t"])).map(
+        lambda r: r[2] + json.dumps(r[0], ensure_ascii=r[1]) + r[2]
+    ),
+    _raw_lines,
+)
+
+
+def _cell(value):
+    """A CSV cell for a drawn field value: lists pipe-delimited, others as text."""
+    if isinstance(value, list):
+        return "|".join(str(v) for v in value)
+    return "" if value is None else str(value)
+
+
+_COLUMNS = (*PostEvent._fields, *InteractionRecord._fields[:3])
+_long_cells = st.sampled_from(["b" * 131_073, "b" * 131_073 + "\nc"])
+_hidden_cells = st.one_of(st.sampled_from(["p1", "a", "original", "retweet", "5", "\udcff", "a\x01"]), _odd_texts)
+
+
+@st.composite
+def _csv_lines(draw):
+    """A CSV events file as lines: a header, maybe with repeated or missing
+    columns, then rows, some blank, short or long, and raw lines."""
+    header = draw(_mostly(
+        st.permutations(_COLUMNS).flatmap(lambda names: st.lists(st.sampled_from(_COLUMNS), max_size=2).map(
+            lambda repeated: [*repeated, *names] if repeated else names
+        )),
+        st.lists(st.sampled_from([*_COLUMNS, "extra"]), max_size=13),
+    ))
+    shown = {name: i for i, name in enumerate(header)}
+    rows = [header]
+    for _ in range(draw(st.integers(0, 10))):
+        record = {key: _cell(value) for key, value in draw(_records).items()}
+        # A column hidden by a later one of the same name gets a cell of its own.
+        cells = [record.get(name, "") if i == shown[name] else draw(_hidden_cells) for i, name in enumerate(header)]
+        if cells and draw(st.integers(0, 7)) == 0:  # one cell differs, e.g. of two columns of one name
+            cells[draw(st.integers(0, len(cells) - 1))] = draw(_odd_texts)
+        if draw(st.integers(0, 11)) == 0:
+            cells = cells[: draw(st.integers(0, len(cells)))] + draw(st.lists(_mostly(_odd_texts, _long_cells)))
+        rows.append(cells)
+    text = io.StringIO()
+    csv.writer(text).writerows(rows)
+    lines = list(io.StringIO(text.getvalue(), newline=""))  # lines as read_events_file reads them
+    for _ in range(draw(st.integers(0, 1))):
+        lines.insert(draw(st.integers(1, len(lines))), draw(st.text(max_size=6)) + "\n")
+    return lines
+
+
+def _parsed(parse, lines, format):
+    try:
+        dataset = parse(lines, format=format)
+    except CorpusRejectedError:
+        return "rejected"
+    except ValueError as exc:  # a CSV header the csv module cannot read
+        return str(exc)
+    return [tuple(p) for p in dataset.posts], [tuple(r) for r in dataset.interactions], dataset.malformed
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    st.tuples(st.just("jsonl"), st.lists(_jsonl_lines, max_size=10)),
+    st.tuples(st.just("csv"), _csv_lines()),
+))
+def test_parse_events_equals_reference_parser(source):
+    format, lines = source
+    assert _parsed(parse_events, lines, format) == _parsed(reference_parse_events, lines, format)
+
+
 class TestUndecodableBytes:
     """A line that is not valid UTF-8 is one malformed line, not a rejected file."""
 
@@ -275,6 +397,21 @@ class TestUndecodableBytes:
         dataset = read_events_file(path)
         assert [p.post_id for p in dataset.posts] == ["p1", "p3"]
         assert dataset.malformed == 1
+
+    def test_multi_line_cell_over_field_limit_counts_twice(self, tmp_path):
+        # The csv module drops the line it fails on and cannot find where the
+        # quoted cell ends, so the cell's second line is read as a row of its
+        # own: one cell, two malformed lines.
+        path = tmp_path / "events.csv"
+        path.write_text(
+            "post_id,user_id,timestamp,post_type\n"
+            f'p1,alice,100,original\np2,"{"b" * 200_000}\nmore",100,original\n'
+            "p3,carol,100,original\np4,dave,100,original\n",
+            encoding="utf-8",
+        )
+        dataset = read_events_file(path)
+        assert [p.post_id for p in dataset.posts] == ["p1", "p3", "p4"]
+        assert dataset.malformed == 2
 
     def test_csv_header_over_field_limit_is_data_error(self, tmp_path):
         path = tmp_path / "events.csv"
@@ -506,6 +643,13 @@ class TestRoundTrip:
         path = write_events_jsonl(dataset, tmp_path / "events.jsonl")
         again = read_events_file(path, label="e")
         assert again == dataset
+
+    def test_merge_counts_a_post_id_repeated_across_datasets(self):
+        first = parse_events([post_line(post_id="p1", timestamp=90), post_line(post_id="p2", timestamp=5)])
+        second = parse_events([post_line(post_id="p1", user_id="bob", timestamp=1)])
+        merged = merge_datasets(first, second)
+        assert [(p.post_id, p.user_id) for p in merged.posts] == [("p2", "alice"), ("p1", "alice")]
+        assert merged.malformed == 1
 
     def test_merge_datasets_sorts(self):
         a = parse_events([post_line(post_id="p1", timestamp=90)])

@@ -134,10 +134,9 @@ class TestEigenvector:
         with pytest.raises(MetricUndefinedError):
             eigenvector_centrality(nx.empty_graph(3))
 
-    def test_non_convergence_carries_last_iterate(self):
-        with pytest.raises(PowerIterationError) as err:
+    def test_non_convergence_raises(self):
+        with pytest.raises(PowerIterationError, match="no convergence after 3 iterations"):
             eigenvector_centrality(path3(), tol=0.0, max_iter=3)
-        assert set(err.value.last_iterate) == {"u", "v", "w"}
 
 
 @st.composite
@@ -240,9 +239,8 @@ class TestKernelsMatchDictOracles:
         if converged:
             assert hexed(eigenvector_centrality(graph, max_iter=max_iter)) == hexed(expected)
         else:
-            with pytest.raises(PowerIterationError) as err:
+            with pytest.raises(PowerIterationError):
                 eigenvector_centrality(graph, max_iter=max_iter)
-            assert hexed(err.value.last_iterate) == hexed(expected)
         if max_iter == 1000 and converged:
             shared = node_centralities(graph)
             assert hexed(shared.eigenvector) == hexed(expected)

@@ -176,6 +176,27 @@ class TestRunPipeline:
         for name in SHARED_ARTIFACTS:
             assert (stage / name).read_bytes() == (full / name).read_bytes(), name
 
+    def test_post_id_repeated_across_files_counts_as_malformed(self, tmp_path, capsys):
+        def post(post_id, user, timestamp):
+            record = {"post_id": post_id, "user_id": user, "timestamp": timestamp, "post_type": "original",
+                      "hashtags": ["#x"]}
+            return json.dumps(record) + "\n"
+
+        events, interactions = tmp_path / "events.jsonl", tmp_path / "interactions.jsonl"
+        events.write_text(post("p1", "u1", 0) + post("p2", "u2", 10))
+        interactions.write_text(post("p1", "u3", 20))
+        full, stage = tmp_path / "full", tmp_path / "stage"
+        files = ["--events", str(events), "--interactions", str(interactions)]
+        assert cli.main(["report", *files, "--out", str(full)]) == 0
+        counts = json.loads((full / "report.json").read_text())["counts"]
+        assert (counts["posts"], counts["malformed_lines"], counts["sync_pairs"]) == (2, 1, 1)
+        capsys.readouterr()
+        assert cli.main(["ingest", *files, "--out", str(stage)]) == 0
+        assert "2 posts, 0 interactions, 1 malformed lines" in capsys.readouterr().out
+        assert cli.main(["detect", "--events", str(stage / "events.jsonl"), "--out", str(stage)]) == 0
+        assert "1 pairs over 2 users" in capsys.readouterr().out
+        assert (stage / "pair_counts.csv").read_bytes() == (full / "pair_counts.csv").read_bytes()
+
     def test_language_filter_drops_everything_when_tagless(self, sim_inputs, tmp_path):
         events, _, _ = sim_inputs
         report = run_pipeline(events, options=PipelineOptions(lang="xx"))
@@ -542,6 +563,15 @@ class TestCli:
         path.write_text(text)
         assert cli.main([stage, "--pairs", str(path), "--out", str(tmp_path / "out")]) == 2
         assert f"{path}: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("stage", ["graph", "metrics"])
+    def test_repeated_user_score_is_data_error(self, tmp_path, capsys, stage):
+        pairs, users = tmp_path / "pairs.csv", tmp_path / "users.csv"
+        pairs.write_text("user_u,user_v,num_action_types,s_total,csi_userpair\na,b,1,1,1.0\n")
+        users.write_text("user_id,csi_user\na,1.0\nb,1.0\na,9.0\n")
+        argv = [stage, "--pairs", str(pairs), "--users", str(users), "--out", str(tmp_path / "out")]
+        assert cli.main(argv) == 2
+        assert f"{users}: line 4: user 'a' listed twice" in capsys.readouterr().err
 
     def test_unknown_action_type_is_data_error(self, tmp_path, capsys):
         counts = tmp_path / "pair_counts.csv"

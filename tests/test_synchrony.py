@@ -5,12 +5,11 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import counts_from_mapping, random_actions
+from conftest import brute_force_detect, counts_from_mapping, random_actions
 from syncindex.events import ActionRecord
 from syncindex.synchrony import (
     SyncWindowConfig,
     action_type_participation,
-    brute_force_detect,
     detect,
     pair_key,
     read_pair_counts_csv,
