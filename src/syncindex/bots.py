@@ -16,6 +16,7 @@ from typing import Iterable, Mapping
 
 from . import metrics
 from .events import _xml_forbidden, csv_rows
+from .graphs import Graph
 
 logger = logging.getLogger(__name__)
 
@@ -149,7 +150,7 @@ def centrality_by_class(
     participate in synchronous activities. eigenvector is None when it did
     not converge."""
     buckets: dict[str, list[str]] = {}
-    for user in sorted(u for u in sync_users if u in centralities):
+    for user in sorted(u for u in sync_users if u in centralities.degree):
         cls = table.classify(user)
         if cls == "unknown":
             continue
@@ -167,18 +168,18 @@ def centrality_by_class(
     return out
 
 
-def class_triangle_totals(index: metrics.NodeIndex, table: BotScoreTable) -> dict[str, tuple[int, int]]:
+def class_triangle_totals(graph: Graph, table: BotScoreTable) -> dict[str, tuple[int, int]]:
     """Per class, the triangle and connected-triple totals of triangle_counts
     on the class-induced subgraph; empty classes are absent."""
     members = {"bot": 0, "human": 0}
-    for i, node in enumerate(index.nodes):
+    for i, node in enumerate(graph.nodes):
         cls = table.classify(node)
         if cls in members:
             members[cls] |= 1 << i
     totals = {}
     for cls, mask in members.items():
         if mask:
-            triangles, triples = metrics.triangle_counts(index, mask)
+            triangles, triples = metrics.triangle_counts(graph, mask)
             totals[cls] = (sum(triangles), sum(triples))
     return totals
 

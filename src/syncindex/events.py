@@ -545,21 +545,13 @@ def post_record(post: PostEvent) -> dict:
     return obj
 
 
-def interaction_record(rec: InteractionRecord) -> dict:
-    return {
-        "source_user": rec.source_user,
-        "target_user": rec.target_user,
-        "interaction_type": rec.interaction_type,
-        "timestamp": rec.timestamp,
-    }
-
-
 def dataset_lines(dataset: EventDataset) -> Iterator[str]:
     """Canonical JSONL serialization: posts then interactions, sorted keys."""
+    encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
     for post in dataset.posts:
-        yield json.dumps(post_record(post), sort_keys=True, separators=(",", ":"))
+        yield encode(post_record(post))
     for rec in dataset.interactions:
-        yield json.dumps(interaction_record(rec), sort_keys=True, separators=(",", ":"))
+        yield encode(rec._asdict())
 
 
 def write_events_jsonl(dataset: EventDataset, path: str | Path) -> Path:

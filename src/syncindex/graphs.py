@@ -1,119 +1,193 @@
 """Synchronized network and all-communication graph construction and export.
 
-Graphs are undirected networkx graphs. Sync-graph edge weights carry the
-pair synchronization score; all-communication edge weights count raw
-interactions in either direction. Exports use lexicographic node and edge
-ordering so emitted files are byte-stable.
+A Graph is frozen and undirected: node i is nodes[i] in sorted id order, and
+edge k joins node indices sources[k] and targets[k] with weight weights[k]
+(a pair score, or an interaction count in the all-communication graph). The
+sync graph may carry per-node user_class and csi_user lists (None: unscored).
+Its edges are in networkx's Graph.edges order after adding sorted(pair_scores)
+one pair at a time, which Louvain depends on: nodes rank by first appearance
+in the sorted pairs, each edge leads with its endpoint of lower rank, and the
+sorted pairs are stably sorted by that rank. Exports sort nodes and edges by
+id, so emitted files are byte-stable.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 from xml.sax.saxutils import escape, quoteattr
-
-import networkx as nx
 
 from .events import InteractionRecord
 
-USER_CLASSES = ("bot", "human", "unknown")
+
+@dataclass(frozen=True)
+class Graph:
+    """See the module docstring. The lists must not be changed. There is no
+    self-loop: the builders reject or drop them."""
+
+    nodes: list
+    sources: list[int]
+    targets: list[int]
+    weights: list[float]
+    user_class: list[str] | None = None
+    csi_user: list[float | None] | None = None
+
+    def number_of_nodes(self) -> int:
+        return len(self.nodes)
+
+    def number_of_edges(self) -> int:
+        return len(self.sources)
+
+    def degree(self) -> Iterator[tuple[object, int]]:
+        """(node, degree) pairs in index order."""
+        return zip(self.nodes, self.degrees)
+
+    @cached_property
+    def degrees(self) -> list[int]:
+        """Edge ends per node index."""
+        degrees = [0] * len(self.nodes)
+        for a in chain(self.sources, self.targets):
+            degrees[a] += 1
+        return degrees
+
+    @cached_property
+    def adjacency(self) -> list[list[int]]:
+        """adjacency[i] lists i's neighbour indices ascending, which is their id order."""
+        rows: list[list[int]] = [[] for _ in self.nodes]
+        for a, b in zip(self.sources, self.targets):
+            rows[a].append(b)
+            rows[b].append(a)
+        for row in rows:
+            row.sort()
+        return rows
+
+    @cached_property
+    def masks(self) -> list[int]:
+        """Bit j of masks[i] is set when j is a neighbour of i."""
+        masks = [0] * len(self.nodes)
+        for a, b in zip(self.sources, self.targets):
+            masks[a] |= 1 << b
+            masks[b] |= 1 << a
+        return masks
 
 
 def build_sync_graph(
     pair_scores: Mapping[tuple[str, str], float],
     user_classes: Mapping[str, str] | None = None,
     user_scores: Mapping[str, float] | None = None,
-) -> nx.Graph:
+) -> Graph:
     """Weighted undirected synchronization graph; one edge per scored pair.
 
-    Optional node attributes: user_class (bot/human/unknown) and csi_user.
+    ValueError for a self-pair or a pair listed in both orders. Optional node
+    attributes: user_class (bot/human/unknown) and csi_user.
     """
-    graph = nx.Graph()
-    for u, v in sorted(pair_scores):
-        if u == v:
-            raise ValueError(f"self-loop pair: {u!r}")
-        graph.add_edge(u, v, weight=float(pair_scores[(u, v)]))
-    if user_classes is not None:
-        for node in graph.nodes:
-            graph.nodes[node]["user_class"] = user_classes.get(node, "unknown")
-    if user_scores is not None:
-        for node in graph.nodes:
-            if node in user_scores:
-                graph.nodes[node]["csi_user"] = float(user_scores[node])
-    return graph
+    items = sorted(pair_scores.items())
+    rank = {node: r for r, node in enumerate(dict.fromkeys(chain.from_iterable(pair for pair, _ in items)))}
+    nodes = sorted(rank)
+    index = {node: i for i, node in enumerate(nodes)}
+    edges = []  # (lead rank, lead index, other index, weight)
+    for (u, v), score in items:
+        if u >= v and (u == v or (v, u) in pair_scores):
+            raise ValueError(f"self-loop pair: {u!r}" if u == v else f"pair listed in both orders: {(v, u)!r}")
+        if rank[u] > rank[v]:
+            u, v = v, u
+        edges.append((rank[u], index[u], index[v], float(score)))
+    edges.sort(key=lambda edge: edge[0])
+    _, sources, targets, weights = map(list, zip(*edges)) if edges else ([], [], [], [])
+    return Graph(
+        nodes, sources, targets, weights,
+        None if user_classes is None else [user_classes.get(node, "unknown") for node in nodes],
+        None if user_scores is None else [float(user_scores[n]) if n in user_scores else None for n in nodes],
+    )
 
 
 def build_allcomm_graph(
     interactions: Iterable[InteractionRecord],
     users: Iterable[str] = (),
-) -> nx.Graph:
-    """All-communication graph: edge weight counts interactions in either direction.
-
-    Self-interactions are dropped. Extra users (e.g. post authors with no
-    interactions) become isolated nodes.
-    """
-    graph = nx.Graph()
-    graph.add_nodes_from(sorted(set(users)))
+) -> Graph:
+    """All-communication graph: edge weight counts interactions in either
+    direction, edges in id order. Self-interactions are dropped; extra users
+    (e.g. post authors with no interactions) become isolated nodes."""
+    counts: dict[tuple[str, str], int] = {}
     for record in interactions:
-        if record.source_user == record.target_user:
-            continue
         u, v = record.source_user, record.target_user
-        if graph.has_edge(u, v):
-            graph[u][v]["weight"] += 1
-        else:
-            graph.add_edge(u, v, weight=1)
-    return graph
+        if u != v:
+            pair = (u, v) if u < v else (v, u)
+            counts[pair] = counts.get(pair, 0) + 1
+    pairs = sorted(counts)
+    nodes = sorted(set(users).union(*pairs))
+    index = {node: i for i, node in enumerate(nodes)}
+    return Graph(nodes, [index[u] for u, _ in pairs], [index[v] for _, v in pairs], [counts[p] for p in pairs])
 
 
-def prune_by_partner_count(graph: nx.Graph, min_partners: int = 5) -> nx.Graph:
-    """Iteratively remove nodes with fewer partners until a fixed point (k-core)."""
+def prune_by_partner_count(graph: Graph, min_partners: int = 5) -> Graph:
+    """The k-core for k = min_partners, by one degree-peeling pass (Batagelj &
+    Zaversnik 2003); surviving edges keep their order. The graph itself is
+    returned when no node is removed."""
     if min_partners < 0:
         raise ValueError("min_partners must be >= 0")
-    pruned = graph.copy()
-    while True:
-        drop = [node for node, degree in pruned.degree() if degree < min_partners]
-        if not drop:
-            return pruned
-        pruned.remove_nodes_from(drop)
+    degrees = list(graph.degrees)
+    queue = [i for i, degree in enumerate(degrees) if degree < min_partners]
+    if not queue:
+        return graph
+    removed = set(queue)
+    for i in queue:  # appended to while it is read
+        for j in graph.adjacency[i]:
+            degrees[j] -= 1
+            if degrees[j] < min_partners and j not in removed:
+                removed.add(j)
+                queue.append(j)
+    keep = [i for i in range(len(degrees)) if i not in removed]
+    renumber = {old: new for new, old in enumerate(keep)}
+    edges = [k for k, (a, b) in enumerate(zip(graph.sources, graph.targets)) if a in renumber and b in renumber]
+
+    def kept(values, at=keep):
+        return None if values is None else [values[i] for i in at]
+
+    return Graph(
+        kept(graph.nodes), [renumber[a] for a in kept(graph.sources, edges)],
+        [renumber[b] for b in kept(graph.targets, edges)], kept(graph.weights, edges),
+        kept(graph.user_class), kept(graph.csi_user),
+    )
 
 
-def _graphml_text(graph: nx.Graph) -> str:
-    has_class = any("user_class" in d for _, d in graph.nodes(data=True))
-    has_csi = any("csi_user" in d for _, d in graph.nodes(data=True))
+def _graphml_text(graph: Graph) -> str:
+    classes, scores = graph.user_class, graph.csi_user
+    has_csi = scores is not None and any(score is not None for score in scores)
     lines = [
         '<?xml version="1.0" encoding="utf-8"?>',
         '<graphml xmlns="http://graphml.graphdrawing.org/xmlns">',
         '  <key id="weight" for="edge" attr.name="weight" attr.type="double"/>',
     ]
-    if has_class:
+    if classes:
         lines.append('  <key id="user_class" for="node" attr.name="user_class" attr.type="string"/>')
     if has_csi:
         lines.append('  <key id="csi_user" for="node" attr.name="csi_user" attr.type="double"/>')
     lines.append('  <graph edgedefault="undirected">')
-    quoted: dict[str, str] = {}
-    for node in sorted(graph.nodes):
-        data = graph.nodes[node]
-        quoted[node] = quoteattr(str(node))
-        parts = [f"    <node id={quoted[node]}>"]
-        if "user_class" in data:
-            parts.append(f'<data key="user_class">{escape(str(data["user_class"]))}</data>')
-        if "csi_user" in data:
-            parts.append(f'<data key="csi_user">{data["csi_user"]!r}</data>')
-        parts.append("</node>")
-        lines.append("".join(parts))
-    edges = sorted((u, v, data) if u < v else (v, u, data) for u, v, data in graph.edges(data=True))
-    for u, v, data in edges:
-        weight = float(data.get("weight", 1.0))
+    quoted = [quoteattr(str(node)) for node in graph.nodes]
+    for i, node_id in enumerate(quoted):
+        cls = f'<data key="user_class">{escape(str(classes[i]))}</data>' if classes else ""
+        csi = f'<data key="csi_user">{scores[i]!r}</data>' if has_csi and scores[i] is not None else ""
+        lines.append(f"    <node id={node_id}>{cls}{csi}</node>")
+    # Index order is id order, so edges sort as their (lower, higher) index
+    # pairs do, encoded as one int each.
+    n = len(quoted)
+    ends = [a * n + b if a < b else b * n + a for a, b in zip(graph.sources, graph.targets)]
+    weights = graph.weights
+    for k in sorted(range(len(ends)), key=ends.__getitem__):
+        lower, higher = divmod(ends[k], n)
         lines.append(
-            f"    <edge source={quoted[u]} target={quoted[v]}>"
-            f'<data key="weight">{weight!r}</data></edge>'
+            f"    <edge source={quoted[lower]} target={quoted[higher]}>"
+            f'<data key="weight">{float(weights[k])!r}</data></edge>'
         )
-    lines.append("  </graph>")
-    lines.append("</graphml>")
-    return "\n".join(lines) + "\n"
+    lines += ["  </graph>", "</graphml>", ""]
+    return "\n".join(lines)
 
 
-def export(graph: nx.Graph, path: str | Path) -> Path:
+def export(graph: Graph, path: str | Path) -> Path:
     """Write the graph as GraphML with stable lexicographic node and edge ordering."""
     path = Path(path)
     path.write_text(_graphml_text(graph), encoding="utf-8")

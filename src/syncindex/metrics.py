@@ -5,16 +5,21 @@ similarity strengths, not distances. Eigenvector centrality does use the
 weights. All functions are pure and permutation-invariant; accumulation
 orders are fixed (sorted nodes) so outputs are bit-deterministic.
 
-Every metric that needs integer labels reads one NodeIndex per graph: node
-i is the i-th node in sorted order, so index order is id order, and the
-edges are relabeled once, in graph.edges order. The betweenness and
-eigenvector kernels read its sorted adjacency rows. Their floats
-depend only on the order of each accumulation, which is fixed: betweenness
-visits sources in ascending order and adds each node's dependency
-(sigma_v / sigma_w) * (1 + delta_w) once per successor w, in reverse BFS
-order, with neighbours scanned ascending; power iteration sums each row in
-ascending neighbour order, starting from the node's own value. A source
-with no neighbours adds nothing and is skipped.
+Every metric reads a graphs.Graph: node i is the i-th node in sorted
+order, so index order is id order, and the edges are two flat index lists.
+The betweenness and eigenvector kernels read its sorted adjacency rows.
+Their floats depend only on the order of each accumulation, which is fixed:
+betweenness visits sources in ascending order and adds each node's
+dependency (sigma_v / sigma_w) * (1 + delta_w) once per successor w, in
+reverse BFS order, with neighbours scanned ascending; power iteration sums
+each row in ascending neighbour order, starting from the node's own value.
+A source with no neighbours adds nothing and is skipped.
+
+Power iteration runs on the non-isolated nodes plus one neighbourless node
+standing for all isolated nodes. An isolated node's next value is its own
+value, so all of them start at 1.0 and stay equal at every step; the one
+shared value enters the peak and the convergence test as each of them did,
+so every float equals full iteration's bit for bit.
 
 Betweenness folds leaves without changing a float. A source s of degree 1
 whose neighbour t has degree > 1 runs no BFS: its BFS is t's with s
@@ -35,14 +40,15 @@ the graph relabeled to sorted integer indices, replayed move for move on
 integer lists and dicts, so its partition equals the installed networkx's
 on every graph. It keeps each order networkx has: the weight-1 copy adds
 the relabeled edges by ascending lower end and, within one lower end, in
-graph.edges order (a stable sort of the index's edges by their lower end),
+the graph's edge order (a stable sort of its edges by their lower end),
 one random.Random(seed) shuffling the nodes at each level, a node's
 candidate communities in the order its neighbours first reach them (its
 own appended last when absent), the remove_cost and gain expressions as
 written, community graphs merging edges in edge order, and a stop test that
-sums modularity community by community with threshold 1e-7.
+sums modularity community by community with threshold 1e-7. The sync graph
+keeps networkx's Graph.edges order (see graphs), so its partition is too.
 
-Triangle counts are exact integers from the index's int bitsets: each
+Triangle counts are exact integers from the graph's int bitsets: each
 edge (a, b) adds (mask_a & mask_b).bit_count() to both ends, which counts
 every triangle at a node twice. Counts on a class-induced subgraph AND the
 same masks with a class mask.
@@ -55,9 +61,8 @@ import math
 import random
 from array import array
 from dataclasses import dataclass
-from functools import cached_property
 
-import networkx as nx
+from .graphs import Graph
 
 logger = logging.getLogger(__name__)
 
@@ -75,69 +80,24 @@ class PowerIterationError(RuntimeError):
     """Eigenvector iteration failed to converge."""
 
 
-def degree_centrality(graph: nx.Graph) -> dict[str, float]:
+def degree_centrality(graph: Graph) -> dict[str, float]:
     """Unweighted degree divided by (n - 1)."""
     n = graph.number_of_nodes()
     if n < 2:
         raise MetricUndefinedError("degree centrality needs at least 2 nodes")
-    return {node: graph.degree(node) / (n - 1) for node in sorted(graph.nodes)}
+    return {node: degree / (n - 1) for node, degree in graph.degree()}
 
 
-@dataclass(frozen=True)
-class NodeIndex:
-    """A graph relabeled to integers: node i is nodes[i] in sorted order.
-
-    edges lists each edge once as (index[u], index[v]) in graph.edges order;
-    a self-loop is (i, i). The adjacency rows and neighbour bitsets derive
-    from edges on first use.
-    """
-
-    nodes: list
-    edges: list[tuple[int, int]]
-
-    @cached_property
-    def adjacency(self) -> list[list[int]]:
-        """adjacency[i] lists i's neighbour indices ascending (i itself when
-        it has a self-loop), which is their id order."""
-        rows: list[list[int]] = [[] for _ in self.nodes]
-        for a, b in self.edges:
-            rows[a].append(b)
-            if a != b:
-                rows[b].append(a)
-        for row in rows:
-            row.sort()
-        return rows
-
-    @cached_property
-    def masks(self) -> list[int]:
-        """Bit j of masks[i] is set when j is a neighbour of i; a self-loop sets no bit."""
-        masks = [0] * len(self.nodes)
-        for a, b in self.edges:
-            if a != b:
-                masks[a] |= 1 << b
-                masks[b] |= 1 << a
-        return masks
-
-
-def node_index(graph: nx.Graph) -> NodeIndex:
-    nodes = sorted(graph.nodes)
-    index = {node: i for i, node in enumerate(nodes)}
-    return NodeIndex(nodes=nodes, edges=[(index[u], index[v]) for u, v in graph.edges])
-
-
-def betweenness_centrality(graph: nx.Graph, *, index: NodeIndex | None = None) -> dict[str, float]:
+def betweenness_centrality(graph: Graph) -> dict[str, float]:
     """Brandes betweenness on unweighted shortest paths, normalized by (n-1)(n-2)/2.
 
-    Fewer than 3 nodes: all zeros (no interior positions exist). index, when
-    given, must be node_index(graph).
+    Fewer than 3 nodes: all zeros (no interior positions exist).
     """
-    if index is None:
-        index = node_index(graph)
-    nodes = index.nodes
+    nodes = graph.nodes
     n = len(nodes)
     if n < 3:
         return dict.fromkeys(nodes, 0.0)
-    adjacency = index.adjacency
+    adjacency = graph.adjacency
     # parent[v]: the one neighbour of a degree-1 node, else -1.
     parent = [row[0] if len(row) == 1 else -1 for row in adjacency]
     # hub[s]: the node whose BFS s's turn uses. A leaf whose neighbour t has
@@ -230,25 +190,27 @@ def _leaf_dependency(row: list[int], around, leaf: int) -> float:
     return total
 
 
-def eigenvector_centrality(
-    graph: nx.Graph, tol: float = 1e-9, max_iter: int = 1000, *, index: NodeIndex | None = None
-) -> dict[str, float]:
+def eigenvector_centrality(graph: Graph, tol: float = 1e-9, max_iter: int = 1000) -> dict[str, float]:
     """Power iteration on the weighted adjacency, scaled so the max component is 1.
 
     Starts from a uniform positive vector; converged when successive
     max-normalized iterates differ by less than tol in max norm. Iterates
-    with the identity added so bipartite graphs cannot oscillate. index,
-    when given, must be node_index(graph).
+    with the identity added so bipartite graphs cannot oscillate. Isolated
+    nodes share one value (see the module docstring).
     """
     if graph.number_of_edges() == 0:
         raise MetricUndefinedError("eigenvector centrality needs at least one edge")
-    if index is None:
-        index = node_index(graph)
-    nodes = index.nodes
-    weighted = []
-    for node, row in zip(nodes, index.adjacency):
-        attrs = graph.adj[node]
-        weighted.append([(j, float(attrs[nodes[j]].get("weight", 1.0))) for j in row])
+    rows: list[list[tuple[int, float]]] = [[] for _ in graph.nodes]
+    for a, b, w in zip(graph.sources, graph.targets, graph.weights):
+        rows[a].append((b, float(w)))
+        rows[b].append((a, float(w)))
+    # The non-isolated nodes in ascending order, then one neighbourless
+    # node standing for every isolated node.
+    position = {i: k for k, i in enumerate(i for i, row in enumerate(rows) if row)}
+    weighted = [[(position[j], w) for j, w in sorted(row)] for row in rows if row]
+    shared = len(weighted)
+    if shared < len(rows):
+        weighted.append([])
     x = [1.0] * len(weighted)
     for _ in range(max_iter):
         nxt = []
@@ -261,22 +223,8 @@ def eigenvector_centrality(
         delta = max(abs(new - old) for new, old in zip(nxt, x))
         x = nxt
         if delta < tol:
-            return dict(zip(nodes, x))
+            return {node: x[position.get(i, shared)] for i, node in enumerate(graph.nodes)}
     raise PowerIterationError(f"no convergence after {max_iter} iterations")
-
-
-def eigenvector_residual(graph: nx.Graph, centrality: dict[str, float]) -> float:
-    """Max-norm residual |A x - lambda x| with lambda the Rayleigh quotient."""
-    nodes = sorted(centrality)
-    ax = {}
-    for node in nodes:
-        acc = 0.0
-        for nbr in sorted(graph.adj[node]):
-            acc += float(graph[node][nbr].get("weight", 1.0)) * centrality[nbr]
-        ax[node] = acc
-    norm_sq = sum(centrality[node] ** 2 for node in nodes)
-    lam = sum(centrality[node] * ax[node] for node in nodes) / norm_sq
-    return max(abs(ax[node] - lam * centrality[node]) for node in nodes)
 
 
 @dataclass(frozen=True)
@@ -290,11 +238,8 @@ class Centralities:
     betweenness: dict[str, float]
     eigenvector: dict[str, float] | None
 
-    def __contains__(self, node: object) -> bool:
-        return node in self.degree
 
-
-def node_centralities(graph: nx.Graph) -> Centralities:
+def node_centralities(graph: Graph) -> Centralities:
     """All three centralities, each computed once.
 
     Where a centrality is undefined it is 0 for every node: degree below 2
@@ -302,23 +247,22 @@ def node_centralities(graph: nx.Graph) -> Centralities:
     when power iteration does not converge (e.g. two components with close
     spectral radii).
     """
-    index = node_index(graph)
-    zeros = dict.fromkeys(index.nodes, 0.0)
+    zeros = dict.fromkeys(graph.nodes, 0.0)
     eigenvector: dict[str, float] | None = zeros
     if graph.number_of_edges() > 0:
         try:
-            eigenvector = eigenvector_centrality(graph, index=index)
+            eigenvector = eigenvector_centrality(graph)
         except PowerIterationError as exc:
             logger.warning("eigenvector centrality undefined: %s", exc)
             eigenvector = None
     return Centralities(
         degree=degree_centrality(graph) if graph.number_of_nodes() >= 2 else zeros,
-        betweenness=betweenness_centrality(graph, index=index),
+        betweenness=betweenness_centrality(graph),
         eigenvector=eigenvector,
     )
 
 
-def newman_modularity(graph: nx.Graph, partition: dict[str, int]) -> float:
+def newman_modularity(graph: Graph, partition: dict[str, int]) -> float:
     """Unweighted Q = sum_c (e_cc - a_c^2) over communities."""
     missing = [node for node in graph.nodes if node not in partition]
     if missing:
@@ -329,12 +273,13 @@ def newman_modularity(graph: nx.Graph, partition: dict[str, int]) -> float:
         return 0.0
     internal: dict[int, int] = {}
     degree_sum: dict[int, int] = {}
-    for node in graph.nodes:
-        community = partition[node]
-        degree_sum[community] = degree_sum.get(community, 0) + graph.degree(node)
-    for u, v in graph.edges:
-        if partition[u] == partition[v]:
-            internal[partition[u]] = internal.get(partition[u], 0) + 1
+    communities = [partition[node] for node in graph.nodes]
+    for community, degree in zip(communities, graph.degrees):
+        degree_sum[community] = degree_sum.get(community, 0) + degree
+    for a, b in zip(graph.sources, graph.targets):
+        community = communities[a]
+        if community == communities[b]:
+            internal[community] = internal.get(community, 0) + 1
     q = 0.0
     for community in sorted(degree_sum):
         e_cc = internal.get(community, 0) / m
@@ -343,22 +288,22 @@ def newman_modularity(graph: nx.Graph, partition: dict[str, int]) -> float:
     return q
 
 
-def louvain_partition(index: NodeIndex, seed: int = 0) -> dict[str, int]:
+def louvain_partition(graph: Graph, seed: int = 0) -> dict[str, int]:
     """Greedy modularity partition (Blondel et al. 2008; unweighted, seeded).
 
     The partition is networkx's louvain_communities(weight=None, seed=seed,
     resolution 1, threshold 1e-7) on the graph relabeled to sorted integer
-    indices (edges added in graph.edges order), replayed move for move on
+    indices (edges added in the graph's edge order), replayed move for move on
     integer lists; see the module docstring. Community ids are assigned
     0..k-1 in order of each community's smallest member.
     """
-    if not index.edges:
+    if not graph.sources:
         raise MetricUndefinedError("community detection needs at least one edge")
-    nodes = index.nodes
+    nodes = graph.nodes
     # The weight-1 copy adds the relabeled graph's edges in its edge order:
-    # ascending lower end, then graph.edges order (the sort is stable).
+    # ascending lower end, then the graph's edge order (the sort is stable).
     adjacency: list[dict[int, int]] = [{} for _ in nodes]
-    for a, b in sorted(index.edges, key=min):
+    for a, b in sorted(zip(graph.sources, graph.targets), key=min):
         adjacency[a][b] = adjacency[b][a] = 1
     degrees = _weighted_degrees(adjacency)
     m = sum(degrees) / 2
@@ -451,7 +396,7 @@ def _louvain_level(
     return node2com, moved
 
 
-def krackhardt_hierarchy(graph: nx.Graph, user_scores: dict[str, float] | None = None) -> float:
+def krackhardt_hierarchy(graph: Graph, user_scores: dict[str, float] | None = None) -> float:
     """1 minus the fraction of reachable node pairs that are mutually reachable,
     with each edge oriented from the lower-scoring endpoint to the higher
     (scores from user_scores or the csi_user node attribute; ties point
@@ -467,44 +412,35 @@ def krackhardt_hierarchy(graph: nx.Graph, user_scores: dict[str, float] | None =
     """
     if graph.number_of_nodes() == 0:
         raise MetricUndefinedError("hierarchy of an empty graph")
-    for node in graph.nodes:
+    attributes = graph.csi_user or [None] * len(graph.nodes)
+    for node, attribute in zip(graph.nodes, attributes):
         if user_scores is not None and node in user_scores:
             score = float(user_scores[node])
         else:
-            score = float(graph.nodes[node].get("csi_user", 0.0))
+            score = 0.0 if attribute is None else attribute
         if math.isnan(score):
             raise ValueError(f"NaN score for {node!r}: csi_order is not a total order")
     return 1.0
 
 
-def triangle_counts(index: NodeIndex, members: int = -1) -> tuple[list[int], list[int]]:
+def triangle_counts(graph: Graph, members: int = -1) -> tuple[list[int], list[int]]:
     """Per node index: the number of edges among its neighbours, and
     C(degree, 2), on the subgraph induced by members (a bitset of node
     indices; -1 is every node). Nodes outside it count 0.
 
     Each edge (a, b) adds the number of common neighbours to both ends, so
-    every node receives each of its triangles twice. A node with a self-loop
-    is its own neighbour: each other neighbour closes a pair with it.
+    every node receives each of its triangles twice.
     """
-    masks = index.masks
+    masks = graph.masks
     if members != -1:
         masks = [mask & members if members >> i & 1 else 0 for i, mask in enumerate(masks)]
     twice = [0] * len(masks)
-    loops = []
-    for a, b in index.edges:
-        if a == b:
-            loops.append(a)
-            continue
+    for a, b in zip(graph.sources, graph.targets):
         common = (masks[a] & masks[b]).bit_count()
         twice[a] += common
         twice[b] += common
-    triangles = [count >> 1 for count in twice]
     degrees = [mask.bit_count() for mask in masks]
-    for x in loops:
-        if members >> x & 1:
-            triangles[x] += degrees[x]
-            degrees[x] += 1
-    return triangles, [d * (d - 1) // 2 for d in degrees]
+    return [count >> 1 for count in twice], [d * (d - 1) // 2 for d in degrees]
 
 
 def transitivity(counts: tuple[list[int], list[int]]) -> float:
@@ -531,7 +467,7 @@ def avg_local_clustering(counts: tuple[list[int], list[int]]) -> float:
     return total / len(triples)
 
 
-def density(graph: nx.Graph) -> float:
+def density(graph: Graph) -> float:
     """2|E| / (n(n-1))."""
     n = graph.number_of_nodes()
     if n < 2:
@@ -548,7 +484,7 @@ def centrality_by_action_type_count(
     Users absent from the graph are left out with a warning. eigenvector is
     None when it did not converge.
     """
-    present = sorted(user for user in participation if user in centralities)
+    present = sorted(user for user in participation if user in centralities.degree)
     missing = len(participation) - len(present)
     if missing:
         logger.warning("%d synchronizing users missing from the interaction graph", missing)

@@ -14,8 +14,6 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Sequence
 
-import networkx as nx
-
 from . import bots as botmod
 from . import csi as csimod
 from . import graphs as graphmod
@@ -125,7 +123,7 @@ def sync_graphs(
     user_scores: dict[str, float] | None,
     bot_table: botmod.BotScoreTable | None,
     min_partners: int,
-) -> tuple[nx.Graph, nx.Graph]:
+) -> tuple[graphmod.Graph, graphmod.Graph]:
     """The sync graph (with class and score node attributes) and its k-core pruning."""
     classes = None
     if bot_table is not None:
@@ -134,13 +132,13 @@ def sync_graphs(
     return sync, graphmod.prune_by_partner_count(sync, min_partners)
 
 
-def write_sync_graphs(sync: nx.Graph, pruned: nx.Graph, out: Path) -> None:
+def write_sync_graphs(sync: graphmod.Graph, pruned: graphmod.Graph, out: Path) -> None:
     graphmod.export(sync, out / "sync.graphml")
     graphmod.export(pruned, out / "sync_pruned.graphml")
 
 
 def structure_section(
-    sync: nx.Graph,
+    sync: graphmod.Graph,
     user_scores: dict[str, float] | None,
     bot_table: botmod.BotScoreTable | None,
     seed: int,
@@ -152,9 +150,8 @@ def structure_section(
     """
     if sync.number_of_edges() == 0:
         return None
-    index = metricmod.node_index(sync)
-    partition = metricmod.louvain_partition(index, seed=seed)
-    counts = metricmod.triangle_counts(index)
+    partition = metricmod.louvain_partition(sync, seed=seed)
+    counts = metricmod.triangle_counts(sync)
     section = {
         "density": metricmod.density(sync),
         "modularity": metricmod.newman_modularity(sync, partition),
@@ -166,7 +163,7 @@ def structure_section(
     }
     no_triples = [] if any(counts[1]) else ["sync"]
     if bot_table is not None:
-        totals = botmod.class_triangle_totals(index, bot_table)
+        totals = botmod.class_triangle_totals(sync, bot_table)
         section["clustering_by_class"] = botmod.clustering_by_class(totals)
         no_triples += [cls for cls, (_, triples) in totals.items() if not triples]
     if no_triples:
@@ -184,9 +181,7 @@ def allcomm_centralities(dataset: EventDataset) -> metricmod.Centralities:
     Post authors without interactions are isolated nodes.
     """
     users = {p.user_id for p in dataset.posts}
-    for record in dataset.interactions:
-        users.add(record.source_user)
-        users.add(record.target_user)
+    users.update(*((r.source_user, r.target_user) for r in dataset.interactions))
     return metricmod.node_centralities(graphmod.build_allcomm_graph(dataset.interactions, users=users))
 
 

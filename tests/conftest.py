@@ -11,6 +11,7 @@ import re
 from collections import deque
 from datetime import datetime, timedelta, timezone
 from typing import Iterable, Iterator, Mapping, Sequence
+from xml.sax.saxutils import escape, quoteattr
 
 import networkx as nx
 from hypothesis import strategies as st
@@ -35,6 +36,7 @@ from syncindex.events import (
     InteractionRecord,
     PostEvent,
 )
+from syncindex.graphs import Graph
 from syncindex.synchrony import PairSyncCounts, SyncWindowConfig
 
 PAIR_CLASSES = ("bot-bot", "bot-human", "human-human", "unknown-involved")
@@ -165,10 +167,167 @@ def oracle_tables(counts: PairSyncCounts, config: CsiConfig | None = None) -> Cs
     )
 
 
-def induced_subgraph(graph: nx.Graph, user_class: str) -> nx.Graph:
+def from_nx(graph: nx.Graph) -> Graph:
+    """The Graph of a networkx graph without self-loops: its edges in
+    graph.edges order, each weight its "weight" attribute or 1.0, and the
+    user_class and csi_user node attributes (user_class on every node or on
+    none)."""
+    if nx.number_of_selfloops(graph):
+        raise ValueError("a Graph has no self-loops")
+    nodes = sorted(graph.nodes)
+    index = {node: i for i, node in enumerate(nodes)}
+    edges = list(graph.edges(data="weight", default=1.0))
+    classes = [graph.nodes[node].get("user_class") for node in nodes]
+    if None in classes and any(cls is not None for cls in classes):
+        raise ValueError("user_class must be on every node or on none")
+    scores = [graph.nodes[node].get("csi_user") for node in nodes]
+    return Graph(
+        nodes,
+        [index[u] for u, _, _ in edges],
+        [index[v] for _, v, _ in edges],
+        [w for _, _, w in edges],
+        classes if nodes and None not in classes else None,
+        scores if any(score is not None for score in scores) else None,
+    )
+
+
+def to_nx(graph: Graph) -> nx.Graph:
+    """The networkx graph of a Graph: nodes in index order with their
+    attributes, then the edges in edge order with their weights."""
+    result = nx.Graph()
+    for i, node in enumerate(graph.nodes):
+        attributes = {}
+        if graph.user_class is not None:
+            attributes["user_class"] = graph.user_class[i]
+        if graph.csi_user is not None and graph.csi_user[i] is not None:
+            attributes["csi_user"] = graph.csi_user[i]
+        result.add_node(node, **attributes)
+    for a, b, w in zip(graph.sources, graph.targets, graph.weights):
+        result.add_edge(graph.nodes[a], graph.nodes[b], weight=w)
+    return result
+
+
+def induced_subgraph(graph: Graph, user_class: str) -> nx.Graph:
     """Subgraph of nodes with the given user_class attribute; unclassified nodes are excluded."""
+    graph = to_nx(graph)
     nodes = [n for n, data in graph.nodes(data=True) if data.get("user_class") == user_class]
     return graph.subgraph(nodes).copy()
+
+
+# The former networkx definitions of graph building, pruning, export and the
+# simple whole-graph metrics, kept as the oracles of the Graph versions.
+def nx_sync_graph(
+    pair_scores: Mapping[tuple[str, str], float],
+    user_classes: Mapping[str, str] | None = None,
+    user_scores: Mapping[str, float] | None = None,
+) -> nx.Graph:
+    graph = nx.Graph()
+    for u, v in sorted(pair_scores):
+        if u == v:
+            raise ValueError(f"self-loop pair: {u!r}")
+        graph.add_edge(u, v, weight=float(pair_scores[(u, v)]))
+    if user_classes is not None:
+        for node in graph.nodes:
+            graph.nodes[node]["user_class"] = user_classes.get(node, "unknown")
+    if user_scores is not None:
+        for node in graph.nodes:
+            if node in user_scores:
+                graph.nodes[node]["csi_user"] = float(user_scores[node])
+    return graph
+
+
+def nx_allcomm_graph(interactions: Iterable[InteractionRecord], users: Iterable[str] = ()) -> nx.Graph:
+    graph = nx.Graph()
+    graph.add_nodes_from(sorted(set(users)))
+    for record in interactions:
+        if record.source_user == record.target_user:
+            continue
+        u, v = record.source_user, record.target_user
+        if graph.has_edge(u, v):
+            graph[u][v]["weight"] += 1
+        else:
+            graph.add_edge(u, v, weight=1)
+    return graph
+
+
+def nx_graphml_text(graph: nx.Graph) -> str:
+    has_class = any("user_class" in d for _, d in graph.nodes(data=True))
+    has_csi = any("csi_user" in d for _, d in graph.nodes(data=True))
+    lines = [
+        '<?xml version="1.0" encoding="utf-8"?>',
+        '<graphml xmlns="http://graphml.graphdrawing.org/xmlns">',
+        '  <key id="weight" for="edge" attr.name="weight" attr.type="double"/>',
+    ]
+    if has_class:
+        lines.append('  <key id="user_class" for="node" attr.name="user_class" attr.type="string"/>')
+    if has_csi:
+        lines.append('  <key id="csi_user" for="node" attr.name="csi_user" attr.type="double"/>')
+    lines.append('  <graph edgedefault="undirected">')
+    quoted: dict[str, str] = {}
+    for node in sorted(graph.nodes):
+        data = graph.nodes[node]
+        quoted[node] = quoteattr(str(node))
+        parts = [f"    <node id={quoted[node]}>"]
+        if "user_class" in data:
+            parts.append(f'<data key="user_class">{escape(str(data["user_class"]))}</data>')
+        if "csi_user" in data:
+            parts.append(f'<data key="csi_user">{data["csi_user"]!r}</data>')
+        parts.append("</node>")
+        lines.append("".join(parts))
+    edges = sorted((u, v, data) if u < v else (v, u, data) for u, v, data in graph.edges(data=True))
+    for u, v, data in edges:
+        weight = float(data.get("weight", 1.0))
+        lines.append(
+            f"    <edge source={quoted[u]} target={quoted[v]}>"
+            f'<data key="weight">{weight!r}</data></edge>'
+        )
+    lines.append("  </graph>")
+    lines.append("</graphml>")
+    return "\n".join(lines) + "\n"
+
+
+def nx_degree_centrality(graph: nx.Graph) -> dict[str, float]:
+    n = graph.number_of_nodes()
+    return {node: graph.degree(node) / (n - 1) for node in sorted(graph.nodes)}
+
+
+def nx_density(graph: nx.Graph) -> float:
+    n = graph.number_of_nodes()
+    return 2.0 * graph.number_of_edges() / (n * (n - 1))
+
+
+def nx_newman_modularity(graph: nx.Graph, partition: dict[str, int]) -> float:
+    m = graph.number_of_edges()
+    if m == 0:
+        return 0.0
+    internal: dict[int, int] = {}
+    degree_sum: dict[int, int] = {}
+    for node in graph.nodes:
+        community = partition[node]
+        degree_sum[community] = degree_sum.get(community, 0) + graph.degree(node)
+    for u, v in graph.edges:
+        if partition[u] == partition[v]:
+            internal[partition[u]] = internal.get(partition[u], 0) + 1
+    q = 0.0
+    for community in sorted(degree_sum):
+        e_cc = internal.get(community, 0) / m
+        a_c = degree_sum[community] / (2 * m)
+        q += e_cc - a_c * a_c
+    return q
+
+
+def eigenvector_residual(graph: nx.Graph, centrality: dict[str, float]) -> float:
+    """Max-norm residual |A x - lambda x| with lambda the Rayleigh quotient."""
+    nodes = sorted(centrality)
+    ax = {}
+    for node in nodes:
+        acc = 0.0
+        for nbr in sorted(graph.adj[node]):
+            acc += float(graph[node][nbr].get("weight", 1.0)) * centrality[nbr]
+        ax[node] = acc
+    norm_sq = sum(centrality[node] ** 2 for node in nodes)
+    lam = sum(centrality[node] * ax[node] for node in nodes) / norm_sq
+    return max(abs(ax[node] - lam * centrality[node]) for node in nodes)
 
 
 def pair_class_counts(pair_scores: Mapping[tuple[str, str], float], table: BotScoreTable) -> dict[str, int]:

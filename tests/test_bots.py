@@ -1,9 +1,8 @@
 from __future__ import annotations
 
-import networkx as nx
 import pytest
 
-from conftest import induced_subgraph, pair_class_counts
+from conftest import from_nx, induced_subgraph, pair_class_counts
 from syncindex.bots import (
     BotScoreTable,
     ScoreError,
@@ -17,7 +16,7 @@ from syncindex.bots import (
     user_classes,
 )
 from syncindex.graphs import build_allcomm_graph, build_sync_graph
-from syncindex.metrics import node_centralities, node_index, transitivity, triangle_counts
+from syncindex.metrics import node_centralities, transitivity, triangle_counts
 from syncindex.events import InteractionRecord
 
 
@@ -213,14 +212,14 @@ class TestClusteringByClass:
         }
         t = table({"b1": 0.9, "b2": 0.9, "b3": 0.9, "h1": 0.1, "h2": 0.1, "h3": 0.1})
         sync = build_sync_graph(scores, user_classes=user_classes(sorted({u for p in scores for u in p}), t))
-        result = clustering_by_class(class_triangle_totals(node_index(sync), t))
+        result = clustering_by_class(class_triangle_totals(sync, t))
         assert result == {"bot": 1.0, "human": 0.0}
 
     def test_empty_partition_key_absent(self):
         scores = {("h1", "h2"): 1.0}
         t = table({"h1": 0.1, "h2": 0.1})
         sync = build_sync_graph(scores)
-        result = clustering_by_class(class_triangle_totals(node_index(sync), t))
+        result = clustering_by_class(class_triangle_totals(sync, t))
         assert set(result) == {"human"}
 
     def test_matches_induced_subgraph_transitivity(self):
@@ -228,5 +227,5 @@ class TestClusteringByClass:
         t = table({"b1": 0.9, "b2": 0.9, "b3": 0.9, "h1": 0.1})
         classes = user_classes(["b1", "b2", "b3", "h1"], t)
         sync = build_sync_graph(scores, user_classes=classes)
-        result = clustering_by_class(class_triangle_totals(node_index(sync), t))
-        assert result["bot"] == transitivity(triangle_counts(node_index(induced_subgraph(sync, "bot"))))
+        result = clustering_by_class(class_triangle_totals(sync, t))
+        assert result["bot"] == transitivity(triangle_counts(from_nx(induced_subgraph(sync, "bot"))))

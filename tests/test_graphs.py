@@ -5,16 +5,28 @@ import random
 
 import networkx as nx
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from conftest import induced_subgraph
+from conftest import (
+    from_nx,
+    induced_subgraph,
+    nx_allcomm_graph,
+    nx_degree_centrality,
+    nx_density,
+    nx_graphml_text,
+    nx_newman_modularity,
+    nx_sync_graph,
+    to_nx,
+)
 from syncindex.events import CorpusRejectedError, InteractionRecord, parse_events
 from syncindex.graphs import (
+    _graphml_text,
     build_allcomm_graph,
     build_sync_graph,
     export,
     prune_by_partner_count,
 )
+from syncindex.metrics import degree_centrality, density, newman_modularity
 
 
 def parsed_user_id(text: str) -> str | None:
@@ -56,16 +68,18 @@ class TestSyncGraph:
 
     def test_weights_reproduce_pair_scores(self):
         scores = {("u", "v"): 8.0, ("v", "w"): 1.5}
-        graph = build_sync_graph(scores)
+        graph = to_nx(build_sync_graph(scores))
         assert graph["u"]["v"]["weight"] == 8.0
         read_back = {tuple(sorted((u, v))): d["weight"] for u, v, d in graph.edges(data=True)}
         assert read_back == scores
 
     def test_node_attributes(self):
-        graph = build_sync_graph(
-            {("u", "v"): 2.0},
-            user_classes={"u": "bot"},
-            user_scores={"u": 4.0, "v": 4.0},
+        graph = to_nx(
+            build_sync_graph(
+                {("u", "v"): 2.0},
+                user_classes={"u": "bot"},
+                user_scores={"u": 4.0, "v": 4.0},
+            )
         )
         assert graph.nodes["u"]["user_class"] == "bot"
         assert graph.nodes["v"]["user_class"] == "unknown"
@@ -75,11 +89,15 @@ class TestSyncGraph:
         with pytest.raises(ValueError):
             build_sync_graph({("u", "u"): 1.0})
 
+    def test_rejects_pair_in_both_orders(self):
+        with pytest.raises(ValueError, match="both orders"):
+            build_sync_graph({("u", "v"): 1.0, ("v", "u"): 2.0})
+
 
 class TestAllCommGraph:
     def test_directionless_weight_sum(self):
         records = [interaction("u", "v"), interaction("u", "v"), interaction("v", "u", "mention")]
-        graph = build_allcomm_graph(records)
+        graph = to_nx(build_allcomm_graph(records))
         assert graph["u"]["v"]["weight"] == 3
 
     def test_self_interaction_dropped(self):
@@ -88,7 +106,7 @@ class TestAllCommGraph:
 
     def test_post_users_become_isolated_nodes(self):
         graph = build_allcomm_graph([], users=["a", "b"])
-        assert sorted(graph.nodes) == ["a", "b"]
+        assert graph.nodes == ["a", "b"]
         assert graph.number_of_edges() == 0
 
 
@@ -99,7 +117,7 @@ class TestPrune:
         assert pruned.number_of_nodes() == 0
 
     def test_k6_unchanged(self):
-        k6 = nx.complete_graph(6)
+        k6 = from_nx(nx.complete_graph(6))
         pruned = prune_by_partner_count(k6, 5)
         assert pruned.number_of_nodes() == 6
         assert pruned.number_of_edges() == 15
@@ -107,21 +125,21 @@ class TestPrune:
     def test_zero_threshold_is_identity(self):
         graph = build_sync_graph({("a", "b"): 1.0})
         pruned = prune_by_partner_count(graph, 0)
-        assert nx.utils.graphs_equal(pruned, graph)
+        assert pruned == graph
 
     def test_negative_threshold_rejected(self):
         with pytest.raises(ValueError):
-            prune_by_partner_count(nx.Graph(), -1)
+            prune_by_partner_count(build_sync_graph({}), -1)
 
     def test_fixed_point_property(self):
         rng = random.Random(4)
         for _ in range(10):
-            graph = nx.gnp_random_graph(25, 0.2, seed=rng.randrange(10_000))
+            graph = from_nx(nx.gnp_random_graph(25, 0.2, seed=rng.randrange(10_000)))
             k = rng.randint(1, 5)
             pruned = prune_by_partner_count(graph, k)
             assert all(degree >= k for _, degree in pruned.degree())
             # already a fixed point: pruning again changes nothing
-            assert nx.utils.graphs_equal(prune_by_partner_count(pruned, k), pruned)
+            assert prune_by_partner_count(pruned, k) == pruned
 
 
 class TestPartition:
@@ -152,7 +170,7 @@ class TestPartition:
         graph = self.build()
         bot_edges = set(map(frozenset, induced_subgraph(graph, "bot").edges))
         human_edges = set(map(frozenset, induced_subgraph(graph, "human").edges))
-        all_edges = set(map(frozenset, graph.edges))
+        all_edges = set(map(frozenset, to_nx(graph).edges))
         cross = all_edges - bot_edges - human_edges
         assert bot_edges | human_edges | cross == all_edges
         assert not bot_edges & human_edges
@@ -176,7 +194,7 @@ class TestExport:
         assert parsed["c"]["d"]["weight"] == 8.0
 
     def test_empty_graph_is_valid(self, tmp_path):
-        path = export(nx.Graph(), tmp_path / "empty.graphml")
+        path = export(build_sync_graph({}), tmp_path / "empty.graphml")
         parsed = nx.read_graphml(path)
         assert parsed.number_of_nodes() == 0
 
@@ -187,7 +205,10 @@ class TestExport:
     )
     def test_graphml_round_trips_any_printable_id(self, tmp_path, pairs, user_class):
         """Any id the event parser accepts, printable or not, reads back unchanged."""
-        scores = {(u, v): 1.5 + i for i, (u, v) in enumerate(pairs) if u != v}
+        scores = {}
+        for i, (u, v) in enumerate(pairs):
+            if u != v and (v, u) not in scores:
+                scores[(u, v)] = 1.5 + i
         users = {u for pair in scores for u in pair}
         graph = build_sync_graph(
             scores,
@@ -195,6 +216,7 @@ class TestExport:
             user_scores={u: 0.25 * len(u) for u in users},
         )
         parsed = nx.read_graphml(export(graph, tmp_path / "g.graphml"))
+        graph = to_nx(graph)
 
         def edges(g):
             return sorted((*sorted((u, v)), w) for u, v, w in g.edges(data="weight"))
@@ -207,3 +229,70 @@ class TestExport:
         two = export(self.build(), tmp_path / "two.graphml")
         assert one.read_bytes() == two.read_bytes()
 
+
+@st.composite
+def pair_tables(draw):
+    """Scored pairs over a few ids, each given in either order, with bot
+    classes and user scores that are absent or miss some users."""
+    ids = draw(st.lists(st.text("abcxyz&<", min_size=1, max_size=3), min_size=2, max_size=12, unique=True))
+    candidates = [(u, v) for i, u in enumerate(ids) for v in ids[i + 1 :]]
+    scores = {}
+    for u, v in draw(st.lists(st.sampled_from(candidates), unique=True, max_size=40)):
+        pair = (v, u) if draw(st.booleans()) else (u, v)
+        scores[pair] = draw(st.sampled_from([0.5, 1.0, 2.25]) | st.floats(0.0, 100.0))
+    classes = draw(st.none() | st.dictionaries(st.sampled_from(ids), st.sampled_from(["bot", "human"])))
+    users = draw(st.none() | st.dictionaries(st.sampled_from(ids), st.floats(0.0, 10.0)))
+    return scores, classes, users
+
+
+def named_edges(graph):
+    return [(graph.nodes[a], graph.nodes[b], w) for a, b, w in zip(graph.sources, graph.targets, graph.weights)]
+
+
+class TestMatchesNetworkx:
+    """The Graph builders, pruning, GraphML text and simple metrics equal
+    their former networkx definitions in tests/conftest.py."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(pair_tables())
+    def test_edge_order_equals_networkx(self, table):
+        scores, _, _ = table
+        assert named_edges(build_sync_graph(scores)) == list(nx_sync_graph(scores).edges(data="weight"))
+
+    @settings(max_examples=300, deadline=None)
+    @given(pair_tables(), st.integers(0, 7))
+    @example(({("a", "b"): 1.0}, {"a": "bot"}, {"a": 1.0}), 5)  # pruned to nothing
+    def test_prune_and_graphml_equal_k_core(self, table, k):
+        scores, classes, users = table
+        graph = build_sync_graph(scores, user_classes=classes, user_scores=users)
+        reference = nx_sync_graph(scores, classes, users)
+        assert _graphml_text(graph) == nx_graphml_text(reference)
+        pruned = prune_by_partner_count(graph, k)
+        assert _graphml_text(pruned) == nx_graphml_text(nx.k_core(reference, k))
+        kept = set(pruned.nodes)
+        assert named_edges(pruned) == [e for e in named_edges(graph) if e[0] in kept and e[1] in kept]
+
+    @settings(max_examples=200, deadline=None)
+    @given(pair_tables(), st.randoms(use_true_random=False))
+    def test_simple_metrics_equal_former_definitions(self, table, rnd):
+        scores, _, _ = table
+        graph = build_sync_graph(scores)
+        reference = nx_sync_graph(scores)
+        if graph.number_of_nodes() >= 2:
+            assert degree_centrality(graph) == nx_degree_centrality(reference)
+            assert density(graph).hex() == nx_density(reference).hex()
+        partition = {node: rnd.randrange(3) for node in graph.nodes}
+        assert newman_modularity(graph, partition).hex() == nx_newman_modularity(reference, partition).hex()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.tuples(st.sampled_from("abcde"), st.sampled_from("abcde")), max_size=20),
+        st.lists(st.sampled_from("abcdefg"), max_size=5),
+    )
+    def test_allcomm_equals_networkx(self, ends, users):
+        records = [interaction(u, v, t=t) for t, (u, v) in enumerate(ends)]
+        graph = build_allcomm_graph(records, users=users)
+        reference = nx_allcomm_graph(records, users=users)
+        assert graph.nodes == sorted(reference.nodes)
+        assert sorted(named_edges(graph)) == sorted((*sorted((u, v)), w) for u, v, w in reference.edges(data="weight"))
+        assert _graphml_text(graph) == nx_graphml_text(reference)

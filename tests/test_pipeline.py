@@ -12,13 +12,14 @@ import networkx as nx
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from conftest import printable_ids
+from conftest import from_nx, printable_ids
 import syncindex
 from syncindex import cli
 from syncindex import csi as csimod
 from syncindex import metrics as metricmod
 from syncindex import synchrony
 from syncindex.events import write_events_jsonl
+from syncindex.graphs import build_sync_graph
 from syncindex.metrics import node_centralities
 from syncindex.pipeline import (
     EventReport,
@@ -334,17 +335,15 @@ def test_report_independent_of_hash_seed(tmp_path):
 
 
 def test_structure_section_counts_triangles_once(monkeypatch):
-    indexed, counted = [], []
-    index_of, count = metricmod.node_index, metricmod.triangle_counts
-    monkeypatch.setattr(metricmod, "node_index", lambda graph: indexed.append(graph) or index_of(graph))
+    counted = []
+    count = metricmod.triangle_counts
     monkeypatch.setattr(
-        metricmod, "triangle_counts", lambda index, *members: counted.append(members) or count(index, *members)
+        metricmod, "triangle_counts", lambda graph, *members: counted.append(members) or count(graph, *members)
     )
-    sync = nx.Graph([("a", "b"), ("b", "c"), ("c", "a"), ("c", "d")])
+    sync = build_sync_graph({("a", "b"): 1.0, ("b", "c"): 1.0, ("a", "c"): 1.0, ("c", "d"): 1.0})
     section = structure_section(sync, None, None, seed=0)
-    assert indexed == [sync]
     assert counted == [()]
-    counts = count(index_of(sync))
+    counts = count(sync)
     assert section["transitivity"] == metricmod.transitivity(counts)
     assert section["avg_local_clustering"] == metricmod.avg_local_clustering(counts)
 
@@ -374,7 +373,7 @@ class TestCentralityCsv:
     @settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(st.lists(printable_ids, min_size=1, max_size=6, unique=True))
     def test_round_trips_any_printable_id(self, tmp_path, users):
-        centralities = node_centralities(nx.path_graph(users))
+        centralities = node_centralities(from_nx(nx.path_graph(users)))
         path = tmp_path / "centrality.csv"
         write_centrality_csv(centralities, path)
         with path.open(encoding="utf-8", newline="") as handle:
