@@ -27,7 +27,7 @@ from .events import (
     parse_events,
 )
 from .synchrony import (
-    PairSyncCounts,
+    PairCounts,
     SyncWindowConfig,
     action_type_participation,
     detect,
@@ -43,7 +43,7 @@ __all__ = [
     "CsiTables",
     "EventDataset",
     "InteractionRecord",
-    "PairSyncCounts",
+    "PairCounts",
     "PostEvent",
     "SyncWindowConfig",
     "UndefinedNetworkError",

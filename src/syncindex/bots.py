@@ -168,12 +168,12 @@ def centrality_by_class(
     return out
 
 
-def class_triangle_totals(graph: Graph, table: BotScoreTable) -> dict[str, tuple[int, int]]:
-    """Per class, the triangle and connected-triple totals of triangle_counts
-    on the class-induced subgraph; empty classes are absent."""
+def class_triangle_totals(graph: Graph) -> dict[str, tuple[int, int]]:
+    """Per class of the graph's user_class list, the triangle and
+    connected-triple totals of triangle_counts on the class-induced
+    subgraph; empty classes are absent."""
     members = {"bot": 0, "human": 0}
-    for i, node in enumerate(graph.nodes):
-        cls = table.classify(node)
+    for i, cls in enumerate(graph.user_class):
         if cls in members:
             members[cls] |= 1 << i
     totals = {}

@@ -13,12 +13,12 @@ import argparse
 import dataclasses
 import json
 import logging
+import math
 import sys
 from pathlib import Path
 
 from . import bots as botmod
 from . import csi as csimod
-from . import graphs as graphmod
 from . import metrics as metricmod
 from . import pipeline
 from . import simulate as simmod
@@ -37,6 +37,17 @@ class _Parser(argparse.ArgumentParser):
 
 def _add_out(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", default=".", help="output directory (default: current)")
+
+
+def _bot_threshold(text: str) -> float:
+    """A finite number in [0, 1]; anything else is a usage error naming the flag."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0.0 <= value <= 1.0:  # False for NaN
+        raise argparse.ArgumentTypeError(f"{text!r} is not a number in [0, 1]")
+    return value
 
 
 def _add_csi_flags(parser: argparse.ArgumentParser) -> None:
@@ -70,7 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pairs", required=True, help="pairs.csv from score")
     p.add_argument("--users", help="users.csv from score (adds csi_user attributes)")
     p.add_argument("--bots", help="bot score CSV (adds user_class attributes)")
-    p.add_argument("--bot-threshold", type=float, default=botmod.DEFAULT_THRESHOLD)
+    p.add_argument("--bot-threshold", type=_bot_threshold, default=botmod.DEFAULT_THRESHOLD)
     p.add_argument("--min-partners", type=int, default=5)
     _add_out(p)
 
@@ -78,7 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pairs", required=True, help="pairs.csv from score")
     p.add_argument("--users", help="users.csv from score (hierarchy orientation)")
     p.add_argument("--bots", help="bot score CSV (class clustering)")
-    p.add_argument("--bot-threshold", type=float, default=botmod.DEFAULT_THRESHOLD)
+    p.add_argument("--bot-threshold", type=_bot_threshold, default=botmod.DEFAULT_THRESHOLD)
     p.add_argument("--events", help="events file; adds all-communication centrality CSV")
     p.add_argument("--seed", type=int, default=0)
     _add_out(p)
@@ -87,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--events", required=True)
     p.add_argument("--interactions")
     p.add_argument("--bots")
-    p.add_argument("--bot-threshold", type=float, default=botmod.DEFAULT_THRESHOLD)
+    p.add_argument("--bot-threshold", type=_bot_threshold, default=botmod.DEFAULT_THRESHOLD)
     p.add_argument("--window", type=int, default=300)
     _add_csi_flags(p)
     p.add_argument("--min-partners", type=int, default=5)
@@ -126,17 +137,17 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def _cmd_detect(args: argparse.Namespace) -> int:
-    counts = pipeline.detect_pairs(load_events(args.events, lang=args.lang), args.window).counts
-    path = synchrony.write_pair_counts_csv(counts, _out_dir(args) / "pair_counts.csv")
-    print(f"wrote {path}: {len(counts)} pairs over {len(counts.users())} users")
+    out = _out_dir(args)
+    counts = pipeline.detect_pairs(load_events(args.events, lang=args.lang), args.window, out).counts
+    users = {user for pair in counts for user in pair}
+    print(f"wrote {out / 'pair_counts.csv'}: {len(counts)} pairs over {len(users)} users")
     return 0
 
 
 def _cmd_score(args: argparse.Namespace) -> int:
     counts = synchrony.read_pair_counts_csv(args.pairs)
     config = csimod.CsiConfig(pair_formula=args.pair_formula, normalization=args.normalization)
-    tables = pipeline.score_pairs(counts, config)
-    csimod.write_score_artifacts(tables, counts, config, _out_dir(args))
+    tables, _ = pipeline.score_pairs(counts, config, _out_dir(args))
     if tables is None:
         print("no synchronized pairs; wrote empty score tables")
     else:
@@ -144,18 +155,16 @@ def _cmd_score(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_graph_inputs(args: argparse.Namespace):
+def _sync_graph(args: argparse.Namespace):
     pair_scores = csimod.read_pair_scores_csv(args.pairs)
     user_scores = csimod.read_user_scores_csv(args.users) if args.users else None
     table = botmod.load_bot_scores(args.bots, threshold=args.bot_threshold) if args.bots else None
-    return pair_scores, user_scores, table
+    return pipeline.sync_graph(pair_scores, user_scores, table)
 
 
 def _cmd_graph(args: argparse.Namespace) -> int:
-    pair_scores, user_scores, table = _load_graph_inputs(args)
-    sync, pruned = pipeline.sync_graphs(pair_scores, user_scores, table, args.min_partners)
-    out = _out_dir(args)
-    pipeline.write_sync_graphs(sync, pruned, out)
+    sync = _sync_graph(args)
+    pruned = pipeline.write_sync_graphs(sync, args.min_partners, _out_dir(args))
     print(
         f"sync graph: {sync.number_of_nodes()} nodes, {sync.number_of_edges()} edges; "
         f"pruned(k={args.min_partners}): {pruned.number_of_nodes()} nodes, {pruned.number_of_edges()} edges"
@@ -164,11 +173,9 @@ def _cmd_graph(args: argparse.Namespace) -> int:
 
 
 def _cmd_metrics(args: argparse.Namespace) -> int:
-    pair_scores, user_scores, table = _load_graph_inputs(args)
-    sync = graphmod.build_sync_graph(pair_scores, user_scores=user_scores)
+    sync = _sync_graph(args)
     out = _out_dir(args)
-    structure = pipeline.structure_section(sync, user_scores, table, args.seed)
-    pipeline.write_metrics_json(structure, out / "metrics.json")
+    pipeline.structure_section(sync, args.seed, out)
     if args.events:
         centralities = pipeline.allcomm_centralities(load_events(args.events))
         pipeline.write_centrality_csv(centralities, out / "centrality.csv")
@@ -189,8 +196,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
     )
     report = pipeline.run_pipeline(
         args.events,
+        args.out,
         bots_path=args.bots,
-        out_dir=args.out,
         options=options,
         interactions_path=args.interactions,
     )

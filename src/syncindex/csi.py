@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .events import ACTION_TYPES, read_csv, write_csv, write_json
-from .synchrony import PairSyncCounts
+from .synchrony import PairCounts
 
 PAIR_FORMULAS = ("anchored", "prose", "literal")
 NORMALIZATIONS = ("none", "per_action_max")
@@ -74,7 +74,7 @@ def csi_network(user_scores: dict[str, float]) -> float:
     return total / len(user_scores)
 
 
-def compute_tables(counts: PairSyncCounts, config: CsiConfig | None = None) -> CsiTables:
+def compute_tables(counts: PairCounts, config: CsiConfig | None = None) -> CsiTables:
     """All index levels in one pass over the pairs in ascending order.
 
     n(u, v, a) is S(u, v, a), divided under per_action_max by the largest
@@ -87,7 +87,7 @@ def compute_tables(counts: PairSyncCounts, config: CsiConfig | None = None) -> C
     """
     config = config or CsiConfig()
     formula = config.pair_formula
-    items = counts.items()
+    items = sorted(counts.items())
     scale: dict[str, int] | None = None
     if config.normalization == "per_action_max":
         scale = {}
@@ -123,12 +123,10 @@ PAIR_COLUMNS = ("user_u", "user_v", "num_action_types", "s_total", "csi_userpair
 USER_COLUMNS = ("user_id", "csi_user")
 
 
-def write_pair_scores_csv(
-    tables: CsiTables, counts: PairSyncCounts, path: str | Path
-) -> Path:
+def write_pair_scores_csv(tables: CsiTables, counts: PairCounts, path: str | Path) -> Path:
     rows = (
-        (*pair, counts.num_action_types(pair), counts.s_total(pair), repr(tables.pair_scores[pair]))
-        for pair in sorted(tables.pair_scores)
+        (*pair, len(counts[pair]), sum(counts[pair].values()), repr(score))
+        for pair, score in sorted(tables.pair_scores.items())
     )
     return write_csv(path, PAIR_COLUMNS, rows)
 
@@ -190,14 +188,13 @@ def write_network_summary_json(summary: dict, path: str | Path) -> Path:
     return write_json(path, summary)
 
 
-def write_score_artifacts(
-    tables: CsiTables | None, counts: PairSyncCounts, config: CsiConfig, out: Path
-) -> None:
-    """pairs.csv, users.csv and network.json; header-only tables when there are no pairs."""
+def write_score_artifacts(tables: CsiTables | None, counts: PairCounts, summary: dict, out: Path) -> None:
+    """pairs.csv, users.csv and network.json (summary from network_summary);
+    header-only tables when there are no pairs."""
     if tables is None:
         write_csv(out / "pairs.csv", PAIR_COLUMNS, ())
         write_csv(out / "users.csv", USER_COLUMNS, ())
     else:
         write_pair_scores_csv(tables, counts, out / "pairs.csv")
         write_user_scores_csv(tables, out / "users.csv")
-    write_network_summary_json(network_summary(tables, config), out / "network.json")
+    write_network_summary_json(summary, out / "network.json")

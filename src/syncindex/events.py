@@ -209,9 +209,10 @@ def csv_rows(handle: Iterable[str]) -> tuple[list[str], Iterator[list[str] | Non
 
 
 def write_json(path: str | Path, obj: object) -> Path:
-    """obj as JSON with sorted keys, indented by 2, ending in a newline."""
+    """obj as JSON with sorted keys, indented by 2, ending in a newline;
+    ValueError for a NaN or infinite float, which JSON cannot carry."""
     path = Path(path)
-    path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    path.write_text(json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n", encoding="utf-8")
     return path
 
 

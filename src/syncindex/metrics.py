@@ -396,12 +396,12 @@ def _louvain_level(
     return node2com, moved
 
 
-def krackhardt_hierarchy(graph: Graph, user_scores: dict[str, float] | None = None) -> float:
+def krackhardt_hierarchy(graph: Graph) -> float:
     """1 minus the fraction of reachable node pairs that are mutually reachable,
     with each edge oriented from the lower-scoring endpoint to the higher
-    (scores from user_scores or the csi_user node attribute; ties point
-    toward the lexicographically larger id). Graphs with no reachable pairs
-    score 1 by convention.
+    (scores from the csi_user node attribute, 0 for an unscored node; ties
+    point toward the lexicographically larger id). Graphs with no reachable
+    pairs score 1 by convention.
 
     The value has a closed form, so no reachability is computed: every arc
     u -> v has key(u) < key(v) for key(x) = (score(x), x), a strict total
@@ -412,13 +412,8 @@ def krackhardt_hierarchy(graph: Graph, user_scores: dict[str, float] | None = No
     """
     if graph.number_of_nodes() == 0:
         raise MetricUndefinedError("hierarchy of an empty graph")
-    attributes = graph.csi_user or [None] * len(graph.nodes)
-    for node, attribute in zip(graph.nodes, attributes):
-        if user_scores is not None and node in user_scores:
-            score = float(user_scores[node])
-        else:
-            score = 0.0 if attribute is None else attribute
-        if math.isnan(score):
+    for node, score in zip(graph.nodes, graph.csi_user or ()):
+        if score is not None and math.isnan(score):
             raise ValueError(f"NaN score for {node!r}: csi_order is not a total order")
     return 1.0
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -57,16 +58,12 @@ class EventReport:
     notices: list[str] = field(default_factory=list)
 
 
-def _round_sig(value: float, digits: int = 6) -> float:
-    return float(f"{value:.{digits}g}")
-
-
 def round_floats(obj: object, digits: int = 6) -> object:
     """Recursively round floats to significant digits for serialization."""
     if isinstance(obj, bool):
         return obj
     if isinstance(obj, float):
-        return _round_sig(obj, digits)
+        return float(f"{obj:.{digits}g}")
     if isinstance(obj, dict):
         return {key: round_floats(value, digits) for key, value in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -98,105 +95,104 @@ def write_report_csv(report: EventReport, path: str | Path) -> Path:
 class Detection:
     """Output of the detect stage: pair counts and the sizes the report echoes."""
 
-    counts: synchrony.PairSyncCounts
+    counts: synchrony.PairCounts
     original_posts: int
     action_records: int
 
 
-def detect_pairs(dataset: EventDataset, window_seconds: int) -> Detection:
-    """Synchronized pairs among the original posts of a dataset."""
+def detect_pairs(dataset: EventDataset, window_seconds: int, out: Path) -> Detection:
+    """Synchronized pairs among the original posts of a dataset; writes pair_counts.csv."""
     originals = filter_originals(dataset)
     actions = extract_actions(originals)
-    window = synchrony.SyncWindowConfig(window_seconds=window_seconds)
-    return Detection(synchrony.detect(actions, window), len(originals.posts), len(actions))
+    counts = synchrony.detect(actions, synchrony.SyncWindowConfig(window_seconds=window_seconds))
+    synchrony.write_pair_counts_csv(counts, out / "pair_counts.csv")
+    return Detection(counts, len(originals.posts), len(actions))
 
 
 def score_pairs(
-    counts: synchrony.PairSyncCounts, config: csimod.CsiConfig
-) -> csimod.CsiTables | None:
-    """The index hierarchy, or None when there are no synchronized pairs."""
-    return csimod.compute_tables(counts, config) if counts else None
+    counts: synchrony.PairCounts, config: csimod.CsiConfig, out: Path
+) -> tuple[csimod.CsiTables | None, dict]:
+    """The index hierarchy (None when there are no synchronized pairs) and its
+    network summary; writes pairs.csv, users.csv and network.json."""
+    tables = csimod.compute_tables(counts, config) if counts else None
+    summary = csimod.network_summary(tables, config)
+    csimod.write_score_artifacts(tables, counts, summary, out)
+    return tables, summary
 
 
-def sync_graphs(
+def sync_graph(
     pair_scores: dict[tuple[str, str], float],
     user_scores: dict[str, float] | None,
     bot_table: botmod.BotScoreTable | None,
-    min_partners: int,
-) -> tuple[graphmod.Graph, graphmod.Graph]:
-    """The sync graph (with class and score node attributes) and its k-core pruning."""
+) -> graphmod.Graph:
+    """The sync graph with csi_user node attributes and, given bot scores, user_class ones."""
     classes = None
     if bot_table is not None:
         classes = botmod.user_classes({u for pair in pair_scores for u in pair}, bot_table)
-    sync = graphmod.build_sync_graph(pair_scores, user_classes=classes, user_scores=user_scores)
-    return sync, graphmod.prune_by_partner_count(sync, min_partners)
+    return graphmod.build_sync_graph(pair_scores, user_classes=classes, user_scores=user_scores)
 
 
-def write_sync_graphs(sync: graphmod.Graph, pruned: graphmod.Graph, out: Path) -> None:
+def write_sync_graphs(sync: graphmod.Graph, min_partners: int, out: Path) -> graphmod.Graph:
+    """Writes sync.graphml and sync_pruned.graphml; returns the k-core pruning."""
+    pruned = graphmod.prune_by_partner_count(sync, min_partners)
     graphmod.export(sync, out / "sync.graphml")
     graphmod.export(pruned, out / "sync_pruned.graphml")
+    return pruned
 
 
-def structure_section(
-    sync: graphmod.Graph,
-    user_scores: dict[str, float] | None,
-    bot_table: botmod.BotScoreTable | None,
-    seed: int,
-) -> dict | None:
-    """Structure metrics of the sync graph; None when it has no edges (no pairs).
+def structure_section(sync: graphmod.Graph, seed: int, out: Path) -> dict | None:
+    """Structure metrics of the sync graph, written to metrics.json; None ({}
+    in the file) when it has no edges (no pairs). The per-class clustering
+    reads the graph's user_class attribute.
 
     Logs one warning naming each graph (sync, bot, human) whose transitivity
     is reported as 0 because it has no connected triples.
     """
-    if sync.number_of_edges() == 0:
-        return None
-    partition = metricmod.louvain_partition(sync, seed=seed)
-    counts = metricmod.triangle_counts(sync)
-    section = {
-        "density": metricmod.density(sync),
-        "modularity": metricmod.newman_modularity(sync, partition),
-        "partition_method": "louvain",
-        "hierarchy": metricmod.krackhardt_hierarchy(sync, user_scores),
-        "hierarchy_orientation": "csi_order",
-        "transitivity": metricmod.transitivity(counts),
-        "avg_local_clustering": metricmod.avg_local_clustering(counts),
-    }
-    no_triples = [] if any(counts[1]) else ["sync"]
-    if bot_table is not None:
-        totals = botmod.class_triangle_totals(sync, bot_table)
-        section["clustering_by_class"] = botmod.clustering_by_class(totals)
-        no_triples += [cls for cls, (_, triples) in totals.items() if not triples]
-    if no_triples:
-        logger.warning("no connected triples: transitivity reported as 0 for %s", ", ".join(no_triples))
+    section = None
+    if sync.number_of_edges():
+        partition = metricmod.louvain_partition(sync, seed=seed)
+        counts = metricmod.triangle_counts(sync)
+        section = {
+            "density": metricmod.density(sync),
+            "modularity": metricmod.newman_modularity(sync, partition),
+            "partition_method": "louvain",
+            "hierarchy": metricmod.krackhardt_hierarchy(sync),
+            "hierarchy_orientation": "csi_order",
+            "transitivity": metricmod.transitivity(counts),
+            "avg_local_clustering": metricmod.avg_local_clustering(counts),
+        }
+        no_triples = [] if any(counts[1]) else ["sync"]
+        if sync.user_class is not None:
+            totals = botmod.class_triangle_totals(sync)
+            section["clustering_by_class"] = botmod.clustering_by_class(totals)
+            no_triples += [cls for cls, (_, triples) in totals.items() if not triples]
+        if no_triples:
+            logger.warning("no connected triples: transitivity reported as 0 for %s", ", ".join(no_triples))
+    write_json(out / "metrics.json", round_floats(section or {}))
     return section
-
-
-def write_metrics_json(structure: dict | None, path: Path) -> None:
-    write_json(path, round_floats(structure if structure is not None else {}))
 
 
 def allcomm_centralities(dataset: EventDataset) -> metricmod.Centralities:
     """Centralities on the all-communication graph of every user in the dataset.
 
-    Post authors without interactions are isolated nodes.
+    Post authors without interactions are isolated nodes; an interaction's
+    endpoints are nodes through its edge, since parsing drops self-interactions.
     """
-    users = {p.user_id for p in dataset.posts}
-    users.update(*((r.source_user, r.target_user) for r in dataset.interactions))
-    return metricmod.node_centralities(graphmod.build_allcomm_graph(dataset.interactions, users=users))
+    authors = {p.user_id for p in dataset.posts}
+    return metricmod.node_centralities(graphmod.build_allcomm_graph(dataset.interactions, users=authors))
+
+
+def _centrality_cells(degree: float, betweenness: float, eigenvector: float | None) -> tuple[str, str, str]:
+    """Full-precision cells; the eigenvector cell is empty when it did not converge."""
+    return repr(degree), repr(betweenness), "" if eigenvector is None else repr(eigenvector)
 
 
 def write_centrality_csv(centralities: metricmod.Centralities, path: Path) -> None:
-    """All three centralities at full precision; eigenvector cells are empty when
-    it did not converge."""
-    eigenvector = centralities.eigenvector
+    """All three centralities of every node of the graph."""
+    eigenvector = centralities.eigenvector or {}  # None: did not converge
     rows = (
-        (
-            user,
-            repr(centralities.degree[user]),
-            repr(centralities.betweenness[user]),
-            "" if eigenvector is None else repr(eigenvector[user]),
-        )
-        for user in sorted(centralities.degree)
+        (user, *_centrality_cells(degree, centralities.betweenness[user], eigenvector.get(user)))
+        for user, degree in sorted(centralities.degree.items())
     )
     write_csv(path, ("user_id", "total_degree", "betweenness", "eigenvector"), rows)
 
@@ -210,14 +206,14 @@ def _dominant_class(by_user: dict[str, dict]) -> str | None:
 
 def run_pipeline(
     events_path: str | Path,
+    out_dir: str | Path,
     bots_path: str | Path | None = None,
-    out_dir: str | Path | None = None,
     options: PipelineOptions | None = None,
     interactions_path: str | Path | None = None,
 ) -> EventReport:
-    """Run the full analysis over an events file; write artifacts when out_dir given.
+    """Run the full analysis over an events file, writing its artifacts to out_dir.
 
-    The stages are the ones the CLI runs one at a time (ingest, detect,
+    The stages are the functions the CLI runs one at a time (ingest, detect,
     score, graph, metrics), so their shared artifacts are byte-identical:
     pair_counts.csv, pairs.csv, users.csv, network.json, sync GraphML (raw
     and pruned) and metrics.json. Also written: centrality_by_action_types.csv
@@ -227,25 +223,22 @@ def run_pipeline(
     """
     options = options or PipelineOptions()
     dataset = load_events(events_path, interactions_path, lang=options.lang, label=options.label)
-    detection = detect_pairs(dataset, options.window_seconds)
-    counts = detection.counts
-
     bot_table = None
     notices: list[str] = []
     if bots_path is not None:
         bot_table = botmod.load_bot_scores(bots_path, threshold=options.bot_threshold)
     else:
         notices.append("bot scores not provided; class sections omitted")
+    csi_config = csimod.CsiConfig(pair_formula=options.pair_formula, normalization=options.normalization)
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
 
-    csi_config = csimod.CsiConfig(
-        pair_formula=options.pair_formula, normalization=options.normalization
-    )
-    tables = score_pairs(counts, csi_config)
-    summary = csimod.network_summary(tables, csi_config)
+    detection = detect_pairs(dataset, options.window_seconds, out)
+    counts = detection.counts
+    tables, summary = score_pairs(counts, csi_config, out)
     user_scores = tables.user_scores if tables is not None else {}
-    sync, pruned = sync_graphs(
-        tables.pair_scores if tables is not None else {}, user_scores, bot_table, options.min_partners
-    )
+    sync = sync_graph(tables.pair_scores if tables is not None else {}, user_scores, bot_table)
+    write_sync_graphs(sync, options.min_partners, out)
     per_user = synchrony.user_action_type_counts(counts)
 
     report = EventReport(
@@ -257,7 +250,7 @@ def run_pipeline(
             "interactions": len(dataset.interactions),
             "action_records": detection.action_records,
             "malformed_lines": dataset.malformed,
-            "sync_users": len(counts.users()),
+            "sync_users": len(per_user),
             "sync_pairs": len(counts),
         },
         action_type_participation={
@@ -266,10 +259,9 @@ def run_pipeline(
         },
         csi_network_combined=summary["csi_network"],
         csi_per_action=summary["per_action"],
-        structure=structure_section(sync, user_scores, bot_table, options.seed),
+        structure=structure_section(sync, options.seed, out),
         notices=notices,
     )
-    out = Path(out_dir) if out_dir is not None else None
     participation = []
     if tables is None:
         report.reason = "no synchronized pairs detected"
@@ -291,21 +283,12 @@ def run_pipeline(
         )
         report.dominant_sync_class = _dominant_class(by_user)
 
-    if out is not None:
-        out.mkdir(parents=True, exist_ok=True)
-        synchrony.write_pair_counts_csv(counts, out / "pair_counts.csv")
-        csimod.write_score_artifacts(tables, counts, csi_config, out)
-        write_sync_graphs(sync, pruned, out)
-        write_metrics_json(report.structure, out / "metrics.json")
-        write_csv(
-            out / "centrality_by_action_types.csv",
-            ("user_id", "num_action_types", "total_degree", "betweenness", "eigenvector"),
-            (
-                (user, level, repr(deg), repr(bet), "" if eig is None else repr(eig))
-                for user, level, deg, bet, eig in participation
-            ),
-        )
-        write_report_json(report, out / "report.json")
+    write_csv(
+        out / "centrality_by_action_types.csv",
+        ("user_id", "num_action_types", "total_degree", "betweenness", "eigenvector"),
+        ((user, level, *_centrality_cells(*values)) for user, level, *values in participation),
+    )
+    write_report_json(report, out / "report.json")
     return report
 
 
@@ -320,7 +303,9 @@ def compare(report_paths: Sequence[str | Path]) -> list[tuple[str, float]]:
             value = obj["csi_network_combined"]
             if not isinstance(label, str) or isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise ValueError("missing or non-numeric csi_network_combined")
-        except (OSError, ValueError, KeyError, TypeError) as exc:
+            if not math.isfinite(value):  # OverflowError for an int beyond the float range
+                raise ValueError(f"csi_network_combined {value!r} is not finite")
+        except (OSError, ValueError, KeyError, TypeError, OverflowError) as exc:
             raise ReportParseError(f"{path}: {exc}") from exc
         entries.append((label, float(value)))
     entries.sort(key=lambda entry: (entry[1], entry[0]))

@@ -12,7 +12,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from itertools import combinations
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .events import ACTION_TYPES, ActionRecord, read_csv, write_csv
 
@@ -36,72 +36,17 @@ class SyncWindowConfig:
         return timestamp // self.window_seconds
 
 
-def pair_key(u: str, v: str) -> tuple[str, str]:
-    """Unordered pair as a lexicographically sorted tuple; self-pairs rejected."""
-    if u == v:
-        raise ValueError(f"self-pair: {u!r}")
-    return (u, v) if u < v else (v, u)
-
-
-class PairSyncCounts:
-    """Per unordered user pair, per action type, the synchrony count S(u, v, a)."""
-
-    __slots__ = ("_table",)
-
-    def __init__(self) -> None:
-        self._table: dict[tuple[str, str], dict[str, int]] = {}
-
-    def add(self, u: str, v: str, action_type: str, amount: int = 1) -> None:
-        if amount <= 0:
-            raise ValueError("count increments must be positive")
-        actions = self._table.setdefault(pair_key(u, v), {})
-        actions[action_type] = actions.get(action_type, 0) + amount
-
-    def get(self, u: str, v: str, action_type: str) -> int:
-        return self._table.get(pair_key(u, v), {}).get(action_type, 0)
-
-    def s_total(self, pair: tuple[str, str]) -> int:
-        return sum(self._table.get(pair, {}).values())
-
-    def num_action_types(self, pair: tuple[str, str]) -> int:
-        return len(self._table.get(pair, {}))
-
-    def items(self) -> list[tuple[tuple[str, str], dict[str, int]]]:
-        """Sorted (pair, {action_type: count}) items; the dicts are the table's own."""
-        return sorted(self._table.items())
-
-    def users(self) -> list[str]:
-        seen = {u for pair in self._table for u in pair}
-        return sorted(seen)
-
-    def rows(self) -> Iterator[tuple[str, str, str, int]]:
-        """Sorted (user_u, user_v, action_type, count) rows."""
-        for (u, v), actions in self.items():
-            for action_type, count in sorted(actions.items()):
-                yield u, v, action_type, count
-
-    def __len__(self) -> int:
-        return len(self._table)
-
-    def __bool__(self) -> bool:
-        return bool(self._table)
-
-    def __contains__(self, pair: tuple[str, str]) -> bool:
-        return pair in self._table
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, PairSyncCounts):
-            return NotImplemented
-        return self._table == other._table
-
-    def __repr__(self) -> str:
-        return f"PairSyncCounts({len(self._table)} pairs)"
+# Per unordered user pair (u, v) with u < v, per action type, the synchrony
+# count S(u, v, a). detect and read_pair_counts_csv list the pairs in
+# ascending order; a consumer that needs that order sorts the items, which
+# costs one linear pass on a sorted table.
+PairCounts = dict[tuple[str, str], dict[str, int]]
 
 
 def detect(
     actions: Iterable[ActionRecord],
     config: SyncWindowConfig | None = None,
-) -> PairSyncCounts:
+) -> PairCounts:
     """Group actions by (action type, artifact, bucket) and count pair co-memberships.
 
     A user appearing several times in one group contributes as a single
@@ -119,16 +64,15 @@ def detect(
         for key, users in members.items()
         if len(users) >= 2
     )
-    counts = PairSyncCounts()
-    table = counts._table
+    table: PairCounts = {}
     for action_type, users in groups:
         for pair in combinations(users, 2):  # users are sorted, so u < v
             actions = table.setdefault(pair, {})
             actions[action_type] = actions.get(action_type, 0) + 1
-    return counts
+    return dict(sorted(table.items()))
 
 
-def user_action_type_counts(counts: PairSyncCounts) -> dict[str, int]:
+def user_action_type_counts(counts: PairCounts) -> dict[str, int]:
     """Per user, the number of distinct action types with at least one synchronizing pair."""
     per_user: dict[str, set[str]] = defaultdict(set)
     for (u, v), actions in counts.items():
@@ -149,15 +93,21 @@ def action_type_participation(per_user: dict[str, int]) -> dict[int, float]:
     return {level: dist[level] / total for level in (1, 2, 3)}
 
 
-def write_pair_counts_csv(counts: PairSyncCounts, path: str | Path) -> Path:
+def write_pair_counts_csv(counts: PairCounts, path: str | Path) -> Path:
     """Pair-count export: user_u,user_v,action_type,count with lexicographic rows."""
-    return write_csv(path, PAIR_COUNT_COLUMNS, counts.rows())
+    rows = (
+        (*pair, action_type, count)
+        for pair, actions in sorted(counts.items())
+        for action_type, count in sorted(actions.items())
+    )
+    return write_csv(path, PAIR_COUNT_COLUMNS, rows)
 
 
-def read_pair_counts_csv(path: str | Path) -> PairSyncCounts:
+def read_pair_counts_csv(path: str | Path) -> PairCounts:
     """The pair-count table; ValueError naming the file and line for a self-pair,
-    an action type outside ACTION_TYPES or a count outside 1..MAX_COUNT."""
-    counts = PairSyncCounts()
+    an action type outside ACTION_TYPES, a count outside 1..MAX_COUNT or a
+    pair and action type listed twice (in either order)."""
+    table: PairCounts = {}
     for line, (u, v, action_type, text) in read_csv(path, PAIR_COUNT_COLUMNS, ids=("user_u", "user_v")):
         try:
             count = int(text)
@@ -169,5 +119,10 @@ def read_pair_counts_csv(path: str | Path) -> PairSyncCounts:
             raise ValueError(f"{path}: line {line}: unknown action_type {action_type!r}")
         if not 0 < count <= MAX_COUNT:
             raise ValueError(f"{path}: line {line}: count {text!r} is not an integer in 1..2**53")
-        counts.add(u, v, action_type, count)
-    return counts
+        actions = table.setdefault((u, v) if u < v else (v, u), {})
+        if action_type in actions:
+            raise ValueError(
+                f"{path}: line {line}: pair ({u!r}, {v!r}) with action_type {action_type!r} listed twice"
+            )
+        actions[action_type] = count
+    return dict(sorted(table.items()))

@@ -37,7 +37,7 @@ from syncindex.events import (
     PostEvent,
 )
 from syncindex.graphs import Graph
-from syncindex.synchrony import PairSyncCounts, SyncWindowConfig
+from syncindex.synchrony import PairCounts, SyncWindowConfig
 
 PAIR_CLASSES = ("bot-bot", "bot-human", "human-human", "unknown-involved")
 
@@ -48,28 +48,31 @@ printable_ids = st.text(
 )
 
 
-def counts_from_mapping(table: Mapping[tuple[str, str], Mapping[str, int]]) -> PairSyncCounts:
-    """Build a count table from {(u, v): {action_type: count}}."""
-    counts = PairSyncCounts()
+def counts_from_mapping(table: Mapping[tuple[str, str], Mapping[str, int]]) -> PairCounts:
+    """Build a count table from {(u, v): {action_type: count}}, either
+    orientation, as detect returns it: u < v and pairs in ascending order."""
+    counts: PairCounts = {}
     for (u, v), actions in table.items():
-        for action_type, amount in actions.items():
-            if action_type not in ACTION_TYPES:
-                raise ValueError(f"unknown action type: {action_type}")
-            counts.add(u, v, action_type, amount)
-    return counts
+        if u == v or any(a not in ACTION_TYPES or n <= 0 for a, n in actions.items()):
+            raise ValueError(f"invalid pair or counts: {(u, v)!r} {actions!r}")
+        counts[(u, v) if u < v else (v, u)] = dict(actions)
+    return dict(sorted(counts.items()))
 
 
-def restrict(counts: PairSyncCounts, action_type: str) -> PairSyncCounts:
+def count_of(counts: PairCounts, u: str, v: str, action_type: str) -> int:
+    """S(u, v, a) for the pair in either orientation; 0 when absent."""
+    return counts.get((u, v) if u < v else (v, u), {}).get(action_type, 0)
+
+
+def restrict(counts: PairCounts, action_type: str) -> PairCounts:
     """Counts keeping only one action type; pairs without it disappear."""
-    out = PairSyncCounts()
-    for (u, v), actions in counts.items():
-        if action_type in actions:
-            out.add(u, v, action_type, actions[action_type])
-    return out
+    return {
+        pair: {action_type: actions[action_type]} for pair, actions in counts.items() if action_type in actions
+    }
 
 
 def normalize_counts(
-    counts: PairSyncCounts, strategy: str = "none"
+    counts: PairCounts, strategy: str = "none"
 ) -> dict[tuple[str, str], dict[str, float]]:
     """Per-pair normalized counts n(u, v, a).
 
@@ -109,7 +112,7 @@ def csi_userpair(
 
 
 def compute_pair_scores(
-    counts: PairSyncCounts, config: CsiConfig | None = None
+    counts: PairCounts, config: CsiConfig | None = None
 ) -> dict[tuple[str, str], float]:
     config = config or CsiConfig()
     normalized = normalize_counts(counts, config.normalization)
@@ -120,7 +123,7 @@ def compute_pair_scores(
 
 
 def csi_user(
-    pair_scores: dict[tuple[str, str], float], counts: PairSyncCounts
+    pair_scores: dict[tuple[str, str], float], counts: PairCounts
 ) -> dict[str, float]:
     """User score: sum over the user's pairs of S_total(u, v) * pair score.
 
@@ -129,14 +132,14 @@ def csi_user(
     """
     scores: dict[str, float] = {}
     for pair in sorted(pair_scores):
-        term = counts.s_total(pair) * pair_scores[pair]
+        term = sum(counts[pair].values()) * pair_scores[pair]
         for user in pair:
             scores[user] = scores.get(user, 0.0) + term
     return scores
 
 
 def csi_single_action(
-    counts: PairSyncCounts, action_type: str, config: CsiConfig | None = None
+    counts: PairCounts, action_type: str, config: CsiConfig | None = None
 ) -> float:
     """Network score of the pipeline restricted to pairs of one action type."""
     restricted = restrict(counts, action_type)
@@ -147,7 +150,7 @@ def csi_single_action(
     return csi_network(csi_user(pair_scores, restricted))
 
 
-def oracle_tables(counts: PairSyncCounts, config: CsiConfig | None = None) -> CsiTables:
+def oracle_tables(counts: PairCounts, config: CsiConfig | None = None) -> CsiTables:
     """The index by definition: normalize, score every pair, sum users, take the
     mean; then restrict the table to each action type and rescore it. The
     one-pass compute_tables must reproduce it bit for bit."""
@@ -344,7 +347,7 @@ BRUTE_FORCE_LIMIT = 10_000
 def brute_force_detect(
     actions: Sequence[ActionRecord],
     config: SyncWindowConfig | None = None,
-) -> PairSyncCounts:
+) -> PairCounts:
     """Oracle: enumerate every record pair, then collapse per-group duplicates.
 
     Same output contract as detect, computed without grouping. Intended for
@@ -366,10 +369,11 @@ def brute_force_detect(
                 u, v = (user_i, users[j]) if user_i < users[j] else (users[j], user_i)
                 hits.add(key_i + (u, v))
 
-    counts = PairSyncCounts()
+    counts: PairCounts = {}
     for action_type, _artifact, _bucket, u, v in hits:
-        counts.add(u, v, action_type)
-    return counts
+        actions = counts.setdefault((u, v), {})
+        actions[action_type] = actions.get(action_type, 0) + 1
+    return dict(sorted(counts.items()))
 
 
 def random_actions(

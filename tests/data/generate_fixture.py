@@ -86,7 +86,7 @@ def main() -> None:
     write_bot_scores_csv(bot_scores_from_truth(truth), HERE / "fixture_bots.csv")
 
     out = HERE / "_golden_build"
-    run_pipeline(events_path, bots_path=HERE / "fixture_bots.csv", out_dir=out)
+    run_pipeline(events_path, out, bots_path=HERE / "fixture_bots.csv")
     golden = (out / "report.json").read_bytes()
     (HERE / "golden_report.json").write_bytes(golden)
     for artifact in sorted(out.iterdir()):

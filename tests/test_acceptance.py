@@ -13,6 +13,7 @@ import pytest
 
 from conftest import (
     brute_force_detect,
+    count_of,
     counts_from_mapping,
     eigenvector_residual,
     from_nx,
@@ -119,7 +120,7 @@ def test_criterion_03_planted_coordination_recovery():
         planted_pairs = {(p.user_u, p.user_v) for p in truth.pairs}
         assert len(planted_pairs) == 10
         for p in truth.pairs:
-            assert counts.get(p.user_u, p.user_v, p.action_type) >= p.min_count
+            assert count_of(counts, p.user_u, p.user_v, p.action_type) >= p.min_count
 
         scores = compute_tables(counts).pair_scores
         top10 = {
@@ -182,7 +183,7 @@ def test_criterion_06_monotonicity_suite():
             after = detect(actions + [extra])
             for pair, actions in before.items():
                 for action, count in actions.items():
-                    assert after.get(pair[0], pair[1], action) >= count
+                    assert count_of(after, *pair, action) >= count
 
             before_scores = compute_tables(before).pair_scores if before else {}
             after_scores = compute_tables(after).pair_scores if after else {}
@@ -222,9 +223,9 @@ def test_criterion_08_end_to_end_determinism(tmp_path):
             assert sum(1 for _ in handle) == 1000
 
         started = time.perf_counter()
-        run_pipeline(events, bots_path=bots, out_dir=tmp_path / "one")
+        run_pipeline(events, tmp_path / "one", bots_path=bots)
         elapsed = time.perf_counter() - started
-        run_pipeline(events, bots_path=bots, out_dir=tmp_path / "two")
+        run_pipeline(events, tmp_path / "two", bots_path=bots)
 
         first = (tmp_path / "one" / "report.json").read_bytes()
         second = (tmp_path / "two" / "report.json").read_bytes()

@@ -212,14 +212,14 @@ class TestClusteringByClass:
         }
         t = table({"b1": 0.9, "b2": 0.9, "b3": 0.9, "h1": 0.1, "h2": 0.1, "h3": 0.1})
         sync = build_sync_graph(scores, user_classes=user_classes(sorted({u for p in scores for u in p}), t))
-        result = clustering_by_class(class_triangle_totals(sync, t))
+        result = clustering_by_class(class_triangle_totals(sync))
         assert result == {"bot": 1.0, "human": 0.0}
 
     def test_empty_partition_key_absent(self):
         scores = {("h1", "h2"): 1.0}
         t = table({"h1": 0.1, "h2": 0.1})
-        sync = build_sync_graph(scores)
-        result = clustering_by_class(class_triangle_totals(sync, t))
+        sync = build_sync_graph(scores, user_classes=user_classes(["h1", "h2"], t))
+        result = clustering_by_class(class_triangle_totals(sync))
         assert set(result) == {"human"}
 
     def test_matches_induced_subgraph_transitivity(self):
@@ -227,5 +227,5 @@ class TestClusteringByClass:
         t = table({"b1": 0.9, "b2": 0.9, "b3": 0.9, "h1": 0.1})
         classes = user_classes(["b1", "b2", "b3", "h1"], t)
         sync = build_sync_graph(scores, user_classes=classes)
-        result = clustering_by_class(class_triangle_totals(sync, t))
+        result = clustering_by_class(class_triangle_totals(sync))
         assert result["bot"] == transitivity(triangle_counts(from_nx(induced_subgraph(sync, "bot"))))

@@ -4,6 +4,7 @@ import gc
 import math
 import random
 import tracemalloc
+from dataclasses import replace
 from unittest import mock
 
 import networkx as nx
@@ -355,7 +356,8 @@ class TestStructureMatchesOracles:
             members = [node for node in graph if table.classify(node) == cls]
             if members:
                 expected[cls] = set_transitivity(graph.subgraph(members))
-        assert clustering_by_class(class_triangle_totals(indexed, table)) == expected
+        classified = replace(indexed, user_class=[table.classify(node) for node in indexed.nodes])
+        assert clustering_by_class(class_triangle_totals(classified)) == expected
 
 
 class TestModularity:
@@ -426,12 +428,18 @@ def scored_graphs(draw):
     return graph, draw(st.dictionaries(st.sampled_from(nodes), score))
 
 
+def scored(graph, scores):
+    """The Graph of a networkx graph with csi_user from scores (None: unscored)."""
+    indexed = from_nx(graph)
+    return replace(indexed, csi_user=[scores.get(node) for node in indexed.nodes])
+
+
 class TestHierarchy:
     def test_star_oriented_to_center(self):
         star = nx.star_graph(4)
         star = nx.relabel_nodes(star, {i: f"n{i}" for i in star})
         scores = {"n0": 9.0, "n1": 1.0, "n2": 1.0, "n3": 1.0, "n4": 1.0}
-        assert krackhardt_hierarchy(from_nx(star), scores) == 1.0
+        assert krackhardt_hierarchy(scored(star, scores)) == 1.0
 
     def test_single_node_is_one(self):
         assert krackhardt_hierarchy(from_nx(nx.empty_graph(1))) == 1.0
@@ -443,18 +451,18 @@ class TestHierarchy:
     def test_ties_break_toward_larger_id(self):
         graph = nx.Graph([("a", "b")])
         # equal scores: arc points a -> b, one-way reachable pair
-        assert krackhardt_hierarchy(from_nx(graph), {"a": 1.0, "b": 1.0}) == 1.0
+        assert krackhardt_hierarchy(scored(graph, {"a": 1.0, "b": 1.0})) == 1.0
 
     def test_nan_score_rejected(self):
         triangle = nx.Graph([("a", "b"), ("b", "c"), ("c", "a")])
         with pytest.raises(ValueError, match="'b'"):
-            krackhardt_hierarchy(from_nx(triangle), {"a": 2.0, "b": math.nan, "c": 1.0})
+            krackhardt_hierarchy(scored(triangle, {"a": 2.0, "b": math.nan, "c": 1.0}))
 
     @settings(max_examples=200, deadline=None)
     @given(scored_graphs())
     def test_closed_form_matches_bfs_definition(self, case):
         graph, scores = case
-        assert krackhardt_hierarchy(from_nx(graph), scores) == bfs_hierarchy(graph, scores)
+        assert krackhardt_hierarchy(scored(graph, scores)) == bfs_hierarchy(graph, scores)
 
     def test_scores_from_node_attributes(self):
         graph = nx.Graph()

@@ -3,6 +3,7 @@ from __future__ import annotations
 import csv
 import json
 import logging
+import math
 import os
 import subprocess
 import sys
@@ -18,7 +19,7 @@ from syncindex import cli
 from syncindex import csi as csimod
 from syncindex import metrics as metricmod
 from syncindex import synchrony
-from syncindex.events import write_events_jsonl
+from syncindex.events import ACTION_TYPES, INTERACTION_TYPES, dataset_lines, write_events_jsonl
 from syncindex.graphs import build_sync_graph
 from syncindex.metrics import node_centralities
 from syncindex.pipeline import (
@@ -96,11 +97,34 @@ SHARED_ARTIFACTS = (
 )
 
 
+def run_chain(events: Path, bots: Path, stage: Path) -> None:
+    """The five stages ingest, detect, score, graph and metrics (with --bots),
+    each reading what the one before wrote into stage."""
+    staged = ["--pairs", str(stage / "pairs.csv"), "--users", str(stage / "users.csv"), "--bots", str(bots)]
+    for argv in (
+        ["ingest", "--events", str(events)],
+        ["detect", "--events", str(stage / "events.jsonl")],
+        ["score", "--pairs", str(stage / "pair_counts.csv")],
+        ["graph", *staged],
+        ["metrics", *staged, "--events", str(stage / "events.jsonl")],
+    ):
+        assert cli.main([*argv, "--out", str(stage)]) == 0, argv[0]
+
+
+def assert_same_files(one: Path, two: Path, names=None) -> None:
+    """The named files (default: every file of either directory) are byte-identical."""
+    if names is None:
+        names = sorted(p.name for p in one.iterdir())
+        assert names == sorted(p.name for p in two.iterdir())
+    for name in names:
+        assert (one / name).read_bytes() == (two / name).read_bytes(), name
+
+
 class TestRunPipeline:
     def test_report_fields_and_artifacts(self, sim_inputs, tmp_path):
         events, bots, _ = sim_inputs
         out = tmp_path / "out"
-        report = run_pipeline(events, bots_path=bots, out_dir=out)
+        report = run_pipeline(events, out, bots_path=bots)
         assert report.csi_network_combined is not None
         assert report.reason is None
         assert report.structure is not None
@@ -120,7 +144,7 @@ class TestRunPipeline:
 
     def test_dominant_class_matches_planted_cohort(self, sim_inputs, tmp_path):
         events, bots, _ = sim_inputs
-        report = run_pipeline(events, bots_path=bots, out_dir=None)
+        report = run_pipeline(events, tmp_path, bots_path=bots)
         # the 5-member 4-window bot cohort dominates the 3-member 2-window human one
         assert report.dominant_sync_class == "bot"
         assert report.avg_csi_user_by_user_class["bot"]["mean"] > report.avg_csi_user_by_user_class["human"]["mean"]
@@ -128,7 +152,7 @@ class TestRunPipeline:
     def test_network_equals_mean_of_emitted_user_scores(self, sim_inputs, tmp_path):
         events, bots, _ = sim_inputs
         out = tmp_path / "out"
-        report = run_pipeline(events, bots_path=bots, out_dir=out)
+        report = run_pipeline(events, out, bots_path=bots)
         from syncindex.csi import read_user_scores_csv
 
         users = read_user_scores_csv(out / "users.csv")
@@ -139,14 +163,14 @@ class TestRunPipeline:
         events, bots, _ = sim_inputs
         out1 = tmp_path / "a"
         out2 = tmp_path / "b"
-        run_pipeline(events, bots_path=bots, out_dir=out1)
-        run_pipeline(events, bots_path=bots, out_dir=out2)
+        run_pipeline(events, out1, bots_path=bots)
+        run_pipeline(events, out2, bots_path=bots)
         assert (out1 / "report.json").read_bytes() == (out2 / "report.json").read_bytes()
         assert (out1 / "sync.graphml").read_bytes() == (out2 / "sync.graphml").read_bytes()
 
-    def test_missing_bots_omits_class_sections(self, sim_inputs):
+    def test_missing_bots_omits_class_sections(self, sim_inputs, tmp_path):
         events, _, _ = sim_inputs
-        report = run_pipeline(events)
+        report = run_pipeline(events, tmp_path)
         assert report.avg_csi_user_by_user_class is None
         assert report.centrality_by_class is None
         assert report.dominant_sync_class is None
@@ -154,7 +178,7 @@ class TestRunPipeline:
 
     def test_no_synchrony_report(self, no_sync_inputs, tmp_path):
         events, _ = no_sync_inputs
-        report = run_pipeline(events, out_dir=tmp_path / "out")
+        report = run_pipeline(events, tmp_path / "out")
         assert report.csi_network_combined is None
         assert report.reason == "no synchronized pairs detected"
         assert (tmp_path / "out" / "report.json").exists()
@@ -165,17 +189,8 @@ class TestRunPipeline:
         events, bots = request.getfixturevalue(inputs)[:2]
         full, stage = tmp_path / "full", tmp_path / "stage"
         assert cli.main(["report", "--events", str(events), "--bots", str(bots), "--out", str(full)]) == 0
-        staged = ["--pairs", str(stage / "pairs.csv"), "--users", str(stage / "users.csv"), "--bots", str(bots)]
-        for argv in (
-            ["ingest", "--events", str(events)],
-            ["detect", "--events", str(stage / "events.jsonl")],
-            ["score", "--pairs", str(stage / "pair_counts.csv")],
-            ["graph", *staged],
-            ["metrics", *staged, "--events", str(stage / "events.jsonl")],
-        ):
-            assert cli.main([*argv, "--out", str(stage)]) == 0, argv[0]
-        for name in SHARED_ARTIFACTS:
-            assert (stage / name).read_bytes() == (full / name).read_bytes(), name
+        run_chain(events, bots, stage)
+        assert_same_files(stage, full, SHARED_ARTIFACTS)
 
     def test_post_id_repeated_across_files_counts_as_malformed(self, tmp_path, capsys):
         def post(post_id, user, timestamp):
@@ -200,7 +215,7 @@ class TestRunPipeline:
 
     def test_language_filter_drops_everything_when_tagless(self, sim_inputs, tmp_path):
         events, _, _ = sim_inputs
-        report = run_pipeline(events, options=PipelineOptions(lang="xx"))
+        report = run_pipeline(events, tmp_path, options=PipelineOptions(lang="xx"))
         assert report.csi_network_combined is None
 
 
@@ -235,17 +250,85 @@ def test_stage_chain_matches_report_on_odd_ids(tmp_path_factory, users, rnd):
         writer.writerows([user, rnd.choice(["0.1", "0.9"])] for user in users[1:])
     full, stage = root / "full", root / "stage"
     assert cli.main(["report", "--events", str(events), "--bots", str(bots), "--out", str(full)]) == 0
-    staged = ["--pairs", str(stage / "pairs.csv"), "--users", str(stage / "users.csv"), "--bots", str(bots)]
-    for argv in (
-        ["ingest", "--events", str(events)],
-        ["detect", "--events", str(stage / "events.jsonl")],
-        ["score", "--pairs", str(stage / "pair_counts.csv")],
-        ["graph", *staged],
-        ["metrics", *staged, "--events", str(stage / "events.jsonl")],
-    ):
-        assert cli.main([*argv, "--out", str(stage)]) == 0, argv[0]
-    for name in SHARED_ARTIFACTS:
-        assert (stage / name).read_bytes() == (full / name).read_bytes(), name
+    run_chain(events, bots, stage)
+    assert_same_files(stage, full, SHARED_ARTIFACTS)
+
+
+@st.composite
+def simulated_events(draw):
+    """(events lines, bot scores) of a small simulated event: planted cohorts,
+    background posts and random interactions. Post ids are unique, so every
+    line is kept whatever the order."""
+    cohorts = draw(st.lists(st.builds(
+        CohortSpec,
+        member_count=st.integers(2, 4),
+        user_class=st.sampled_from(["bot", "human"]),
+        action_types=st.lists(st.sampled_from(ACTION_TYPES), min_size=1, max_size=3, unique=True).map(tuple),
+        windows_active=st.integers(1, 3),
+    ), max_size=2))
+    config = SimConfig(
+        seed=draw(st.integers(0, 2**16)),
+        duration_seconds=3600,
+        background_users=draw(st.integers(0 if cohorts else 1, 6)),
+        background_rate_per_hour=4.0,
+        cohorts=tuple(cohorts),
+    )
+    dataset, truth = generate(config)
+    lines = list(dataset_lines(dataset))
+    users = sorted({post.user_id for post in dataset.posts})
+    if users:
+        interactions = st.tuples(st.sampled_from(users), st.sampled_from(users), st.sampled_from(INTERACTION_TYPES),
+                                 st.integers(0, 3599))
+        lines += [
+            json.dumps({"source_user": u, "target_user": v, "interaction_type": kind, "timestamp": t})
+            for u, v, kind, t in draw(st.lists(interactions, max_size=12))
+        ]
+    return lines, bot_scores_from_truth(truth)
+
+
+def write_inputs(root: Path, lines: list[str], scores: dict[str, float]) -> tuple[Path, Path]:
+    events = root / "events.jsonl"
+    events.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    return events, write_bot_scores_csv(scores, root / "bots.csv")
+
+
+@settings(max_examples=15, deadline=None)
+@given(simulated_events(), st.randoms(use_true_random=False))
+def test_permuted_lines_give_identical_artifacts(tmp_path_factory, case, rnd):
+    """Every artifact of report and of the stage chain is independent of line order."""
+    lines, scores = case
+    shuffled = rnd.sample(lines, len(lines))
+    roots = []
+    for order in (lines, shuffled):
+        root = tmp_path_factory.mktemp("order")
+        events, bots = write_inputs(root, order, scores)
+        assert cli.main(["report", "--events", str(events), "--bots", str(bots), "--out", str(root / "full")]) == 0
+        run_chain(events, bots, root / "stage")
+        assert_same_files(root / "stage", root / "full", SHARED_ARTIFACTS)
+        roots.append(root)
+    for name in ("full", "stage"):
+        assert_same_files(roots[0] / name, roots[1] / name)
+
+
+@settings(max_examples=15, deadline=None)
+@given(simulated_events(), st.sampled_from([60, 300, 900]), st.integers(1, 10**6))
+def test_shift_by_whole_windows_gives_identical_artifacts(tmp_path_factory, case, window, windows):
+    """Shifting every timestamp by a multiple of --window moves every post to
+    the same bucket offset, so no report artifact changes."""
+    lines, scores = case
+    shifted = []
+    for line in lines:
+        record = json.loads(line)
+        record["timestamp"] += windows * window
+        shifted.append(json.dumps(record))
+    outs = []
+    for given_lines in (lines, shifted):
+        root = tmp_path_factory.mktemp("shift")
+        events, bots = write_inputs(root, given_lines, scores)
+        argv = ["report", "--events", str(events), "--bots", str(bots), "--window", str(window)]
+        assert cli.main([*argv, "--out", str(root / "full")]) == 0
+        outs.append(root / "full")
+    assert_same_files(*outs)
 
 
 # Stage-table cells: ids, action types and numbers, well formed or not.
@@ -301,12 +384,12 @@ def test_every_table_has_one_dialect(sim_inputs, no_sync_inputs, tmp_path):
             assert data.endswith(b"\r\n") and data.count(b"\n") == data.count(b"\r\n"), table.name
 
 
-def test_run_pipeline_counts_action_types_once(sim_inputs, monkeypatch):
+def test_run_pipeline_counts_action_types_once(sim_inputs, monkeypatch, tmp_path):
     calls = []
     count = synchrony.user_action_type_counts
     monkeypatch.setattr(synchrony, "user_action_type_counts", lambda counts: calls.append(counts) or count(counts))
     events, bots, _ = sim_inputs
-    report = run_pipeline(events, bots_path=bots)
+    report = run_pipeline(events, tmp_path, bots_path=bots)
     assert len(calls) == 1
     assert report.action_type_participation == {
         str(level): value for level, value in synchrony.action_type_participation(count(calls[0])).items()
@@ -334,14 +417,14 @@ def test_report_independent_of_hash_seed(tmp_path):
         assert (outputs[0] / name).read_bytes() == (outputs[1] / name).read_bytes(), name
 
 
-def test_structure_section_counts_triangles_once(monkeypatch):
+def test_structure_section_counts_triangles_once(monkeypatch, tmp_path):
     counted = []
     count = metricmod.triangle_counts
     monkeypatch.setattr(
         metricmod, "triangle_counts", lambda graph, *members: counted.append(members) or count(graph, *members)
     )
     sync = build_sync_graph({("a", "b"): 1.0, ("b", "c"): 1.0, ("a", "c"): 1.0, ("c", "d"): 1.0})
-    section = structure_section(sync, None, None, seed=0)
+    section = structure_section(sync, 0, tmp_path)
     assert counted == [()]
     counts = count(sync)
     assert section["transitivity"] == metricmod.transitivity(counts)
@@ -362,7 +445,7 @@ def test_transitivity_without_triples_warns_once(tmp_path, caplog):
     bots = tmp_path / "bots.csv"
     bots.write_text("user_id,score\nu0,0.9\nu1,0.1\n")
     with caplog.at_level(logging.WARNING, logger="syncindex"):
-        report = run_pipeline(events, bots_path=bots, out_dir=tmp_path / "out")
+        report = run_pipeline(events, tmp_path / "out", bots_path=bots)
     assert report.structure["transitivity"] == 0.0
     assert [r.getMessage() for r in caplog.records if "triples" in r.getMessage()] == [
         "no connected triples: transitivity reported as 0 for sync, bot, human"
@@ -395,9 +478,15 @@ class TestReportSerialization:
         assert round_floats(True) is True
         assert round_floats(7) == 7
 
+    def test_non_finite_float_is_not_written(self, tmp_path):
+        report = EventReport(event_label="x", config={}, counts={}, action_type_participation={},
+                             csi_network_combined=math.nan)
+        with pytest.raises(ValueError):
+            write_report_json(report, tmp_path / "report.json")
+
     def test_json_text_stable(self, sim_inputs, tmp_path):
         events, bots, _ = sim_inputs
-        report = run_pipeline(events, bots_path=bots)
+        report = run_pipeline(events, tmp_path / "out", bots_path=bots)
         first = write_report_json(report, tmp_path / "one.json").read_bytes()
         assert write_report_json(report, tmp_path / "two.json").read_bytes() == first
         payload = json.loads(first)
@@ -447,6 +536,14 @@ class TestCompare:
         path = self.write_report(tmp_path / "null.json", "empty", None)
         with pytest.raises(ReportParseError):
             compare([path])
+
+    @pytest.mark.parametrize("score", ["NaN", "Infinity", "-Infinity", "1" + "0" * 400])
+    def test_non_finite_score_is_parse_error(self, tmp_path, capsys, score):
+        path = tmp_path / "report.json"
+        path.write_text(f'{{"event_label": "x", "csi_network_combined": {score}}}')
+        assert cli.main(["compare", str(path), "--out", str(tmp_path / "ranking.json")]) == 2
+        assert f"syncindex compare: {path}: " in capsys.readouterr().err
+        assert not (tmp_path / "ranking.json").exists()
 
 
 class TestCli:
@@ -499,6 +596,20 @@ class TestCli:
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[0].endswith("two")
         assert lines[1].endswith("one")
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-0.1", "1.5"])
+    @pytest.mark.parametrize("stage", ["graph", "metrics", "report"])
+    def test_bot_threshold_outside_unit_interval_is_usage_error(self, tmp_path, capsys, stage, value):
+        source = ["--events", "events.jsonl"] if stage == "report" else ["--pairs", "pairs.csv"]
+        with pytest.raises(SystemExit) as err:
+            cli.main([stage, *source, "--bot-threshold", value, "--out", str(tmp_path)])
+        assert err.value.code == 1
+        assert f"argument --bot-threshold: {value!r} is not a number in [0, 1]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["0", "1", "0.7"])
+    def test_bot_threshold_bounds_accepted(self, value):
+        args = cli.build_parser().parse_args(["graph", "--pairs", "pairs.csv", "--bot-threshold", value])
+        assert args.bot_threshold == float(value)
 
     def test_usage_error_exit_code(self):
         with pytest.raises(SystemExit) as err:
@@ -553,9 +664,12 @@ class TestCli:
              "line 2: self-pair 'a'"),
             ("graph", "pairs.csv", "user_u,user_v,num_action_types,s_total,csi_userpair\na,b,1,1,1.0\nb,a,1,1,5.0\n",
              "line 3: pair ('b', 'a') listed twice"),
+            ("score", "pair_counts.csv",
+             f"user_u,user_v,action_type,count\na,b,hashtag,{2**53}\nb,a,hashtag,{2**53 - 1}\n",
+             "line 3: pair ('b', 'a') with action_type 'hashtag' listed twice"),
         ],
         ids=["short-pair-count-row", "pair-counts-without-action-type", "short-pair-score-row", "pair-score-self-pair",
-             "pair-score-repeated"],
+             "pair-score-repeated", "pair-count-repeated"],
     )
     def test_malformed_stage_table_is_data_error(self, tmp_path, capsys, stage, name, text, message):
         path = tmp_path / name

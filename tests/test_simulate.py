@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from conftest import count_of
 from syncindex.csi import compute_tables
 from syncindex.events import dataset_lines, extract_actions, filter_originals
 from syncindex.simulate import (
@@ -16,7 +17,7 @@ from syncindex.simulate import (
     generate,
     write_ground_truth_csv,
 )
-from syncindex.synchrony import SyncWindowConfig, detect, pair_key
+from syncindex.synchrony import SyncWindowConfig, detect
 
 
 def small_config(seed=7, **overrides):
@@ -90,7 +91,7 @@ class TestGenerate:
         actions = extract_actions(filter_originals(dataset))
         counts = detect(actions, SyncWindowConfig(window_seconds=config.window_seconds))
         for planted in truth.pairs:
-            observed = counts.get(planted.user_u, planted.user_v, planted.action_type)
+            observed = count_of(counts, planted.user_u, planted.user_v, planted.action_type)
             assert observed >= planted.min_count
 
     def test_posts_per_window_weakly_increases_network_score(self):
@@ -131,7 +132,7 @@ class TestGenerate:
         dataset, truth = generate(config)
         assert len(truth.pairs) == 6  # 3 pairs x 2 action types
         counts = detect(extract_actions(filter_originals(dataset)))
-        assert counts.num_action_types(pair_key("c0_u000", "c0_u001")) >= 2
+        assert len(counts[("c0_u000", "c0_u001")]) >= 2
 
 
 class TestOutputs:

@@ -5,13 +5,12 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import brute_force_detect, counts_from_mapping, random_actions
+from conftest import brute_force_detect, count_of, counts_from_mapping, random_actions
 from syncindex.events import ActionRecord
 from syncindex.synchrony import (
     SyncWindowConfig,
     action_type_participation,
     detect,
-    pair_key,
     read_pair_counts_csv,
     user_action_type_counts,
     write_pair_counts_csv,
@@ -37,7 +36,7 @@ class TestConfig:
 class TestDetect:
     def test_same_bucket_pairs(self):
         counts = detect([rec("u", 100), rec("v", 250)])
-        assert counts.get("u", "v", "hashtag") == 1
+        assert count_of(counts, "u", "v", "hashtag") == 1
 
     def test_bucket_boundary_no_pair(self):
         counts = detect([rec("u", 299), rec("v", 301)])
@@ -55,14 +54,18 @@ class TestDetect:
 
     def test_repeat_user_counts_once_per_group(self):
         counts = detect([rec("u", 10), rec("u", 20), rec("v", 30)])
-        assert counts.get("u", "v", "hashtag") == 1
+        assert count_of(counts, "u", "v", "hashtag") == 1
 
     def test_action_types_independent(self):
         counts = detect([rec("u", 10), rec("v", 20), rec("u", 30, action="url"), rec("v", 40, action="url")])
-        assert counts.items() == [(pair_key("u", "v"), {"hashtag": 1, "url": 1})]
+        assert counts == {("u", "v"): {"hashtag": 1, "url": 1}}
 
     def test_empty_input(self):
         assert not detect([])
+
+    def test_pairs_ordered_and_ascending(self):
+        counts = detect(random_actions(random.Random(4), max_users=10, max_records=80))
+        assert counts and all(u < v for u, v in counts) and list(counts) == sorted(counts)
 
     def test_permutation_invariance(self):
         rng = random.Random(3)
@@ -87,7 +90,7 @@ class TestDetect:
         after = detect(actions + [extra])
         for pair, actions in before.items():
             for action, count in actions.items():
-                assert after.get(pair[0], pair[1], action) >= count
+                assert count_of(after, *pair, action) >= count
 
 
 class TestBruteForce:
@@ -165,7 +168,7 @@ class TestCsv:
         rng = random.Random(8)
         counts = detect(random_actions(rng, max_users=10, max_records=100))
         path = write_pair_counts_csv(counts, tmp_path / "pair_counts.csv")
-        assert read_pair_counts_csv(path) == counts
+        assert list(read_pair_counts_csv(path).items()) == list(counts.items())
 
     def test_rows_sorted(self, tmp_path):
         counts = counts_from_mapping({("b", "c"): {"url": 1}, ("a", "z"): {"hashtag": 2}})
@@ -192,6 +195,8 @@ class TestCsv:
             ("c,d,url,", "count '' is not an integer in 1..2**53"),
             (f"c,d,url,{2**53 + 1}", f"count '{2**53 + 1}' is not an integer in 1..2**53"),
             ("c,c,url,1", "self-pair 'c'"),
+            ("a,b,hashtag,1", "pair ('a', 'b') with action_type 'hashtag' listed twice"),
+            ("b,a,hashtag,1", "pair ('b', 'a') with action_type 'hashtag' listed twice"),
         ],
     )
     def test_bad_row_rejected_with_line(self, tmp_path, row, message):
@@ -204,13 +209,5 @@ class TestCsv:
     def test_largest_count_is_read(self, tmp_path):
         path = tmp_path / "pair_counts.csv"
         path.write_text(f"user_u,user_v,action_type,count\na,b,url,{2**53}\n", encoding="utf-8")
-        assert read_pair_counts_csv(path).get("a", "b", "url") == 2**53
+        assert read_pair_counts_csv(path) == {("a", "b"): {"url": 2**53}}
 
-
-class TestPairKey:
-    def test_orders_lexicographically(self):
-        assert pair_key("zeta", "alpha") == ("alpha", "zeta")
-
-    def test_rejects_self_pair(self):
-        with pytest.raises(ValueError):
-            pair_key("u", "u")
