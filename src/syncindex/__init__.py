@@ -28,7 +28,6 @@ from .events import (
 )
 from .synchrony import (
     PairCounts,
-    SyncWindowConfig,
     action_type_participation,
     detect,
 )
@@ -45,7 +44,6 @@ __all__ = [
     "InteractionRecord",
     "PairCounts",
     "PostEvent",
-    "SyncWindowConfig",
     "UndefinedNetworkError",
     "action_type_participation",
     "canonicalize_artifact",

@@ -53,16 +53,6 @@ class BotScoreTable:
             return "unknown"
         return classify_user(score, self.threshold)
 
-    def pair_class(self, u: str, v: str) -> str:
-        classes = {self.classify(u), self.classify(v)}
-        if "unknown" in classes:
-            return "unknown-involved"
-        if classes == {"bot"}:
-            return "bot-bot"
-        if classes == {"human"}:
-            return "human-human"
-        return "bot-human"
-
 
 def load_bot_scores(path: str | Path, threshold: float = DEFAULT_THRESHOLD) -> BotScoreTable:
     """Read the user_id,score CSV (header required); invalid rows are rejected.
@@ -99,37 +89,42 @@ def load_bot_scores(path: str | Path, threshold: float = DEFAULT_THRESHOLD) -> B
     return BotScoreTable(scores=scores, threshold=threshold, rejected=rejected)
 
 
-def average_csi_by_pair_class(
-    pair_scores: Mapping[tuple[str, str], float], table: BotScoreTable
-) -> dict[str, dict]:
-    """{pair class: {"mean", "count"}} over the pair scores, classes in sorted
-    order; pairs with an unknown member form their own class, and classes
-    with no pairs are absent."""
+def pair_class(u_class: str, v_class: str) -> str:
+    """bot-bot, bot-human or human-human; unknown-involved when either user is unknown."""
+    if "unknown" in (u_class, v_class):
+        return "unknown-involved"
+    return "-".join(sorted((u_class, v_class)))
+
+
+def average_csi_by_pair_class(graph: Graph) -> dict[str, dict]:
+    """{pair class: {"mean", "count"}} over the sync graph's edge weights (the
+    pair scores) by its user_class list, classes in sorted order; pairs with
+    an unknown member form their own class, and classes with no pairs are
+    absent."""
+    classes = graph.user_class
     buckets: dict[str, list[float]] = {}
-    for pair in sorted(pair_scores):
-        buckets.setdefault(table.pair_class(*pair), []).append(pair_scores[pair])
+    for a, b, score in zip(graph.sources, graph.targets, graph.weights):
+        buckets.setdefault(pair_class(classes[a], classes[b]), []).append(score)
     return {
         cls: {"mean": fmean(values), "count": len(values)}
         for cls, values in sorted(buckets.items())
     }
 
 
-def average_csi_by_user_class(
-    user_scores: Mapping[str, float], table: BotScoreTable
-) -> tuple[dict[str, dict], int]:
-    """({user class: {"mean", "sd", "count"}}, number of unscored users).
+def average_csi_by_user_class(graph: Graph) -> tuple[dict[str, dict], int]:
+    """({user class: {"mean", "sd", "count"}}, number of unscored users) over
+    the sync graph's csi_user list by its user_class list.
 
     sd is the population standard deviation (0 for one user). Classes are in
     sorted order; unscored users are only counted, and empty classes are absent.
     """
     buckets: dict[str, list[float]] = {}
     unknown = 0
-    for user in sorted(user_scores):
-        cls = table.classify(user)
+    for cls, score in zip(graph.user_class, graph.csi_user):
         if cls == "unknown":
             unknown += 1
-            continue
-        buckets.setdefault(cls, []).append(user_scores[user])
+        else:
+            buckets.setdefault(cls, []).append(score)
     by_class = {
         cls: {
             "mean": fmean(values),
@@ -142,19 +137,15 @@ def average_csi_by_user_class(
 
 
 def centrality_by_class(
-    centralities: metrics.Centralities,
-    table: BotScoreTable,
-    sync_users: set[str] | frozenset[str],
+    centralities: metrics.Centralities, graph: Graph
 ) -> dict[str, dict[str, float | None]]:
-    """Per-class mean all-communication centralities, restricted to users that
-    participate in synchronous activities. eigenvector is None when it did
-    not converge."""
+    """Per-class mean all-communication centralities of the sync graph's
+    nodes that are in the all-communication graph, by the sync graph's
+    user_class list. eigenvector is None when it did not converge."""
     buckets: dict[str, list[str]] = {}
-    for user in sorted(u for u in sync_users if u in centralities.degree):
-        cls = table.classify(user)
-        if cls == "unknown":
-            continue
-        buckets.setdefault(cls, []).append(user)
+    for user, cls in zip(graph.nodes, graph.user_class):
+        if cls != "unknown" and user in centralities.degree:
+            buckets.setdefault(cls, []).append(user)
 
     eigenvector = centralities.eigenvector
     out: dict[str, dict[str, float | None]] = {}

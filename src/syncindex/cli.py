@@ -39,15 +39,25 @@ def _add_out(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", default=".", help="output directory (default: current)")
 
 
-def _bot_threshold(text: str) -> float:
-    """A finite number in [0, 1]; anything else is a usage error naming the flag."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not 0.0 <= value <= 1.0:  # False for NaN
-        raise argparse.ArgumentTypeError(f"{text!r} is not a number in [0, 1]")
-    return value
+def _bounded(convert, low: float, high: float, what: str):
+    """An argparse type: convert(text) in [low, high]; anything else, NaN
+    included, is a usage error naming the flag and what it takes."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = math.nan
+        if not low <= value <= high:  # False for NaN
+            raise argparse.ArgumentTypeError(f"{text!r} is not {what}")
+        return value
+
+    return parse
+
+
+_BOT_THRESHOLD = _bounded(float, 0.0, 1.0, "a number in [0, 1]")
+_WINDOW = _bounded(int, 1, math.inf, "an integer >= 1")
+_MIN_PARTNERS = _bounded(int, 0, math.inf, "an integer >= 0")
 
 
 def _add_csi_flags(parser: argparse.ArgumentParser) -> None:
@@ -63,12 +73,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--events", required=True, help="raw events file (JSONL or CSV)")
     p.add_argument("--interactions", help="optional separate interactions file")
     p.add_argument("--lang", default="", help="keep only posts with this language tag")
-    p.add_argument("--label", default="", help="event label stored in downstream reports")
     _add_out(p)
 
     p = sub.add_parser("detect", help="detect synchronous user pairs")
     p.add_argument("--events", required=True)
-    p.add_argument("--window", type=int, default=300, help="window seconds (default 300)")
+    p.add_argument("--window", type=_WINDOW, default=300, help="window seconds (default 300)")
     p.add_argument("--lang", default="")
     _add_out(p)
 
@@ -81,15 +90,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pairs", required=True, help="pairs.csv from score")
     p.add_argument("--users", help="users.csv from score (adds csi_user attributes)")
     p.add_argument("--bots", help="bot score CSV (adds user_class attributes)")
-    p.add_argument("--bot-threshold", type=_bot_threshold, default=botmod.DEFAULT_THRESHOLD)
-    p.add_argument("--min-partners", type=int, default=5)
+    p.add_argument("--bot-threshold", type=_BOT_THRESHOLD, default=botmod.DEFAULT_THRESHOLD)
+    p.add_argument("--min-partners", type=_MIN_PARTNERS, default=5)
     _add_out(p)
 
     p = sub.add_parser("metrics", help="structure metrics and centralities")
     p.add_argument("--pairs", required=True, help="pairs.csv from score")
     p.add_argument("--users", help="users.csv from score (hierarchy orientation)")
     p.add_argument("--bots", help="bot score CSV (class clustering)")
-    p.add_argument("--bot-threshold", type=_bot_threshold, default=botmod.DEFAULT_THRESHOLD)
+    p.add_argument("--bot-threshold", type=_BOT_THRESHOLD, default=botmod.DEFAULT_THRESHOLD)
     p.add_argument("--events", help="events file; adds all-communication centrality CSV")
     p.add_argument("--seed", type=int, default=0)
     _add_out(p)
@@ -98,13 +107,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--events", required=True)
     p.add_argument("--interactions")
     p.add_argument("--bots")
-    p.add_argument("--bot-threshold", type=_bot_threshold, default=botmod.DEFAULT_THRESHOLD)
-    p.add_argument("--window", type=int, default=300)
+    p.add_argument("--bot-threshold", type=_BOT_THRESHOLD, default=botmod.DEFAULT_THRESHOLD)
+    p.add_argument("--window", type=_WINDOW, default=300)
     _add_csi_flags(p)
-    p.add_argument("--min-partners", type=int, default=5)
+    p.add_argument("--min-partners", type=_MIN_PARTNERS, default=5)
     p.add_argument("--lang", default="")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--label", default="")
+    p.add_argument("--label", default="", help="event label in report.json (default: the events file's stem)")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     _add_out(p)
 
@@ -127,7 +136,7 @@ def _out_dir(args: argparse.Namespace) -> Path:
 
 
 def _cmd_ingest(args: argparse.Namespace) -> int:
-    dataset = load_events(args.events, args.interactions, lang=args.lang, label=args.label)
+    dataset = load_events(args.events, args.interactions, lang=args.lang)
     path = write_events_jsonl(dataset, _out_dir(args) / "events.jsonl")
     print(
         f"wrote {path}: {len(dataset.posts)} posts, {len(dataset.interactions)} interactions, "

@@ -88,7 +88,6 @@ class EventDataset:
 
     posts: tuple[PostEvent, ...] = ()
     interactions: tuple[InteractionRecord, ...] = ()
-    label: str = ""
     malformed: int = field(default=0, compare=False)
 
 
@@ -378,7 +377,6 @@ def _csv_records(stream: Iterable[str]) -> Iterator[tuple | None]:
 def parse_events(
     stream: Iterable[str],
     format: str = "jsonl",
-    label: str = "",
 ) -> EventDataset:
     """Parse line-delimited records into an EventDataset.
 
@@ -437,7 +435,6 @@ def parse_events(
     return EventDataset(
         posts=tuple(posts),
         interactions=tuple(interactions),
-        label=label,
         malformed=malformed,
     )
 
@@ -562,7 +559,7 @@ def write_events_jsonl(dataset: EventDataset, path: str | Path) -> Path:
     return path
 
 
-def read_events_file(path: str | Path, format: str | None = None, label: str = "") -> EventDataset:
+def read_events_file(path: str | Path, format: str | None = None) -> EventDataset:
     """Parse an events file; format inferred from the suffix unless given.
 
     A line that is not valid UTF-8 is one malformed line, not a rejected file.
@@ -571,23 +568,22 @@ def read_events_file(path: str | Path, format: str | None = None, label: str = "
     if format is None:
         format = "csv" if path.suffix.lower() == ".csv" else "jsonl"
     with path.open("r", encoding="utf-8", errors="surrogateescape", newline="") as handle:
-        return parse_events(handle, format=format, label=label or path.stem)
+        return parse_events(handle, format=format)
 
 
 def load_events(
     events_path: str | Path,
     interactions_path: str | Path | None = None,
     lang: str = "",
-    label: str = "",
 ) -> EventDataset:
     """Read an events file, merge an optional interactions file, filter by language."""
-    dataset = read_events_file(events_path, label=label)
+    dataset = read_events_file(events_path)
     if interactions_path is not None:
-        dataset = merge_datasets(dataset, read_events_file(interactions_path), label=dataset.label)
+        dataset = merge_datasets(dataset, read_events_file(interactions_path))
     return filter_language(dataset, lang)
 
 
-def merge_datasets(*datasets: EventDataset, label: str = "") -> EventDataset:
+def merge_datasets(*datasets: EventDataset) -> EventDataset:
     """Combine datasets (e.g. separate post and interaction files) into one.
 
     A post whose post_id an earlier post holds counts as malformed, as a
@@ -608,6 +604,5 @@ def merge_datasets(*datasets: EventDataset, label: str = "") -> EventDataset:
     return EventDataset(
         posts=tuple(posts),
         interactions=tuple(interactions),
-        label=label or (datasets[0].label if datasets else ""),
         malformed=sum(d.malformed for d in datasets) + repeated,
     )

@@ -104,7 +104,7 @@ def detect_pairs(dataset: EventDataset, window_seconds: int, out: Path) -> Detec
     """Synchronized pairs among the original posts of a dataset; writes pair_counts.csv."""
     originals = filter_originals(dataset)
     actions = extract_actions(originals)
-    counts = synchrony.detect(actions, synchrony.SyncWindowConfig(window_seconds=window_seconds))
+    counts = synchrony.detect(actions, window_seconds)
     synchrony.write_pair_counts_csv(counts, out / "pair_counts.csv")
     return Detection(counts, len(originals.posts), len(actions))
 
@@ -197,13 +197,6 @@ def write_centrality_csv(centralities: metricmod.Centralities, path: Path) -> No
     write_csv(path, ("user_id", "total_degree", "betweenness", "eigenvector"), rows)
 
 
-def _dominant_class(by_user: dict[str, dict]) -> str | None:
-    candidates = {cls: by_user[cls]["mean"] for cls in ("bot", "human") if cls in by_user}
-    if not candidates:
-        return None
-    return max(sorted(candidates), key=lambda cls: candidates[cls])
-
-
 def run_pipeline(
     events_path: str | Path,
     out_dir: str | Path,
@@ -222,7 +215,7 @@ def run_pipeline(
     inputs and options.
     """
     options = options or PipelineOptions()
-    dataset = load_events(events_path, interactions_path, lang=options.lang, label=options.label)
+    dataset = load_events(events_path, interactions_path, lang=options.lang)
     bot_table = None
     notices: list[str] = []
     if bots_path is not None:
@@ -242,7 +235,7 @@ def run_pipeline(
     per_user = synchrony.user_action_type_counts(counts)
 
     report = EventReport(
-        event_label=dataset.label or Path(events_path).stem,
+        event_label=options.label or Path(events_path).stem,
         config={key: value for key, value in asdict(options).items() if key != "label"},
         counts={
             "posts": len(dataset.posts),
@@ -270,18 +263,15 @@ def run_pipeline(
         if centralities.eigenvector is None:
             notices.append("eigenvector centrality did not converge; reported as null")
         participation = metricmod.centrality_by_action_type_count(centralities, per_user)
-    if tables is not None and bot_table is not None:
-        report.avg_csi_userpair_by_pair_class = botmod.average_csi_by_pair_class(
-            tables.pair_scores, bot_table
-        )
-        by_user, unknown = botmod.average_csi_by_user_class(tables.user_scores, bot_table)
-        report.avg_csi_user_by_user_class = by_user
-        if unknown:
-            notices.append(f"{unknown} synchronizing users without bot scores")
-        report.centrality_by_class = botmod.centrality_by_class(
-            centralities, bot_table, set(tables.user_scores)
-        )
-        report.dominant_sync_class = _dominant_class(by_user)
+        if sync.user_class is not None:  # bot scores given
+            report.avg_csi_userpair_by_pair_class = botmod.average_csi_by_pair_class(sync)
+            by_user, unknown = botmod.average_csi_by_user_class(sync)
+            report.avg_csi_user_by_user_class = by_user
+            if unknown:
+                notices.append(f"{unknown} synchronizing users without bot scores")
+            report.centrality_by_class = botmod.centrality_by_class(centralities, sync)
+            # the class of highest mean user score; bot on a tie
+            report.dominant_sync_class = max(sorted(by_user), key=lambda cls: by_user[cls]["mean"], default=None)
 
     write_csv(
         out / "centrality_by_action_types.csv",

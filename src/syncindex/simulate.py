@@ -180,7 +180,7 @@ def generate(config: SimConfig) -> tuple[EventDataset, GroundTruth]:
             emit(user, timestamp, action_type, _background_artifact(background_rng, action_type, vocabulary))
 
     ordered = tuple(sorted(posts, key=lambda p: (p.timestamp, p.post_id)))
-    dataset = EventDataset(posts=ordered, interactions=(), label=f"sim-{config.seed}")
+    dataset = EventDataset(posts=ordered)
     truth = GroundTruth(pairs=tuple(planted), user_classes=user_classes)
     return dataset, truth
 

@@ -9,7 +9,6 @@ contributes one count to each of its C(k, 2) unordered pairs.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 from itertools import combinations
 from pathlib import Path
 from typing import Iterable
@@ -22,20 +21,6 @@ PAIR_COUNT_COLUMNS = ("user_u", "user_v", "action_type", "count")
 MAX_COUNT = 2**53
 
 
-@dataclass(frozen=True)
-class SyncWindowConfig:
-    """Fixed epoch-aligned bucketing; bucket = floor(timestamp / window_seconds)."""
-
-    window_seconds: int = 300
-
-    def __post_init__(self) -> None:
-        if self.window_seconds <= 0:
-            raise ValueError("window_seconds must be positive")
-
-    def bucket(self, timestamp: int) -> int:
-        return timestamp // self.window_seconds
-
-
 # Per unordered user pair (u, v) with u < v, per action type, the synchrony
 # count S(u, v, a). detect and read_pair_counts_csv list the pairs in
 # ascending order; a consumer that needs that order sorts the items, which
@@ -45,18 +30,20 @@ PairCounts = dict[tuple[str, str], dict[str, int]]
 
 def detect(
     actions: Iterable[ActionRecord],
-    config: SyncWindowConfig | None = None,
+    window_seconds: int = 300,
 ) -> PairCounts:
-    """Group actions by (action type, artifact, bucket) and count pair co-memberships.
+    """Group actions by (action type, artifact, timestamp // window_seconds)
+    and count pair co-memberships; ValueError for a window below 1 second.
 
     A user appearing several times in one group contributes as a single
     member: no self-pairs and no double counting within a group. The result
     is independent of input order.
     """
-    config = config or SyncWindowConfig()
+    if window_seconds <= 0:
+        raise ValueError("window_seconds must be positive")
     members: dict[tuple[str, str, int], set[str]] = defaultdict(set)
     for record in actions:
-        key = (record.action_type, record.artifact_id, config.bucket(record.timestamp))
+        key = (record.action_type, record.artifact_id, record.timestamp // window_seconds)
         members[key].add(record.user_id)
 
     groups = sorted(

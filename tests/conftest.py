@@ -10,6 +10,7 @@ import random
 import re
 from collections import deque
 from datetime import datetime, timedelta, timezone
+from statistics import fmean, pstdev
 from typing import Iterable, Iterator, Mapping, Sequence
 from xml.sax.saxutils import escape, quoteattr
 
@@ -37,9 +38,8 @@ from syncindex.events import (
     PostEvent,
 )
 from syncindex.graphs import Graph
-from syncindex.synchrony import PairCounts, SyncWindowConfig
-
-PAIR_CLASSES = ("bot-bot", "bot-human", "human-human", "unknown-involved")
+from syncindex.metrics import Centralities
+from syncindex.synchrony import PairCounts
 
 # Printable user ids; the CSV separator and quote character are drawn often.
 printable_ids = st.text(
@@ -333,21 +333,81 @@ def eigenvector_residual(graph: nx.Graph, centrality: dict[str, float]) -> float
     return max(abs(ax[node] - lam * centrality[node]) for node in nodes)
 
 
-def pair_class_counts(pair_scores: Mapping[tuple[str, str], float], table: BotScoreTable) -> dict[str, int]:
-    """Number of pairs in each pair class, every class present."""
-    counts = dict.fromkeys(PAIR_CLASSES, 0)
-    for pair in pair_scores:
-        counts[table.pair_class(*pair)] += 1
-    return counts
+def table_pair_class(table: BotScoreTable, u: str, v: str) -> str:
+    """Oracle: the former BotScoreTable.pair_class, classifying both users."""
+    classes = {table.classify(u), table.classify(v)}
+    if "unknown" in classes:
+        return "unknown-involved"
+    if classes == {"bot"}:
+        return "bot-bot"
+    if classes == {"human"}:
+        return "human-human"
+    return "bot-human"
+
+
+def table_average_csi_by_pair_class(
+    pair_scores: Mapping[tuple[str, str], float], table: BotScoreTable
+) -> dict[str, dict]:
+    """Oracle: the former table-based average_csi_by_pair_class, pairs in sorted order."""
+    buckets: dict[str, list[float]] = {}
+    for pair in sorted(pair_scores):
+        buckets.setdefault(table_pair_class(table, *pair), []).append(pair_scores[pair])
+    return {
+        cls: {"mean": fmean(values), "count": len(values)}
+        for cls, values in sorted(buckets.items())
+    }
+
+
+def table_average_csi_by_user_class(
+    user_scores: Mapping[str, float], table: BotScoreTable
+) -> tuple[dict[str, dict], int]:
+    """Oracle: the former table-based average_csi_by_user_class, users in sorted order."""
+    buckets: dict[str, list[float]] = {}
+    unknown = 0
+    for user in sorted(user_scores):
+        cls = table.classify(user)
+        if cls == "unknown":
+            unknown += 1
+            continue
+        buckets.setdefault(cls, []).append(user_scores[user])
+    by_class = {
+        cls: {
+            "mean": fmean(values),
+            "sd": pstdev(values) if len(values) > 1 else 0.0,
+            "count": len(values),
+        }
+        for cls, values in sorted(buckets.items())
+    }
+    return by_class, unknown
+
+
+def table_centrality_by_class(
+    centralities: Centralities, table: BotScoreTable, sync_users: set[str] | frozenset[str]
+) -> dict[str, dict[str, float | None]]:
+    """Oracle: the former table-based centrality_by_class over the synchronizing users."""
+    buckets: dict[str, list[str]] = {}
+    for user in sorted(u for u in sync_users if u in centralities.degree):
+        cls = table.classify(user)
+        if cls == "unknown":
+            continue
+        buckets.setdefault(cls, []).append(user)
+
+    eigenvector = centralities.eigenvector
+    out: dict[str, dict[str, float | None]] = {}
+    for cls, users in sorted(buckets.items()):
+        out[cls] = {
+            "total_degree": fmean(centralities.degree[u] for u in users),
+            "betweenness": fmean(centralities.betweenness[u] for u in users),
+            "eigenvector": None if eigenvector is None else fmean(eigenvector[u] for u in users),
+            "count": len(users),
+        }
+    return out
 
 
 BRUTE_FORCE_LIMIT = 10_000
 
 
-def brute_force_detect(
-    actions: Sequence[ActionRecord],
-    config: SyncWindowConfig | None = None,
-) -> PairCounts:
+def brute_force_detect(actions: Sequence[ActionRecord], window_seconds: int = 300) -> PairCounts:
     """Oracle: enumerate every record pair, then collapse per-group duplicates.
 
     Same output contract as detect, computed without grouping. Intended for
@@ -355,8 +415,7 @@ def brute_force_detect(
     """
     if len(actions) > BRUTE_FORCE_LIMIT:
         raise ValueError(f"brute force oracle limited to {BRUTE_FORCE_LIMIT} records")
-    config = config or SyncWindowConfig()
-    keys = [(r.action_type, r.artifact_id, config.bucket(r.timestamp)) for r in actions]
+    keys = [(r.action_type, r.artifact_id, r.timestamp // window_seconds) for r in actions]
     users = [r.user_id for r in actions]
 
     hits: set[tuple[str, str, int, str, str]] = set()
@@ -773,7 +832,6 @@ def _csv_row_to_mapping(row: dict) -> dict | None:
 def reference_parse_events(
     stream: Iterable[str] | Iterable[dict],
     format: str = "jsonl",
-    label: str = "",
 ) -> EventDataset:
     """Parse line-delimited records into an EventDataset.
 
@@ -835,7 +893,6 @@ def reference_parse_events(
     return EventDataset(
         posts=tuple(posts),
         interactions=tuple(interactions),
-        label=label,
         malformed=malformed,
     )
 

@@ -79,7 +79,6 @@ def main() -> None:
         interactions=tuple(
             sorted(interactions, key=lambda r: (r.timestamp, r.source_user, r.target_user, r.interaction_type))
         ),
-        label=dataset.label,
     )
     events_path = write_events_jsonl(combined, HERE / "fixture_events.jsonl")
     assert sum(1 for _ in events_path.open()) == TOTAL_EVENTS

@@ -35,7 +35,7 @@ from syncindex.metrics import (
 )
 from syncindex.pipeline import EventReport, compare, run_pipeline, write_report_json
 from syncindex.simulate import CohortSpec, SimConfig, generate
-from syncindex.synchrony import SyncWindowConfig, detect
+from syncindex.synchrony import detect
 
 DATA = Path(__file__).parent / "data"
 
@@ -113,7 +113,7 @@ def test_criterion_03_planted_coordination_recovery():
         def build():
             dataset, truth = generate(config)
             actions = extract_actions(filter_originals(dataset))
-            counts = detect(actions, SyncWindowConfig(window_seconds=config.window_seconds))
+            counts = detect(actions, config.window_seconds)
             return actions, counts, truth
 
         actions, counts, truth = build()

@@ -1,8 +1,16 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import from_nx, induced_subgraph, pair_class_counts
+from conftest import (
+    from_nx,
+    induced_subgraph,
+    table_average_csi_by_pair_class,
+    table_average_csi_by_user_class,
+    table_centrality_by_class,
+    table_pair_class,
+)
 from syncindex.bots import (
     BotScoreTable,
     ScoreError,
@@ -13,11 +21,13 @@ from syncindex.bots import (
     class_triangle_totals,
     clustering_by_class,
     load_bot_scores,
+    pair_class,
     user_classes,
 )
 from syncindex.graphs import build_allcomm_graph, build_sync_graph
-from syncindex.metrics import node_centralities, transitivity, triangle_counts
+from syncindex.metrics import Centralities, node_centralities, transitivity, triangle_counts
 from syncindex.events import InteractionRecord
+from syncindex.pipeline import sync_graph
 
 
 def table(scores, threshold=0.70):
@@ -49,7 +59,8 @@ class TestClassify:
 
     def test_pair_class_symmetric(self):
         t = table({"bot": 0.9, "hum": 0.1})
-        assert t.pair_class("bot", "hum") == t.pair_class("hum", "bot") == "bot-human"
+        bot, hum = t.classify("bot"), t.classify("hum")
+        assert pair_class(bot, hum) == pair_class(hum, bot) == "bot-human"
 
     def test_table_rejects_bad_scores(self):
         with pytest.raises(ScoreError):
@@ -105,11 +116,17 @@ class TestLoad:
         assert t.rejected == 2
 
 
+def scored_graph(user_scores, t):
+    """The sync graph report builds on the users of user_scores, joined in a path."""
+    users = sorted(user_scores)
+    return sync_graph({pair: 1.0 for pair in zip(users, users[1:])}, user_scores, t)
+
+
 class TestPairClassAverages:
     def test_hand_means(self):
         t = table({"b1": 0.9, "b2": 0.8, "h1": 0.1, "h2": 0.2})
         pair_scores = {("b1", "b2"): 2.0, ("b1", "h1"): 4.0, ("h1", "h2"): 3.0}
-        result = average_csi_by_pair_class(pair_scores, t)
+        result = average_csi_by_pair_class(sync_graph(pair_scores, None, t))
         assert result == {
             "bot-bot": {"mean": 2.0, "count": 1},
             "bot-human": {"mean": 4.0, "count": 1},
@@ -119,26 +136,26 @@ class TestPairClassAverages:
 
     def test_single_pair_single_key(self):
         t = table({"a": 0.9, "b": 0.9})
-        result = average_csi_by_pair_class({("a", "b"): 5.0}, t)
+        result = average_csi_by_pair_class(sync_graph({("a", "b"): 5.0}, None, t))
         assert set(result) == {"bot-bot"}
 
     def test_unknown_reported_separately(self):
         t = table({"a": 0.9})
-        result = average_csi_by_pair_class({("a", "mystery"): 5.0}, t)
+        result = average_csi_by_pair_class(sync_graph({("a", "mystery"): 5.0}, None, t))
         assert result == {"unknown-involved": {"mean": 5.0, "count": 1}}
 
     def test_counts_partition_pairs(self):
         t = table({"b": 0.9, "h": 0.1})
         pair_scores = {("b", "h"): 1.0, ("b", "x"): 1.0, ("h", "x"): 1.0}
-        counts = pair_class_counts(pair_scores, t)
-        assert sum(counts.values()) == len(pair_scores)
-        assert counts["unknown-involved"] == 2
+        result = average_csi_by_pair_class(sync_graph(pair_scores, None, t))
+        assert sum(row["count"] for row in result.values()) == len(pair_scores)
+        assert result["unknown-involved"]["count"] == 2
 
 
 class TestUserClassAverages:
     def test_mean_and_population_sd(self):
         t = table({"b1": 0.9, "b2": 0.8, "h1": 0.1})
-        result, unknown = average_csi_by_user_class({"b1": 2.0, "b2": 4.0, "h1": 3.0}, t)
+        result, unknown = average_csi_by_user_class(scored_graph({"b1": 2.0, "b2": 4.0, "h1": 3.0}, t))
         assert result["bot"]["mean"] == pytest.approx(3.0)
         assert result["bot"]["sd"] == pytest.approx(1.0)
         assert result["human"]["mean"] == pytest.approx(3.0)
@@ -147,12 +164,12 @@ class TestUserClassAverages:
 
     def test_single_user(self):
         t = table({"x": 0.9})
-        result, _ = average_csi_by_user_class({"x": 7.0}, t)
+        result, _ = average_csi_by_user_class(scored_graph({"x": 7.0, "y": 1.0}, t))  # y is unscored
         assert result == {"bot": {"mean": 7.0, "sd": 0.0, "count": 1}}
 
     def test_unknowns_counted(self):
         t = table({"x": 0.9})
-        result, unknown = average_csi_by_user_class({"x": 1.0, "ghost": 2.0}, t)
+        result, unknown = average_csi_by_user_class(scored_graph({"x": 1.0, "ghost": 2.0}, t))
         assert unknown == 1
         assert "unknown" not in result
 
@@ -170,8 +187,8 @@ class TestCentralityByClass:
     def test_hand_fixture_means(self):
         graph = self.fixture()
         t = table({"b1": 0.9, "h1": 0.1, "h2": 0.2})
-        sync_users = {"b1", "h1", "h2"}
-        result = centrality_by_class(node_centralities(graph), t, sync_users)
+        sync = sync_graph({("b1", "h1"): 1.0, ("h1", "h2"): 1.0}, None, t)
+        result = centrality_by_class(node_centralities(graph), sync)
         from syncindex.metrics import betweenness_centrality, degree_centrality, eigenvector_centrality
 
         degrees = degree_centrality(graph)
@@ -185,20 +202,74 @@ class TestCentralityByClass:
 
     def test_restricted_to_sync_users(self):
         graph = self.fixture()
-        t = table({"b1": 0.9, "h1": 0.1, "h2": 0.2, "x1": 0.1})
-        result = centrality_by_class(node_centralities(graph), t, {"b1"})
+        t = table({"b1": 0.9, "h1": 0.1, "h2": 0.2, "x1": 0.1, "y1": 0.1})
+        sync = sync_graph({("b1", "y1"): 1.0}, None, t)  # y1 has no interaction
+        result = centrality_by_class(node_centralities(graph), sync)
         assert set(result) == {"bot"}
 
     def test_single_class_only(self):
         graph = self.fixture()
         t = table({"h1": 0.1, "h2": 0.2})
-        result = centrality_by_class(node_centralities(graph), t, {"h1", "h2"})
+        result = centrality_by_class(node_centralities(graph), sync_graph({("h1", "h2"): 1.0}, None, t))
         assert set(result) == {"human"}
 
     def test_empty_when_no_overlap(self):
         graph = self.fixture()
-        t = table({"b1": 0.9})
-        assert centrality_by_class(node_centralities(graph), t, {"nobody"}) == {}
+        t = table({"b1": 0.9, "nobody": 0.9})
+        assert centrality_by_class(node_centralities(graph), sync_graph({("nobody", "z"): 1.0}, None, t)) == {}
+
+
+def _hexed(obj):
+    """obj with every float replaced by its float.hex text."""
+    if isinstance(obj, float):
+        return obj.hex()
+    if isinstance(obj, dict):
+        return {key: _hexed(value) for key, value in obj.items()}
+    if isinstance(obj, tuple):
+        return tuple(_hexed(value) for value in obj)
+    return obj
+
+
+values = st.one_of(st.floats(-1e9, 1e9), st.integers(0, 9).map(float))
+
+
+class TestClassSectionsMatchTableOracles:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_graph_sections_equal_table_oracles(self, data):
+        """The class sections on the sync graph equal, float for float, the
+        former table-based sections on the pair and user score tables."""
+        users = [f"u{i}" for i in range(data.draw(st.integers(2, 10)))]
+        pairs = data.draw(st.lists(st.tuples(st.sampled_from(users), st.sampled_from(users)), max_size=30))
+        pair_scores = {}
+        for u, v in pairs:
+            if u != v and (v, u) not in pair_scores:  # either orientation, as pairs.csv may list it
+                pair_scores[u, v] = data.draw(values)
+        nodes = sorted({u for pair in pair_scores for u in pair})
+        user_scores = {u: data.draw(values) for u in nodes}
+        one_score = data.draw(st.sampled_from([None, 0.1, 0.9]))  # 0.1 or 0.9: a one-class table
+        scores = st.just(one_score) if one_score is not None else st.one_of(
+            st.sampled_from([0.0, 0.69, 0.70, 0.71, 1.0]), st.floats(0.0, 1.0)
+        )
+        scored = data.draw(st.lists(st.sampled_from(users), unique=True))
+        t = table({u: data.draw(scores) for u in scored})
+        present = data.draw(st.lists(st.sampled_from(users + ["w0", "w1"]), unique=True))
+        unit = st.floats(0.0, 1.0)
+        eigenvector = data.draw(st.booleans())
+        centralities = Centralities(
+            degree={u: data.draw(unit) for u in present},
+            betweenness={u: data.draw(unit) for u in present},
+            eigenvector={u: data.draw(unit) for u in present} if eigenvector else None,
+        )
+
+        sync = sync_graph(pair_scores, user_scores, t)
+        assert _hexed(average_csi_by_pair_class(sync)) == _hexed(table_average_csi_by_pair_class(pair_scores, t))
+        assert _hexed(average_csi_by_user_class(sync)) == _hexed(table_average_csi_by_user_class(user_scores, t))
+        assert _hexed(centrality_by_class(centralities, sync)) == _hexed(
+            table_centrality_by_class(centralities, t, set(user_scores))
+        )
+        for u, v in pair_scores:
+            assert pair_class(t.classify(u), t.classify(v)) == table_pair_class(t, u, v)
 
 
 class TestClusteringByClass:

@@ -634,14 +634,14 @@ class TestRoundTrip:
                     mentions=[],
                 )
             )
-        first = parse_events(lines, label="evt")
-        reparsed = parse_events(list(dataset_lines(first)), label="evt")
+        first = parse_events(lines)
+        reparsed = parse_events(list(dataset_lines(first)))
         assert reparsed == first
 
     def test_file_round_trip(self, tmp_path):
-        dataset = parse_events([post_line(hashtags=["#a"]), post_line(post_id="p2", timestamp=7)], label="e")
+        dataset = parse_events([post_line(hashtags=["#a"]), post_line(post_id="p2", timestamp=7)])
         path = write_events_jsonl(dataset, tmp_path / "events.jsonl")
-        again = read_events_file(path, label="e")
+        again = read_events_file(path)
         assert again == dataset
 
     def test_merge_counts_a_post_id_repeated_across_datasets(self):
@@ -654,7 +654,7 @@ class TestRoundTrip:
     def test_merge_datasets_sorts(self):
         a = parse_events([post_line(post_id="p1", timestamp=90)])
         b = parse_events([post_line(post_id="p2", timestamp=10)])
-        merged = merge_datasets(a, b, label="m")
+        merged = merge_datasets(a, b)
         assert [p.post_id for p in merged.posts] == ["p2", "p1"]
 
 

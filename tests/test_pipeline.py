@@ -176,6 +176,12 @@ class TestRunPipeline:
         assert report.dominant_sync_class is None
         assert any("bot scores" in note for note in report.notices)
 
+    def test_event_label_is_option_or_events_stem(self, no_sync_inputs, tmp_path):
+        events, _ = no_sync_inputs
+        assert run_pipeline(events, tmp_path / "a").event_label == "events"
+        assert run_pipeline(events, tmp_path / "b", options=PipelineOptions(label="XYZ")).event_label == "XYZ"
+        assert b'"event_label": "XYZ"' in (tmp_path / "b" / "report.json").read_bytes()
+
     def test_no_synchrony_report(self, no_sync_inputs, tmp_path):
         events, _ = no_sync_inputs
         report = run_pipeline(events, tmp_path / "out")
@@ -610,6 +616,40 @@ class TestCli:
     def test_bot_threshold_bounds_accepted(self, value):
         args = cli.build_parser().parse_args(["graph", "--pairs", "pairs.csv", "--bot-threshold", value])
         assert args.bot_threshold == float(value)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["report", "--events", "FIXTURE", "--min-partners", "-1"],
+            ["report", "--events", "FIXTURE", "--min-partners", "2.5"],
+            ["graph", "--pairs", "pairs.csv", "--min-partners", "-1"],
+            ["report", "--events", "FIXTURE", "--window", "0"],
+            ["report", "--events", "FIXTURE", "--window", "-300"],
+            ["detect", "--events", "FIXTURE", "--window", "-5"],
+            ["detect", "--events", "FIXTURE", "--window", "five"],
+        ],
+        ids=lambda argv: f"{argv[0]}{argv[-2]}={argv[-1]}",
+    )
+    def test_bad_integer_flag_is_usage_error_before_any_stage(self, tmp_path, capsys, argv):
+        fixture = str(Path(__file__).parent / "data" / "fixture_events.jsonl")
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as err:
+            cli.main([fixture if arg == "FIXTURE" else arg for arg in argv] + ["--out", str(out)])
+        assert err.value.code == 1
+        minimum = 0 if argv[-2] == "--min-partners" else 1
+        assert f"argument {argv[-2]}: {argv[-1]!r} is not an integer >= {minimum}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [["graph", "--pairs", "p.csv", "--min-partners", "0"],
+                                      ["detect", "--events", "e.jsonl", "--window", "1"]])
+    def test_integer_flag_bounds_accepted(self, argv):
+        args = cli.build_parser().parse_args(argv)
+        assert getattr(args, argv[-2].lstrip("-").replace("-", "_")) == int(argv[-1])
+
+    def test_ingest_has_no_label_flag(self, tmp_path):
+        with pytest.raises(SystemExit) as err:
+            cli.main(["ingest", "--events", "e.jsonl", "--label", "XYZ", "--out", str(tmp_path)])
+        assert err.value.code == 1
 
     def test_usage_error_exit_code(self):
         with pytest.raises(SystemExit) as err:

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from conftest import brute_force_detect, count_of, counts_from_mapping, random_actions
 from syncindex.events import ActionRecord
 from syncindex.synchrony import (
-    SyncWindowConfig,
     action_type_participation,
     detect,
     read_pair_counts_csv,
@@ -23,14 +22,14 @@ def rec(user, t, action="hashtag", artifact="x"):
 
 class TestConfig:
     def test_bucketing(self):
-        config = SyncWindowConfig()
-        assert config.bucket(0) == 0
-        assert config.bucket(299) == 0
-        assert config.bucket(300) == 1
+        assert count_of(detect([rec("u", 0), rec("v", 299)]), "u", "v", "hashtag") == 1
+        assert not detect([rec("u", 299), rec("v", 300)])
+        assert count_of(detect([rec("u", 299), rec("v", 300)], 600), "u", "v", "hashtag") == 1
 
     def test_rejects_bad_window(self):
-        with pytest.raises(ValueError):
-            SyncWindowConfig(window_seconds=0)
+        for window in (0, -300):
+            with pytest.raises(ValueError, match="window_seconds must be positive"):
+                detect([rec("u", 0), rec("v", 1)], window)
 
 
 class TestDetect:
@@ -127,7 +126,8 @@ class TestBruteForce:
             )
         )
         actions = [rec(f"u{u}", t, action, f"a{a}") for u, t, action, a in entries]
-        assert detect(actions) == brute_force_detect(actions)
+        window = data.draw(st.sampled_from([300, 1, 7, 600]))
+        assert detect(actions, window) == brute_force_detect(actions, window)
 
 
 class TestParticipation:
