@@ -1,7 +1,7 @@
 """Synchronized-action detection and the combined synchronization index.
 
 Quantifies co-timed user behavior in social media event data: detects
-users posting the same hashtag, URL, or mention inside 5-minute windows,
+users posting the same hashtag, URL, or mention inside a shared time window,
 scores pairs, users, and whole networks, builds synchronization graphs,
 and partitions the result by externally supplied bot likelihoods.
 """

@@ -27,31 +27,29 @@ class ScoreError(ValueError):
     """Bot likelihood outside [0, 1] or unreadable score table."""
 
 
-def classify_user(score: float, threshold: float = DEFAULT_THRESHOLD) -> str:
-    """bot when score is strictly above the threshold, human otherwise."""
-    if not 0.0 <= score <= 1.0:
-        raise ScoreError(f"score outside [0, 1]: {score!r}")
-    return "bot" if score > threshold else "human"
-
-
 @dataclass(frozen=True)
 class BotScoreTable:
-    """Read-only user -> likelihood mapping with a classification threshold."""
+    """Read-only user -> likelihood mapping with a classification threshold;
+    ScoreError for a score or threshold outside [0, 1]."""
 
     scores: Mapping[str, float]
     threshold: float = DEFAULT_THRESHOLD
     rejected: int = field(default=0, compare=False)
 
     def __post_init__(self) -> None:
+        if not 0.0 <= self.threshold <= 1.0:  # False for NaN
+            raise ScoreError(f"threshold outside [0, 1]: {self.threshold!r}")
         for user, score in self.scores.items():
             if not 0.0 <= score <= 1.0:
                 raise ScoreError(f"score outside [0, 1] for {user!r}: {score!r}")
 
     def classify(self, user: str) -> str:
+        """bot when the user's score is strictly above the threshold, human
+        otherwise, unknown when the user has no score."""
         score = self.scores.get(user)
         if score is None:
             return "unknown"
-        return classify_user(score, self.threshold)
+        return "bot" if score > self.threshold else "human"
 
 
 def load_bot_scores(path: str | Path, threshold: float = DEFAULT_THRESHOLD) -> BotScoreTable:

@@ -19,11 +19,10 @@ from pathlib import Path
 
 from . import bots as botmod
 from . import csi as csimod
-from . import metrics as metricmod
 from . import pipeline
 from . import simulate as simmod
 from . import synchrony
-from .events import CorpusRejectedError, load_events, write_events_jsonl
+from .events import load_events, write_events_jsonl
 
 USAGE_ERROR = 1
 DATA_ERROR = 2
@@ -58,11 +57,12 @@ def _bounded(convert, low: float, high: float, what: str):
 _BOT_THRESHOLD = _bounded(float, 0.0, 1.0, "a number in [0, 1]")
 _WINDOW = _bounded(int, 1, math.inf, "an integer >= 1")
 _MIN_PARTNERS = _bounded(int, 0, math.inf, "an integer >= 0")
+_DEFAULTS = pipeline.PipelineOptions  # class attributes: the defaults of the report options
 
 
 def _add_csi_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--pair-formula", choices=csimod.PAIR_FORMULAS, default="anchored")
-    parser.add_argument("--normalization", choices=csimod.NORMALIZATIONS, default="none")
+    parser.add_argument("--pair-formula", choices=csimod.PAIR_FORMULAS, default=_DEFAULTS.pair_formula)
+    parser.add_argument("--normalization", choices=csimod.NORMALIZATIONS, default=_DEFAULTS.normalization)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -77,7 +77,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("detect", help="detect synchronous user pairs")
     p.add_argument("--events", required=True)
-    p.add_argument("--window", type=_WINDOW, default=300, help="window seconds (default 300)")
+    window_help = "window seconds (default %(default)s)"
+    p.add_argument("--window", type=_WINDOW, default=_DEFAULTS.window_seconds, help=window_help)
     p.add_argument("--lang", default="")
     _add_out(p)
 
@@ -90,15 +91,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pairs", required=True, help="pairs.csv from score")
     p.add_argument("--users", help="users.csv from score (adds csi_user attributes)")
     p.add_argument("--bots", help="bot score CSV (adds user_class attributes)")
-    p.add_argument("--bot-threshold", type=_BOT_THRESHOLD, default=botmod.DEFAULT_THRESHOLD)
-    p.add_argument("--min-partners", type=_MIN_PARTNERS, default=5)
+    p.add_argument("--bot-threshold", type=_BOT_THRESHOLD, default=_DEFAULTS.bot_threshold)
+    p.add_argument("--min-partners", type=_MIN_PARTNERS, default=_DEFAULTS.min_partners)
     _add_out(p)
 
     p = sub.add_parser("metrics", help="structure metrics and centralities")
     p.add_argument("--pairs", required=True, help="pairs.csv from score")
     p.add_argument("--users", help="users.csv from score (hierarchy orientation)")
     p.add_argument("--bots", help="bot score CSV (class clustering)")
-    p.add_argument("--bot-threshold", type=_BOT_THRESHOLD, default=botmod.DEFAULT_THRESHOLD)
+    p.add_argument("--bot-threshold", type=_BOT_THRESHOLD, default=_DEFAULTS.bot_threshold)
     p.add_argument("--events", help="events file; adds all-communication centrality CSV")
     p.add_argument("--seed", type=int, default=0)
     _add_out(p)
@@ -107,10 +108,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--events", required=True)
     p.add_argument("--interactions")
     p.add_argument("--bots")
-    p.add_argument("--bot-threshold", type=_BOT_THRESHOLD, default=botmod.DEFAULT_THRESHOLD)
-    p.add_argument("--window", type=_WINDOW, default=300)
+    p.add_argument("--bot-threshold", type=_BOT_THRESHOLD, default=_DEFAULTS.bot_threshold)
+    p.add_argument("--window", type=_WINDOW, default=_DEFAULTS.window_seconds)
     _add_csi_flags(p)
-    p.add_argument("--min-partners", type=_MIN_PARTNERS, default=5)
+    p.add_argument("--min-partners", type=_MIN_PARTNERS, default=_DEFAULTS.min_partners)
     p.add_argument("--lang", default="")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--label", default="", help="event label in report.json (default: the events file's stem)")
@@ -157,7 +158,7 @@ def _cmd_score(args: argparse.Namespace) -> int:
     counts = synchrony.read_pair_counts_csv(args.pairs)
     config = csimod.CsiConfig(pair_formula=args.pair_formula, normalization=args.normalization)
     tables, _ = pipeline.score_pairs(counts, config, _out_dir(args))
-    if tables is None:
+    if tables.network_score is None:
         print("no synchronized pairs; wrote empty score tables")
     else:
         print(f"csi_network={tables.network_score!r} over {len(tables.user_scores)} users")
@@ -270,16 +271,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (
-        OSError,
-        CorpusRejectedError,
-        botmod.ScoreError,
-        simmod.SimConfigError,
-        pipeline.ReportParseError,
-        csimod.UndefinedNetworkError,
-        metricmod.MetricUndefinedError,
-        ValueError,
-    ) as exc:
+    except (OSError, ValueError) as exc:  # every package error is a ValueError
         print(f"syncindex {args.command}: {exc}", file=sys.stderr)
         return DATA_ERROR
 

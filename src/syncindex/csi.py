@@ -44,11 +44,12 @@ class CsiConfig:
 
 @dataclass
 class CsiTables:
-    """All three index levels for one dataset under one configuration."""
+    """All three index levels for one dataset under one configuration; empty,
+    with network_score None, when no pairs synchronize."""
 
     pair_scores: dict[tuple[str, str], float]
     user_scores: dict[str, float]
-    network_score: float
+    network_score: float | None
     per_action_network: dict[str, float]
 
 
@@ -59,9 +60,7 @@ def _formula_score(values: list[float], formula: str) -> float:
         return k * (sigma - (k - 1))
     if formula == "prose":
         return k * (sigma - k)
-    if formula == "literal":
-        return sigma - k * k
-    raise ValueError(f"unknown pair formula: {formula}")
+    return sigma - k * k  # literal
 
 
 def csi_network(user_scores: dict[str, float]) -> float:
@@ -170,31 +169,18 @@ def read_user_scores_csv(path: str | Path) -> dict[str, float]:
     return scores
 
 
-def network_summary(tables: CsiTables | None, config: CsiConfig) -> dict:
-    """Network and per-action scores; without tables (no pairs) they are null, with a reason."""
-    per_action = tables.per_action_network if tables is not None else {}
+def network_summary(tables: CsiTables, config: CsiConfig) -> dict:
+    """Network and per-action scores; for empty tables (no pairs) they are null, with a reason."""
     summary = {
-        "csi_network": tables.network_score if tables is not None else None,
-        "per_action": {action: per_action.get(action) for action in ACTION_TYPES},
+        "csi_network": tables.network_score,
+        "per_action": {action: tables.per_action_network.get(action) for action in ACTION_TYPES},
         "formula": config.pair_formula,
         "normalization": config.normalization,
     }
-    if tables is None:
+    if tables.network_score is None:
         summary["reason"] = "no synchronized pairs"
     return summary
 
 
 def write_network_summary_json(summary: dict, path: str | Path) -> Path:
     return write_json(path, summary)
-
-
-def write_score_artifacts(tables: CsiTables | None, counts: PairCounts, summary: dict, out: Path) -> None:
-    """pairs.csv, users.csv and network.json (summary from network_summary);
-    header-only tables when there are no pairs."""
-    if tables is None:
-        write_csv(out / "pairs.csv", PAIR_COLUMNS, ())
-        write_csv(out / "users.csv", USER_COLUMNS, ())
-    else:
-        write_pair_scores_csv(tables, counts, out / "pairs.csv")
-        write_user_scores_csv(tables, out / "users.csv")
-    write_network_summary_json(summary, out / "network.json")

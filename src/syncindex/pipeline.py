@@ -31,10 +31,10 @@ class ReportParseError(ValueError):
 
 @dataclass(frozen=True)
 class PipelineOptions:
-    window_seconds: int = 300
+    window_seconds: int = synchrony.DEFAULT_WINDOW_SECONDS
     bot_threshold: float = botmod.DEFAULT_THRESHOLD
-    pair_formula: str = "anchored"
-    normalization: str = "none"
+    pair_formula: str = csimod.CsiConfig.pair_formula
+    normalization: str = csimod.CsiConfig.normalization
     min_partners: int = 5
     lang: str = ""
     seed: int = 0
@@ -60,8 +60,6 @@ class EventReport:
 
 def round_floats(obj: object, digits: int = 6) -> object:
     """Recursively round floats to significant digits for serialization."""
-    if isinstance(obj, bool):
-        return obj
     if isinstance(obj, float):
         return float(f"{obj:.{digits}g}")
     if isinstance(obj, dict):
@@ -111,12 +109,15 @@ def detect_pairs(dataset: EventDataset, window_seconds: int, out: Path) -> Detec
 
 def score_pairs(
     counts: synchrony.PairCounts, config: csimod.CsiConfig, out: Path
-) -> tuple[csimod.CsiTables | None, dict]:
-    """The index hierarchy (None when there are no synchronized pairs) and its
-    network summary; writes pairs.csv, users.csv and network.json."""
-    tables = csimod.compute_tables(counts, config) if counts else None
+) -> tuple[csimod.CsiTables, dict]:
+    """The index hierarchy (empty, network_score None, when there are no
+    synchronized pairs) and its network summary; writes pairs.csv, users.csv
+    and network.json."""
+    tables = csimod.compute_tables(counts, config) if counts else csimod.CsiTables({}, {}, None, {})
     summary = csimod.network_summary(tables, config)
-    csimod.write_score_artifacts(tables, counts, summary, out)
+    csimod.write_pair_scores_csv(tables, counts, out / "pairs.csv")
+    csimod.write_user_scores_csv(tables, out / "users.csv")
+    csimod.write_network_summary_json(summary, out / "network.json")
     return tables, summary
 
 
@@ -229,8 +230,7 @@ def run_pipeline(
     detection = detect_pairs(dataset, options.window_seconds, out)
     counts = detection.counts
     tables, summary = score_pairs(counts, csi_config, out)
-    user_scores = tables.user_scores if tables is not None else {}
-    sync = sync_graph(tables.pair_scores if tables is not None else {}, user_scores, bot_table)
+    sync = sync_graph(tables.pair_scores, tables.user_scores, bot_table)
     write_sync_graphs(sync, options.min_partners, out)
     per_user = synchrony.user_action_type_counts(counts)
 
@@ -256,7 +256,7 @@ def run_pipeline(
         notices=notices,
     )
     participation = []
-    if tables is None:
+    if not counts:
         report.reason = "no synchronized pairs detected"
     else:
         centralities = allcomm_centralities(dataset)

@@ -20,6 +20,7 @@ from pathlib import Path
 from typing import Mapping
 
 from .events import ACTION_TYPES, EventDataset, PostEvent, write_csv
+from .synchrony import DEFAULT_WINDOW_SECONDS
 
 DEFAULT_VOCABULARY = 10_000
 
@@ -57,19 +58,20 @@ class CohortSpec:
 class SimConfig:
     seed: int = 0
     duration_seconds: int = 4 * 3600
-    window_seconds: int = 300
+    window_seconds: int = DEFAULT_WINDOW_SECONDS  # detect's default window
     background_users: int = 0
     background_rate_per_hour: float = 2.0
     cohorts: tuple[CohortSpec, ...] = ()
-    vocabulary_sizes: Mapping[str, int] = field(
-        default_factory=lambda: {a: DEFAULT_VOCABULARY for a in ACTION_TYPES}
-    )
+    vocabulary_sizes: Mapping[str, int] = field(default_factory=dict)  # DEFAULT_VOCABULARY for a missing type
 
     def __post_init__(self) -> None:
         if self.duration_seconds <= 0 or self.window_seconds <= 0:
             raise SimConfigError("duration and window must be positive")
-        if self.background_users < 0 or self.background_rate_per_hour < 0:
-            raise SimConfigError("background settings must be non-negative")
+        if self.background_users < 0 or not 0 <= self.background_rate_per_hour < math.inf:  # False for NaN
+            raise SimConfigError("background settings must be finite and non-negative")
+        for action, size in self.vocabulary_sizes.items():
+            if size < 1:
+                raise SimConfigError(f"vocabulary_sizes[{action!r}] must be >= 1, not {size!r}")
         if self.background_users == 0 and not self.cohorts:
             raise SimConfigError("nothing to generate: no users configured")
         buckets = self.duration_seconds // self.window_seconds
@@ -205,37 +207,29 @@ def write_bot_scores_csv(scores: Mapping[str, float], path: str | Path) -> Path:
     return write_csv(path, ("user_id", "score"), rows)
 
 
+# Each key of the JSON config with its conversion; a key the JSON lacks takes
+# the dataclass default.
+_COHORT_KEYS = {
+    "member_count": int, "user_class": str, "action_types": tuple, "artifacts": tuple,
+    "windows_active": int, "posts_per_window": int,
+}
+_CONFIG_KEYS = {
+    "seed": int, "duration_seconds": int, "window_seconds": int, "background_users": int,
+    "background_rate_per_hour": float,
+    "cohorts": lambda cohorts: tuple(CohortSpec(**_fields(c, _COHORT_KEYS)) for c in cohorts),
+    "vocabulary_sizes": lambda sizes: {k: int(v) for k, v in sizes.items()},
+}
+
+
+def _fields(obj: dict, keys: dict) -> dict:
+    return {key: keys[key](value) for key, value in obj.items() if key in keys}
+
+
 def config_from_json(path: str | Path) -> SimConfig:
     """Load a SimConfig from its documented JSON shape; SimConfigError naming
     the file when the JSON does not have that shape."""
     obj = json.loads(Path(path).read_text(encoding="utf-8"))
     try:
-        return _config_from_mapping(obj)
-    except (AttributeError, KeyError, TypeError, OverflowError) as exc:
+        return SimConfig(**_fields(obj, _CONFIG_KEYS))
+    except (AttributeError, TypeError, OverflowError) as exc:
         raise SimConfigError(f"{path}: not a simulation config ({type(exc).__name__}: {exc})") from exc
-
-
-def _config_from_mapping(obj: dict) -> SimConfig:
-    cohorts = tuple(
-        CohortSpec(
-            member_count=int(c["member_count"]),
-            user_class=c.get("user_class", "bot"),
-            action_types=tuple(c.get("action_types", ["hashtag"])),
-            artifacts=tuple(c.get("artifacts", [])),
-            windows_active=int(c.get("windows_active", 1)),
-            posts_per_window=int(c.get("posts_per_window", 1)),
-        )
-        for c in obj.get("cohorts", [])
-    )
-    return SimConfig(
-        seed=int(obj.get("seed", 0)),
-        duration_seconds=int(obj.get("duration_seconds", 4 * 3600)),
-        window_seconds=int(obj.get("window_seconds", 300)),
-        background_users=int(obj.get("background_users", 0)),
-        background_rate_per_hour=float(obj.get("background_rate_per_hour", 2.0)),
-        cohorts=cohorts,
-        vocabulary_sizes={
-            **{a: DEFAULT_VOCABULARY for a in ACTION_TYPES},
-            **{k: int(v) for k, v in obj.get("vocabulary_sizes", {}).items()},
-        },
-    )

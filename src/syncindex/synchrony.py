@@ -1,4 +1,4 @@
-"""Co-timed action detection within fixed 5-minute windows.
+"""Co-timed action detection within fixed windows of a configurable length.
 
 Two users synchronize on an action type when they post the same canonical
 artifact inside the same epoch-aligned bucket (floor(timestamp / window)).
@@ -16,6 +16,7 @@ from typing import Iterable
 from .events import ACTION_TYPES, ActionRecord, read_csv, write_csv
 
 PAIR_COUNT_COLUMNS = ("user_u", "user_v", "action_type", "count")
+DEFAULT_WINDOW_SECONDS = 300
 # The largest count a stage table may carry: float(count) is exact up to
 # 2**53, and every score and user sum stays finite.
 MAX_COUNT = 2**53
@@ -30,7 +31,7 @@ PairCounts = dict[tuple[str, str], dict[str, int]]
 
 def detect(
     actions: Iterable[ActionRecord],
-    window_seconds: int = 300,
+    window_seconds: int = DEFAULT_WINDOW_SECONDS,
 ) -> PairCounts:
     """Group actions by (action type, artifact, timestamp // window_seconds)
     and count pair co-memberships; ValueError for a window below 1 second.

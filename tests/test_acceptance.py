@@ -21,7 +21,7 @@ from conftest import (
     random_actions,
     random_graph,
 )
-from syncindex.bots import classify_user
+from syncindex.bots import BotScoreTable
 from syncindex.csi import compute_tables
 from syncindex.events import ActionRecord, extract_actions, filter_originals
 from syncindex.graphs import build_sync_graph, prune_by_partner_count
@@ -198,8 +198,8 @@ def test_criterion_06_monotonicity_suite():
 
 def test_criterion_07_boundary_semantics():
     with criterion(7, "threshold, bucket boundary, and k-core fixed point semantics"):
-        assert classify_user(0.70) == "human"
-        assert classify_user(0.71) == "bot"
+        assert BotScoreTable({"u": 0.70}).classify("u") == "human"
+        assert BotScoreTable({"u": 0.71}).classify("u") == "bot"
         boundary = detect(
             [
                 ActionRecord("u", 299, "hashtag", "x"),

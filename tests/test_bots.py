@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -17,7 +19,6 @@ from syncindex.bots import (
     average_csi_by_pair_class,
     average_csi_by_user_class,
     centrality_by_class,
-    classify_user,
     class_triangle_totals,
     clustering_by_class,
     load_bot_scores,
@@ -37,12 +38,12 @@ def table(scores, threshold=0.70):
 class TestClassify:
     @pytest.mark.parametrize("score,expected", [(0.71, "bot"), (0.70, "human"), (0.0, "human"), (1.0, "bot")])
     def test_threshold_is_strict(self, score, expected):
-        assert classify_user(score) == expected
+        assert table({"a": score}).classify("a") == expected
 
     @pytest.mark.parametrize("score", [-0.1, 1.2])
     def test_out_of_range_rejected(self, score):
         with pytest.raises(ScoreError):
-            classify_user(score)
+            table({"a": score}).classify("a")
 
     def test_unknown_when_unscored(self):
         assert table({"a": 0.9}).classify("b") == "unknown"
@@ -65,6 +66,11 @@ class TestClassify:
     def test_table_rejects_bad_scores(self):
         with pytest.raises(ScoreError):
             table({"a": 1.5})
+
+    @pytest.mark.parametrize("threshold", [math.nan, -0.1, 2.0])
+    def test_table_rejects_threshold_outside_unit_interval(self, threshold):
+        with pytest.raises(ScoreError, match="threshold outside"):
+            table({"a": 0.9}, threshold=threshold)
 
 
 class TestLoad:

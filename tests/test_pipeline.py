@@ -5,6 +5,7 @@ import json
 import logging
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -337,6 +338,56 @@ def test_shift_by_whole_windows_gives_identical_artifacts(tmp_path_factory, case
     assert_same_files(*outs)
 
 
+@settings(max_examples=15, deadline=None)
+@given(simulated_events())
+def test_split_posts_and_interactions_give_identical_artifacts(tmp_path_factory, case):
+    """Posts in --events and interactions in --interactions give the report
+    artifacts, and the ingest output, of one file holding both."""
+    lines, scores = case
+    is_post = ["source_user" not in json.loads(line) for line in lines]
+    whole, split = tmp_path_factory.mktemp("whole"), tmp_path_factory.mktemp("split")
+    events, bots = write_inputs(whole, lines, scores)
+    posts, _ = write_inputs(split, [line for line, post in zip(lines, is_post) if post], scores)
+    interactions = split / "interactions.jsonl"
+    interactions.write_text("".join(line + "\n" for line, post in zip(lines, is_post) if not post), encoding="utf-8")
+    for root, files in ((whole, ["--events", str(events)]),
+                        (split, ["--events", str(posts), "--interactions", str(interactions)])):
+        argv = ["report", *files, "--bots", str(bots), "--label", "L", "--out", str(root / "full")]
+        assert cli.main(argv) == 0
+        assert cli.main(["ingest", *files, "--out", str(root / "stage")]) == 0
+    for name in ("full", "stage"):
+        assert_same_files(whole / name, split / name)
+
+
+@settings(max_examples=15, deadline=None)
+@given(simulated_events(), st.text("xyz_", min_size=1, max_size=3))
+def test_prefixed_user_ids_give_the_renamed_artifacts(tmp_path_factory, case, prefix):
+    """A common prefix on every user id keeps the ids' order, so each report
+    artifact is the original one with every id renamed."""
+    lines, scores = case
+    renamed = []
+    for line in lines:
+        record = json.loads(line)
+        for key in ("user_id", "source_user", "target_user"):
+            if key in record:
+                record[key] = prefix + record[key]
+        renamed.append(json.dumps(record))
+    outs = []
+    for given_lines, given_scores in ((lines, scores), (renamed, {prefix + u: s for u, s in scores.items()})):
+        root = tmp_path_factory.mktemp("rename")
+        events, bots = write_inputs(root, given_lines, given_scores)
+        argv = ["report", "--events", str(events), "--bots", str(bots), "--label", "L"]
+        assert cli.main([*argv, "--out", str(root / "full")]) == 0
+        outs.append(root / "full")
+    # bots.csv scores every simulated user, so its ids are all the ids.
+    ids = re.compile(r"\b(?:%s)\b" % "|".join(map(re.escape, sorted(scores, key=len, reverse=True))))
+    names = sorted(p.name for p in outs[0].iterdir())
+    assert names == sorted(p.name for p in outs[1].iterdir())
+    for name in names:
+        original = (outs[0] / name).read_text(encoding="utf-8")
+        assert ids.sub(lambda m: prefix + m.group(), original) == (outs[1] / name).read_text(encoding="utf-8"), name
+
+
 # Stage-table cells: ids, action types and numbers, well formed or not.
 stage_cells = st.one_of(
     st.sampled_from(["a", "b", "c", "hashtag", "url", "mention", "Hashtag", "1", "2", "0", "-1", "2.5",
@@ -592,6 +643,19 @@ class TestCli:
         assert (out / "events.jsonl").exists()
         assert (out / "ground_truth.csv").exists()
         assert (out / "bots.csv").exists()
+
+    @pytest.mark.parametrize(
+        "setting,message",
+        [('"background_rate_per_hour": NaN', "finite and non-negative"),
+         ('"vocabulary_sizes": {"url": 0}', "vocabulary_sizes['url'] must be >= 1")],
+        ids=["nan-rate", "zero-vocabulary"],
+    )
+    def test_simulate_bad_config_value_is_data_error(self, tmp_path, capsys, setting, message):
+        config_path = tmp_path / "sim.json"
+        config_path.write_text('{"background_users": 3, %s}' % setting)
+        assert cli.main(["simulate", "--config", str(config_path), "--out", str(tmp_path / "sim")]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "sim").exists()
 
     def test_compare_subcommand(self, tmp_path, capsys):
         r1 = tmp_path / "one.json"

@@ -1,6 +1,10 @@
 from __future__ import annotations
 
+import dataclasses
 import json
+import math
+import re
+from pathlib import Path
 
 import pytest
 
@@ -57,6 +61,30 @@ class TestConfig:
     def test_unknown_action_type_rejected(self):
         with pytest.raises(SimConfigError):
             CohortSpec(member_count=2, action_types=("emoji",))
+
+    @pytest.mark.parametrize("rate", [math.nan, math.inf, -1.0])
+    def test_background_rate_must_be_finite_and_non_negative(self, rate):
+        with pytest.raises(SimConfigError, match="finite and non-negative"):
+            SimConfig(background_users=5, background_rate_per_hour=rate)
+
+    @pytest.mark.parametrize("size", [0, -3])
+    def test_vocabulary_size_below_one_rejected(self, size):
+        with pytest.raises(SimConfigError, match=r"vocabulary_sizes\['url'\] must be >= 1"):
+            SimConfig(background_users=5, vocabulary_sizes={"hashtag": 5, "url": size})
+
+    def test_readme_lists_the_config_defaults(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        listed = {key: json.loads(text) for key, text in re.findall(r"^\| `(\w+)` \| `([^`]*)` \|", readme, re.M)}
+        defaults = {
+            f.name: f.default if f.default_factory is dataclasses.MISSING else f.default_factory()
+            for f in dataclasses.fields(SimConfig)
+        }
+        assert listed == {key: list(value) if isinstance(value, tuple) else value for key, value in defaults.items()}
+
+    def test_missing_config_keys_take_the_dataclass_defaults(self, tmp_path):
+        path = tmp_path / "sim.json"
+        path.write_text(json.dumps({"cohorts": [{"member_count": 2}]}))
+        assert config_from_json(path) == SimConfig(cohorts=(CohortSpec(member_count=2),))
 
 
 class TestGenerate:
