@@ -8,32 +8,22 @@ orders are fixed (sorted nodes) so outputs are bit-deterministic.
 Every metric reads a graphs.Graph: node i is the i-th node in sorted
 order, so index order is id order, and the edges are two flat index lists.
 The betweenness and eigenvector kernels read its sorted adjacency rows.
-Their floats depend only on the order of each accumulation, which is fixed:
-betweenness visits sources in ascending order and adds each node's
-dependency (sigma_v / sigma_w) * (1 + delta_w) once per successor w, in
-reverse BFS order, with neighbours scanned ascending; power iteration sums
-each row in ascending neighbour order, starting from the node's own value.
-A source with no neighbours adds nothing and is skipped.
+Power iteration sums each row in ascending neighbour order, starting from
+the node's own value, so its floats are fixed. It runs on the non-isolated
+nodes plus one neighbourless node standing for all isolated nodes. An
+isolated node's next value is its own value, so all of them start at 1.0
+and stay equal at every step; the one shared value enters the peak and the
+convergence test as each of them did, so every float equals full
+iteration's bit for bit.
 
-Power iteration runs on the non-isolated nodes plus one neighbourless node
-standing for all isolated nodes. An isolated node's next value is its own
-value, so all of them start at 1.0 and stay equal at every step; the one
-shared value enters the peak and the convergence test as each of them did,
-so every float equals full iteration's bit for bit.
-
-Betweenness folds leaves without changing a float. A source s of degree 1
-whose neighbour t has degree > 1 runs no BFS: its BFS is t's with s
-removed, in the same order, so delta_s(v) = delta_t(v) bit for bit for
-every v outside {s, t}, and delta_s(t) is the sum from 0.0 of
-1 + delta_t(w) over t's other neighbours w in descending id order (reverse
-BFS order; each term is (1 / 1) * (1 + delta_t(w)) exactly). t's BFS runs
-once, at the first of t and its leaves in source order, and its nonzero
-dependencies are kept until the last of them; a zero dependency is not
-added, which is exact because the sums never hold -0.0. At most
-FOLD_STORE_CAP entries are kept at once, and a hub that does not fit is
-recomputed at each of its users. In back-propagation a leaf other than the
-root has its parent's sigma and no dependency, so it adds exactly 1.0 to
-its parent and nothing to the sums.
+Betweenness runs Brandes inside each biconnected block (Puzis et al. 2012;
+Baglioni et al. 2012): a node's value is the number of ordered pairs it
+separates, plus, per block, the block's Brandes sums with each member s
+standing for weight_s = 1 + the nodes that reach the block only through s.
+A two-node block has no interior, so a leaf costs nothing. The sums run in
+a fixed order other than a whole-graph Brandes', so they match
+tests/conftest.dict_betweenness to rounding, and bit for bit on a forest,
+where every sum is an exact integer.
 
 louvain_partition is networkx's louvain_communities(weight=None, seed) on
 the graph relabeled to sorted integer indices, replayed move for move on
@@ -59,18 +49,11 @@ from __future__ import annotations
 import logging
 import math
 import random
-from array import array
 from dataclasses import dataclass
 
 from .graphs import Graph
 
 logger = logging.getLogger(__name__)
-
-# Most entries (16 bytes each at most, so 4 MiB) that betweenness_centrality
-# keeps at once for the later users of folded hubs; a hub that does not fit
-# is recomputed at each of its users.
-FOLD_STORE_CAP = 1 << 18
-
 
 class MetricUndefinedError(ValueError):
     """The metric does not exist for this graph (too few nodes, no edges)."""
@@ -89,7 +72,8 @@ def degree_centrality(graph: Graph) -> dict[str, float]:
 
 
 def betweenness_centrality(graph: Graph) -> dict[str, float]:
-    """Brandes betweenness on unweighted shortest paths, normalized by (n-1)(n-2)/2.
+    """Brandes betweenness on unweighted shortest paths, normalized by (n-1)(n-2)/2,
+    computed block by block (see the module docstring).
 
     Fewer than 3 nodes: all zeros (no interior positions exist).
     """
@@ -98,96 +82,108 @@ def betweenness_centrality(graph: Graph) -> dict[str, float]:
     if n < 3:
         return dict.fromkeys(nodes, 0.0)
     adjacency = graph.adjacency
-    # parent[v]: the one neighbour of a degree-1 node, else -1.
-    parent = [row[0] if len(row) == 1 else -1 for row in adjacency]
-    # hub[s]: the node whose BFS s's turn uses. A leaf whose neighbour t has
-    # degree > 1 uses t's; last[t] is the last source that uses t's.
-    hub = list(range(n))
-    last = list(range(n))
-    for s, t in enumerate(parent):
-        if t >= 0 and parent[t] < 0:
-            hub[s] = t
-            last[t] = s if s > t else t
-    accum = [0.0] * n
-    dist = [-1] * n
-    sigma = [0] * n
-    delta = [0.0] * n
-    folds: dict[int, tuple[array, array, array]] = {}  # hub -> its later users' data
-    stored = 0
-
-    for source in range(n):
-        if not adjacency[source]:
-            continue  # an isolated source reaches nothing and adds nothing
-        t = hub[source]
-        fold = folds.get(t)
-        if fold is not None:
-            ids, deps, around = fold
-            if t != source:
-                accum[t] += _leaf_dependency(adjacency[t], around, source)
-            for v, d in zip(ids, deps):
-                accum[v] += d
-            if last[t] == source:
-                del folds[t]
-                stored -= len(ids) + len(around)
-            continue
-        dist[t] = 0
-        sigma[t] = 1
-        order = [t]  # BFS order; the loop below appends while it reads
-        for v in order:
-            next_dist = dist[v] + 1
-            paths = sigma[v]
-            for w in adjacency[v]:
-                d = dist[w]
-                if d < 0:
-                    dist[w] = next_dist
-                    sigma[w] = paths
-                    order.append(w)
-                elif d == next_dist:
-                    sigma[w] += paths
-        # Dependencies in reverse BFS order. The predecessors of w are its
-        # neighbours one level up; the root has none and is skipped. A leaf
-        # has its parent's sigma and no dependency, so it adds exactly 1.0.
-        for w in reversed(order[1:]):
-            p = parent[w]
-            if p >= 0:
-                delta[p] += 1.0
-                continue
-            up = dist[w] - 1
-            paths = sigma[w]
-            weight = 1.0 + delta[w]
-            for v in adjacency[w]:
-                if dist[v] == up:
-                    delta[v] += (sigma[v] / paths) * weight
-            accum[w] += delta[w]
-        row = adjacency[t]
-        if t != source:
-            accum[t] += _leaf_dependency(row, [delta[w] for w in row], source)
-        if last[t] != source and stored + len(order) + len(row) <= FOLD_STORE_CAP:
-            # Zero dependencies are left out: the sums never hold -0.0, so
-            # adding 0.0 would change nothing.
-            ids = array("l", [w for w in order[1:] if delta[w]])
-            folds[t] = (ids, array("d", [delta[w] for w in ids]), array("d", [delta[w] for w in row]))
-            stored += len(ids) + len(row)
-        for v in order:
-            dist[v] = -1
-            sigma[v] = 0
-            delta[v] = 0.0
-
-    # Each unordered pair is visited from both endpoints, so the pair-halving
+    accum, blocks = _blocks(adjacency)
+    for members, weights in blocks:
+        # Brandes on the block's local rows, each member s standing for
+        # weights[s] sources and weights[s] targets.
+        local = {v: i for i, v in enumerate(members)}
+        rows = [[local[u] for u in adjacency[v] if u in local] for v in members]
+        m = len(rows)
+        for source, copies in enumerate(weights):
+            dist = [-1] * m
+            sigma = [0] * m
+            delta = [0.0] * m
+            dist[source] = 0
+            sigma[source] = 1
+            order = [source]  # BFS order; the loop below appends while it reads
+            for v in order:
+                next_dist = dist[v] + 1
+                paths = sigma[v]
+                for w in rows[v]:
+                    d = dist[w]
+                    if d < 0:
+                        dist[w] = next_dist
+                        sigma[w] = paths
+                        order.append(w)
+                    elif d == next_dist:
+                        sigma[w] += paths
+            # Dependencies in reverse BFS order. The predecessors of w are its
+            # neighbours one level up; the root has none and is skipped.
+            for w in reversed(order[1:]):
+                up = dist[w] - 1
+                paths = sigma[w]
+                weight = weights[w] + delta[w]
+                for v in rows[w]:
+                    if dist[v] == up:
+                        delta[v] += (sigma[v] / paths) * weight
+                accum[members[w]] += copies * delta[w]
+    # Each unordered pair is counted from both endpoints, so the pair-halving
     # and the (n-1)(n-2)/2 normalizer combine into one factor.
     scale = 1.0 / ((n - 1) * (n - 2))
     return {node: value * scale for node, value in zip(nodes, accum)}
 
 
-def _leaf_dependency(row: list[int], around, leaf: int) -> float:
-    """A folded leaf's dependency on its hub: 1.0 + delta_w summed over the
-    hub's other neighbours w in descending id order (reverse BFS order from
-    the leaf), where around[i] is the hub BFS's delta of row[i]."""
-    total = 0.0
-    for w, d in zip(reversed(row), reversed(around)):
-        if w != leaf:
-            total += 1.0 + d
-    return total
+def _blocks(adjacency: list[list[int]]) -> tuple[list[int], list[tuple[list[int], list[int]]]]:
+    """One iterative Hopcroft-Tarjan DFS from ascending roots, scanning each
+    row ascending. Returns each node's separated ordered-pair count (the
+    ordered pairs of other nodes in different components of its component
+    minus the node: sum |C_i| * |C_j|, i != j) and the blocks of 3 or more
+    nodes as (members ascending, weights), a member's weight being 1 plus the
+    nodes that reach the block only through it."""
+    n = len(adjacency)
+    disc = [-1] * n
+    low = [0] * n
+    size = [1] * n
+    cut = [0] * n  # nodes in the DFS subtrees cut off at the node
+    squares = [0] * n  # the sum of their sizes squared
+    pairs = [0] * n
+    blocks = []
+    clock = 0
+    for root in range(n):
+        if disc[root] >= 0 or not adjacency[root]:
+            continue
+        disc[root] = low[root] = clock
+        clock += 1
+        component = [root]
+        stack = [root]  # nodes not yet assigned to a block
+        trail = [(root, iter(adjacency[root]))]
+        found = []  # (top, child, members) of each block of 3 or more nodes
+        while trail:
+            v, scan = trail[-1]
+            for w in scan:
+                if disc[w] < 0:
+                    disc[w] = low[w] = clock
+                    clock += 1
+                    component.append(w)
+                    stack.append(w)
+                    trail.append((w, iter(adjacency[w])))
+                    break
+                if disc[w] < low[v]:  # the edge to the parent included: harmless
+                    low[v] = disc[w]
+            else:
+                trail.pop()
+                if not trail:
+                    break
+                p = trail[-1][0]
+                size[p] += size[v]
+                if low[v] < low[p]:
+                    low[p] = low[v]
+                elif low[v] >= disc[p]:  # p separates v's subtree: a block ends
+                    cut[p] += size[v]
+                    squares[p] += size[v] * size[v]
+                    members = [p]
+                    while members[-1] != v:
+                        members.append(stack.pop())
+                    if len(members) > 2:
+                        found.append((p, v, members))
+        total = len(component)
+        for v in component:
+            rest = total - 1 - cut[v]  # the part holding the DFS parent
+            pairs[v] = (total - 1) ** 2 - squares[v] - rest * rest
+        for top, child, members in found:
+            members.sort()
+            blocks.append((members, [total - size[child] if v == top else 1 + cut[v] for v in members]))
+    return pairs, blocks
 
 
 def eigenvector_centrality(graph: Graph, tol: float = 1e-9, max_iter: int = 1000) -> dict[str, float]:

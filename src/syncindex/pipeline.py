@@ -295,7 +295,7 @@ def compare(report_paths: Sequence[str | Path]) -> list[tuple[str, float]]:
                 raise ValueError("missing or non-numeric csi_network_combined")
             if not math.isfinite(value):  # OverflowError for an int beyond the float range
                 raise ValueError(f"csi_network_combined {value!r} is not finite")
-        except (OSError, ValueError, KeyError, TypeError, OverflowError) as exc:
+        except (OSError, ValueError, KeyError, TypeError, OverflowError, RecursionError) as exc:
             raise ReportParseError(f"{path}: {exc}") from exc
         entries.append((label, float(value)))
     entries.sort(key=lambda entry: (entry[1], entry[0]))

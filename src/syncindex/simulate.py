@@ -208,7 +208,7 @@ def write_bot_scores_csv(scores: Mapping[str, float], path: str | Path) -> Path:
 
 
 # Each key of the JSON config with its conversion; a key the JSON lacks takes
-# the dataclass default.
+# the dataclass default, and a key not listed is an error.
 _COHORT_KEYS = {
     "member_count": int, "user_class": str, "action_types": tuple, "artifacts": tuple,
     "windows_active": int, "posts_per_window": int,
@@ -216,20 +216,24 @@ _COHORT_KEYS = {
 _CONFIG_KEYS = {
     "seed": int, "duration_seconds": int, "window_seconds": int, "background_users": int,
     "background_rate_per_hour": float,
-    "cohorts": lambda cohorts: tuple(CohortSpec(**_fields(c, _COHORT_KEYS)) for c in cohorts),
+    "cohorts": lambda cohorts: tuple(CohortSpec(**_fields(c, _COHORT_KEYS, "cohort key")) for c in cohorts),
     "vocabulary_sizes": lambda sizes: {k: int(v) for k, v in sizes.items()},
 }
 
 
-def _fields(obj: dict, keys: dict) -> dict:
-    return {key: keys[key](value) for key, value in obj.items() if key in keys}
+def _fields(obj: dict, keys: dict, what: str) -> dict:
+    unknown = sorted(obj.keys() - keys)
+    if unknown:
+        raise SimConfigError(f"unknown {what} {', '.join(map(repr, unknown))}")
+    return {key: keys[key](value) for key, value in obj.items()}
 
 
 def config_from_json(path: str | Path) -> SimConfig:
-    """Load a SimConfig from its documented JSON shape; SimConfigError naming
-    the file when the JSON does not have that shape."""
-    obj = json.loads(Path(path).read_text(encoding="utf-8"))
+    """Load a SimConfig from its documented JSON shape; every SimConfigError
+    (a bad shape, an unknown key, a broken bound) names the file."""
     try:
-        return SimConfig(**_fields(obj, _CONFIG_KEYS))
-    except (AttributeError, TypeError, OverflowError) as exc:
+        return SimConfig(**_fields(json.loads(Path(path).read_text(encoding="utf-8")), _CONFIG_KEYS, "key"))
+    except SimConfigError as exc:
+        raise SimConfigError(f"{path}: {exc}") from exc
+    except (AttributeError, TypeError, ValueError, OverflowError, RecursionError) as exc:
         raise SimConfigError(f"{path}: not a simulation config ({type(exc).__name__}: {exc})") from exc

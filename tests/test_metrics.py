@@ -1,11 +1,11 @@
 from __future__ import annotations
 
 import gc
+import itertools
 import math
 import random
 import tracemalloc
 from dataclasses import replace
-from unittest import mock
 
 import networkx as nx
 import pytest
@@ -24,9 +24,7 @@ from conftest import (
     set_triangle_counts,
 )
 from syncindex.bots import BotScoreTable, class_triangle_totals, clustering_by_class
-from syncindex import metrics as metricmod
 from syncindex.metrics import (
-    FOLD_STORE_CAP,
     MetricUndefinedError,
     PowerIterationError,
     avg_local_clustering,
@@ -211,9 +209,41 @@ def leafy_graphs(draw):
     return graph
 
 
+@st.composite
+def blocky_graphs(draw, forest=False):
+    """Graphs of many biconnected blocks: one to three components, each
+    grown from one node by gluing cycles, cliques, bridges and pendant trees
+    at existing nodes (which become cut vertices), plus isolated nodes, under
+    shuffled string ids. forest=True glues only bridges and trees."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    ids = [f"{rng.choice('abxyz')}{i}" for i in range(200)]
+    rng.shuffle(ids)
+    fresh = iter(ids)
+    shapes = ["bridge", "tree"] if forest else ["cycle", "clique", "bridge", "tree"]
+    graph = nx.Graph()
+    for _ in range(draw(st.integers(1, 3))):
+        placed = [next(fresh)]
+        graph.add_node(placed[0])
+        for _ in range(draw(st.integers(0, 6))):
+            at = rng.choice(placed)
+            shape = draw(st.sampled_from(shapes))
+            new = [next(fresh) for _ in range(1 if shape == "bridge" else rng.randint(2, 5))]
+            if shape == "cycle":
+                nx.add_cycle(graph, [at, *new])
+            elif shape == "clique":
+                graph.add_edges_from(itertools.combinations([at, *new], 2))
+            elif shape == "bridge":
+                graph.add_edge(at, new[0])
+            else:
+                for i, node in enumerate(new):
+                    graph.add_edge(node, rng.choice([at, *new[:i]]))
+            placed += new
+    graph.add_nodes_from(next(fresh) for _ in range(draw(st.integers(0, 3))))
+    return graph
+
+
 def comb(spine: int) -> nx.Graph:
-    """A path of spine parents, each with one leaf; every parent id sorts
-    before every leaf id, so every folded hub's data is wanted at once."""
+    """A path of spine parents, each with one leaf."""
     graph = nx.Graph()
     nx.add_path(graph, [f"p{i:05d}" for i in range(spine)])
     graph.add_edges_from((f"p{i:05d}", f"q{i:05d}") for i in range(spine))
@@ -224,13 +254,26 @@ def hexed(values: dict) -> dict:
     return {node: value.hex() for node, value in values.items()}
 
 
+def assert_close_to_oracle(values: dict, graph: nx.Graph) -> None:
+    """The block kernel's contract: the dict oracle's nodes in its order,
+    each value within 1e-12 relative of the oracle's and zero exactly where
+    the oracle's is."""
+    expected = dict_betweenness(graph)
+    assert list(values) == list(expected)
+    for node, value in expected.items():
+        assert (values[node] == 0.0) == (value == 0.0), node
+        assert values[node] == pytest.approx(value, rel=1e-12, abs=0.0), node
+
+
 class TestKernelsMatchDictOracles:
-    """The integer kernels reproduce the dict-based definitions bit for bit."""
+    """The betweenness kernel matches the dict-based Brandes within 1e-12
+    (bit for bit on forests); power iteration matches its dict-based
+    definition bit for bit."""
 
     @settings(max_examples=200, deadline=None)
     @given(multi_component_graphs())
-    def test_betweenness_bit_identical(self, graph):
-        assert hexed(betweenness_centrality(from_nx(graph))) == hexed(dict_betweenness(graph))
+    def test_betweenness_within_1e12_of_dict_oracle(self, graph):
+        assert_close_to_oracle(betweenness_centrality(from_nx(graph)), graph)
 
     @settings(max_examples=300, deadline=None)
     @given(multi_component_graphs() | mostly_isolated_graphs(), st.sampled_from([3, 1000]))
@@ -246,36 +289,45 @@ class TestKernelsMatchDictOracles:
         if max_iter == 1000 and converged:
             shared = node_centralities(from_nx(graph))
             assert hexed(shared.eigenvector) == hexed(expected)
-            assert hexed(shared.betweenness) == hexed(dict_betweenness(graph))
+            assert_close_to_oracle(shared.betweenness, graph)
 
-    # cap 0 recomputes every folded hub at each of its users; 12 keeps the
-    # data of small hubs and recomputes the larger ones.
-    @pytest.mark.parametrize("cap", [FOLD_STORE_CAP, 0, 12], ids=["default-cap", "cap-0", "cap-12"])
     @settings(max_examples=200, deadline=None)
-    @given(graph=leafy_graphs())
-    def test_betweenness_bit_identical_on_leafy_graphs(self, graph, cap):
-        expected = hexed(dict_betweenness(graph))
-        with mock.patch.object(metricmod, "FOLD_STORE_CAP", cap):
-            assert hexed(betweenness_centrality(from_nx(graph))) == expected
+    @given(leafy_graphs())
+    def test_betweenness_within_1e12_on_leafy_graphs(self, graph):
+        assert_close_to_oracle(betweenness_centrality(from_nx(graph)), graph)
 
-    def test_comb_peak_memory_within_store_cap(self):
-        graph = comb(600)  # 1,200 nodes; each parent's data lives until its leaf's turn
+    @settings(max_examples=200, deadline=None)
+    @given(blocky_graphs())
+    def test_betweenness_within_1e12_on_blocky_graphs(self, graph):
+        assert_close_to_oracle(betweenness_centrality(from_nx(graph)), graph)
+
+    @settings(max_examples=150, deadline=None)
+    @given(blocky_graphs(forest=True) | leafy_graphs().filter(nx.is_forest))
+    def test_betweenness_bit_identical_on_forests(self, graph):
+        assert hexed(betweenness_centrality(from_nx(graph))) == hexed(dict_betweenness(graph))
+
+    @settings(max_examples=150, deadline=None)
+    @given(blocky_graphs() | multi_component_graphs())
+    def test_betweenness_matches_networkx(self, graph):
+        values = betweenness_centrality(from_nx(graph))
+        for node, value in nx.betweenness_centrality(graph).items():
+            assert values[node] == pytest.approx(value, rel=0.0, abs=1e-9), node
+
+    def test_comb_peak_memory_linear(self):
+        graph = comb(600)  # 1,200 nodes, 1,199 two-node blocks
         indexed = from_nx(graph)
-        with mock.patch.object(metricmod, "FOLD_STORE_CAP", 0):
-            recomputed = betweenness_centrality(indexed)
+        indexed.adjacency  # built outside the measured region
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            folded = betweenness_centrality(indexed)
+            values = betweenness_centrality(indexed)
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        assert hexed(folded) == hexed(recomputed)
-        # At most 16 bytes per stored entry, plus 512 bytes per node for what
-        # the kernel holds besides the entries: its per-node lists, floats and
-        # result, and the array headers of each hub's stored data. Keeping
-        # every hub's data would take about 5.8 MiB here.
-        assert peak <= 16 * FOLD_STORE_CAP + 512 * graph.number_of_nodes()
+        assert sum(value > 0.0 for value in values.values()) == 600  # every spine node is a cut vertex
+        # 512 bytes per node for the kernel's per-node lists, the DFS trail
+        # and the result.
+        assert peak <= 512 * graph.number_of_nodes()
 
 
 @st.composite

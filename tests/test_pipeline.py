@@ -646,15 +646,18 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "setting,message",
-        [('"background_rate_per_hour": NaN', "finite and non-negative"),
-         ('"vocabulary_sizes": {"url": 0}', "vocabulary_sizes['url'] must be >= 1")],
-        ids=["nan-rate", "zero-vocabulary"],
+        [('"background_rate_per_hour": NaN', "background settings must be finite and non-negative"),
+         ('"vocabulary_sizes": {"url": 0}', "vocabulary_sizes['url'] must be >= 1"),
+         ('"vocabulary_size": {"hashtag": 0}, "background_rate": NaN',
+          "unknown key 'background_rate', 'vocabulary_size'"),
+         ('"cohorts": [{"member_count": 3, "windows": 2}]', "unknown cohort key 'windows'")],
+        ids=["nan-rate", "zero-vocabulary", "unknown-keys", "unknown-cohort-key"],
     )
     def test_simulate_bad_config_value_is_data_error(self, tmp_path, capsys, setting, message):
         config_path = tmp_path / "sim.json"
         config_path.write_text('{"background_users": 3, %s}' % setting)
         assert cli.main(["simulate", "--config", str(config_path), "--out", str(tmp_path / "sim")]) == 2
-        assert message in capsys.readouterr().err
+        assert f"syncindex simulate: {config_path}: {message}" in capsys.readouterr().err
         assert not (tmp_path / "sim").exists()
 
     def test_compare_subcommand(self, tmp_path, capsys):
