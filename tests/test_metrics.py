@@ -172,9 +172,10 @@ def mostly_isolated_graphs(draw):
 
 
 @st.composite
-def leafy_graphs(draw):
-    """Graphs made mostly of leaves: random trees (with up to two chords),
-    stars, combs, K2 components and isolated nodes, with interleaved ids.
+def leafy_graphs(draw, chords=2):
+    """Graphs made mostly of leaves: random trees (each with up to `chords`
+    chords), stars, combs, K2 components and isolated nodes, with
+    interleaved ids. chords=0 gives only forests.
 
     A comb is a path whose every node carries one leaf; its parent ids sort
     either all before or all after its leaf ids.
@@ -192,7 +193,7 @@ def leafy_graphs(draw):
         if kind == "tree":
             nodes = [fresh("abxyz") for _ in range(size + 1)]
             graph.add_edges_from((nodes[i], rng.choice(nodes[:i])) for i in range(1, len(nodes)))
-            for _ in range(rng.randrange(3)):
+            for _ in range(rng.randrange(chords + 1)):
                 graph.add_edge(*rng.sample(nodes, 2))
         elif kind == "star":
             center = fresh("abxyz")
@@ -291,10 +292,27 @@ class TestKernelsMatchDictOracles:
             assert hexed(shared.eigenvector) == hexed(expected)
             assert_close_to_oracle(shared.betweenness, graph)
 
+    # The cap bounds the chords of each random tree: cap 0 leaves only
+    # forests, cap 12 makes most trees a few blocks with cycles.
+    @pytest.mark.parametrize("cap", [2, 0, 12], ids=["default-cap", "cap-0", "cap-12"])
     @settings(max_examples=200, deadline=None)
-    @given(leafy_graphs())
-    def test_betweenness_within_1e12_on_leafy_graphs(self, graph):
-        assert_close_to_oracle(betweenness_centrality(from_nx(graph)), graph)
+    @given(data=st.data())
+    def test_betweenness_bit_identical_on_leafy_graphs(self, data, cap):
+        """Within 1e-12 of the oracle, float.hex-equal to it on forests, and
+        float.hex-equal to itself with the edges listed in another order and
+        orientation."""
+        graph = data.draw(leafy_graphs(chords=cap))
+        values = betweenness_centrality(from_nx(graph))
+        assert_close_to_oracle(values, graph)
+        if nx.is_forest(graph):
+            assert hexed(values) == hexed(dict_betweenness(graph))
+        rng = random.Random(data.draw(st.integers(0, 2**32)))
+        edges = [rng.sample(edge, 2) for edge in graph.edges]
+        rng.shuffle(edges)
+        relisted = nx.Graph()
+        relisted.add_nodes_from(graph.nodes)
+        relisted.add_edges_from(edges)
+        assert hexed(betweenness_centrality(from_nx(relisted))) == hexed(values)
 
     @settings(max_examples=200, deadline=None)
     @given(blocky_graphs())
