@@ -15,7 +15,7 @@ from statistics import fmean, pstdev
 from typing import Iterable, Mapping
 
 from . import metrics
-from .events import _xml_forbidden, csv_rows
+from .events import _xml_forbidden, csv_rows, open_input
 from .graphs import Graph
 
 logger = logging.getLogger(__name__)
@@ -57,11 +57,12 @@ def load_bot_scores(path: str | Path, threshold: float = DEFAULT_THRESHOLD) -> B
 
     A row whose user id is not valid UTF-8 or holds another character XML 1.0
     forbids is one rejected row, as is a row holding a cell over the csv
-    module's field limit.
+    module's field limit, and a row whose user id an earlier row holds (the
+    first row's score is kept).
     """
     scores: dict[str, float] = {}
     rejected = 0
-    with Path(path).open("r", encoding="utf-8", errors="surrogateescape", newline="") as handle:
+    with open_input(path) as handle:
         try:
             names, rows = csv_rows(handle)
         except ValueError as exc:
@@ -76,7 +77,7 @@ def load_bot_scores(path: str | Path, threshold: float = DEFAULT_THRESHOLD) -> B
                     raise ValueError
                 user = cells[user_at].strip() if user_at < len(cells) else ""
                 score = float(cells[score_at] if score_at < len(cells) else "")
-                if not 0.0 <= score <= 1.0 or not user or _xml_forbidden(user):
+                if not 0.0 <= score <= 1.0 or not user or user in scores or _xml_forbidden(user):
                     raise ValueError
             except ValueError:
                 rejected += 1

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import logging
 import math
 import sys
@@ -22,7 +21,7 @@ from . import csi as csimod
 from . import pipeline
 from . import simulate as simmod
 from . import synchrony
-from .events import load_events, write_events_jsonl
+from .events import load_events, write_events_jsonl, write_json
 
 USAGE_ERROR = 1
 DATA_ERROR = 2
@@ -72,14 +71,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ingest", help="parse and canonicalize raw event data")
     p.add_argument("--events", required=True, help="raw events file (JSONL or CSV)")
     p.add_argument("--interactions", help="optional separate interactions file")
-    p.add_argument("--lang", default="", help="keep only posts with this language tag")
+    p.add_argument("--lang", default=_DEFAULTS.lang, help="keep only posts with this language tag")
     _add_out(p)
 
     p = sub.add_parser("detect", help="detect synchronous user pairs")
     p.add_argument("--events", required=True)
     window_help = "window seconds (default %(default)s)"
     p.add_argument("--window", type=_WINDOW, default=_DEFAULTS.window_seconds, help=window_help)
-    p.add_argument("--lang", default="")
+    p.add_argument("--lang", default=_DEFAULTS.lang)
     _add_out(p)
 
     p = sub.add_parser("score", help="compute the synchronization index hierarchy")
@@ -101,7 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bots", help="bot score CSV (class clustering)")
     p.add_argument("--bot-threshold", type=_BOT_THRESHOLD, default=_DEFAULTS.bot_threshold)
     p.add_argument("--events", help="events file; adds all-communication centrality CSV")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=_DEFAULTS.seed)
     _add_out(p)
 
     p = sub.add_parser("report", help="run the full pipeline and emit the event report")
@@ -112,8 +111,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window", type=_WINDOW, default=_DEFAULTS.window_seconds)
     _add_csi_flags(p)
     p.add_argument("--min-partners", type=_MIN_PARTNERS, default=_DEFAULTS.min_partners)
-    p.add_argument("--lang", default="")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--lang", default=_DEFAULTS.lang)
+    p.add_argument("--seed", type=int, default=_DEFAULTS.seed)
     p.add_argument("--label", default="", help="event label in report.json (default: the events file's stem)")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     _add_out(p)
@@ -247,9 +246,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         payload = [
             {"event_label": label, "csi_network_combined": value} for label, value in ranking
         ]
-        Path(args.out).write_text(
-            json.dumps(pipeline.round_floats(payload), indent=2) + "\n", encoding="utf-8"
-        )
+        write_json(args.out, pipeline.round_floats(payload))
     return 0
 
 

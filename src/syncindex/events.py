@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence, TextIO
 from urllib.parse import urlsplit, urlunsplit
 
 logger = logging.getLogger(__name__)
@@ -74,12 +74,6 @@ class ActionRecord(NamedTuple):
     timestamp: int
     action_type: str
     artifact_id: str
-
-
-# Record order: posts by (timestamp, post_id), interactions by (timestamp,
-# source_user, target_user, interaction_type).
-_POST_ORDER = itemgetter(2, 0)
-_INTERACTION_ORDER = itemgetter(3, 0, 1, 2)
 
 
 @dataclass(frozen=True)
@@ -145,6 +139,14 @@ def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence[o
     return path
 
 
+def open_input(path: str | Path) -> TextIO:
+    """A text input file opened for reading as UTF-8: a byte order mark at its
+    start is skipped, each byte that is not UTF-8 is read as a lone surrogate
+    (which fails the check of its line, row or cell, not the whole file), and
+    line ends are left for the csv module to read."""
+    return Path(path).open("r", encoding="utf-8-sig", errors="surrogateescape", newline="")
+
+
 def read_csv(
     path: str | Path, columns: Sequence[str], ids: Iterable[str] = ()
 ) -> Iterator[tuple[int, tuple[str, ...]]]:
@@ -155,9 +157,10 @@ def read_csv(
     header lacks one of columns, a row has fewer cells than the header, a
     cell is too large for the csv module, or an ids column holds a character
     XML 1.0 forbids (no GraphML export could carry it). Bytes that are not
-    UTF-8 are read as lone surrogates, so they fail the check of their cell.
+    UTF-8 are read as lone surrogates (see open_input), so they fail the
+    check of their cell.
     """
-    with Path(path).open("r", encoding="utf-8", errors="surrogateescape", newline="") as handle:
+    with open_input(path) as handle:
         reader = csv.reader(handle)
         try:
             header = next(reader, [])
@@ -293,8 +296,8 @@ def _interaction(fields: tuple, check: bool) -> InteractionRecord | None:
 def _undecodable(text: str) -> bool:
     """True when text holds bytes that were not UTF-8.
 
-    Files are read with errors="surrogateescape", which maps each such byte
-    to a lone surrogate; only a lone surrogate fails to encode.
+    open_input maps each such byte to a lone surrogate; only a lone
+    surrogate fails to encode.
     """
     if text.isascii():
         return False
@@ -380,25 +383,25 @@ def parse_events(
 ) -> EventDataset:
     """Parse line-delimited records into an EventDataset.
 
-    Each record is validated once. Malformed lines are counted and skipped;
-    duplicated post ids count as malformed, as do CSV rows holding a cell
-    over the csv module's field limit, lines that are not valid UTF-8 (lone
-    surrogates, as read_events_file decodes them), lines whose timestamp
-    lies outside [0, MAX_TIMESTAMP], and lines whose id, type, artifact or
-    lang string holds a character XML 1.0 forbids (a control character such
-    as "\\x01", a lone surrogate such as the JSON escape "\\ud800", U+FFFE or
-    U+FFFF). A quoted CSV cell over the field limit that spans lines is not
-    skipped whole: the csv module drops the line it fails on and reads the
-    cell's later lines as rows of their own, so a cell holding one line
-    break counts as two malformed lines. Raises CorpusRejectedError when
-    more than half of the non-blank lines are malformed.
+    Each record is validated once; merge_datasets then orders the records
+    and counts a repeated post_id as malformed. Malformed lines are counted
+    and skipped, as are CSV rows holding a cell over the csv module's field
+    limit, lines that are not valid UTF-8 (lone surrogates, as open_input
+    decodes them), lines whose timestamp lies outside [0, MAX_TIMESTAMP],
+    and lines whose id, type, artifact or lang string holds a character XML
+    1.0 forbids (a control character such as "\\x01", a lone surrogate such
+    as the JSON escape "\\ud800", U+FFFE or U+FFFF). A quoted CSV cell over
+    the field limit that spans lines is not skipped whole: the csv module
+    drops the line it fails on and reads the cell's later lines as rows of
+    their own, so a cell holding one line break counts as two malformed
+    lines. Raises CorpusRejectedError when more than half of the non-blank
+    lines are malformed.
     """
     if format not in ("jsonl", "csv"):
         raise ValueError(f"unknown format: {format}")
 
     posts: list[PostEvent] = []
     interactions: list[InteractionRecord] = []
-    seen_post_ids: set[str] = set()
     malformed = 0
     dropped_self = 0
     total = 0
@@ -414,29 +417,19 @@ def parse_events(
         except (ValueError, TypeError):
             malformed += 1
             continue
-        if validate is _interaction:
-            if parsed is None:
-                dropped_self += 1
-            else:
-                interactions.append(parsed)
-        elif parsed.post_id in seen_post_ids:
-            malformed += 1
-        else:
-            seen_post_ids.add(parsed.post_id)
+        if validate is _post:
             posts.append(parsed)
+        elif parsed is None:
+            dropped_self += 1
+        else:
+            interactions.append(parsed)
 
-    if total and malformed * 2 > total:
-        raise CorpusRejectedError(f"{malformed} of {total} lines malformed")
+    dataset = merge_datasets(EventDataset(tuple(posts), tuple(interactions), malformed))
+    if dataset.malformed * 2 > total:
+        raise CorpusRejectedError(f"{dataset.malformed} of {total} lines malformed")
     if dropped_self:
         logger.warning("dropped %d self-interaction records", dropped_self)
-
-    posts.sort(key=_POST_ORDER)
-    interactions.sort(key=_INTERACTION_ORDER)
-    return EventDataset(
-        posts=tuple(posts),
-        interactions=tuple(interactions),
-        malformed=malformed,
-    )
+    return dataset
 
 
 def filter_originals(dataset: EventDataset) -> EventDataset:
@@ -559,16 +552,12 @@ def write_events_jsonl(dataset: EventDataset, path: str | Path) -> Path:
     return path
 
 
-def read_events_file(path: str | Path, format: str | None = None) -> EventDataset:
-    """Parse an events file; format inferred from the suffix unless given.
-
-    A line that is not valid UTF-8 is one malformed line, not a rejected file.
-    """
-    path = Path(path)
-    if format is None:
-        format = "csv" if path.suffix.lower() == ".csv" else "jsonl"
-    with path.open("r", encoding="utf-8", errors="surrogateescape", newline="") as handle:
-        return parse_events(handle, format=format)
+def read_events_file(path: str | Path) -> EventDataset:
+    """Parse an events file: CSV when its suffix is .csv in any case, JSONL
+    otherwise. A line that is not valid UTF-8 is one malformed line, not a
+    rejected file."""
+    with open_input(path) as handle:
+        return parse_events(handle, format="csv" if Path(path).suffix.lower() == ".csv" else "jsonl")
 
 
 def load_events(
@@ -586,8 +575,12 @@ def load_events(
 def merge_datasets(*datasets: EventDataset) -> EventDataset:
     """Combine datasets (e.g. separate post and interaction files) into one.
 
-    A post whose post_id an earlier post holds counts as malformed, as a
-    repeated post_id within one file does; the first one is kept.
+    This is the one owner of the record order and of the repeated post_id
+    rule. Posts sort by (timestamp, post_id) and interactions by (timestamp,
+    source_user, target_user, interaction_type). A post whose post_id an
+    earlier post holds counts as malformed, and the first one is kept;
+    parse_events passes its records in file order, so this holds within one
+    file too.
     """
     posts: list[PostEvent] = []
     seen_post_ids: set[str] = set()
@@ -599,8 +592,8 @@ def merge_datasets(*datasets: EventDataset) -> EventDataset:
             else:
                 seen_post_ids.add(post.post_id)
                 posts.append(post)
-    posts.sort(key=_POST_ORDER)
-    interactions = sorted((r for d in datasets for r in d.interactions), key=_INTERACTION_ORDER)
+    posts.sort(key=itemgetter(2, 0))
+    interactions = sorted((r for d in datasets for r in d.interactions), key=itemgetter(3, 0, 1, 2))
     return EventDataset(
         posts=tuple(posts),
         interactions=tuple(interactions),

@@ -123,7 +123,7 @@ def build_allcomm_graph(
     return Graph(nodes, [index[u] for u, _ in pairs], [index[v] for _, v in pairs], [counts[p] for p in pairs])
 
 
-def prune_by_partner_count(graph: Graph, min_partners: int = 5) -> Graph:
+def prune_by_partner_count(graph: Graph, min_partners: int) -> Graph:
     """The k-core for k = min_partners, by one degree-peeling pass (Batagelj &
     Zaversnik 2003); surviving edges keep their order. The graph itself is
     returned when no node is removed."""

@@ -284,7 +284,7 @@ def newman_modularity(graph: Graph, partition: dict[str, int]) -> float:
     return q
 
 
-def louvain_partition(graph: Graph, seed: int = 0) -> dict[str, int]:
+def louvain_partition(graph: Graph, seed: int) -> dict[str, int]:
     """Greedy modularity partition (Blondel et al. 2008; unweighted, seeded).
 
     The partition is networkx's louvain_communities(weight=None, seed=seed,

@@ -58,14 +58,14 @@ class EventReport:
     notices: list[str] = field(default_factory=list)
 
 
-def round_floats(obj: object, digits: int = 6) -> object:
-    """Recursively round floats to significant digits for serialization."""
+def round_floats(obj: object) -> object:
+    """Recursively round floats to 6 significant digits for serialization."""
     if isinstance(obj, float):
-        return float(f"{obj:.{digits}g}")
+        return float(f"{obj:.6g}")
     if isinstance(obj, dict):
-        return {key: round_floats(value, digits) for key, value in obj.items()}
+        return {key: round_floats(value) for key, value in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [round_floats(value, digits) for value in obj]
+        return [round_floats(value) for value in obj]
     return obj
 
 

@@ -187,12 +187,11 @@ def generate(config: SimConfig) -> tuple[EventDataset, GroundTruth]:
     return dataset, truth
 
 
-def bot_scores_from_truth(
-    truth: GroundTruth, bot_score: float = 0.95, human_score: float = 0.05
-) -> dict[str, float]:
-    """Score table matching the planted classes, covering every generated user."""
+def bot_scores_from_truth(truth: GroundTruth) -> dict[str, float]:
+    """Score table matching the planted classes, covering every generated user:
+    0.95 for a bot, 0.05 for a human."""
     return {
-        user: bot_score if cls == "bot" else human_score
+        user: 0.95 if cls == "bot" else 0.05
         for user, cls in sorted(truth.user_classes.items())
     }
 

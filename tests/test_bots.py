@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import logging
 import math
 
 import pytest
@@ -113,6 +114,16 @@ class TestLoad:
         path.write_text(f"user_id,{'s' * 200_000}\nalice,0.95\n", encoding="utf-8")
         with pytest.raises(ScoreError, match="field larger than field limit"):
             load_bot_scores(path)
+
+    def test_repeated_user_keeps_first_row(self, tmp_path, caplog):
+        path = tmp_path / "bots.csv"
+        path.write_text("user_id,score\nc0_u000,0.95\nbob,0.10\nc0_u000,0.10\n c0_u000 ,0.2\n")
+        with caplog.at_level(logging.WARNING, logger="syncindex.bots"):
+            t = load_bot_scores(path)
+        assert t.scores == {"c0_u000": 0.95, "bob": 0.10}
+        assert t.classify("c0_u000") == "bot"
+        assert t.rejected == 2
+        assert [r.getMessage() for r in caplog.records] == [f"rejected 2 bot score rows from {path}"]
 
     def test_xml_forbidden_id_row_rejected(self, tmp_path):
         path = tmp_path / "bots.csv"

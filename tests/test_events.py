@@ -70,6 +70,8 @@ class TestParse:
         lines = [post_line(), "not json", "{broken", "[]"]
         with pytest.raises(CorpusRejectedError):
             parse_events(lines)
+        with pytest.raises(CorpusRejectedError, match="2 of 3 lines malformed"):  # repeated post ids count
+            parse_events([post_line()] * 3)
 
     def test_duplicate_post_id_is_malformed(self):
         dataset = parse_events([post_line(), post_line(timestamp=200)])

@@ -6,6 +6,7 @@ import logging
 import math
 import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -20,7 +21,7 @@ from syncindex import cli
 from syncindex import csi as csimod
 from syncindex import metrics as metricmod
 from syncindex import synchrony
-from syncindex.events import ACTION_TYPES, INTERACTION_TYPES, dataset_lines, write_events_jsonl
+from syncindex.events import ACTION_TYPES, INTERACTION_TYPES, dataset_lines, write_events_jsonl, write_json
 from syncindex.graphs import build_sync_graph
 from syncindex.metrics import node_centralities
 from syncindex.pipeline import (
@@ -669,6 +670,69 @@ class TestCli:
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[0].endswith("two")
         assert lines[1].endswith("one")
+
+    def test_compare_out_is_the_rounded_ranking(self, tmp_path):
+        paths = [
+            TestCompare().write_report(tmp_path / f"{label}.json", label, value)
+            for label, value in (("mid", 9.05123), ("low", 1 / 3), ("high", 33.7))
+        ]
+        out = tmp_path / "ranking.json"
+        assert cli.main(["compare", *map(str, paths), "--out", str(out)]) == 0
+        payload = [{"event_label": label, "csi_network_combined": value} for label, value in compare(paths)]
+        assert out.read_bytes() == write_json(tmp_path / "expected.json", round_floats(payload)).read_bytes()
+        ranking = [(entry["event_label"], entry["csi_network_combined"]) for entry in json.loads(out.read_text())]
+        assert ranking == [("low", 0.333333), ("mid", 9.05123), ("high", 33.7)]
+
+    def test_flag_defaults_are_pipeline_options(self):
+        fields = {
+            "window": "window_seconds", "seed": "seed", "lang": "lang", "min_partners": "min_partners",
+            "bot_threshold": "bot_threshold", "pair_formula": "pair_formula", "normalization": "normalization",
+            "label": "label",
+        }
+        defaults = PipelineOptions()
+        parser = cli.build_parser()
+        checked = set()
+        for argv in (["ingest", "--events", "e.jsonl"], ["detect", "--events", "e.jsonl"],
+                     ["score", "--pairs", "p.csv"], ["graph", "--pairs", "p.csv"],
+                     ["metrics", "--pairs", "p.csv"], ["report", "--events", "e.jsonl"]):
+            args = vars(parser.parse_args(argv))
+            for flag in fields.keys() & args.keys():
+                assert args[flag] == getattr(defaults, fields[flag]), (argv[0], flag)
+                checked.add(flag)
+        assert checked == fields.keys()
+
+    @pytest.mark.parametrize(
+        "name,argv",
+        [
+            ("events.csv", ["ingest", "--events", "events.csv"]),
+            ("events.jsonl", ["ingest", "--events", "events.jsonl"]),
+            ("bots.csv", ["report", "--events", "events.jsonl", "--bots", "bots.csv", "--label", "demo"]),
+            ("pairs.csv", ["graph", "--pairs", "pairs.csv", "--users", "users.csv", "--bots", "bots.csv"]),
+        ],
+        ids=["events-csv", "events-jsonl", "bots", "pairs"],
+    )
+    def test_byte_order_mark_is_ignored(self, sim_inputs, tmp_path, capsys, name, argv):
+        """An input file that starts with a UTF-8 byte order mark gives the exit
+        code, stdout and artifacts of the same file without one."""
+        events, bots, _ = sim_inputs
+        plain = tmp_path / "plain"
+        assert cli.main(["report", "--events", str(events), "--out", str(plain)]) == 0
+        shutil.copy(events, plain)
+        shutil.copy(bots, plain)
+        rows = [f"p{i},u{i % 3},{100 + i},original,#x|#y{i % 2}" for i in range(6)]
+        (plain / "events.csv").write_text("\r\n".join(["post_id,user_id,timestamp,post_type,hashtags", *rows]))
+        marked = tmp_path / "marked"
+        shutil.copytree(plain, marked)
+        (marked / name).write_bytes(b"\xef\xbb\xbf" + (plain / name).read_bytes())
+        capsys.readouterr()
+        results = []
+        for root in (plain, marked):
+            out = tmp_path / f"out_{root.name}"
+            code = cli.main([str(root / arg) if "." in arg else arg for arg in argv] + ["--out", str(out)])
+            results.append((code, capsys.readouterr().out.replace(str(out), "OUT")))
+        assert results[0] == results[1]
+        assert results[0][0] == 0
+        assert_same_files(tmp_path / "out_plain", tmp_path / "out_marked")
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-0.1", "1.5"])
     @pytest.mark.parametrize("stage", ["graph", "metrics", "report"])
