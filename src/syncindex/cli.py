@@ -21,7 +21,7 @@ from . import csi as csimod
 from . import pipeline
 from . import simulate as simmod
 from . import synchrony
-from .events import load_events, write_events_jsonl, write_json
+from .events import load_events, read_events_file, write_events_jsonl, write_json
 
 USAGE_ERROR = 1
 DATA_ERROR = 2
@@ -53,15 +53,27 @@ def _bounded(convert, low: float, high: float, what: str):
     return parse
 
 
-_BOT_THRESHOLD = _bounded(float, 0.0, 1.0, "a number in [0, 1]")
-_WINDOW = _bounded(int, 1, math.inf, "an integer >= 1")
-_MIN_PARTNERS = _bounded(int, 0, math.inf, "an integer >= 0")
-_DEFAULTS = pipeline.PipelineOptions  # class attributes: the defaults of the report options
+# Each report option, in the order report lists them: its PipelineOptions
+# field, its flag and its add_argument keywords. The field is the flag's dest
+# and its class attribute the flag's default, so a flag reads the same on
+# every subcommand that takes it.
+_OPTIONS = {
+    "bot_threshold": ("--bot-threshold", {"type": _bounded(float, 0.0, 1.0, "a number in [0, 1]")}),
+    "window_seconds": ("--window", {"type": _bounded(int, 1, math.inf, "an integer >= 1"), "metavar": "WINDOW",
+                                    "help": "window seconds (default %(default)s)"}),
+    "pair_formula": ("--pair-formula", {"choices": csimod.PAIR_FORMULAS}),
+    "normalization": ("--normalization", {"choices": csimod.NORMALIZATIONS}),
+    "min_partners": ("--min-partners", {"type": _bounded(int, 0, math.inf, "an integer >= 0")}),
+    "lang": ("--lang", {"help": "keep only posts with this language tag"}),
+    "seed": ("--seed", {"type": int}),
+    "label": ("--label", {"help": "event label in report.json (default: the events file's stem)"}),
+}
 
 
-def _add_csi_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--pair-formula", choices=csimod.PAIR_FORMULAS, default=_DEFAULTS.pair_formula)
-    parser.add_argument("--normalization", choices=csimod.NORMALIZATIONS, default=_DEFAULTS.normalization)
+def _add_options(parser: argparse.ArgumentParser, *fields: str) -> None:
+    for name in fields:
+        flag, keywords = _OPTIONS[name]
+        parser.add_argument(flag, dest=name, default=getattr(pipeline.PipelineOptions, name), **keywords)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -71,49 +83,40 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ingest", help="parse and canonicalize raw event data")
     p.add_argument("--events", required=True, help="raw events file (JSONL or CSV)")
     p.add_argument("--interactions", help="optional separate interactions file")
-    p.add_argument("--lang", default=_DEFAULTS.lang, help="keep only posts with this language tag")
+    _add_options(p, "lang")
     _add_out(p)
 
     p = sub.add_parser("detect", help="detect synchronous user pairs")
     p.add_argument("--events", required=True)
-    window_help = "window seconds (default %(default)s)"
-    p.add_argument("--window", type=_WINDOW, default=_DEFAULTS.window_seconds, help=window_help)
-    p.add_argument("--lang", default=_DEFAULTS.lang)
+    _add_options(p, "window_seconds", "lang")
     _add_out(p)
 
     p = sub.add_parser("score", help="compute the synchronization index hierarchy")
     p.add_argument("--pairs", required=True, help="pair_counts.csv from detect")
-    _add_csi_flags(p)
+    _add_options(p, "pair_formula", "normalization")
     _add_out(p)
 
     p = sub.add_parser("graph", help="build and export synchronization graphs")
     p.add_argument("--pairs", required=True, help="pairs.csv from score")
     p.add_argument("--users", help="users.csv from score (adds csi_user attributes)")
     p.add_argument("--bots", help="bot score CSV (adds user_class attributes)")
-    p.add_argument("--bot-threshold", type=_BOT_THRESHOLD, default=_DEFAULTS.bot_threshold)
-    p.add_argument("--min-partners", type=_MIN_PARTNERS, default=_DEFAULTS.min_partners)
+    _add_options(p, "bot_threshold", "min_partners")
     _add_out(p)
 
     p = sub.add_parser("metrics", help="structure metrics and centralities")
     p.add_argument("--pairs", required=True, help="pairs.csv from score")
     p.add_argument("--users", help="users.csv from score (hierarchy orientation)")
     p.add_argument("--bots", help="bot score CSV (class clustering)")
-    p.add_argument("--bot-threshold", type=_BOT_THRESHOLD, default=_DEFAULTS.bot_threshold)
+    _add_options(p, "bot_threshold")
     p.add_argument("--events", help="events file; adds all-communication centrality CSV")
-    p.add_argument("--seed", type=int, default=_DEFAULTS.seed)
+    _add_options(p, "seed")
     _add_out(p)
 
     p = sub.add_parser("report", help="run the full pipeline and emit the event report")
     p.add_argument("--events", required=True)
     p.add_argument("--interactions")
     p.add_argument("--bots")
-    p.add_argument("--bot-threshold", type=_BOT_THRESHOLD, default=_DEFAULTS.bot_threshold)
-    p.add_argument("--window", type=_WINDOW, default=_DEFAULTS.window_seconds)
-    _add_csi_flags(p)
-    p.add_argument("--min-partners", type=_MIN_PARTNERS, default=_DEFAULTS.min_partners)
-    p.add_argument("--lang", default=_DEFAULTS.lang)
-    p.add_argument("--seed", type=int, default=_DEFAULTS.seed)
-    p.add_argument("--label", default="", help="event label in report.json (default: the events file's stem)")
+    _add_options(p, *_OPTIONS)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     _add_out(p)
 
@@ -147,7 +150,7 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
 
 def _cmd_detect(args: argparse.Namespace) -> int:
     out = _out_dir(args)
-    counts = pipeline.detect_pairs(load_events(args.events, lang=args.lang), args.window, out).counts
+    counts = pipeline.detect_pairs(load_events(args.events, lang=args.lang), args.window_seconds, out).counts
     users = {user for pair in counts for user in pair}
     print(f"wrote {out / 'pair_counts.csv'}: {len(counts)} pairs over {len(users)} users")
     return 0
@@ -186,23 +189,14 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     out = _out_dir(args)
     pipeline.structure_section(sync, args.seed, out)
     if args.events:
-        centralities = pipeline.allcomm_centralities(load_events(args.events))
+        centralities = pipeline.allcomm_centralities(read_events_file(args.events))
         pipeline.write_centrality_csv(centralities, out / "centrality.csv")
     print(f"wrote metrics for {sync.number_of_nodes()} nodes to {out / 'metrics.json'}")
     return 0
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    options = pipeline.PipelineOptions(
-        window_seconds=args.window,
-        bot_threshold=args.bot_threshold,
-        pair_formula=args.pair_formula,
-        normalization=args.normalization,
-        min_partners=args.min_partners,
-        lang=args.lang,
-        seed=args.seed,
-        label=args.label,
-    )
+    options = pipeline.PipelineOptions(**{name: getattr(args, name) for name in _OPTIONS})
     report = pipeline.run_pipeline(
         args.events,
         args.out,

@@ -563,7 +563,8 @@ def read_events_file(path: str | Path) -> EventDataset:
 def load_events(
     events_path: str | Path,
     interactions_path: str | Path | None = None,
-    lang: str = "",
+    *,
+    lang: str,
 ) -> EventDataset:
     """Read an events file, merge an optional interactions file, filter by language."""
     dataset = read_events_file(events_path)

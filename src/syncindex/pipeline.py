@@ -213,9 +213,18 @@ def run_pipeline(
     and pruned) and metrics.json. Also written: centrality_by_action_types.csv
     and report.json. With no synchronized pairs the tables are header-only,
     the graphs have no nodes and metrics.json is {}. Deterministic for fixed
-    inputs and options.
+    inputs and options. The event label (options.label, or the events file's
+    stem without one) and options.lang must be valid UTF-8, since report.json
+    carries both; otherwise ValueError, before any file is written.
     """
     options = options or PipelineOptions()
+    event_label = options.label or Path(events_path).stem
+    label_source = "label" if options.label else f"label (the stem of events file {str(events_path)!r})"
+    for source, text in ((label_source, event_label), ("lang", options.lang)):
+        try:
+            text.encode("utf-8")
+        except UnicodeEncodeError:
+            raise ValueError(f"{source} is not valid UTF-8: {text!r}") from None
     dataset = load_events(events_path, interactions_path, lang=options.lang)
     bot_table = None
     notices: list[str] = []
@@ -235,7 +244,7 @@ def run_pipeline(
     per_user = synchrony.user_action_type_counts(counts)
 
     report = EventReport(
-        event_label=options.label or Path(events_path).stem,
+        event_label=event_label,
         config={key: value for key, value in asdict(options).items() if key != "label"},
         counts={
             "posts": len(dataset.posts),

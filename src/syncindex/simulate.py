@@ -19,10 +19,12 @@ from itertools import combinations
 from pathlib import Path
 from typing import Mapping
 
-from .events import ACTION_TYPES, EventDataset, PostEvent, write_csv
+from .events import ACTION_TYPES, EventDataset, PostEvent, merge_datasets, write_csv
 from .synchrony import DEFAULT_WINDOW_SECONDS
 
 DEFAULT_VOCABULARY = 10_000
+# The PostEvent field that holds the artifacts of each action type.
+_ARTIFACT_FIELDS = dict(zip(ACTION_TYPES, ("hashtags", "urls", "mentions")))
 
 
 class SimConfigError(ValueError):
@@ -129,27 +131,10 @@ def generate(config: SimConfig) -> tuple[EventDataset, GroundTruth]:
     posts: list[PostEvent] = []
     planted: list[PlantedPair] = []
     user_classes: dict[str, str] = {}
-    post_serial = 0
 
     def emit(user: str, timestamp: int, action_type: str, artifact: str) -> None:
-        nonlocal post_serial
-        if action_type == "hashtag":
-            kwargs = {"hashtags": frozenset({artifact})}
-        elif action_type == "url":
-            kwargs = {"urls": frozenset({artifact})}
-        else:
-            kwargs = {"mentions": frozenset({artifact})}
-        posts.append(
-            PostEvent(
-                post_id=f"p{post_serial:08d}",
-                user_id=user,
-                timestamp=timestamp,
-                post_type="original",
-                lang="en",
-                **kwargs,
-            )
-        )
-        post_serial += 1
+        artifacts = {_ARTIFACT_FIELDS[action_type]: frozenset({artifact})}
+        posts.append(PostEvent(f"p{len(posts):08d}", user, timestamp, "original", "en", **artifacts))
 
     for cohort_index, cohort in enumerate(config.cohorts):
         members = [f"c{cohort_index}_u{j:03d}" for j in range(cohort.member_count)]
@@ -181,10 +166,8 @@ def generate(config: SimConfig) -> tuple[EventDataset, GroundTruth]:
             vocabulary = config.vocabulary_sizes.get(action_type, DEFAULT_VOCABULARY)
             emit(user, timestamp, action_type, _background_artifact(background_rng, action_type, vocabulary))
 
-    ordered = tuple(sorted(posts, key=lambda p: (p.timestamp, p.post_id)))
-    dataset = EventDataset(posts=ordered)
     truth = GroundTruth(pairs=tuple(planted), user_classes=user_classes)
-    return dataset, truth
+    return merge_datasets(EventDataset(posts=tuple(posts))), truth
 
 
 def bot_scores_from_truth(truth: GroundTruth) -> dict[str, float]:

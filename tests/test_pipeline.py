@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import logging
 import math
@@ -683,12 +684,8 @@ class TestCli:
         ranking = [(entry["event_label"], entry["csi_network_combined"]) for entry in json.loads(out.read_text())]
         assert ranking == [("low", 0.333333), ("mid", 9.05123), ("high", 33.7)]
 
-    def test_flag_defaults_are_pipeline_options(self):
-        fields = {
-            "window": "window_seconds", "seed": "seed", "lang": "lang", "min_partners": "min_partners",
-            "bot_threshold": "bot_threshold", "pair_formula": "pair_formula", "normalization": "normalization",
-            "label": "label",
-        }
+    def test_flag_defaults_are_pipeline_options(self, tmp_path):
+        fields = {field.name for field in dataclasses.fields(PipelineOptions)}
         defaults = PipelineOptions()
         parser = cli.build_parser()
         checked = set()
@@ -696,10 +693,29 @@ class TestCli:
                      ["score", "--pairs", "p.csv"], ["graph", "--pairs", "p.csv"],
                      ["metrics", "--pairs", "p.csv"], ["report", "--events", "e.jsonl"]):
             args = vars(parser.parse_args(argv))
-            for flag in fields.keys() & args.keys():
-                assert args[flag] == getattr(defaults, fields[flag]), (argv[0], flag)
-                checked.add(flag)
-        assert checked == fields.keys()
+            for name in fields & args.keys():
+                assert args[name] == getattr(defaults, name), (argv[0], name)
+                checked.add(name)
+            if argv[0] == "report":
+                assert fields <= args.keys()
+        assert checked == fields
+        # every option off its default: report.json echoes each one
+        values = {
+            "bot_threshold": 0.5, "window_seconds": 600, "pair_formula": "prose",
+            "normalization": "per_action_max", "min_partners": 2, "lang": "en", "seed": 7, "label": "XYZ",
+        }
+        assert values.keys() == fields
+        assert all(value != getattr(defaults, name) for name, value in values.items())
+        fixture = Path(__file__).parent / "data" / "fixture_events.jsonl"
+        out = tmp_path / "out"
+        assert cli.main(
+            ["report", "--events", str(fixture), "--bot-threshold", "0.5", "--window", "600",
+             "--pair-formula", "prose", "--normalization", "per_action_max", "--min-partners", "2",
+             "--lang", "en", "--seed", "7", "--label", "XYZ", "--out", str(out)]
+        ) == 0
+        report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+        assert report["config"] == {name: value for name, value in values.items() if name != "label"}
+        assert report["event_label"] == "XYZ"
 
     @pytest.mark.parametrize(
         "name,argv",
@@ -775,7 +791,25 @@ class TestCli:
                                       ["detect", "--events", "e.jsonl", "--window", "1"]])
     def test_integer_flag_bounds_accepted(self, argv):
         args = cli.build_parser().parse_args(argv)
-        assert getattr(args, argv[-2].lstrip("-").replace("-", "_")) == int(argv[-1])
+        dest = {"--min-partners": "min_partners", "--window": "window_seconds"}[argv[-2]]
+        assert getattr(args, dest) == int(argv[-1])
+
+    @pytest.mark.parametrize(
+        "stem,flags,message",
+        [("events", ["--label", "l\udcff"], "label is not valid UTF-8: 'l\\udcff'"),
+         ("events", ["--lang", "\udcff"], "lang is not valid UTF-8: '\\udcff'"),
+         ("ev\udcff", [], "label (the stem of events file ")],
+        ids=["label", "lang", "file-stem"],
+    )
+    def test_report_text_not_utf8_is_data_error_before_any_file(self, tmp_path, capsys, stem, flags, message):
+        """A label or lang that does not encode as UTF-8 (argv and file names
+        decode with surrogateescape) would reach report.json and report.csv."""
+        events = tmp_path / f"{stem}.jsonl"
+        shutil.copy(Path(__file__).parent / "data" / "fixture_events.jsonl", events)
+        out = tmp_path / "out"
+        assert cli.main(["report", "--events", str(events), *flags, "--format", "csv", "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_ingest_has_no_label_flag(self, tmp_path):
         with pytest.raises(SystemExit) as err:
