@@ -26,7 +26,8 @@ from .events import InteractionRecord
 @dataclass(frozen=True)
 class Graph:
     """See the module docstring. The lists must not be changed. There is no
-    self-loop: the builders reject or drop them."""
+    self-loop: the pair readers reject a self-pair, detect never forms one,
+    and build_allcomm_graph drops a self-interaction."""
 
     nodes: list
     sources: list[int]
@@ -81,8 +82,9 @@ def build_sync_graph(
 ) -> Graph:
     """Weighted undirected synchronization graph; one edge per scored pair.
 
-    ValueError for a self-pair or a pair listed in both orders. Optional node
-    attributes: user_class (bot/human/unknown) and csi_user.
+    No pair is a self-pair or listed in both orders (the pair readers reject
+    both, and detect forms neither). Optional node attributes: user_class
+    (bot/human/unknown) and csi_user.
     """
     items = sorted(pair_scores.items())
     rank = {node: r for r, node in enumerate(dict.fromkeys(chain.from_iterable(pair for pair, _ in items)))}
@@ -90,8 +92,6 @@ def build_sync_graph(
     index = {node: i for i, node in enumerate(nodes)}
     edges = []  # (lead rank, lead index, other index, weight)
     for (u, v), score in items:
-        if u >= v and (u == v or (v, u) in pair_scores):
-            raise ValueError(f"self-loop pair: {u!r}" if u == v else f"pair listed in both orders: {(v, u)!r}")
         if rank[u] > rank[v]:
             u, v = v, u
         edges.append((rank[u], index[u], index[v], float(score)))

@@ -47,7 +47,6 @@ same masks with a class mask.
 from __future__ import annotations
 
 import logging
-import math
 import random
 from dataclasses import dataclass
 
@@ -55,19 +54,13 @@ from .graphs import Graph
 
 logger = logging.getLogger(__name__)
 
-class MetricUndefinedError(ValueError):
-    """The metric does not exist for this graph (too few nodes, no edges)."""
-
-
 class PowerIterationError(RuntimeError):
     """Eigenvector iteration failed to converge."""
 
 
 def degree_centrality(graph: Graph) -> dict[str, float]:
-    """Unweighted degree divided by (n - 1)."""
+    """Unweighted degree divided by (n - 1); the graph has at least 2 nodes."""
     n = graph.number_of_nodes()
-    if n < 2:
-        raise MetricUndefinedError("degree centrality needs at least 2 nodes")
     return {node: degree / (n - 1) for node, degree in graph.degree()}
 
 
@@ -192,10 +185,8 @@ def eigenvector_centrality(graph: Graph, tol: float = 1e-9, max_iter: int = 1000
     Starts from a uniform positive vector; converged when successive
     max-normalized iterates differ by less than tol in max norm. Iterates
     with the identity added so bipartite graphs cannot oscillate. Isolated
-    nodes share one value (see the module docstring).
+    nodes share one value (see the module docstring). The graph has an edge.
     """
-    if graph.number_of_edges() == 0:
-        raise MetricUndefinedError("eigenvector centrality needs at least one edge")
     rows: list[list[tuple[int, float]]] = [[] for _ in graph.nodes]
     for a, b, w in zip(graph.sources, graph.targets, graph.weights):
         rows[a].append((b, float(w)))
@@ -259,14 +250,9 @@ def node_centralities(graph: Graph) -> Centralities:
 
 
 def newman_modularity(graph: Graph, partition: dict[str, int]) -> float:
-    """Unweighted Q = sum_c (e_cc - a_c^2) over communities."""
-    missing = [node for node in graph.nodes if node not in partition]
-    if missing:
-        raise ValueError(f"partition does not cover {len(missing)} nodes")
+    """Unweighted Q = sum_c (e_cc - a_c^2) over communities, for a graph with
+    an edge and a partition covering its nodes (as louvain_partition's does)."""
     m = graph.number_of_edges()
-    if m == 0:
-        logger.warning("modularity of an edgeless graph reported as 0")
-        return 0.0
     internal: dict[int, int] = {}
     degree_sum: dict[int, int] = {}
     communities = [partition[node] for node in graph.nodes]
@@ -291,10 +277,9 @@ def louvain_partition(graph: Graph, seed: int) -> dict[str, int]:
     resolution 1, threshold 1e-7) on the graph relabeled to sorted integer
     indices (edges added in the graph's edge order), replayed move for move on
     integer lists; see the module docstring. Community ids are assigned
-    0..k-1 in order of each community's smallest member.
+    0..k-1 in order of each community's smallest member. The graph has an
+    edge.
     """
-    if not graph.sources:
-        raise MetricUndefinedError("community detection needs at least one edge")
     nodes = graph.nodes
     # The weight-1 copy adds the relabeled graph's edges in its edge order:
     # ascending lower end, then the graph's edge order (the sort is stable).
@@ -401,16 +386,12 @@ def krackhardt_hierarchy(graph: Graph) -> float:
 
     The value has a closed form, so no reachability is computed: every arc
     u -> v has key(u) < key(v) for key(x) = (score(x), x), a strict total
-    order when no score is NaN. Keys strictly increase along any directed
-    path, so there is no directed cycle and no pair of distinct nodes reaches
-    each other both ways. Mutual pairs are 0, so the value is
+    order, since every score is finite (users.csv rejects a non-finite one,
+    and compute_tables gives finite scores). Keys strictly increase along any
+    directed path, so there is no directed cycle and no pair of distinct nodes
+    reaches each other both ways. Mutual pairs are 0, so the value is
     1 - 0 / reachable = 1, or 1 by convention when nothing is reachable.
     """
-    if graph.number_of_nodes() == 0:
-        raise MetricUndefinedError("hierarchy of an empty graph")
-    for node, score in zip(graph.nodes, graph.csi_user or ()):
-        if score is not None and math.isnan(score):
-            raise ValueError(f"NaN score for {node!r}: csi_order is not a total order")
     return 1.0
 
 
@@ -445,12 +426,9 @@ def transitivity(counts: tuple[list[int], list[int]]) -> float:
 
 
 def avg_local_clustering(counts: tuple[list[int], list[int]]) -> float:
-    """Mean per-node clustering from triangle_counts, summed in index order;
-    nodes with degree < 2 contribute 0."""
+    """Mean per-node clustering from triangle_counts of a graph with an edge,
+    summed in index order; nodes with degree < 2 contribute 0."""
     triangles, triples = counts
-    if not triples:
-        logger.warning("average clustering of an empty graph reported as 0")
-        return 0.0
     total = 0.0
     for closed, pairs in zip(triangles, triples):
         if pairs > 0:
@@ -459,10 +437,8 @@ def avg_local_clustering(counts: tuple[list[int], list[int]]) -> float:
 
 
 def density(graph: Graph) -> float:
-    """2|E| / (n(n-1))."""
+    """2|E| / (n(n-1)); the graph has at least 2 nodes."""
     n = graph.number_of_nodes()
-    if n < 2:
-        raise MetricUndefinedError("density needs at least 2 nodes")
     return 2.0 * graph.number_of_edges() / (n * (n - 1))
 
 
@@ -470,15 +446,10 @@ def centrality_by_action_type_count(
     centralities: Centralities, participation: dict[str, int]
 ) -> list[tuple[str, int, float, float, float | None]]:
     """(user, number of action types, total degree, betweenness, eigenvector)
-    rows, sorted by user, for the synchronizing users in the graph.
-
-    Users absent from the graph are left out with a warning. eigenvector is
-    None when it did not converge.
+    rows, sorted by user, for the synchronizing users, each a node of the
+    graph (every synchronizing user is a post author). eigenvector is None
+    when it did not converge.
     """
-    present = sorted(user for user in participation if user in centralities.degree)
-    missing = len(participation) - len(present)
-    if missing:
-        logger.warning("%d synchronizing users missing from the interaction graph", missing)
     eigenvector = centralities.eigenvector
     return [
         (
@@ -488,5 +459,5 @@ def centrality_by_action_type_count(
             centralities.betweenness[user],
             None if eigenvector is None else eigenvector[user],
         )
-        for user in present
+        for user in sorted(participation)
     ]

@@ -292,7 +292,9 @@ def run_pipeline(
 
 
 def compare(report_paths: Sequence[str | Path]) -> list[tuple[str, float]]:
-    """Rank events ascending by combined network score; ties break by label."""
+    """Rank events ascending by combined network score; ties break by label.
+    ReportParseError names the file of a report without a UTF-8 string
+    event_label or a finite csi_network_combined."""
     entries: list[tuple[str, float]] = []
     for path in report_paths:
         path = Path(path)
@@ -304,6 +306,7 @@ def compare(report_paths: Sequence[str | Path]) -> list[tuple[str, float]]:
                 raise ValueError("missing or non-numeric csi_network_combined")
             if not math.isfinite(value):  # OverflowError for an int beyond the float range
                 raise ValueError(f"csi_network_combined {value!r} is not finite")
+            label.encode("utf-8")  # UnicodeEncodeError, a ValueError, for a lone surrogate
         except (OSError, ValueError, KeyError, TypeError, OverflowError, RecursionError) as exc:
             raise ReportParseError(f"{path}: {exc}") from exc
         entries.append((label, float(value)))

@@ -85,14 +85,6 @@ class TestSyncGraph:
         assert graph.nodes["v"]["user_class"] == "unknown"
         assert graph.nodes["v"]["csi_user"] == 4.0
 
-    def test_rejects_self_loop(self):
-        with pytest.raises(ValueError):
-            build_sync_graph({("u", "u"): 1.0})
-
-    def test_rejects_pair_in_both_orders(self):
-        with pytest.raises(ValueError, match="both orders"):
-            build_sync_graph({("u", "v"): 1.0, ("v", "u"): 2.0})
-
 
 class TestAllCommGraph:
     def test_directionless_weight_sum(self):

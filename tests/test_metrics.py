@@ -25,7 +25,6 @@ from conftest import (
 )
 from syncindex.bots import BotScoreTable, class_triangle_totals, clustering_by_class
 from syncindex.metrics import (
-    MetricUndefinedError,
     PowerIterationError,
     avg_local_clustering,
     betweenness_centrality,
@@ -66,10 +65,6 @@ class TestDegree:
         graph = nx.Graph([("a", "b")])
         graph.add_node("c")
         assert degree_centrality(from_nx(graph))["c"] == 0.0
-
-    def test_too_small(self):
-        with pytest.raises(MetricUndefinedError):
-            degree_centrality(from_nx(nx.empty_graph(1)))
 
 
 class TestBetweenness:
@@ -128,10 +123,6 @@ class TestEigenvector:
     def test_max_component_is_one(self):
         values = eigenvector_centrality(from_nx(path3()))
         assert max(values.values()) == 1.0
-
-    def test_needs_an_edge(self):
-        with pytest.raises(MetricUndefinedError):
-            eigenvector_centrality(from_nx(nx.empty_graph(3)))
 
     def test_non_convergence_raises(self):
         with pytest.raises(PowerIterationError, match="no convergence after 3 iterations"):
@@ -443,13 +434,6 @@ class TestModularity:
         graph = nx.complete_graph(3)
         assert newman_modularity(from_nx(graph), {0: 0, 1: 1, 2: 2}) == pytest.approx(-1 / 3, abs=1e-12)
 
-    def test_edgeless_graph_warns_zero(self):
-        assert newman_modularity(from_nx(nx.empty_graph(4)), dict.fromkeys(range(4), 0)) == 0.0
-
-    def test_partition_must_cover(self):
-        with pytest.raises(ValueError):
-            newman_modularity(from_nx(two_triangles()), {0: 0})
-
     def test_bounds_on_random_partitions(self):
         rng = random.Random(41)
         for _ in range(10):
@@ -479,10 +463,6 @@ class TestLouvain:
         first = louvain_partition(from_nx(graph), seed=9)
         for _ in range(3):
             assert louvain_partition(from_nx(graph), seed=9) == first
-
-    def test_needs_an_edge(self):
-        with pytest.raises(MetricUndefinedError):
-            louvain_partition(from_nx(nx.empty_graph(3)), seed=1)
 
 
 @st.composite
@@ -514,19 +494,10 @@ class TestHierarchy:
     def test_single_node_is_one(self):
         assert krackhardt_hierarchy(from_nx(nx.empty_graph(1))) == 1.0
 
-    def test_empty_graph_undefined(self):
-        with pytest.raises(MetricUndefinedError):
-            krackhardt_hierarchy(from_nx(nx.Graph()))
-
     def test_ties_break_toward_larger_id(self):
         graph = nx.Graph([("a", "b")])
         # equal scores: arc points a -> b, one-way reachable pair
         assert krackhardt_hierarchy(scored(graph, {"a": 1.0, "b": 1.0})) == 1.0
-
-    def test_nan_score_rejected(self):
-        triangle = nx.Graph([("a", "b"), ("b", "c"), ("c", "a")])
-        with pytest.raises(ValueError, match="'b'"):
-            krackhardt_hierarchy(scored(triangle, {"a": 2.0, "b": math.nan, "c": 1.0}))
 
     @settings(max_examples=200, deadline=None)
     @given(scored_graphs())
@@ -586,10 +557,6 @@ class TestDensity:
     def test_edgeless(self):
         assert density(from_nx(nx.empty_graph(4))) == 0.0
 
-    def test_too_small(self):
-        with pytest.raises(MetricUndefinedError):
-            density(from_nx(nx.empty_graph(1)))
-
     def test_relabel_invariant(self):
         rng = random.Random(51)
         graph = random_graph(rng)
@@ -609,12 +576,6 @@ class TestParticipationCentrality:
         graph.add_nodes_from(["u", "v"])
         rows = centrality_by_action_type_count(node_centralities(from_nx(graph)), {"u": 1, "v": 2})
         assert rows == [("u", 1, 0.0, 0.0, 0.0), ("v", 2, 0.0, 0.0, 0.0)]
-
-    def test_absent_users_excluded(self, caplog):
-        graph = nx.Graph([("a", "b")])
-        rows = centrality_by_action_type_count(node_centralities(from_nx(graph)), {"a": 1, "ghost": 2})
-        assert [row[0] for row in rows] == ["a"]
-        assert "1 synchronizing users missing" in caplog.text
 
     def test_rows_match_centrality_functions(self):
         graph = self.fixture_graph()

@@ -390,6 +390,38 @@ def test_prefixed_user_ids_give_the_renamed_artifacts(tmp_path_factory, case, pr
         assert ids.sub(lambda m: prefix + m.group(), original) == (outs[1] / name).read_text(encoding="utf-8"), name
 
 
+def first_column(path: Path) -> list[str]:
+    with path.open(encoding="utf-8", newline="") as handle:
+        return [row[0] for row in csv.reader(handle)][1:]
+
+
+@settings(max_examples=15, deadline=None)
+@given(simulated_events())
+def test_centrality_rows_are_the_scored_users(tmp_path_factory, case):
+    """Every synchronizing user is a post author, so a node of the
+    all-communication graph: centrality_by_action_types.csv lists exactly the
+    users of users.csv, also when --lang drops every third post and the
+    interactions come in their own file."""
+    lines, _ = case
+    posts, interactions = [], []
+    for line in lines:
+        record = json.loads(line)
+        if "source_user" in record:
+            interactions.append(line)
+        else:
+            record["lang"] = "de" if len(posts) % 3 == 0 else "en"
+            posts.append(json.dumps(record))
+    root = tmp_path_factory.mktemp("rows")
+    (root / "events.jsonl").write_text("".join(line + "\n" for line in posts), encoding="utf-8")
+    (root / "interactions.jsonl").write_text("".join(line + "\n" for line in interactions), encoding="utf-8")
+    argv = ["report", "--events", str(root / "events.jsonl"), "--interactions", str(root / "interactions.jsonl"),
+            "--lang", "en", "--out", str(root / "out")]
+    assert cli.main(argv) == 0
+    report = json.loads((root / "out" / "report.json").read_text(encoding="utf-8"))
+    assert report["counts"]["posts"] == len(posts) - len(posts[::3])
+    assert first_column(root / "out" / "centrality_by_action_types.csv") == first_column(root / "out" / "users.csv")
+
+
 # Stage-table cells: ids, action types and numbers, well formed or not.
 stage_cells = st.one_of(
     st.sampled_from(["a", "b", "c", "hashtag", "url", "mention", "Hashtag", "1", "2", "0", "-1", "2.5",
@@ -604,6 +636,15 @@ class TestCompare:
         assert f"syncindex compare: {path}: " in capsys.readouterr().err
         assert not (tmp_path / "ranking.json").exists()
 
+    def test_label_not_utf8_is_parse_error(self, tmp_path, capsys):
+        path = tmp_path / "report.json"
+        path.write_text('{"event_label": "ev\\udcff", "csi_network_combined": 1.5}')
+        with pytest.raises(ReportParseError, match=re.escape(str(path))):
+            compare([path])
+        assert cli.main(["compare", str(path), "--out", str(tmp_path / "ranking.json")]) == 2
+        assert f"syncindex compare: {path}: " in capsys.readouterr().err
+        assert not (tmp_path / "ranking.json").exists()
+
 
 class TestCli:
     def test_end_to_end_subcommands(self, sim_inputs, tmp_path, capsys):
@@ -645,6 +686,17 @@ class TestCli:
         assert (out / "events.jsonl").exists()
         assert (out / "ground_truth.csv").exists()
         assert (out / "bots.csv").exists()
+
+    def test_simulate_seed_flag_overrides_config_seed(self, tmp_path):
+        config = {"duration_seconds": 3600, "background_users": 4, "cohorts": [{"member_count": 3}]}
+        outs = {}
+        for name, seed, argv in (("flag", 0, ["--seed", "7"]), ("config", 7, []), ("zero", 0, [])):
+            config_path = tmp_path / f"{name}.json"
+            config_path.write_text(json.dumps({"seed": seed, **config}))
+            outs[name] = tmp_path / name
+            assert cli.main(["simulate", "--config", str(config_path), *argv, "--out", str(outs[name])]) == 0
+        assert_same_files(outs["flag"], outs["config"], ["events.jsonl", "ground_truth.csv", "bots.csv"])
+        assert (outs["flag"] / "events.jsonl").read_bytes() != (outs["zero"] / "events.jsonl").read_bytes()
 
     @pytest.mark.parametrize(
         "setting,message",
