@@ -127,7 +127,7 @@ def average_csi_by_user_class(graph: Graph) -> tuple[dict[str, dict], int]:
     by_class = {
         cls: {
             "mean": fmean(values),
-            "sd": pstdev(values) if len(values) > 1 else 0.0,
+            "sd": pstdev(values),
             "count": len(values),
         }
         for cls, values in sorted(buckets.items())

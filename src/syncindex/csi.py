@@ -124,7 +124,7 @@ USER_COLUMNS = ("user_id", "csi_user")
 
 def write_pair_scores_csv(tables: CsiTables, counts: PairCounts, path: str | Path) -> Path:
     rows = (
-        (*pair, len(counts[pair]), sum(counts[pair].values()), repr(score))
+        (*pair, len(counts[pair]), sum(counts[pair].values()), score)
         for pair, score in sorted(tables.pair_scores.items())
     )
     return write_csv(path, PAIR_COLUMNS, rows)
@@ -154,8 +154,7 @@ def read_pair_scores_csv(path: str | Path) -> dict[tuple[str, str], float]:
 
 
 def write_user_scores_csv(tables: CsiTables, path: str | Path) -> Path:
-    rows = ((user, repr(tables.user_scores[user])) for user in sorted(tables.user_scores))
-    return write_csv(path, USER_COLUMNS, rows)
+    return write_csv(path, USER_COLUMNS, sorted(tables.user_scores.items()))
 
 
 def read_user_scores_csv(path: str | Path) -> dict[str, float]:

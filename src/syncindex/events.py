@@ -130,7 +130,8 @@ def _xml_forbidden(text: str) -> bool:
 
 def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence[object]]) -> Path:
     """A stage table: the header row, then the rows, in the csv module's default
-    dialect (minimal quoting, "\\r\\n" line ends)."""
+    dialect (minimal quoting, "\\r\\n" line ends), which writes a float as its
+    shortest round-trip repr and None as an empty cell."""
     path = Path(path)
     with path.open("w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
@@ -220,12 +221,11 @@ def write_json(path: str | Path, obj: object) -> Path:
 
 def _artifact_set(value: object) -> frozenset[str]:
     """The stripped, non-empty entries of a list field; None or "" is empty.
-    TypeError for an entry that is not a string."""
+    ValueError for any other value, TypeError for an entry that is not a string."""
     if value.__class__ is not list:
         if value is None or value == "":
             return _NO_ARTIFACTS
-        if not isinstance(value, (list, tuple, set, frozenset)):
-            raise ValueError("artifact field must be a list")
+        raise ValueError("artifact field must be a list")
     if not value:
         return _NO_ARTIFACTS
     cleaned = frozenset(map(str.strip, value))
@@ -341,7 +341,8 @@ def _jsonl_records(stream: Iterable[str]) -> Iterator[tuple | None]:
 def _csv_records(stream: Iterable[str]) -> Iterator[tuple | None]:
     """As csv.DictReader would map each row: a repeated column name reads its
     last column, a short row lacks its missing fields, and an empty cell is an
-    absent field. The list fields are pipe-delimited."""
+    absent field. The list fields are pipe-delimited. A byte that is not UTF-8
+    in any cell, a hidden or extra one too, makes the row malformed."""
     header, rows = csv_rows(stream)
     width = len(header)
     position = {name: i for i, name in enumerate(header)}
@@ -349,18 +350,12 @@ def _csv_records(stream: Iterable[str]) -> Iterator[tuple | None]:
     post_cells = itemgetter(*[position.get(name, width) for name in PostEvent._fields])
     interaction_cells = itemgetter(*[position.get(name, width) for name in InteractionRecord._fields])
     source, target = position.get("source_user", width), position.get("target_user", width)
-    # The cells a row's record is read from, extra cells included: all of them,
-    # unless a repeated name hides a column.
-    shown = sorted(position.values()) if len(position) < width else None
     for cells in rows:
         if cells is None:
             yield None
             continue
         n = len(cells)
-        if shown is None:
-            text = "".join(cells)
-        else:
-            text = "".join([cells[i] for i in shown if i < n] + cells[width:])
+        text = "".join(cells)
         check = not text.isprintable()
         if check and _undecodable(text):
             yield None

@@ -54,9 +54,6 @@ from .graphs import Graph
 
 logger = logging.getLogger(__name__)
 
-class PowerIterationError(RuntimeError):
-    """Eigenvector iteration failed to converge."""
-
 
 def degree_centrality(graph: Graph) -> dict[str, float]:
     """Unweighted degree divided by (n - 1); the graph has at least 2 nodes."""
@@ -179,13 +176,14 @@ def _blocks(adjacency: list[list[int]]) -> tuple[list[int], list[tuple[list[int]
     return pairs, blocks
 
 
-def eigenvector_centrality(graph: Graph, tol: float = 1e-9, max_iter: int = 1000) -> dict[str, float]:
+def eigenvector_centrality(graph: Graph, tol: float = 1e-9, max_iter: int = 1000) -> dict[str, float] | None:
     """Power iteration on the weighted adjacency, scaled so the max component is 1.
 
     Starts from a uniform positive vector; converged when successive
     max-normalized iterates differ by less than tol in max norm. Iterates
     with the identity added so bipartite graphs cannot oscillate. Isolated
     nodes share one value (see the module docstring). The graph has an edge.
+    None when max_iter iterations do not converge.
     """
     rows: list[list[tuple[int, float]]] = [[] for _ in graph.nodes]
     for a, b, w in zip(graph.sources, graph.targets, graph.weights):
@@ -211,7 +209,7 @@ def eigenvector_centrality(graph: Graph, tol: float = 1e-9, max_iter: int = 1000
         x = nxt
         if delta < tol:
             return {node: x[position.get(i, shared)] for i, node in enumerate(graph.nodes)}
-    raise PowerIterationError(f"no convergence after {max_iter} iterations")
+    return None
 
 
 @dataclass(frozen=True)
@@ -237,11 +235,9 @@ def node_centralities(graph: Graph) -> Centralities:
     zeros = dict.fromkeys(graph.nodes, 0.0)
     eigenvector: dict[str, float] | None = zeros
     if graph.number_of_edges() > 0:
-        try:
-            eigenvector = eigenvector_centrality(graph)
-        except PowerIterationError as exc:
-            logger.warning("eigenvector centrality undefined: %s", exc)
-            eigenvector = None
+        eigenvector = eigenvector_centrality(graph)
+        if eigenvector is None:
+            logger.warning("eigenvector centrality undefined: power iteration did not converge")
     return Centralities(
         degree=degree_centrality(graph) if graph.number_of_nodes() >= 2 else zeros,
         betweenness=betweenness_centrality(graph),

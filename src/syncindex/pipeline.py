@@ -86,7 +86,7 @@ def write_report_csv(report: EventReport, path: str | Path) -> Path:
         else:
             yield prefix, obj
 
-    return write_csv(path, ("field", "value"), rows("", round_floats(asdict(report))))  # None is written ""
+    return write_csv(path, ("field", "value"), rows("", round_floats(asdict(report))))
 
 
 @dataclass(frozen=True)
@@ -183,16 +183,11 @@ def allcomm_centralities(dataset: EventDataset) -> metricmod.Centralities:
     return metricmod.node_centralities(graphmod.build_allcomm_graph(dataset.interactions, users=authors))
 
 
-def _centrality_cells(degree: float, betweenness: float, eigenvector: float | None) -> tuple[str, str, str]:
-    """Full-precision cells; the eigenvector cell is empty when it did not converge."""
-    return repr(degree), repr(betweenness), "" if eigenvector is None else repr(eigenvector)
-
-
 def write_centrality_csv(centralities: metricmod.Centralities, path: Path) -> None:
-    """All three centralities of every node of the graph."""
+    """All three centralities of every node; the eigenvector cells are empty when it did not converge."""
     eigenvector = centralities.eigenvector or {}  # None: did not converge
     rows = (
-        (user, *_centrality_cells(degree, centralities.betweenness[user], eigenvector.get(user)))
+        (user, degree, centralities.betweenness[user], eigenvector.get(user))
         for user, degree in sorted(centralities.degree.items())
     )
     write_csv(path, ("user_id", "total_degree", "betweenness", "eigenvector"), rows)
@@ -285,7 +280,7 @@ def run_pipeline(
     write_csv(
         out / "centrality_by_action_types.csv",
         ("user_id", "num_action_types", "total_degree", "betweenness", "eigenvector"),
-        ((user, level, *_centrality_cells(*values)) for user, level, *values in participation),
+        participation,
     )
     write_report_json(report, out / "report.json")
     return report

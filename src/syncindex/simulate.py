@@ -185,7 +185,7 @@ def write_ground_truth_csv(truth: GroundTruth, path: str | Path) -> Path:
 
 
 def write_bot_scores_csv(scores: Mapping[str, float], path: str | Path) -> Path:
-    rows = ((user, repr(float(scores[user]))) for user in sorted(scores))
+    rows = ((user, float(scores[user])) for user in sorted(scores))
     return write_csv(path, ("user_id", "score"), rows)
 
 

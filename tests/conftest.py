@@ -717,26 +717,36 @@ def _xml_forbidden(text: str) -> bool:
     return not text.isprintable() and _XML_FORBIDDEN.search(text) is not None
 
 
-def dict_rows(handle: Iterable[str]) -> tuple[list[str], Iterator[dict | None]]:
-    """(header, rows) of a CSV with a header row, rows as csv.DictReader gives
-    them. A row the csv module cannot read (a cell over its field limit) is
-    None, and reading resumes at the next row; ValueError when the header
-    cannot be read."""
-    reader = csv.DictReader(handle)
+def dict_rows(handle: Iterable[str]) -> tuple[list[str], Iterator[tuple[dict, str] | None]]:
+    """(header, rows) of a CSV with a header row, each row as csv.DictReader
+    gives it with the raw text of the lines it was read from, which still
+    holds a cell that DictReader drops for a repeated column name. A row the
+    csv module cannot read (a cell over its field limit) is None, and reading
+    resumes at the next row; ValueError when the header cannot be read."""
+    lines: list[str] = []
+
+    def recorded() -> Iterator[str]:
+        for line in handle:
+            lines.append(line)
+            yield line
+
+    reader = csv.DictReader(recorded())
     try:
         header = reader.fieldnames or []
     except csv.Error as exc:
         raise ValueError(f"CSV header: {exc}") from exc
 
-    def rows() -> Iterator[dict | None]:
+    def rows() -> Iterator[tuple[dict, str] | None]:
         while True:
+            lines.clear()
             try:
                 row = next(reader)
             except StopIteration:
                 return
             except csv.Error:
-                row = None
-            yield row
+                yield None
+                continue
+            yield row, "".join(lines)
 
     return header, rows()
 
@@ -816,14 +826,14 @@ def _undecodable(text: str) -> bool:
     return False
 
 
-def _csv_row_to_mapping(row: dict) -> dict | None:
+def _csv_row_to_mapping(row: dict, raw: str) -> dict | None:
     """Translate a CSV row to the JSONL record shape (pipe-delimited lists).
 
-    None when a cell, extra cells included, is not valid UTF-8.
+    None when the raw text of the row is not valid UTF-8, in any cell.
     """
-    obj: dict = {k: v for k, v in row.items() if k is not None and v not in (None, "")}
-    if _undecodable("".join([*obj.values(), *(row.get(None) or ())])):
+    if _undecodable(raw):
         return None
+    obj: dict = {k: v for k, v in row.items() if k is not None and v not in (None, "")}
     for key in ("hashtags", "urls", "mentions"):
         if key in obj:
             obj[key] = [part for part in obj[key].split("|") if part]
@@ -858,7 +868,7 @@ def reference_parse_events(
 
     if format == "csv":
         records: Iterator[dict | None] = (
-            None if row is None else _csv_row_to_mapping(row) for row in dict_rows(stream)[1]
+            None if row is None else _csv_row_to_mapping(*row) for row in dict_rows(stream)[1]
         )
     else:
         records = _iter_jsonl(stream)

@@ -1,6 +1,7 @@
 """The package has no runtime dependency: every import in it is the
 standard library or the package itself, and a report run loads no
-networkx (the tests use it as an oracle)."""
+networkx (the tests use it as an oracle). Every name it defines is used
+in it."""
 
 from __future__ import annotations
 
@@ -14,6 +15,7 @@ import syncindex
 
 ALLOWED = set(sys.stdlib_module_names) | {"syncindex"}
 DATA = Path(__file__).parent / "data"
+CALLED_FROM_OUTSIDE = {"_Parser.error"}  # methods only a library calls: argparse, on a usage error
 
 
 def test_runtime_imports_are_stdlib():
@@ -30,6 +32,39 @@ def test_runtime_imports_are_stdlib():
                 continue
             foreign += [f"{path.name}:{node.lineno} {name}" for name in names if name.split(".")[0] not in ALLOWED]
     assert foreign == []
+
+
+def test_every_definition_is_referenced():
+    """Each function, class and method the package defines is named somewhere
+    in the package: in a call, an attribute or an import (__init__'s
+    re-exports count), so none is kept only for the tests. Dunders are
+    exempt, and so are the methods only a library calls."""
+    sources = sorted(Path(syncindex.__file__).parent.glob("*.py"))
+    assert sources
+    defined = []
+    referenced = set()
+    for path in sources:
+        qualname = {}
+        # Breadth first, so a class comes before its methods.
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if isinstance(node, ast.ClassDef):
+                qualname.update((child, f"{node.name}.{child.name}") for child in node.body if hasattr(child, "name"))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.append((node.name, qualname.get(node, node.name), f"{path.name}:{node.lineno}"))
+            elif isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.alias):
+                referenced.add(node.name)
+    unused = [
+        f"{where} {qual}"
+        for name, qual, where in defined
+        if name not in referenced
+        and not (name.startswith("__") and name.endswith("__"))
+        and qual not in CALLED_FROM_OUTSIDE
+    ]
+    assert unused == []
 
 
 def test_report_loads_no_networkx(tmp_path):

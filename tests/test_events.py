@@ -386,8 +386,13 @@ class TestUndecodableBytes:
 
     def test_bad_byte_in_extra_csv_cell_is_malformed(self, tmp_path):
         path = tmp_path / "events.csv"
-        path.write_bytes(b"post_id,user_id,timestamp,post_type\np1,alice,100,original\np2,bob,100,original,\xff\n")
-        assert read_events_file(path).malformed == 1
+        for content in (
+            b"post_id,user_id,timestamp,post_type\np1,alice,100,original\np2,bob,100,original,\xff\n",
+            # The second user_id column hides the first, which holds the bad byte.
+            b"post_id,user_id,timestamp,post_type,user_id\np1,alice,100,original,alice\np2,\xff,100,original,bob\n",
+        ):
+            path.write_bytes(content)
+            assert read_events_file(path).malformed == 1
 
     def test_csv_cell_over_field_limit_is_malformed(self, tmp_path):
         path = tmp_path / "events.csv"
