@@ -53,27 +53,26 @@ class BotScoreTable:
 
 
 def load_bot_scores(path: str | Path, threshold: float = DEFAULT_THRESHOLD) -> BotScoreTable:
-    """Read the user_id,score CSV (header required); invalid rows are rejected.
+    """Read the user_id,score CSV (header required) through events.csv_rows;
+    invalid rows are rejected.
 
     A row whose user id is not valid UTF-8 or holds another character XML 1.0
-    forbids is one rejected row, as is a row holding a cell over the csv
-    module's field limit, and a row whose user id an earlier row holds (the
-    first row's score is kept).
+    forbids is one rejected row, as is a row the csv module cannot read, and
+    a row whose user id an earlier row holds (the first row's score is kept).
     """
     scores: dict[str, float] = {}
     rejected = 0
     with open_input(path) as handle:
         try:
-            names, rows = csv_rows(handle)
+            _, position, rows = csv_rows(handle)
         except ValueError as exc:
             raise ScoreError(f"bot score file {path}: {exc}") from exc
-        position = {name: i for i, name in enumerate(names)}  # a repeated name reads its last column
         if "user_id" not in position or "score" not in position:
             raise ScoreError(f"bot score file {path} must have a user_id,score header")
         user_at, score_at = position["user_id"], position["score"]
-        for cells in rows:
+        for _, cells in rows:
             try:
-                if cells is None:
+                if not isinstance(cells, list):  # a csv.Error
                     raise ValueError
                 user = cells[user_at].strip() if user_at < len(cells) else ""
                 score = float(cells[score_at] if score_at < len(cells) else "")
@@ -158,26 +157,20 @@ def centrality_by_class(
     return out
 
 
-def class_triangle_totals(graph: Graph) -> dict[str, tuple[int, int]]:
-    """Per class of the graph's user_class list, the triangle and
-    connected-triple totals of triangle_counts on the class-induced
-    subgraph; empty classes are absent."""
+def class_triangle_counts(graph: Graph) -> dict[str, tuple[list[int], list[int]]]:
+    """Per class of the graph's user_class list, metrics.triangle_counts on the
+    class-induced subgraph; empty classes are absent."""
     members = {"bot": 0, "human": 0}
     for i, cls in enumerate(graph.user_class):
         if cls in members:
             members[cls] |= 1 << i
-    totals = {}
-    for cls, mask in members.items():
-        if mask:
-            triangles, triples = metrics.triangle_counts(graph, mask)
-            totals[cls] = (sum(triangles), sum(triples))
-    return totals
+    return {cls: metrics.triangle_counts(graph, mask) for cls, mask in members.items() if mask}
 
 
-def clustering_by_class(totals: dict[str, tuple[int, int]]) -> dict[str, float]:
-    """Transitivity of each class-induced subgraph from class_triangle_totals;
-    empty classes are absent."""
-    return {cls: triangles / triples if triples else 0.0 for cls, (triangles, triples) in totals.items()}
+def clustering_by_class(counts: dict[str, tuple[list[int], list[int]]]) -> dict[str, float]:
+    """metrics.transitivity of each class-induced subgraph from
+    class_triangle_counts; empty classes are absent."""
+    return {cls: metrics.transitivity(class_counts) for cls, class_counts in counts.items()}
 
 
 def user_classes(users: Iterable[str], table: BotScoreTable) -> dict[str, str]:

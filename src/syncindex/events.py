@@ -151,64 +151,65 @@ def open_input(path: str | Path) -> TextIO:
 def read_csv(
     path: str | Path, columns: Sequence[str], ids: Iterable[str] = ()
 ) -> Iterator[tuple[int, tuple[str, ...]]]:
-    """(line, cells of columns in order) for each row of a stage table; blank
-    rows and extra cells are skipped.
+    """(line, cells of columns in order) for each row of a stage table, as
+    csv_rows reads it; extra cells are skipped.
 
     ValueError naming the file, and the line for a row problem, when the
-    header lacks one of columns, a row has fewer cells than the header, a
-    cell is too large for the csv module, or an ids column holds a character
-    XML 1.0 forbids (no GraphML export could carry it). Bytes that are not
-    UTF-8 are read as lone surrogates (see open_input), so they fail the
-    check of their cell.
+    header lacks one of columns, a row has fewer cells than the header, the
+    csv module cannot read the header or a row, or an ids column holds a
+    character XML 1.0 forbids (no GraphML export could carry it). Bytes that
+    are not UTF-8 are read as lone surrogates (see open_input), so they fail
+    the check of their cell.
     """
     with open_input(path) as handle:
-        reader = csv.reader(handle)
         try:
-            header = next(reader, [])
-            position = {name: i for i, name in enumerate(header)}
-            missing = [name for name in columns if name not in position]
-            if missing:
-                raise ValueError(f"{path}: line 1: header lacks column {missing[0]}")
-            wanted = [position[name] for name in columns]
-            checked = [(name, position[name]) for name in ids]
-            for cells in reader:
-                line = reader.line_num
-                if not cells:
-                    continue
-                if len(cells) < len(header):
-                    raise ValueError(f"{path}: line {line}: {len(cells)} cells, header has {len(header)}")
-                for name, i in checked:
-                    if _xml_forbidden(cells[i]):
-                        raise ValueError(f"{path}: line {line}: {name} holds a character XML 1.0 forbids")
-                yield line, tuple([cells[i] for i in wanted])
-        except csv.Error as exc:
-            raise ValueError(f"{path}: line {reader.line_num}: {exc}") from exc
+            header, position, rows = csv_rows(handle)
+        except ValueError as exc:
+            raise ValueError(f"{path}: line 1: {exc.__cause__}") from exc
+        missing = [name for name in columns if name not in position]
+        if missing:
+            raise ValueError(f"{path}: line 1: header lacks column {missing[0]}")
+        wanted = [position[name] for name in columns]
+        checked = [(name, position[name]) for name in ids]
+        for line, cells in rows:
+            if isinstance(cells, csv.Error):
+                raise ValueError(f"{path}: line {line}: {cells}") from cells
+            if len(cells) < len(header):
+                raise ValueError(f"{path}: line {line}: {len(cells)} cells, header has {len(header)}")
+            for name, i in checked:
+                if _xml_forbidden(cells[i]):
+                    raise ValueError(f"{path}: line {line}: {name} holds a character XML 1.0 forbids")
+            yield line, tuple([cells[i] for i in wanted])
 
 
-def csv_rows(handle: Iterable[str]) -> tuple[list[str], Iterator[list[str] | None]]:
-    """(header, rows) of a CSV with a header row: the cells of each row, blank
-    rows skipped. A row the csv module cannot read (a cell over its field
-    limit) is None, and reading resumes at the next line; ValueError when the
-    header cannot be read."""
+def csv_rows(
+    handle: Iterable[str],
+) -> tuple[list[str], dict[str, int], Iterator[tuple[int, list[str] | csv.Error]]]:
+    """(header, name -> column, rows) of a CSV with a header row, the one
+    reader of every CSV input: a repeated name maps to its last column, and
+    each non-blank row is (its last line, its cells), or (line, the csv.Error)
+    when the csv module cannot read it (a cell over its field limit; on Python
+    3.10 a NUL byte), reading on at the next line. ValueError, caused by the
+    csv.Error, when the header cannot be read."""
     reader = csv.reader(handle)
     try:
         header = next(reader, [])
     except csv.Error as exc:
         raise ValueError(f"CSV header: {exc}") from exc
 
-    def rows() -> Iterator[list[str] | None]:
+    def rows() -> Iterator[tuple[int, list[str] | csv.Error]]:
         while True:
             try:
                 cells = next(reader)
             except StopIteration:
                 return
-            except csv.Error:
-                yield None
+            except csv.Error as exc:
+                yield reader.line_num, exc
                 continue
             if cells:
-                yield cells
+                yield reader.line_num, cells
 
-    return header, rows()
+    return header, {name: i for i, name in enumerate(header)}, rows()
 
 
 def write_json(path: str | Path, obj: object) -> Path:
@@ -339,19 +340,18 @@ def _jsonl_records(stream: Iterable[str]) -> Iterator[tuple | None]:
 
 
 def _csv_records(stream: Iterable[str]) -> Iterator[tuple | None]:
-    """As csv.DictReader would map each row: a repeated column name reads its
-    last column, a short row lacks its missing fields, and an empty cell is an
-    absent field. The list fields are pipe-delimited. A byte that is not UTF-8
-    in any cell, a hidden or extra one too, makes the row malformed."""
-    header, rows = csv_rows(stream)
+    """As csv.DictReader would map each row of csv_rows: a short row lacks its
+    missing fields, and an empty cell is an absent field. The list fields are
+    pipe-delimited. A row the csv module cannot read is malformed, and so is a
+    row with a byte that is not UTF-8 in any cell, a hidden or extra one too."""
+    header, position, rows = csv_rows(stream)
     width = len(header)
-    position = {name: i for i, name in enumerate(header)}
     # A column the header lacks reads index width, which every row holds as "".
     post_cells = itemgetter(*[position.get(name, width) for name in PostEvent._fields])
     interaction_cells = itemgetter(*[position.get(name, width) for name in InteractionRecord._fields])
     source, target = position.get("source_user", width), position.get("target_user", width)
-    for cells in rows:
-        if cells is None:
+    for _, cells in rows:
+        if isinstance(cells, csv.Error):
             yield None
             continue
         n = len(cells)

@@ -223,6 +223,12 @@ class Centralities:
     betweenness: dict[str, float]
     eigenvector: dict[str, float] | None
 
+    def row(self, node: str) -> tuple[float, float, float | None]:
+        """(degree, betweenness, eigenvector) of node, the cells of every
+        centrality table; eigenvector is None when it did not converge."""
+        eigenvector = None if self.eigenvector is None else self.eigenvector[node]
+        return self.degree[node], self.betweenness[node], eigenvector
+
 
 def node_centralities(graph: Graph) -> Centralities:
     """All three centralities, each computed once.
@@ -441,19 +447,8 @@ def density(graph: Graph) -> float:
 def centrality_by_action_type_count(
     centralities: Centralities, participation: dict[str, int]
 ) -> list[tuple[str, int, float, float, float | None]]:
-    """(user, number of action types, total degree, betweenness, eigenvector)
-    rows, sorted by user, for the synchronizing users, each a node of the
-    graph (every synchronizing user is a post author). eigenvector is None
-    when it did not converge.
+    """(user, number of action types, *centralities.row(user)) rows, sorted
+    by user, for the synchronizing users, each a node of the graph (every
+    synchronizing user is a post author).
     """
-    eigenvector = centralities.eigenvector
-    return [
-        (
-            user,
-            participation[user],
-            centralities.degree[user],
-            centralities.betweenness[user],
-            None if eigenvector is None else eigenvector[user],
-        )
-        for user in sorted(participation)
-    ]
+    return [(user, participation[user], *centralities.row(user)) for user in sorted(participation)]

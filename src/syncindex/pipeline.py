@@ -162,11 +162,11 @@ def structure_section(sync: graphmod.Graph, seed: int, out: Path) -> dict | None
             "transitivity": metricmod.transitivity(counts),
             "avg_local_clustering": metricmod.avg_local_clustering(counts),
         }
-        no_triples = [] if any(counts[1]) else ["sync"]
+        by_class = {}
         if sync.user_class is not None:
-            totals = botmod.class_triangle_totals(sync)
-            section["clustering_by_class"] = botmod.clustering_by_class(totals)
-            no_triples += [cls for cls, (_, triples) in totals.items() if not triples]
+            by_class = botmod.class_triangle_counts(sync)
+            section["clustering_by_class"] = botmod.clustering_by_class(by_class)
+        no_triples = [name for name, (_, triples) in {"sync": counts, **by_class}.items() if not any(triples)]
         if no_triples:
             logger.warning("no connected triples: transitivity reported as 0 for %s", ", ".join(no_triples))
     write_json(out / "metrics.json", round_floats(section or {}))
@@ -184,12 +184,9 @@ def allcomm_centralities(dataset: EventDataset) -> metricmod.Centralities:
 
 
 def write_centrality_csv(centralities: metricmod.Centralities, path: Path) -> None:
-    """All three centralities of every node; the eigenvector cells are empty when it did not converge."""
-    eigenvector = centralities.eigenvector or {}  # None: did not converge
-    rows = (
-        (user, degree, centralities.betweenness[user], eigenvector.get(user))
-        for user, degree in sorted(centralities.degree.items())
-    )
+    """centralities.row of every node, sorted by user; the eigenvector cells
+    are empty when it did not converge."""
+    rows = ((user, *centralities.row(user)) for user in sorted(centralities.degree))
     write_csv(path, ("user_id", "total_degree", "betweenness", "eigenvector"), rows)
 
 

@@ -20,7 +20,7 @@ from syncindex.bots import (
     average_csi_by_pair_class,
     average_csi_by_user_class,
     centrality_by_class,
-    class_triangle_totals,
+    class_triangle_counts,
     clustering_by_class,
     load_bot_scores,
     pair_class,
@@ -124,6 +124,22 @@ class TestLoad:
         assert t.classify("c0_u000") == "bot"
         assert t.rejected == 2
         assert [r.getMessage() for r in caplog.records] == [f"rejected 2 bot score rows from {path}"]
+
+    def test_repeated_column_reads_the_last(self, tmp_path):
+        path = tmp_path / "bots.csv"
+        path.write_text("user_id,score,score\nalice,0.95,0.10\nbob,0.10,0.95\n")
+        t = load_bot_scores(path)
+        assert t.scores == {"alice": 0.10, "bob": 0.95}
+        assert t.rejected == 0
+
+    def test_nul_byte_row_rejected(self, tmp_path):
+        # Python 3.10's csv module cannot read the row; later ones read it,
+        # and the id then holds a character XML 1.0 forbids.
+        path = tmp_path / "bots.csv"
+        path.write_text("user_id,score\nalice,0.95\nb\x00b,0.10\ncarol,0.2\n", encoding="utf-8")
+        t = load_bot_scores(path)
+        assert t.scores == {"alice": 0.95, "carol": 0.2}
+        assert t.rejected == 1
 
     def test_xml_forbidden_id_row_rejected(self, tmp_path):
         path = tmp_path / "bots.csv"
@@ -300,14 +316,14 @@ class TestClusteringByClass:
         }
         t = table({"b1": 0.9, "b2": 0.9, "b3": 0.9, "h1": 0.1, "h2": 0.1, "h3": 0.1})
         sync = build_sync_graph(scores, user_classes=user_classes(sorted({u for p in scores for u in p}), t))
-        result = clustering_by_class(class_triangle_totals(sync))
+        result = clustering_by_class(class_triangle_counts(sync))
         assert result == {"bot": 1.0, "human": 0.0}
 
     def test_empty_partition_key_absent(self):
         scores = {("h1", "h2"): 1.0}
         t = table({"h1": 0.1, "h2": 0.1})
         sync = build_sync_graph(scores, user_classes=user_classes(["h1", "h2"], t))
-        result = clustering_by_class(class_triangle_totals(sync))
+        result = clustering_by_class(class_triangle_counts(sync))
         assert set(result) == {"human"}
 
     def test_matches_induced_subgraph_transitivity(self):
@@ -315,5 +331,5 @@ class TestClusteringByClass:
         t = table({"b1": 0.9, "b2": 0.9, "b3": 0.9, "h1": 0.1})
         classes = user_classes(["b1", "b2", "b3", "h1"], t)
         sync = build_sync_graph(scores, user_classes=classes)
-        result = clustering_by_class(class_triangle_totals(sync))
+        result = clustering_by_class(class_triangle_counts(sync))
         assert result["bot"] == transitivity(triangle_counts(from_nx(induced_subgraph(sync, "bot"))))

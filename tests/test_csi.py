@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 import re
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -251,6 +252,15 @@ class TestConfigAndIo:
         users.write_text("user_id,csi_user\na,1.0\nb\x1f,1.0\n")
         with pytest.raises(ValueError, match=r"users.csv: line 3: user_id holds a character XML 1.0 forbids"):
             read_user_scores_csv(users)
+
+    def test_nul_byte_in_id_rejected_with_line(self, tmp_path):
+        # Python 3.10's csv module cannot read the row; later ones read it,
+        # and the id then holds a character XML 1.0 forbids.
+        path = tmp_path / "pairs.csv"
+        path.write_text("user_u,user_v,num_action_types,s_total,csi_userpair\na\x00b,c,1,1,1.0\n")
+        reason = "line contains NUL" if sys.version_info < (3, 11) else "user_u holds a character XML 1.0 forbids"
+        with pytest.raises(ValueError, match=re.escape(f"{path}: line 2: {reason}")):
+            read_pair_scores_csv(path)
 
     @pytest.mark.parametrize(
         ("rows", "message"),

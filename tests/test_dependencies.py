@@ -67,6 +67,30 @@ def test_every_definition_is_referenced():
     assert unused == []
 
 
+def test_one_csv_reader_and_one_csv_writer():
+    """csv.reader is built only in events.csv_rows, which reads every CSV
+    input, and csv.writer only in events.write_csv, which writes every table.
+    The csv module's other readers and writers, and names imported from it,
+    count too, so neither rule can be kept twice."""
+    sources = sorted(Path(syncindex.__file__).parent.glob("*.py"))
+    assert sources
+    uses = []
+    for path in sources:
+        for top in ast.parse(path.read_text(encoding="utf-8"), filename=str(path)).body:
+            owner = getattr(top, "name", "<module>")
+            for node in ast.walk(top):
+                if (
+                    isinstance(node, ast.Attribute)
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == "csv"
+                    and node.attr in ("reader", "writer", "DictReader", "DictWriter")
+                ):
+                    uses.append((path.stem, owner, node.attr))
+                elif isinstance(node, ast.ImportFrom) and node.module == "csv":
+                    uses.append((path.stem, owner, "from csv import"))
+    assert sorted(uses) == [("events", "csv_rows", "reader"), ("events", "write_csv", "writer")]
+
+
 def test_report_loads_no_networkx(tmp_path):
     script = (
         "import sys\n"

@@ -484,6 +484,19 @@ class TestUndecodableBytes:
         assert [p.post_id for p in dataset.posts] == ["p1"]
         assert dataset.malformed == 1
 
+    def test_nul_byte_in_csv_cell_is_malformed(self, tmp_path):
+        # Python 3.10's csv module cannot read the row; later ones read it,
+        # and the id then holds a character XML 1.0 forbids.
+        path = tmp_path / "events.csv"
+        path.write_text(
+            "post_id,user_id,timestamp,post_type\np1,alice,100,original\np2,a\x00b,100,original\n"
+            "p3,carol,100,original\n",
+            encoding="utf-8",
+        )
+        dataset = read_events_file(path)
+        assert [p.post_id for p in dataset.posts] == ["p1", "p3"]
+        assert dataset.malformed == 1
+
     def test_xml_allowed_characters_are_kept(self):
         ids = ["a\tb", "a\x7fb", "a\x85b", "a\u200bb", "a\ue000b", "a\U0001f600b"]
         dataset = parse_events([post_line(post_id=f"p{i}", user_id=uid) for i, uid in enumerate(ids)])
@@ -681,6 +694,11 @@ class TestStageCsv:
         path = tmp_path / "t.csv"
         path.write_text("u,v\na,b,extra\n\nc,d\n", encoding="utf-8")
         assert list(read_csv(path, ("u",))) == [(2, ("a",)), (4, ("c",))]
+
+    def test_repeated_column_reads_the_last(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("u,v,u\na,b,c\nd,e,f\n", encoding="utf-8")
+        assert list(read_csv(path, ("u", "v"), ids=("u",))) == [(2, ("c", "b")), (3, ("f", "e"))]
 
     @pytest.mark.parametrize(
         ("text", "message"),

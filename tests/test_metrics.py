@@ -23,7 +23,7 @@ from conftest import (
     set_transitivity,
     set_triangle_counts,
 )
-from syncindex.bots import BotScoreTable, class_triangle_totals, clustering_by_class
+from syncindex.bots import BotScoreTable, class_triangle_counts, clustering_by_class
 from syncindex.metrics import (
     avg_local_clustering,
     betweenness_centrality,
@@ -416,7 +416,7 @@ class TestStructureMatchesOracles:
             if members:
                 expected[cls] = set_transitivity(graph.subgraph(members))
         classified = replace(indexed, user_class=[table.classify(node) for node in indexed.nodes])
-        assert clustering_by_class(class_triangle_totals(classified)) == expected
+        assert clustering_by_class(class_triangle_counts(classified)) == expected
 
 
 class TestModularity:
