@@ -109,62 +109,52 @@ def average_csi_by_pair_class(graph: Graph) -> dict[str, dict]:
     }
 
 
+def class_members(graph: Graph) -> tuple[dict[str, list[int]], int]:
+    """({user class: node indices}, number of unknown nodes) by the sync
+    graph's user_class list: the scored classes in sorted order, empty
+    classes absent. Every user-class section groups its users here."""
+    members: dict[str, list[int]] = {}
+    for i, cls in enumerate(graph.user_class):
+        members.setdefault(cls, []).append(i)
+    unknown = len(members.pop("unknown", ()))
+    return dict(sorted(members.items())), unknown
+
+
 def average_csi_by_user_class(graph: Graph) -> tuple[dict[str, dict], int]:
     """({user class: {"mean", "sd", "count"}}, number of unscored users) over
-    the sync graph's csi_user list by its user_class list.
+    the sync graph's csi_user list by class_members.
 
     sd is the population standard deviation (0 for one user). Classes are in
     sorted order; unscored users are only counted, and empty classes are absent.
     """
-    buckets: dict[str, list[float]] = {}
-    unknown = 0
-    for cls, score in zip(graph.user_class, graph.csi_user):
-        if cls == "unknown":
-            unknown += 1
-        else:
-            buckets.setdefault(cls, []).append(score)
-    by_class = {
-        cls: {
-            "mean": fmean(values),
-            "sd": pstdev(values),
-            "count": len(values),
-        }
-        for cls, values in sorted(buckets.items())
-    }
-    return by_class, unknown
+    members, unknown = class_members(graph)
+    scores = {cls: [graph.csi_user[i] for i in nodes] for cls, nodes in members.items()}
+    return {cls: {"mean": fmean(v), "sd": pstdev(v), "count": len(v)} for cls, v in scores.items()}, unknown
 
 
 def centrality_by_class(
     centralities: metrics.Centralities, graph: Graph
 ) -> dict[str, dict[str, float | None]]:
-    """Per-class mean all-communication centralities of the sync graph's
-    nodes that are in the all-communication graph, by the sync graph's
-    user_class list. eigenvector is None when it did not converge."""
-    buckets: dict[str, list[str]] = {}
-    for user, cls in zip(graph.nodes, graph.user_class):
-        if cls != "unknown" and user in centralities.degree:
-            buckets.setdefault(cls, []).append(user)
-
-    eigenvector = centralities.eigenvector
+    """Per class of class_members, the mean of each centralities.row column,
+    keyed by metrics.CENTRALITY_COLUMNS, and the count, over the class's users
+    in the all-communication graph; a column of None (a non-converged
+    eigenvector) has mean None, and a class with no such user is absent."""
     out: dict[str, dict[str, float | None]] = {}
-    for cls, users in sorted(buckets.items()):
-        out[cls] = {
-            "total_degree": fmean(centralities.degree[u] for u in users),
-            "betweenness": fmean(centralities.betweenness[u] for u in users),
-            "eigenvector": None if eigenvector is None else fmean(eigenvector[u] for u in users),
-            "count": len(users),
-        }
+    for cls, nodes in class_members(graph)[0].items():
+        rows = [centralities.row(graph.nodes[i]) for i in nodes if graph.nodes[i] in centralities.degree]
+        if rows:
+            means = [None if None in column else fmean(column) for column in zip(*rows)]
+            out[cls] = {**dict(zip(metrics.CENTRALITY_COLUMNS, means)), "count": len(rows)}
     return out
 
 
 def class_triangle_counts(graph: Graph) -> dict[str, tuple[list[int], list[int]]]:
-    """Per class of the graph's user_class list, metrics.triangle_counts on the
+    """Per class of class_members, metrics.triangle_counts on the
     class-induced subgraph; empty classes are absent."""
-    members = {"bot": 0, "human": 0}
-    for i, cls in enumerate(graph.user_class):
-        if cls in members:
-            members[cls] |= 1 << i
-    return {cls: metrics.triangle_counts(graph, mask) for cls, mask in members.items() if mask}
+    return {
+        cls: metrics.triangle_counts(graph, sum(1 << i for i in nodes))
+        for cls, nodes in class_members(graph)[0].items()
+    }
 
 
 def clustering_by_class(counts: dict[str, tuple[list[int], list[int]]]) -> dict[str, float]:

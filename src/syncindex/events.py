@@ -297,8 +297,8 @@ def _interaction(fields: tuple, check: bool) -> InteractionRecord | None:
 def _undecodable(text: str) -> bool:
     """True when text holds bytes that were not UTF-8.
 
-    open_input maps each such byte to a lone surrogate; only a lone
-    surrogate fails to encode.
+    open_input maps each such byte to a lone surrogate, as Python does for
+    argv; only a lone surrogate fails to encode.
     """
     if text.isascii():
         return False

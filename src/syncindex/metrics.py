@@ -212,6 +212,10 @@ def eigenvector_centrality(graph: Graph, tol: float = 1e-9, max_iter: int = 1000
     return None
 
 
+# Centralities.row's column names, in its order, for every centrality table.
+CENTRALITY_COLUMNS = ("total_degree", "betweenness", "eigenvector")
+
+
 @dataclass(frozen=True)
 class Centralities:
     """Degree, betweenness and eigenvector centrality of one graph, keyed by every node.

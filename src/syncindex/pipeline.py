@@ -20,7 +20,7 @@ from . import csi as csimod
 from . import graphs as graphmod
 from . import metrics as metricmod
 from . import synchrony
-from .events import EventDataset, extract_actions, filter_originals, load_events, write_csv, write_json
+from .events import EventDataset, _undecodable, extract_actions, filter_originals, load_events, write_csv, write_json
 
 logger = logging.getLogger(__name__)
 
@@ -187,7 +187,7 @@ def write_centrality_csv(centralities: metricmod.Centralities, path: Path) -> No
     """centralities.row of every node, sorted by user; the eigenvector cells
     are empty when it did not converge."""
     rows = ((user, *centralities.row(user)) for user in sorted(centralities.degree))
-    write_csv(path, ("user_id", "total_degree", "betweenness", "eigenvector"), rows)
+    write_csv(path, ("user_id", *metricmod.CENTRALITY_COLUMNS), rows)
 
 
 def run_pipeline(
@@ -213,10 +213,8 @@ def run_pipeline(
     event_label = options.label or Path(events_path).stem
     label_source = "label" if options.label else f"label (the stem of events file {str(events_path)!r})"
     for source, text in ((label_source, event_label), ("lang", options.lang)):
-        try:
-            text.encode("utf-8")
-        except UnicodeEncodeError:
-            raise ValueError(f"{source} is not valid UTF-8: {text!r}") from None
+        if _undecodable(text):
+            raise ValueError(f"{source} is not valid UTF-8: {text!r}")
     dataset = load_events(events_path, interactions_path, lang=options.lang)
     bot_table = None
     notices: list[str] = []
@@ -271,12 +269,12 @@ def run_pipeline(
             if unknown:
                 notices.append(f"{unknown} synchronizing users without bot scores")
             report.centrality_by_class = botmod.centrality_by_class(centralities, sync)
-            # the class of highest mean user score; bot on a tie
-            report.dominant_sync_class = max(sorted(by_user), key=lambda cls: by_user[cls]["mean"], default=None)
+            # the class of highest mean user score; by_user is sorted, so bot on a tie
+            report.dominant_sync_class = max(by_user, key=lambda cls: by_user[cls]["mean"], default=None)
 
     write_csv(
         out / "centrality_by_action_types.csv",
-        ("user_id", "num_action_types", "total_degree", "betweenness", "eigenvector"),
+        ("user_id", "num_action_types", *metricmod.CENTRALITY_COLUMNS),
         participation,
     )
     write_report_json(report, out / "report.json")

@@ -19,7 +19,7 @@ from itertools import combinations
 from pathlib import Path
 from typing import Mapping
 
-from .events import ACTION_TYPES, EventDataset, PostEvent, merge_datasets, write_csv
+from .events import ACTION_TYPES, MAX_TIMESTAMP, EventDataset, PostEvent, merge_datasets, write_csv
 from .synchrony import DEFAULT_WINDOW_SECONDS
 
 DEFAULT_VOCABULARY = 10_000
@@ -69,9 +69,13 @@ class SimConfig:
     def __post_init__(self) -> None:
         if self.duration_seconds <= 0 or self.window_seconds <= 0:
             raise SimConfigError("duration and window must be positive")
+        if self.duration_seconds > MAX_TIMESTAMP + 1:  # every timestamp is below the duration
+            raise SimConfigError(f"duration_seconds must be <= {MAX_TIMESTAMP + 1}, not {self.duration_seconds!r}")
         if self.background_users < 0 or not 0 <= self.background_rate_per_hour < math.inf:  # False for NaN
             raise SimConfigError("background settings must be finite and non-negative")
         for action, size in self.vocabulary_sizes.items():
+            if action not in ACTION_TYPES:
+                raise SimConfigError(f"vocabulary_sizes key {action!r} is not an action type")
             if size < 1:
                 raise SimConfigError(f"vocabulary_sizes[{action!r}] must be >= 1, not {size!r}")
         if self.background_users == 0 and not self.cohorts:
@@ -189,30 +193,48 @@ def write_bot_scores_csv(scores: Mapping[str, float], path: str | Path) -> Path:
     return write_csv(path, ("user_id", "score"), rows)
 
 
-# Each key of the JSON config with its conversion; a key the JSON lacks takes
-# the dataclass default, and a key not listed is an error.
+# Each key of the JSON config with its JSON type (name, test, conversion to the
+# field); a key the JSON lacks takes the dataclass default, and a key not
+# listed is an error. A bool is not a number.
+_INTEGER = ("an integer", lambda value: type(value) is int, int)
+_STRINGS = ("a list of strings", lambda value: type(value) is list and all(type(v) is str for v in value), tuple)
 _COHORT_KEYS = {
-    "member_count": int, "user_class": str, "action_types": tuple, "artifacts": tuple,
-    "windows_active": int, "posts_per_window": int,
+    "member_count": _INTEGER, "user_class": ("a string", lambda value: type(value) is str, str),
+    "action_types": _STRINGS, "artifacts": _STRINGS, "windows_active": _INTEGER, "posts_per_window": _INTEGER,
 }
 _CONFIG_KEYS = {
-    "seed": int, "duration_seconds": int, "window_seconds": int, "background_users": int,
-    "background_rate_per_hour": float,
-    "cohorts": lambda cohorts: tuple(CohortSpec(**_fields(c, _COHORT_KEYS, "cohort key")) for c in cohorts),
-    "vocabulary_sizes": lambda sizes: {k: int(v) for k, v in sizes.items()},
+    "seed": _INTEGER, "duration_seconds": _INTEGER, "window_seconds": _INTEGER, "background_users": _INTEGER,
+    "background_rate_per_hour": ("a number", lambda value: type(value) in (int, float), float),
+    "cohorts": (
+        "a list of objects", lambda value: type(value) is list and all(type(v) is dict for v in value),
+        lambda cohorts: tuple(CohortSpec(**_fields(c, _COHORT_KEYS, "cohort key")) for c in cohorts),
+    ),
+    "vocabulary_sizes": (
+        "an object of integers",
+        lambda value: type(value) is dict and all(type(v) is int for v in value.values()), dict,
+    ),
 }
 
 
 def _fields(obj: dict, keys: dict, what: str) -> dict:
+    """obj's fields, each converted; TypeError naming the key for a value
+    that is not its JSON type."""
     unknown = sorted(obj.keys() - keys)
     if unknown:
         raise SimConfigError(f"unknown {what} {', '.join(map(repr, unknown))}")
-    return {key: keys[key](value) for key, value in obj.items()}
+    fields = {}
+    for key, value in obj.items():
+        name, fits, convert = keys[key]
+        if not fits(value):
+            raise TypeError(f"{what} {key!r} must be {name}, not {json.dumps(value)}")
+        fields[key] = convert(value)
+    return fields
 
 
 def config_from_json(path: str | Path) -> SimConfig:
-    """Load a SimConfig from its documented JSON shape; every SimConfigError
-    (a bad shape, an unknown key, a broken bound) names the file."""
+    """Load a SimConfig from its documented JSON shape; every error (a bad
+    shape, a value not of its key's JSON type, an unknown key, a broken
+    bound) is a SimConfigError that names the file."""
     try:
         return SimConfig(**_fields(json.loads(Path(path).read_text(encoding="utf-8")), _CONFIG_KEYS, "key"))
     except SimConfigError as exc:

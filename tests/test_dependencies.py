@@ -91,6 +91,30 @@ def test_one_csv_reader_and_one_csv_writer():
     assert sorted(uses) == [("events", "csv_rows", "reader"), ("events", "write_csv", "writer")]
 
 
+def test_one_user_class_grouping_and_one_centrality_column_list():
+    """In bots, .user_class is read only by class_members, which groups the
+    users of every user-class section, and by average_csi_by_pair_class,
+    which classes each pair. The centrality column names are string
+    constants only in metrics.CENTRALITY_COLUMNS (a docstring never equals
+    one)."""
+    sources = sorted(Path(syncindex.__file__).parent.glob("*.py"))
+    assert sources
+    columns = {"total_degree", "betweenness", "eigenvector"}
+    class_readers = set()
+    names = []
+    for path in sources:
+        for top in ast.parse(path.read_text(encoding="utf-8"), filename=str(path)).body:
+            targets = [target.id for target in getattr(top, "targets", ()) if isinstance(target, ast.Name)]
+            owner = getattr(top, "name", None) or ",".join(targets) or "<module>"
+            for node in ast.walk(top):
+                if path.stem == "bots" and isinstance(node, ast.Attribute) and node.attr == "user_class":
+                    class_readers.add(owner)
+                elif isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value in columns:
+                    names.append((path.stem, owner, node.value))
+    assert sorted(class_readers) == ["average_csi_by_pair_class", "class_members"]
+    assert sorted(names) == sorted(("metrics", "CENTRALITY_COLUMNS", name) for name in columns)
+
+
 def test_report_loads_no_networkx(tmp_path):
     script = (
         "import sys\n"

@@ -704,8 +704,20 @@ class TestCli:
          ('"vocabulary_sizes": {"url": 0}', "vocabulary_sizes['url'] must be >= 1"),
          ('"vocabulary_size": {"hashtag": 0}, "background_rate": NaN',
           "unknown key 'background_rate', 'vocabulary_size'"),
-         ('"cohorts": [{"member_count": 3, "windows": 2}]', "unknown cohort key 'windows'")],
-        ids=["nan-rate", "zero-vocabulary", "unknown-keys", "unknown-cohort-key"],
+         ('"cohorts": [{"member_count": 3, "windows": 2}]', "unknown cohort key 'windows'"),
+         ('"background_rate_per_hour": 1e-7, "duration_seconds": 253402300801',
+          "duration_seconds must be <= 253402300800, not 253402300801"),
+         ('"vocabulary_sizes": {"hashtags": 1}', "vocabulary_sizes key 'hashtags' is not an action type"),
+         ('"cohorts": [{"member_count": 2.9}]',
+          "not a simulation config (TypeError: cohort key 'member_count' must be an integer, not 2.9)"),
+         ('"cohorts": [{"member_count": 3, "artifacts": "abc"}]',
+          """not a simulation config (TypeError: cohort key 'artifacts' must be a list of strings, not "abc")"""),
+         ('"seed": "7"', """not a simulation config (TypeError: key 'seed' must be an integer, not "7")"""),
+         ('"duration_seconds": true',
+          "not a simulation config (TypeError: key 'duration_seconds' must be an integer, not true)")],
+        ids=["nan-rate", "zero-vocabulary", "unknown-keys", "unknown-cohort-key", "duration-past-max-timestamp",
+             "vocabulary-key-not-an-action-type", "float-member-count", "string-artifacts", "string-seed",
+             "bool-duration"],
     )
     def test_simulate_bad_config_value_is_data_error(self, tmp_path, capsys, setting, message):
         config_path = tmp_path / "sim.json"

@@ -10,7 +10,14 @@ import pytest
 
 from conftest import count_of
 from syncindex.csi import compute_tables
-from syncindex.events import dataset_lines, extract_actions, filter_originals
+from syncindex.events import (
+    MAX_TIMESTAMP,
+    dataset_lines,
+    extract_actions,
+    filter_originals,
+    read_events_file,
+    write_events_jsonl,
+)
 from syncindex.simulate import (
     CohortSpec,
     GroundTruth,
@@ -71,6 +78,19 @@ class TestConfig:
     def test_vocabulary_size_below_one_rejected(self, size):
         with pytest.raises(SimConfigError, match=r"vocabulary_sizes\['url'\] must be >= 1"):
             SimConfig(background_users=5, vocabulary_sizes={"hashtag": 5, "url": size})
+
+    def test_duration_past_the_last_timestamp_rejected(self, tmp_path):
+        cohorts = (CohortSpec(member_count=3, windows_active=2),)
+        with pytest.raises(SimConfigError, match=f"duration_seconds must be <= {MAX_TIMESTAMP + 1}"):
+            SimConfig(duration_seconds=MAX_TIMESTAMP + 2, background_users=2, cohorts=cohorts)
+        # At the bound every post's timestamp is one a report reads.
+        config = SimConfig(
+            duration_seconds=MAX_TIMESTAMP + 1, background_users=2, background_rate_per_hour=1e-7, cohorts=cohorts
+        )
+        dataset, _ = generate(config)
+        path = write_events_jsonl(dataset, tmp_path / "events.jsonl")
+        assert max(post.timestamp for post in dataset.posts) <= MAX_TIMESTAMP
+        assert read_events_file(path) == dataset
 
     def test_readme_lists_the_config_defaults(self):
         readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
