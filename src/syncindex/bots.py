@@ -100,9 +100,11 @@ def average_csi_by_pair_class(graph: Graph) -> dict[str, dict]:
     an unknown member form their own class, and classes with no pairs are
     absent."""
     classes = graph.user_class
+    kinds = set(classes)
+    names = {(u_class, v_class): pair_class(u_class, v_class) for u_class in kinds for v_class in kinds}
     buckets: dict[str, list[float]] = {}
     for a, b, score in zip(graph.sources, graph.targets, graph.weights):
-        buckets.setdefault(pair_class(classes[a], classes[b]), []).append(score)
+        buckets.setdefault(names[classes[a], classes[b]], []).append(score)
     return {
         cls: {"mean": fmean(values), "count": len(values)}
         for cls, values in sorted(buckets.items())

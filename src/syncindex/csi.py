@@ -97,16 +97,26 @@ def compute_tables(counts: PairCounts, config: CsiConfig | None = None) -> CsiTa
     pair_scores: dict[tuple[str, str], float] = {}
     user_scores: dict[str, float] = {}
     action_user_scores: dict[str, dict[str, float]] = {}
+    # Pairs of one cohort share their counts, so each distinct count vector is
+    # scored once per call (the scale is fixed within it): its items map to
+    # (score, term, ((action type, single), ...)), the action types ascending.
+    scored: dict[tuple[tuple[str, int], ...], tuple] = {}
     for pair, actions in items:
-        types = sorted(actions)
-        values = [float(actions[a]) if scale is None else actions[a] / scale[a] for a in types]
-        score = _formula_score(values, formula)
+        key = tuple(actions.items())
+        entry = scored.get(key)
+        if entry is None:
+            types = sorted(actions)
+            values = [float(actions[a]) if scale is None else actions[a] / scale[a] for a in types]
+            score = _formula_score(values, formula)
+            singles = tuple(
+                (a, actions[a] * _formula_score([value], formula)) for a, value in zip(types, values)
+            )
+            entry = scored[key] = (score, sum(actions.values()) * score, singles)
+        score, term, singles = entry
         pair_scores[pair] = score
-        term = sum(actions.values()) * score
         for user in pair:
             user_scores[user] = user_scores.get(user, 0.0) + term
-        for action_type, value in zip(types, values):
-            single = actions[action_type] * _formula_score([value], formula)
+        for action_type, single in singles:
             sums = action_user_scores.setdefault(action_type, {})
             for user in pair:
                 sums[user] = sums.get(user, 0.0) + single

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import chain, compress
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping
 from xml.sax.saxutils import escape, quoteattr
@@ -154,41 +154,69 @@ def prune_by_partner_count(graph: Graph, min_partners: int) -> Graph:
     )
 
 
-def _graphml_text(graph: Graph) -> str:
+@dataclass(frozen=True)
+class GraphmlLines:
+    """A graph's GraphML <node> lines by node index and its <edge> lines in id
+    order, each line ending in a newline and each edge with its end indices
+    encoded as lower * n + higher. A line reads only its own node or edge, so
+    the lines of an induced subgraph, such as prune_by_partner_count's
+    k-core, are a subset of these."""
+
+    ids: list
+    nodes: list[str]
+    ends: list[int]
+    edges: list[str]
+
+
+def graphml_lines(graph: Graph) -> GraphmlLines:
+    """The GraphML lines of graph's nodes and edges, each formatted once."""
     classes, scores = graph.user_class, graph.csi_user
-    has_csi = scores is not None and any(score is not None for score in scores)
-    lines = [
-        '<?xml version="1.0" encoding="utf-8"?>',
-        '<graphml xmlns="http://graphml.graphdrawing.org/xmlns">',
-        '  <key id="weight" for="edge" attr.name="weight" attr.type="double"/>',
-    ]
-    if classes:
-        lines.append('  <key id="user_class" for="node" attr.name="user_class" attr.type="string"/>')
-    if has_csi:
-        lines.append('  <key id="csi_user" for="node" attr.name="csi_user" attr.type="double"/>')
-    lines.append('  <graph edgedefault="undirected">')
     quoted = [quoteattr(str(node)) for node in graph.nodes]
+    nodes = []
     for i, node_id in enumerate(quoted):
-        cls = f'<data key="user_class">{escape(str(classes[i]))}</data>' if classes else ""
-        csi = f'<data key="csi_user">{scores[i]!r}</data>' if has_csi and scores[i] is not None else ""
-        lines.append(f"    <node id={node_id}>{cls}{csi}</node>")
+        cls = f'<data key="user_class">{escape(str(classes[i]))}</data>' if classes is not None else ""
+        csi = f'<data key="csi_user">{scores[i]!r}</data>' if scores is not None and scores[i] is not None else ""
+        nodes.append(f"    <node id={node_id}>{cls}{csi}</node>\n")
     # Index order is id order, so edges sort as their (lower, higher) index
     # pairs do, encoded as one int each.
     n = len(quoted)
     ends = [a * n + b if a < b else b * n + a for a, b in zip(graph.sources, graph.targets)]
-    weights = graph.weights
-    for k in sorted(range(len(ends)), key=ends.__getitem__):
+    order = sorted(range(len(ends)), key=ends.__getitem__)
+    edges = []
+    for k in order:
         lower, higher = divmod(ends[k], n)
-        lines.append(
+        edges.append(
             f"    <edge source={quoted[lower]} target={quoted[higher]}>"
-            f'<data key="weight">{float(weights[k])!r}</data></edge>'
+            f'<data key="weight">{float(graph.weights[k])!r}</data></edge>\n'
         )
-    lines += ["  </graph>", "</graphml>", ""]
-    return "\n".join(lines)
+    return GraphmlLines(graph.nodes, nodes, [ends[k] for k in order], edges)
 
 
-def export(graph: Graph, path: str | Path) -> Path:
-    """Write the graph as GraphML with stable lexicographic node and edge ordering."""
+def _graphml_document(graph: Graph, lines: GraphmlLines) -> Iterator[str]:
+    """graph's GraphML document, line by line, from lines, its own or those of
+    a graph that graph is an induced subgraph of: the lines of graph's nodes
+    and of the edges between them. The keys are decided on graph's nodes."""
+    classes, scores = graph.user_class, graph.csi_user
+    yield '<?xml version="1.0" encoding="utf-8"?>\n<graphml xmlns="http://graphml.graphdrawing.org/xmlns">\n'
+    yield '  <key id="weight" for="edge" attr.name="weight" attr.type="double"/>\n'
+    if classes:
+        yield '  <key id="user_class" for="node" attr.name="user_class" attr.type="string"/>\n'
+    if scores is not None and any(score is not None for score in scores):
+        yield '  <key id="csi_user" for="node" attr.name="csi_user" attr.type="double"/>\n'
+    yield '  <graph edgedefault="undirected">\n'
+    kept = set(graph.nodes)
+    keep = [node in kept for node in lines.ids]
+    n = len(keep)
+    yield from compress(lines.nodes, keep)
+    yield from (line for end, line in zip(lines.ends, lines.edges) if keep[end // n] and keep[end % n])
+    yield "  </graph>\n</graphml>\n"
+
+
+def export(graph: Graph, path: str | Path, lines: GraphmlLines) -> Path:
+    """Write the graph as GraphML with stable lexicographic node and edge
+    ordering, line by line, from lines: graphml_lines of graph or of a graph
+    that graph is an induced subgraph of (see _graphml_document)."""
     path = Path(path)
-    path.write_text(_graphml_text(graph), encoding="utf-8")
+    with path.open("w", encoding="utf-8") as handle:
+        handle.writelines(_graphml_document(graph, lines))
     return path

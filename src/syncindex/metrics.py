@@ -35,8 +35,11 @@ one random.Random(seed) shuffling the nodes at each level, a node's
 candidate communities in the order its neighbours first reach them (its
 own appended last when absent), the remove_cost and gain expressions as
 written, community graphs merging edges in edge order, and a stop test that
-sums modularity community by community with threshold 1e-7. The sync graph
-keeps networkx's Graph.edges order (see graphs), so its partition is too.
+sums modularity community by community with threshold 1e-7. A node's
+candidate weights read only its neighbours' communities, so they are
+rebuilt only after a neighbour moves; the kept dict equals networkx's
+rebuilt one, order included. The sync graph keeps networkx's Graph.edges
+order (see graphs), so its partition is too.
 
 Triangle counts are exact integers from the graph's int bitsets: each
 edge (a, b) adds (mask_a & mask_b).bit_count() to both ends, which counts
@@ -49,6 +52,7 @@ from __future__ import annotations
 import logging
 import random
 from dataclasses import dataclass
+from itertools import chain
 
 from .graphs import Graph
 
@@ -349,9 +353,15 @@ def _louvain_level(
     moved. Nodes are visited in rng-shuffled order; a node's candidate
     communities are its neighbours' in adjacency order, then its own when no
     neighbour shares it; the first strictly best gain wins.
+
+    Each node keeps its community weights until a neighbour moves: a move
+    drops the cached weights of the mover's neighbours. A cached dict is
+    never changed, so an absent own community is scored after it with
+    weight 0.0, where networkx's setdefault appends it.
     """
     neighbours = [[(v, w) for v, w in row.items() if v != u] for u, row in enumerate(adjacency)]
     node2com = list(range(len(adjacency)))
+    cached: list[dict[int, float] | None] = [None] * len(adjacency)
     stot = list(degrees)
     order = list(range(len(adjacency)))
     rng.shuffle(order)
@@ -363,14 +373,18 @@ def _louvain_level(
         for u in order:
             best_mod = 0
             best = own = node2com[u]
-            weights: dict[int, float] = {}
-            for v, w in neighbours[u]:
-                c = node2com[v]
-                weights[c] = weights.get(c, 0.0) + w
+            weights = cached[u]
+            if weights is None:
+                weights = cached[u] = {}
+                for v, w in neighbours[u]:
+                    c = node2com[v]
+                    weights[c] = weights.get(c, 0.0) + w
             degree = degrees[u]
             stot[own] -= degree
-            remove_cost = -weights.setdefault(own, 0.0) / m + (stot[own] * degree) / scale
-            for c, w in weights.items():
+            own_weight = weights.get(own)
+            remove_cost = -(own_weight or 0.0) / m + (stot[own] * degree) / scale
+            candidates = weights.items() if own_weight is not None else chain(weights.items(), ((own, 0.0),))
+            for c, w in candidates:
                 gain = remove_cost + w / m - (stot[c] * degree) / scale
                 if gain > best_mod:
                     best_mod = gain
@@ -378,6 +392,8 @@ def _louvain_level(
             stot[best] += degree
             if best != own:
                 node2com[u] = best
+                for v, _ in neighbours[u]:
+                    cached[v] = None
                 moved = True
                 moves += 1
     return node2com, moved

@@ -134,10 +134,12 @@ def sync_graph(
 
 
 def write_sync_graphs(sync: graphmod.Graph, min_partners: int, out: Path) -> graphmod.Graph:
-    """Writes sync.graphml and sync_pruned.graphml; returns the k-core pruning."""
+    """Writes sync.graphml and then sync_pruned.graphml from the same node and
+    edge lines, each formatted once; returns the k-core pruning."""
     pruned = graphmod.prune_by_partner_count(sync, min_partners)
-    graphmod.export(sync, out / "sync.graphml")
-    graphmod.export(pruned, out / "sync_pruned.graphml")
+    lines = graphmod.graphml_lines(sync)
+    graphmod.export(sync, out / "sync.graphml", lines)
+    graphmod.export(pruned, out / "sync_pruned.graphml", lines)
     return pruned
 
 

@@ -23,6 +23,9 @@ from .events import ACTION_TYPES, MAX_TIMESTAMP, EventDataset, PostEvent, merge_
 from .synchrony import DEFAULT_WINDOW_SECONDS
 
 DEFAULT_VOCABULARY = 10_000
+# The most posts a background user may expect over the event; _poisson draws
+# one random number per post.
+MAX_EXPECTED_POSTS = 10_000
 # The PostEvent field that holds the artifacts of each action type.
 _ARTIFACT_FIELDS = dict(zip(ACTION_TYPES, ("hashtags", "urls", "mentions")))
 
@@ -73,6 +76,12 @@ class SimConfig:
             raise SimConfigError(f"duration_seconds must be <= {MAX_TIMESTAMP + 1}, not {self.duration_seconds!r}")
         if self.background_users < 0 or not 0 <= self.background_rate_per_hour < math.inf:  # False for NaN
             raise SimConfigError("background settings must be finite and non-negative")
+        expected = self.background_rate_per_hour * self.duration_seconds / 3600.0
+        if self.background_users > 0 and expected > MAX_EXPECTED_POSTS:
+            raise SimConfigError(
+                f"background_rate_per_hour * duration_seconds / 3600 must be <= {MAX_EXPECTED_POSTS}"
+                f" expected posts per user, not {expected!r}"
+            )
         for action, size in self.vocabulary_sizes.items():
             if action not in ACTION_TYPES:
                 raise SimConfigError(f"vocabulary_sizes key {action!r} is not an action type")
@@ -103,11 +112,9 @@ class GroundTruth:
 
 
 def _poisson(rng: random.Random, lam: float) -> int:
-    """Knuth's method; fine for the small per-user rates used here."""
+    """Knuth's method, for the per-user rates SimConfig bounds by MAX_EXPECTED_POSTS."""
     if lam <= 0:
         return 0
-    if lam > 1e4:
-        raise SimConfigError("background rate too large")
     limit = math.exp(-lam)
     count = 0
     product = rng.random()

@@ -8,7 +8,7 @@ contributes one count to each of its C(k, 2) unordered pairs.
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import Counter, defaultdict
 from itertools import combinations
 from pathlib import Path
 from typing import Iterable
@@ -47,16 +47,20 @@ def detect(
         key = (record.action_type, record.artifact_id, record.timestamp // window_seconds)
         members[key].add(record.user_id)
 
-    groups = sorted(
+    # A cohort posting together forms the same group in many buckets and
+    # artifacts, so each distinct (action type, members) group is walked once,
+    # adding its multiplicity. Walking them in sorted order adds each pair's
+    # action types in ascending order.
+    groups = Counter(
         (key[0], tuple(sorted(users)))
         for key, users in members.items()
         if len(users) >= 2
     )
     table: PairCounts = {}
-    for action_type, users in groups:
+    for (action_type, users), multiplicity in sorted(groups.items()):
         for pair in combinations(users, 2):  # users are sorted, so u < v
             actions = table.setdefault(pair, {})
-            actions[action_type] = actions.get(action_type, 0) + 1
+            actions[action_type] = actions.get(action_type, 0) + multiplicity
     return dict(sorted(table.items()))
 
 

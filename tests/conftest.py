@@ -429,7 +429,7 @@ def brute_force_detect(actions: Sequence[ActionRecord], window_seconds: int = 30
                 hits.add(key_i + (u, v))
 
     counts: PairCounts = {}
-    for action_type, _artifact, _bucket, u, v in hits:
+    for action_type, _artifact, _bucket, u, v in sorted(hits):  # action types ascending, as detect adds them
         actions = counts.setdefault((u, v), {})
         actions[action_type] = actions.get(action_type, 0) + 1
     return dict(sorted(counts.items()))
@@ -456,6 +456,27 @@ def random_actions(
                 artifact_id=f"a{rng.randrange(vocabulary)}",
             )
         )
+    return records
+
+
+def cohort_actions(rng: random.Random) -> list[ActionRecord]:
+    """random_actions noise plus one to four cohorts: each cohort's members
+    post one artifact inside the same 300 s bucket in several windows and
+    action types, so the same (action type, members) group repeats, as in a
+    coordinated event. Cohorts draw from the noise's users and may overlap."""
+    records = random_actions(rng, max_users=30, max_records=120)
+    users = [f"u{i:03d}" for i in range(30)]
+    for cohort in range(rng.randint(1, 4)):
+        members = rng.sample(users, rng.randint(2, 12))
+        action_types = rng.sample(ACTION_TYPES, rng.randint(1, len(ACTION_TYPES)))
+        for bucket in rng.sample(range(6), rng.randint(1, 6)):
+            for action_type in action_types:
+                artifact = f"c{cohort}_{rng.randrange(2)}"
+                for member in members:
+                    for _ in range(rng.randint(1, 2)):
+                        timestamp = bucket * 300 + rng.randrange(300)
+                        records.append(ActionRecord(member, timestamp, action_type, artifact))
+    rng.shuffle(records)
     return records
 
 

@@ -7,7 +7,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import counts_from_mapping, oracle_tables, random_actions
+from conftest import cohort_actions, counts_from_mapping, oracle_tables, random_actions
 from syncindex.csi import (
     NORMALIZATIONS,
     PAIR_FORMULAS,
@@ -206,18 +206,31 @@ def hexed(scores: dict) -> list:
 class TestOnePassMatchesOracle:
     """compute_tables against the multi-pass definition, float for float and key for key."""
 
-    @pytest.mark.parametrize("normalization", NORMALIZATIONS)
-    @pytest.mark.parametrize("formula", PAIR_FORMULAS)
-    @settings(max_examples=60, deadline=None)
-    @given(table=count_tables)
-    def test_bit_identical(self, formula, normalization, table):
-        counts = counts_from_mapping(table)
-        config = CsiConfig(pair_formula=formula, normalization=normalization)
+    @staticmethod
+    def assert_bit_identical(counts, config):
         got, want = compute_tables(counts, config), oracle_tables(counts, config)
         assert hexed(got.pair_scores) == hexed(want.pair_scores)
         assert hexed(got.user_scores) == hexed(want.user_scores)
         assert got.network_score.hex() == want.network_score.hex()
         assert hexed(got.per_action_network) == hexed(want.per_action_network)
+
+    @pytest.mark.parametrize("normalization", NORMALIZATIONS)
+    @pytest.mark.parametrize("formula", PAIR_FORMULAS)
+    @settings(max_examples=60, deadline=None)
+    @given(table=count_tables)
+    def test_bit_identical(self, formula, normalization, table):
+        config = CsiConfig(pair_formula=formula, normalization=normalization)
+        self.assert_bit_identical(counts_from_mapping(table), config)
+
+    @pytest.mark.parametrize("normalization", NORMALIZATIONS)
+    @pytest.mark.parametrize("formula", PAIR_FORMULAS)
+    def test_bit_identical_on_repeated_count_vectors(self, formula, normalization):
+        """Cohort pairs share count vectors, each scored once per call; under
+        per_action_max its values depend on the table's scale."""
+        config = CsiConfig(pair_formula=formula, normalization=normalization)
+        rng = random.Random(43)
+        for _ in range(15):
+            self.assert_bit_identical(detect(cohort_actions(rng)), config)
 
     def test_empty_table_is_undefined(self):
         with pytest.raises(UndefinedNetworkError):

@@ -20,10 +20,11 @@ from conftest import (
 )
 from syncindex.events import CorpusRejectedError, InteractionRecord, parse_events
 from syncindex.graphs import (
-    _graphml_text,
+    _graphml_document,
     build_allcomm_graph,
     build_sync_graph,
     export,
+    graphml_lines,
     prune_by_partner_count,
 )
 from syncindex.metrics import degree_centrality, density, newman_modularity
@@ -177,7 +178,8 @@ class TestExport:
         )
 
     def test_graphml_counts_and_attributes(self, tmp_path):
-        path = export(self.build(), tmp_path / "g.graphml")
+        graph = self.build()
+        path = export(graph, tmp_path / "g.graphml", graphml_lines(graph))
         parsed = nx.read_graphml(path)
         assert parsed.number_of_nodes() == 4
         assert parsed.number_of_edges() == 3
@@ -186,7 +188,8 @@ class TestExport:
         assert parsed["c"]["d"]["weight"] == 8.0
 
     def test_empty_graph_is_valid(self, tmp_path):
-        path = export(build_sync_graph({}), tmp_path / "empty.graphml")
+        graph = build_sync_graph({})
+        path = export(graph, tmp_path / "empty.graphml", graphml_lines(graph))
         parsed = nx.read_graphml(path)
         assert parsed.number_of_nodes() == 0
 
@@ -207,7 +210,7 @@ class TestExport:
             user_classes=dict.fromkeys(users, user_class),
             user_scores={u: 0.25 * len(u) for u in users},
         )
-        parsed = nx.read_graphml(export(graph, tmp_path / "g.graphml"))
+        parsed = nx.read_graphml(export(graph, tmp_path / "g.graphml", graphml_lines(graph)))
         graph = to_nx(graph)
 
         def edges(g):
@@ -217,8 +220,9 @@ class TestExport:
         assert edges(parsed) == edges(graph)
 
     def test_export_is_byte_stable(self, tmp_path):
-        one = export(self.build(), tmp_path / "one.graphml")
-        two = export(self.build(), tmp_path / "two.graphml")
+        first, second = self.build(), self.build()
+        one = export(first, tmp_path / "one.graphml", graphml_lines(first))
+        two = export(second, tmp_path / "two.graphml", graphml_lines(second))
         assert one.read_bytes() == two.read_bytes()
 
 
@@ -258,9 +262,11 @@ class TestMatchesNetworkx:
         scores, classes, users = table
         graph = build_sync_graph(scores, user_classes=classes, user_scores=users)
         reference = nx_sync_graph(scores, classes, users)
-        assert _graphml_text(graph) == nx_graphml_text(reference)
+        assert "".join(_graphml_document(graph, graphml_lines(graph))) == nx_graphml_text(reference)
         pruned = prune_by_partner_count(graph, k)
-        assert _graphml_text(pruned) == nx_graphml_text(nx.k_core(reference, k))
+        core = nx_graphml_text(nx.k_core(reference, k))
+        assert "".join(_graphml_document(pruned, graphml_lines(pruned))) == core
+        assert "".join(_graphml_document(pruned, graphml_lines(graph))) == core
         kept = set(pruned.nodes)
         assert named_edges(pruned) == [e for e in named_edges(graph) if e[0] in kept and e[1] in kept]
 
@@ -287,4 +293,4 @@ class TestMatchesNetworkx:
         reference = nx_allcomm_graph(records, users=users)
         assert graph.nodes == sorted(reference.nodes)
         assert sorted(named_edges(graph)) == sorted((*sorted((u, v)), w) for u, v, w in reference.edges(data="weight"))
-        assert _graphml_text(graph) == nx_graphml_text(reference)
+        assert "".join(_graphml_document(graph, graphml_lines(graph))) == nx_graphml_text(reference)

@@ -364,6 +364,20 @@ def clustered_graphs(draw):
     return graph
 
 
+def caveman_with_paths(rng: random.Random) -> nx.Graph:
+    """connected_caveman_graph(10, 12) with a pendant path of 1 to 4 nodes on
+    about a third of its nodes: dense cliques settle early, so later local
+    move passes recompute only the community weights next to a move."""
+    graph = nx.connected_caveman_graph(10, 12)
+    fresh = graph.number_of_nodes()
+    for node in list(graph):
+        if rng.random() < 0.3:
+            for _ in range(rng.randint(1, 4)):
+                graph.add_edge(node, fresh)
+                node, fresh = fresh, fresh + 1
+    return graph
+
+
 class TestStructureMatchesOracles:
     """Louvain replays networkx move for move; the bitset triangle counts
     equal the set-based ones."""
@@ -380,13 +394,14 @@ class TestStructureMatchesOracles:
         [
             nx.barabasi_albert_graph(300, 3, seed=1),
             nx.connected_caveman_graph(12, 8),
+            caveman_with_paths(random.Random(5)),
             nx.relabel_nodes(nx.gnp_random_graph(150, 0.05, seed=4), lambda v: f"u{(v * 37) % 151}"),
         ],
-        ids=["barabasi-albert", "caveman", "gnp-string-ids"],
+        ids=["barabasi-albert", "caveman", "caveman-with-paths", "gnp-string-ids"],
     )
     def test_louvain_equals_networkx_on_larger_graphs(self, graph):
         indexed = from_nx(graph)
-        for seed in (0, 7):
+        for seed in (0, 7, 11, 23):
             assert louvain_partition(indexed, seed=seed) == nx_louvain_partition(graph, seed=seed)
 
     def test_louvain_leaves_no_cyclic_garbage(self):

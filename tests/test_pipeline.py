@@ -701,6 +701,9 @@ class TestCli:
     @pytest.mark.parametrize(
         "setting,message",
         [('"background_rate_per_hour": NaN', "background settings must be finite and non-negative"),
+         ('"background_rate_per_hour": 1e9',
+          "background_rate_per_hour * duration_seconds / 3600 must be <= 10000 expected posts per user,"
+          " not 4000000000.0"),
          ('"vocabulary_sizes": {"url": 0}', "vocabulary_sizes['url'] must be >= 1"),
          ('"vocabulary_size": {"hashtag": 0}, "background_rate": NaN',
           "unknown key 'background_rate', 'vocabulary_size'"),
@@ -715,7 +718,7 @@ class TestCli:
          ('"seed": "7"', """not a simulation config (TypeError: key 'seed' must be an integer, not "7")"""),
          ('"duration_seconds": true',
           "not a simulation config (TypeError: key 'duration_seconds' must be an integer, not true)")],
-        ids=["nan-rate", "zero-vocabulary", "unknown-keys", "unknown-cohort-key", "duration-past-max-timestamp",
+        ids=["nan-rate", "rate-past-expected-posts", "zero-vocabulary", "unknown-keys", "unknown-cohort-key", "duration-past-max-timestamp",
              "vocabulary-key-not-an-action-type", "float-member-count", "string-artifacts", "string-seed",
              "bool-duration"],
     )

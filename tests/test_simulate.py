@@ -74,6 +74,15 @@ class TestConfig:
         with pytest.raises(SimConfigError, match="finite and non-negative"):
             SimConfig(background_users=5, background_rate_per_hour=rate)
 
+    def test_background_rate_bounded_by_expected_posts(self):
+        with pytest.raises(SimConfigError, match="must be <= 10000 expected posts per user, not 1000000000.0"):
+            SimConfig(background_users=1, background_rate_per_hour=1e9, duration_seconds=3600)
+        at_bound = SimConfig(background_users=1, background_rate_per_hour=1e4, duration_seconds=3600)
+        assert at_bound.background_rate_per_hour == 1e4
+        # Without background users the rate is never drawn.
+        cohorts = (CohortSpec(member_count=2),)
+        assert SimConfig(background_users=0, background_rate_per_hour=1e9, cohorts=cohorts).cohorts == cohorts
+
     @pytest.mark.parametrize("size", [0, -3])
     def test_vocabulary_size_below_one_rejected(self, size):
         with pytest.raises(SimConfigError, match=r"vocabulary_sizes\['url'\] must be >= 1"):

@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import brute_force_detect, count_of, counts_from_mapping, random_actions
+from conftest import brute_force_detect, cohort_actions, count_of, counts_from_mapping, random_actions
 from syncindex.events import ActionRecord
 from syncindex.synchrony import (
     action_type_participation,
@@ -98,6 +98,17 @@ class TestBruteForce:
         for _ in range(25):
             actions = random_actions(rng, max_users=15, max_records=120)
             assert brute_force_detect(actions) == detect(actions)
+
+    def test_matches_detect_in_order_on_repeated_groups(self):
+        """Groups repeating across buckets and artifacts are counted once with
+        their multiplicity; pairs and each pair's action types stay ascending."""
+        rng = random.Random(41)
+        for _ in range(25):
+            actions = cohort_actions(rng)
+            got, want = detect(actions), brute_force_detect(actions)
+            assert [(pair, list(types.items())) for pair, types in got.items()] == [
+                (pair, list(types.items())) for pair, types in want.items()
+            ]
 
     def test_three_user_enumeration(self):
         counts = brute_force_detect([rec("a", 0), rec("b", 10), rec("c", 20)])
