@@ -18,6 +18,7 @@ from pathlib import Path
 
 from . import bots as botmod
 from . import csi as csimod
+from . import metrics as metricmod
 from . import pipeline
 from . import simulate as simmod
 from . import synchrony
@@ -150,7 +151,8 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
 
 def _cmd_detect(args: argparse.Namespace) -> int:
     out = _out_dir(args)
-    counts = pipeline.detect_pairs(load_events(args.events, lang=args.lang), args.window_seconds, out).counts
+    actions, _ = pipeline.original_actions(load_events(args.events, lang=args.lang))
+    counts = pipeline.detect_pairs(actions, args.window_seconds, out)
     users = {user for pair in counts for user in pair}
     print(f"wrote {out / 'pair_counts.csv'}: {len(counts)} pairs over {len(users)} users")
     return 0
@@ -189,7 +191,7 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     out = _out_dir(args)
     pipeline.structure_section(sync, args.seed, out)
     if args.events:
-        centralities = pipeline.allcomm_centralities(read_events_file(args.events))
+        centralities = metricmod.node_centralities(pipeline.allcomm_graph(read_events_file(args.events)))
         pipeline.write_centrality_csv(centralities, out / "centrality.csv")
     print(f"wrote metrics for {sync.number_of_nodes()} nodes to {out / 'metrics.json'}")
     return 0

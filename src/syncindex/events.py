@@ -452,7 +452,9 @@ def canonicalize_artifact(action_type: str, raw: str) -> str:
 
     hashtag/mention: leading marker stripped, lowercased. url: scheme and
     host lowercased, fragment removed, trailing slash removed, path and
-    query otherwise preserved byte-exact.
+    query otherwise preserved byte-exact; a url that urlsplit rejects (an
+    unbalanced IPv6 bracket, a host that NFKC normalization changes into a
+    delimiter) is an ArtifactError.
     """
     if raw is None or not raw.strip():
         raise ArtifactError("artifact is empty or whitespace-only")
@@ -462,7 +464,10 @@ def canonicalize_artifact(action_type: str, raw: str) -> str:
     elif action_type == "mention":
         canon = text.lstrip("@").lower()
     elif action_type == "url":
-        parts = urlsplit(text)
+        try:
+            parts = urlsplit(text)
+        except ValueError as exc:
+            raise ArtifactError(f"unparsable url {raw!r}: {exc}") from exc
         canon = urlunsplit(
             (parts.scheme.lower(), parts.netloc.lower(), parts.path.rstrip("/"), parts.query, "")
         )
@@ -541,9 +546,11 @@ def dataset_lines(dataset: EventDataset) -> Iterator[str]:
 
 
 def write_events_jsonl(dataset: EventDataset, path: str | Path) -> Path:
+    """dataset_lines, each ending in a newline, written as they are encoded."""
     path = Path(path)
-    lines = list(dataset_lines(dataset))
-    path.write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
+    with path.open("w", encoding="utf-8") as handle:
+        for line in dataset_lines(dataset):
+            handle.write(line + "\n")
     return path
 
 

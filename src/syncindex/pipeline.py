@@ -20,7 +20,9 @@ from . import csi as csimod
 from . import graphs as graphmod
 from . import metrics as metricmod
 from . import synchrony
-from .events import EventDataset, _undecodable, extract_actions, filter_originals, load_events, write_csv, write_json
+from .events import (
+    ActionRecord, EventDataset, _undecodable, extract_actions, filter_originals, load_events, write_csv, write_json,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -89,22 +91,17 @@ def write_report_csv(report: EventReport, path: str | Path) -> Path:
     return write_csv(path, ("field", "value"), rows("", round_floats(asdict(report))))
 
 
-@dataclass(frozen=True)
-class Detection:
-    """Output of the detect stage: pair counts and the sizes the report echoes."""
-
-    counts: synchrony.PairCounts
-    original_posts: int
-    action_records: int
-
-
-def detect_pairs(dataset: EventDataset, window_seconds: int, out: Path) -> Detection:
-    """Synchronized pairs among the original posts of a dataset; writes pair_counts.csv."""
+def original_actions(dataset: EventDataset) -> tuple[list[ActionRecord], int]:
+    """The action records of a dataset's original posts, and the number of those posts."""
     originals = filter_originals(dataset)
-    actions = extract_actions(originals)
+    return extract_actions(originals), len(originals.posts)
+
+
+def detect_pairs(actions: list[ActionRecord], window_seconds: int, out: Path) -> synchrony.PairCounts:
+    """Synchronized pairs among the records original_actions returns; writes pair_counts.csv."""
     counts = synchrony.detect(actions, window_seconds)
     synchrony.write_pair_counts_csv(counts, out / "pair_counts.csv")
-    return Detection(counts, len(originals.posts), len(actions))
+    return counts
 
 
 def score_pairs(
@@ -175,14 +172,14 @@ def structure_section(sync: graphmod.Graph, seed: int, out: Path) -> dict | None
     return section
 
 
-def allcomm_centralities(dataset: EventDataset) -> metricmod.Centralities:
-    """Centralities on the all-communication graph of every user in the dataset.
+def allcomm_graph(dataset: EventDataset) -> graphmod.Graph:
+    """The all-communication graph of every user in the dataset.
 
     Post authors without interactions are isolated nodes; an interaction's
     endpoints are nodes through its edge, since parsing drops self-interactions.
     """
     authors = {p.user_id for p in dataset.posts}
-    return metricmod.node_centralities(graphmod.build_allcomm_graph(dataset.interactions, users=authors))
+    return graphmod.build_allcomm_graph(dataset.interactions, users=authors)
 
 
 def write_centrality_csv(centralities: metricmod.Centralities, path: Path) -> None:
@@ -228,8 +225,16 @@ def run_pipeline(
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    detection = detect_pairs(dataset, options.window_seconds, out)
-    counts = detection.counts
+    # Extraction is the posts' last reader: the report's counts and the
+    # all-communication graph are taken first, and the dataset is dropped
+    # before detection, so no later stage carries the posts.
+    posts, interactions, malformed = len(dataset.posts), len(dataset.interactions), dataset.malformed
+    allcomm = allcomm_graph(dataset)
+    actions, original_posts = original_actions(dataset)
+    del dataset
+    counts = detect_pairs(actions, options.window_seconds, out)
+    action_records = len(actions)
+    del actions
     tables, summary = score_pairs(counts, csi_config, out)
     sync = sync_graph(tables.pair_scores, tables.user_scores, bot_table)
     write_sync_graphs(sync, options.min_partners, out)
@@ -239,11 +244,11 @@ def run_pipeline(
         event_label=event_label,
         config={key: value for key, value in asdict(options).items() if key != "label"},
         counts={
-            "posts": len(dataset.posts),
-            "original_posts": detection.original_posts,
-            "interactions": len(dataset.interactions),
-            "action_records": detection.action_records,
-            "malformed_lines": dataset.malformed,
+            "posts": posts,
+            "original_posts": original_posts,
+            "interactions": interactions,
+            "action_records": action_records,
+            "malformed_lines": malformed,
             "sync_users": len(per_user),
             "sync_pairs": len(counts),
         },
@@ -260,7 +265,7 @@ def run_pipeline(
     if not counts:
         report.reason = "no synchronized pairs detected"
     else:
-        centralities = allcomm_centralities(dataset)
+        centralities = metricmod.node_centralities(allcomm)
         if centralities.eigenvector is None:
             notices.append("eigenvector centrality did not converge; reported as null")
         participation = metricmod.centrality_by_action_type_count(centralities, per_user)

@@ -26,6 +26,8 @@ DEFAULT_VOCABULARY = 10_000
 # The most posts a background user may expect over the event; _poisson draws
 # one random number per post.
 MAX_EXPECTED_POSTS = 10_000
+# The largest rate _poisson draws at once, well below the underflow of exp(-rate).
+_POISSON_PART = 500.0
 # The PostEvent field that holds the artifacts of each action type.
 _ARTIFACT_FIELDS = dict(zip(ACTION_TYPES, ("hashtags", "urls", "mentions")))
 
@@ -112,7 +114,14 @@ class GroundTruth:
 
 
 def _poisson(rng: random.Random, lam: float) -> int:
-    """Knuth's method, for the per-user rates SimConfig bounds by MAX_EXPECTED_POSTS."""
+    """Knuth's method, for the per-user rates SimConfig bounds by MAX_EXPECTED_POSTS.
+
+    exp(-lam) underflows to 0.0 past a rate of about 745, so a rate above
+    _POISSON_PART is drawn as a sum of draws of at most _POISSON_PART each
+    (a sum of independent Poisson variables is Poisson).
+    """
+    if lam > _POISSON_PART:
+        return _poisson(rng, _POISSON_PART) + _poisson(rng, lam - _POISSON_PART)
     if lam <= 0:
         return 0
     limit = math.exp(-lam)

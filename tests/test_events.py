@@ -580,11 +580,18 @@ class TestCanonicalize:
         with pytest.raises(ArtifactError):
             canonicalize_artifact("emoji", "x")
 
+    @pytest.mark.parametrize("raw", ["http://[abc/x", "https://a\uff03b.example/x"])
+    def test_url_urlsplit_rejects_is_artifact_error(self, raw):
+        # an unbalanced IPv6 bracket; a host whose U+FF03 becomes "#" under NFKC
+        with pytest.raises(ArtifactError):
+            canonicalize_artifact("url", raw)
+
     @given(
         action_type=st.sampled_from(["hashtag", "url", "mention"]),
-        raw=st.text(
-            alphabet="abcXYZ019#@:/._-?=", min_size=1, max_size=40
-        ).filter(lambda s: s.strip()),
+        raw=st.tuples(
+            st.sampled_from(["", "http://", "HTTPS://a."]),
+            st.text(alphabet="abcXYZ019#@:/._-?=[]\uff03", min_size=1, max_size=40),
+        ).map("".join).filter(lambda s: s.strip()),
     )
     def test_idempotent(self, action_type, raw):
         try:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import gc
 import json
 import logging
 import math
@@ -10,6 +11,8 @@ import re
 import shutil
 import subprocess
 import sys
+import tracemalloc
+import weakref
 from pathlib import Path
 
 import networkx as nx
@@ -21,8 +24,15 @@ import syncindex
 from syncindex import cli
 from syncindex import csi as csimod
 from syncindex import metrics as metricmod
-from syncindex import synchrony
-from syncindex.events import ACTION_TYPES, INTERACTION_TYPES, dataset_lines, write_events_jsonl, write_json
+from syncindex import pipeline, synchrony
+from syncindex.events import (
+    ACTION_TYPES,
+    INTERACTION_TYPES,
+    dataset_lines,
+    load_events,
+    write_events_jsonl,
+    write_json,
+)
 from syncindex.graphs import build_sync_graph
 from syncindex.metrics import node_centralities
 from syncindex.pipeline import (
@@ -485,6 +495,60 @@ def test_run_pipeline_counts_action_types_once(sim_inputs, monkeypatch, tmp_path
     assert report.action_type_participation == {
         str(level): value for level, value in synchrony.action_type_participation(count(calls[0])).items()
     }
+
+
+FIXTURE_EVENTS = Path(__file__).parent / "data" / "fixture_events.jsonl"
+FIXTURE_BOTS = Path(__file__).parent / "data" / "fixture_bots.csv"
+
+
+def test_no_frame_holds_the_dataset_during_detection(monkeypatch, tmp_path, capsys):
+    """report and detect let the parsed dataset, and its originals, go once
+    their actions are extracted, so grouping and every later stage run
+    without the posts."""
+    refs = []
+    live = []
+    filter_originals, detect = pipeline.filter_originals, synchrony.detect
+
+    def recording_filter(dataset):
+        originals = filter_originals(dataset)
+        refs.extend((weakref.ref(dataset), weakref.ref(originals)))
+        return originals
+
+    def checking_detect(actions, window_seconds):
+        live.append(sum(ref() is not None for ref in refs))
+        return detect(actions, window_seconds)
+
+    monkeypatch.setattr(pipeline, "filter_originals", recording_filter)
+    monkeypatch.setattr(synchrony, "detect", checking_detect)
+    run_pipeline(FIXTURE_EVENTS, tmp_path / "report", bots_path=FIXTURE_BOTS)
+    assert cli.main(["detect", "--events", str(FIXTURE_EVENTS), "--out", str(tmp_path / "detect")]) == 0
+    capsys.readouterr()
+    assert len(refs) == 4 and live == [0, 0]
+
+
+def heap_peak(call) -> int:
+    """tracemalloc's peak, in bytes, over one call after a warm-up call."""
+    call()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_report_and_detect_heap_peaks_stay_near_the_parse(tmp_path, capsys):
+    """Holding the posts only until extraction keeps the heap peak of report
+    and of detect within 1.25 times the peak of parsing the same file."""
+    load = heap_peak(lambda: load_events(FIXTURE_EVENTS, lang=""))
+    report = heap_peak(lambda: run_pipeline(FIXTURE_EVENTS, tmp_path / "report", bots_path=FIXTURE_BOTS))
+    detect = heap_peak(
+        lambda: cli.main(["detect", "--events", str(FIXTURE_EVENTS), "--out", str(tmp_path / "detect")])
+    )
+    capsys.readouterr()
+    assert report <= 1.25 * load, (report, load)
+    assert detect <= 1.25 * load, (detect, load)
 
 
 def test_report_independent_of_hash_seed(tmp_path):
@@ -964,6 +1028,34 @@ class TestCli:
         assert cli.main(["score", "--pairs", str(counts), "--out", str(tmp_path / "s")]) == 2
         assert f"{counts}: line 2: unknown action_type 'Hashtag'" in capsys.readouterr().err
         assert not (tmp_path / "s" / "network.json").exists()
+
+    def test_url_urlsplit_rejects_is_a_rejected_artifact(self, tmp_path, capsys, caplog):
+        # ingest keeps both urls; detect and report count them and go on
+        posts = [
+            ("p1", "a", {"hashtags": ["#x"]}),
+            ("p2", "b", {"hashtags": ["#x"]}),
+            ("p3", "a", {"urls": ["http://[abc/x"]}),
+            ("p4", "b", {"urls": ["https://a\uff03b.example/x"]}),
+        ]
+        events = tmp_path / "events.jsonl"
+        events.write_text("".join(
+            json.dumps({"post_id": post_id, "user_id": user, "timestamp": 10, "post_type": "original", **fields})
+            + "\n"
+            for post_id, user, fields in posts
+        ))
+        for stage in ("ingest", "detect", "report"):
+            caplog.clear()
+            assert cli.main([stage, "--events", str(events), "--out", str(tmp_path / stage)]) == 0
+            rejected = [r.getMessage() for r in caplog.records if r.getMessage().startswith("rejected")]
+            assert rejected == ([] if stage == "ingest" else ["rejected 2 artifacts (url 2)"])
+        staged = (tmp_path / "ingest" / "events.jsonl").read_text(encoding="utf-8")
+        assert "http://[abc/x" in staged and "\\uff03" in staged
+        assert (tmp_path / "detect" / "pair_counts.csv").read_bytes() == (
+            b"user_u,user_v,action_type,count\r\na,b,hashtag,1\r\n"
+        )
+        report = json.loads((tmp_path / "report" / "report.json").read_text())
+        assert report["counts"]["sync_pairs"] == 1 and report["counts"]["action_records"] == 2
+        capsys.readouterr()
 
     def test_csv_report_format(self, sim_inputs, tmp_path):
         events, bots, _ = sim_inputs

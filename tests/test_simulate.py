@@ -3,7 +3,9 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import random
 import re
+import statistics
 from pathlib import Path
 
 import pytest
@@ -25,6 +27,7 @@ from syncindex.simulate import (
     SimConfigError,
     bot_scores_from_truth,
     config_from_json,
+    _poisson,
     generate,
     write_ground_truth_csv,
 )
@@ -242,3 +245,27 @@ class TestOutputs:
     def test_ground_truth_is_frozen_mapping(self):
         truth = GroundTruth(pairs=(), user_classes={"a": "bot"})
         assert truth.user_classes["a"] == "bot"
+
+
+@pytest.mark.parametrize("lam", [800, 2_000, 9_000])
+def test_poisson_mean_and_variance_above_the_underflow(lam):
+    # exp(-lam) is 0.0 from about 745 on; a plain Knuth draw then stops near 745
+    rng = random.Random(lam)
+    draws = [_poisson(rng, lam) for _ in range(200)]
+    assert abs(statistics.fmean(draws) - lam) < 4 * math.sqrt(lam / len(draws))
+    assert abs(statistics.variance(draws) / lam - 1) < 0.3
+
+
+def test_poisson_up_to_500_is_one_knuth_draw():
+    # the random numbers a seeded simulation consumed before sums of parts
+    def knuth(rng, lam):
+        limit, count, product = math.exp(-lam), 0, rng.random()
+        while product > limit:
+            count += 1
+            product *= rng.random()
+        return count
+
+    for lam in (0.5, 8.0, 120.0, 500.0):
+        ours, theirs = random.Random(7), random.Random(7)
+        assert [_poisson(ours, lam) for _ in range(50)] == [knuth(theirs, lam) for _ in range(50)]
+        assert ours.random() == theirs.random()
