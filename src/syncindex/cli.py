@@ -106,7 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("metrics", help="structure metrics and centralities")
     p.add_argument("--pairs", required=True, help="pairs.csv from score")
-    p.add_argument("--users", help="users.csv from score (hierarchy orientation)")
+    p.add_argument("--users", help="users.csv from score (read and checked; changes no output)")
     p.add_argument("--bots", help="bot score CSV (class clustering)")
     _add_options(p, "bot_threshold")
     p.add_argument("--events", help="events file; adds all-communication centrality CSV")
@@ -178,10 +178,11 @@ def _sync_graph(args: argparse.Namespace):
 
 def _cmd_graph(args: argparse.Namespace) -> int:
     sync = _sync_graph(args)
-    pruned = pipeline.write_sync_graphs(sync, args.min_partners, _out_dir(args))
+    core = pipeline.write_sync_graphs(sync, args.min_partners, _out_dir(args))
+    core_edges = sum(core[a] and core[b] for a, b in zip(sync.sources, sync.targets))
     print(
         f"sync graph: {sync.number_of_nodes()} nodes, {sync.number_of_edges()} edges; "
-        f"pruned(k={args.min_partners}): {pruned.number_of_nodes()} nodes, {pruned.number_of_edges()} edges"
+        f"pruned(k={args.min_partners}): {sum(core)} nodes, {core_edges} edges"
     )
     return 0
 

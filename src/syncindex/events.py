@@ -466,6 +466,10 @@ def canonicalize_artifact(action_type: str, raw: str) -> str:
     elif action_type == "url":
         try:
             parts = urlsplit(text)
+            if not parts.netloc and parts.path.startswith("//"):
+                # urlunsplit writes such a path's first segment where the host
+                # goes, so the canonical id is read with that segment as host.
+                parts = urlsplit(urlunsplit(parts))
         except ValueError as exc:
             raise ArtifactError(f"unparsable url {raw!r}: {exc}") from exc
         canon = urlunsplit(

@@ -123,53 +123,31 @@ def build_allcomm_graph(
     return Graph(nodes, [index[u] for u, _ in pairs], [index[v] for _, v in pairs], [counts[p] for p in pairs])
 
 
-def prune_by_partner_count(graph: Graph, min_partners: int) -> Graph:
-    """The k-core for k = min_partners, by one degree-peeling pass (Batagelj &
-    Zaversnik 2003); surviving edges keep their order. The graph itself is
-    returned when no node is removed."""
+def prune_by_partner_count(graph: Graph, min_partners: int) -> list[bool]:
+    """The k-core for k = min_partners as one flag per node index, True for a
+    node in the core, by one degree-peeling pass (Batagelj & Zaversnik 2003)."""
     if min_partners < 0:
         raise ValueError("min_partners must be >= 0")
     degrees = list(graph.degrees)
     queue = [i for i, degree in enumerate(degrees) if degree < min_partners]
-    if not queue:
-        return graph
-    removed = set(queue)
+    core = [True] * len(degrees)
+    for i in queue:
+        core[i] = False
     for i in queue:  # appended to while it is read
         for j in graph.adjacency[i]:
             degrees[j] -= 1
-            if degrees[j] < min_partners and j not in removed:
-                removed.add(j)
+            if degrees[j] < min_partners and core[j]:
+                core[j] = False
                 queue.append(j)
-    keep = [i for i in range(len(degrees)) if i not in removed]
-    renumber = {old: new for new, old in enumerate(keep)}
-    edges = [k for k, (a, b) in enumerate(zip(graph.sources, graph.targets)) if a in renumber and b in renumber]
-
-    def kept(values, at=keep):
-        return None if values is None else [values[i] for i in at]
-
-    return Graph(
-        kept(graph.nodes), [renumber[a] for a in kept(graph.sources, edges)],
-        [renumber[b] for b in kept(graph.targets, edges)], kept(graph.weights, edges),
-        kept(graph.user_class), kept(graph.csi_user),
-    )
+    return core
 
 
-@dataclass(frozen=True)
-class GraphmlLines:
-    """A graph's GraphML <node> lines by node index and its <edge> lines in id
-    order, each line ending in a newline and each edge with its end indices
-    encoded as lower * n + higher. A line reads only its own node or edge, so
-    the lines of an induced subgraph, such as prune_by_partner_count's
-    k-core, are a subset of these."""
-
-    ids: list
-    nodes: list[str]
-    ends: list[int]
-    edges: list[str]
-
-
-def graphml_lines(graph: Graph) -> GraphmlLines:
-    """The GraphML lines of graph's nodes and edges, each formatted once."""
+def export(graph: Graph, files: Mapping[str | Path, list[bool] | None]) -> None:
+    """Write graph as GraphML to each path in files, with stable lexicographic
+    node and edge ordering: the nodes whose flag (one per node index) is True,
+    or every node for None, and the edges between them. Each node and edge
+    line is formatted once for all the files; each file's keys are decided on
+    its own nodes."""
     classes, scores = graph.user_class, graph.csi_user
     quoted = [quoteattr(str(node)) for node in graph.nodes]
     nodes = []
@@ -177,46 +155,23 @@ def graphml_lines(graph: Graph) -> GraphmlLines:
         cls = f'<data key="user_class">{escape(str(classes[i]))}</data>' if classes is not None else ""
         csi = f'<data key="csi_user">{scores[i]!r}</data>' if scores is not None and scores[i] is not None else ""
         nodes.append(f"    <node id={node_id}>{cls}{csi}</node>\n")
-    # Index order is id order, so edges sort as their (lower, higher) index
-    # pairs do, encoded as one int each.
-    n = len(quoted)
-    ends = [a * n + b if a < b else b * n + a for a, b in zip(graph.sources, graph.targets)]
-    order = sorted(range(len(ends)), key=ends.__getitem__)
-    edges = []
-    for k in order:
-        lower, higher = divmod(ends[k], n)
-        edges.append(
-            f"    <edge source={quoted[lower]} target={quoted[higher]}>"
-            f'<data key="weight">{float(graph.weights[k])!r}</data></edge>\n'
-        )
-    return GraphmlLines(graph.nodes, nodes, [ends[k] for k in order], edges)
-
-
-def _graphml_document(graph: Graph, lines: GraphmlLines) -> Iterator[str]:
-    """graph's GraphML document, line by line, from lines, its own or those of
-    a graph that graph is an induced subgraph of: the lines of graph's nodes
-    and of the edges between them. The keys are decided on graph's nodes."""
-    classes, scores = graph.user_class, graph.csi_user
-    yield '<?xml version="1.0" encoding="utf-8"?>\n<graphml xmlns="http://graphml.graphdrawing.org/xmlns">\n'
-    yield '  <key id="weight" for="edge" attr.name="weight" attr.type="double"/>\n'
-    if classes:
-        yield '  <key id="user_class" for="node" attr.name="user_class" attr.type="string"/>\n'
-    if scores is not None and any(score is not None for score in scores):
-        yield '  <key id="csi_user" for="node" attr.name="csi_user" attr.type="double"/>\n'
-    yield '  <graph edgedefault="undirected">\n'
-    kept = set(graph.nodes)
-    keep = [node in kept for node in lines.ids]
-    n = len(keep)
-    yield from compress(lines.nodes, keep)
-    yield from (line for end, line in zip(lines.ends, lines.edges) if keep[end // n] and keep[end % n])
-    yield "  </graph>\n</graphml>\n"
-
-
-def export(graph: Graph, path: str | Path, lines: GraphmlLines) -> Path:
-    """Write the graph as GraphML with stable lexicographic node and edge
-    ordering, line by line, from lines: graphml_lines of graph or of a graph
-    that graph is an induced subgraph of (see _graphml_document)."""
-    path = Path(path)
-    with path.open("w", encoding="utf-8") as handle:
-        handle.writelines(_graphml_document(graph, lines))
-    return path
+    # Index order is id order, so edges sort as their (lower, higher) index pairs do.
+    ends = ((a, b, w) if a < b else (b, a, w) for a, b, w in zip(graph.sources, graph.targets, graph.weights))
+    edges = [
+        (a, b, f'    <edge source={quoted[a]} target={quoted[b]}><data key="weight">{float(w)!r}</data></edge>\n')
+        for a, b, w in sorted(ends)
+    ]
+    for path, flags in files.items():
+        keep = [True] * len(nodes) if flags is None else flags
+        with Path(path).open("w", encoding="utf-8") as handle:
+            handle.write('<?xml version="1.0" encoding="utf-8"?>\n')
+            handle.write('<graphml xmlns="http://graphml.graphdrawing.org/xmlns">\n')
+            handle.write('  <key id="weight" for="edge" attr.name="weight" attr.type="double"/>\n')
+            if classes is not None and any(keep):
+                handle.write('  <key id="user_class" for="node" attr.name="user_class" attr.type="string"/>\n')
+            if scores is not None and any(score is not None for score in compress(scores, keep)):
+                handle.write('  <key id="csi_user" for="node" attr.name="csi_user" attr.type="double"/>\n')
+            handle.write('  <graph edgedefault="undirected">\n')
+            handle.writelines(compress(nodes, keep))
+            handle.writelines(line for a, b, line in edges if keep[a] and keep[b])
+            handle.write("  </graph>\n</graphml>\n")

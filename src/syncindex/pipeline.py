@@ -130,14 +130,12 @@ def sync_graph(
     return graphmod.build_sync_graph(pair_scores, user_classes=classes, user_scores=user_scores)
 
 
-def write_sync_graphs(sync: graphmod.Graph, min_partners: int, out: Path) -> graphmod.Graph:
-    """Writes sync.graphml and then sync_pruned.graphml from the same node and
-    edge lines, each formatted once; returns the k-core pruning."""
-    pruned = graphmod.prune_by_partner_count(sync, min_partners)
-    lines = graphmod.graphml_lines(sync)
-    graphmod.export(sync, out / "sync.graphml", lines)
-    graphmod.export(pruned, out / "sync_pruned.graphml", lines)
-    return pruned
+def write_sync_graphs(sync: graphmod.Graph, min_partners: int, out: Path) -> list[bool]:
+    """Writes sync.graphml and sync_pruned.graphml, its k-core for k =
+    min_partners, in one export; returns the core's flag per node index."""
+    core = graphmod.prune_by_partner_count(sync, min_partners)
+    graphmod.export(sync, {out / "sync.graphml": None, out / "sync_pruned.graphml": core})
+    return core
 
 
 def structure_section(sync: graphmod.Graph, seed: int, out: Path) -> dict | None:
@@ -299,11 +297,12 @@ def compare(report_paths: Sequence[str | Path]) -> list[tuple[str, float]]:
             obj = json.loads(path.read_text(encoding="utf-8"))
             label = obj["event_label"]
             value = obj["csi_network_combined"]
-            if not isinstance(label, str) or isinstance(value, bool) or not isinstance(value, (int, float)):
+            if not isinstance(label, str) or _undecodable(label):
+                raise ValueError(f"event_label {label!r} is not a UTF-8 string")
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise ValueError("missing or non-numeric csi_network_combined")
             if not math.isfinite(value):  # OverflowError for an int beyond the float range
                 raise ValueError(f"csi_network_combined {value!r} is not finite")
-            label.encode("utf-8")  # UnicodeEncodeError, a ValueError, for a lone surrogate
         except (OSError, ValueError, KeyError, TypeError, OverflowError, RecursionError) as exc:
             raise ReportParseError(f"{path}: {exc}") from exc
         entries.append((label, float(value)))

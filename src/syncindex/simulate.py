@@ -19,7 +19,10 @@ from itertools import combinations
 from pathlib import Path
 from typing import Mapping
 
-from .events import ACTION_TYPES, MAX_TIMESTAMP, EventDataset, PostEvent, merge_datasets, write_csv
+from .events import (
+    ACTION_TYPES, MAX_TIMESTAMP, ArtifactError, EventDataset, PostEvent, _xml_forbidden, canonicalize_artifact,
+    merge_datasets, write_csv,
+)
 from .synchrony import DEFAULT_WINDOW_SECONDS
 
 DEFAULT_VOCABULARY = 10_000
@@ -59,6 +62,15 @@ class CohortSpec:
                 raise SimConfigError(f"unknown action type: {action}")
         if self.windows_active < 1 or self.posts_per_window < 1:
             raise SimConfigError("windows_active and posts_per_window must be >= 1")
+        # An artifact the pipeline rejects would plant pairs it can never find.
+        for artifact in self.artifacts:
+            if _xml_forbidden(artifact):
+                raise SimConfigError(f"artifact {artifact!r} holds a character XML 1.0 forbids")
+            for action in self.action_types:
+                try:
+                    canonicalize_artifact(action, artifact)
+                except ArtifactError as exc:
+                    raise SimConfigError(f"artifact {artifact!r} is not a valid {action}: {exc}") from None
 
 
 @dataclass(frozen=True)

@@ -115,6 +115,21 @@ def test_one_user_class_grouping_and_one_centrality_column_list():
     assert sorted(names) == sorted(("metrics", "CENTRALITY_COLUMNS", name) for name in columns)
 
 
+def test_graphs_are_built_only_by_the_two_builders():
+    """A Graph is constructed only in graphs.build_sync_graph and
+    graphs.build_allcomm_graph, so no second copy of a graph, such as a
+    pruned one, is built: a subset of nodes is a flag per node index."""
+    sources = sorted(Path(syncindex.__file__).parent.glob("*.py"))
+    assert sources
+    builders = []
+    for path in sources:
+        for top in ast.parse(path.read_text(encoding="utf-8"), filename=str(path)).body:
+            for func in (node.func for node in ast.walk(top) if isinstance(node, ast.Call)):
+                if "Graph" in (getattr(func, "id", None), getattr(func, "attr", None)):
+                    builders.append((path.stem, getattr(top, "name", "<module>")))
+    assert sorted(builders) == [("graphs", "build_allcomm_graph"), ("graphs", "build_sync_graph")]
+
+
 def test_report_loads_no_networkx(tmp_path):
     script = (
         "import sys\n"

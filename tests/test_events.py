@@ -8,7 +8,7 @@ import random
 import re
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import reference_parse_events
 from syncindex.events import (
@@ -593,6 +593,8 @@ class TestCanonicalize:
             st.text(alphabet="abcXYZ019#@:/._-?=[]\uff03", min_size=1, max_size=40),
         ).map("".join).filter(lambda s: s.strip()),
     )
+    @example(action_type="url", raw="http:////X")  # an empty host and a path of //X
+    @example(action_type="url", raw="http:////[")
     def test_idempotent(self, action_type, raw):
         try:
             once = canonicalize_artifact(action_type, raw)

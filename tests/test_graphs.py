@@ -19,14 +19,7 @@ from conftest import (
     to_nx,
 )
 from syncindex.events import CorpusRejectedError, InteractionRecord, parse_events
-from syncindex.graphs import (
-    _graphml_document,
-    build_allcomm_graph,
-    build_sync_graph,
-    export,
-    graphml_lines,
-    prune_by_partner_count,
-)
+from syncindex.graphs import build_allcomm_graph, build_sync_graph, export, prune_by_partner_count
 from syncindex.metrics import degree_centrality, density, newman_modularity
 
 
@@ -54,6 +47,18 @@ graphml_ids = (
 
 def interaction(source, target, kind="retweet", t=0):
     return InteractionRecord(source_user=source, target_user=target, interaction_type=kind, timestamp=t)
+
+
+def exported(graph, directory, core=None):
+    """The GraphML texts of graph and of its nodes flagged in core (all of
+    them for None), written by one export call."""
+    files = {directory / "whole.graphml": None, directory / "core.graphml": core}
+    export(graph, files)
+    return [path.read_bytes().decode("utf-8") for path in files]
+
+
+def core_nodes(graph, core):
+    return {node for node, kept in zip(graph.nodes, core) if kept}
 
 
 class TestSyncGraph:
@@ -106,19 +111,14 @@ class TestAllCommGraph:
 class TestPrune:
     def test_star_collapses(self):
         star = {("hub", f"leaf{i}"): 1.0 for i in range(4)}
-        pruned = prune_by_partner_count(build_sync_graph(star), 5)
-        assert pruned.number_of_nodes() == 0
+        assert prune_by_partner_count(build_sync_graph(star), 5) == [False] * 5
 
     def test_k6_unchanged(self):
-        k6 = from_nx(nx.complete_graph(6))
-        pruned = prune_by_partner_count(k6, 5)
-        assert pruned.number_of_nodes() == 6
-        assert pruned.number_of_edges() == 15
+        assert prune_by_partner_count(from_nx(nx.complete_graph(6)), 5) == [True] * 6
 
     def test_zero_threshold_is_identity(self):
-        graph = build_sync_graph({("a", "b"): 1.0})
-        pruned = prune_by_partner_count(graph, 0)
-        assert pruned == graph
+        graph = build_sync_graph({("a", "b"): 1.0, ("c", "d"): 2.0})
+        assert prune_by_partner_count(graph, 0) == [True] * 4
 
     def test_negative_threshold_rejected(self):
         with pytest.raises(ValueError):
@@ -127,12 +127,13 @@ class TestPrune:
     def test_fixed_point_property(self):
         rng = random.Random(4)
         for _ in range(10):
-            graph = from_nx(nx.gnp_random_graph(25, 0.2, seed=rng.randrange(10_000)))
+            reference = nx.gnp_random_graph(25, 0.2, seed=rng.randrange(10_000))
+            graph = from_nx(reference)
             k = rng.randint(1, 5)
-            pruned = prune_by_partner_count(graph, k)
-            assert all(degree >= k for _, degree in pruned.degree())
-            # already a fixed point: pruning again changes nothing
-            assert prune_by_partner_count(pruned, k) == pruned
+            core = prune_by_partner_count(graph, k)
+            # a fixed point: every kept node keeps at least k kept neighbours
+            assert all(sum(core[j] for j in graph.adjacency[i]) >= k for i, kept in enumerate(core) if kept)
+            assert core_nodes(graph, core) == set(nx.k_core(reference, k))
 
 
 class TestPartition:
@@ -178,8 +179,8 @@ class TestExport:
         )
 
     def test_graphml_counts_and_attributes(self, tmp_path):
-        graph = self.build()
-        path = export(graph, tmp_path / "g.graphml", graphml_lines(graph))
+        path = tmp_path / "g.graphml"
+        export(self.build(), {path: None})
         parsed = nx.read_graphml(path)
         assert parsed.number_of_nodes() == 4
         assert parsed.number_of_edges() == 3
@@ -188,10 +189,17 @@ class TestExport:
         assert parsed["c"]["d"]["weight"] == 8.0
 
     def test_empty_graph_is_valid(self, tmp_path):
-        graph = build_sync_graph({})
-        path = export(graph, tmp_path / "empty.graphml", graphml_lines(graph))
+        path = tmp_path / "empty.graphml"
+        export(build_sync_graph({}), {path: None})
         parsed = nx.read_graphml(path)
         assert parsed.number_of_nodes() == 0
+
+    def test_flags_keep_their_nodes_and_the_edges_between_them(self, tmp_path):
+        exported(self.build(), tmp_path, [False, True, True, True])
+        assert nx.read_graphml(tmp_path / "whole.graphml").number_of_nodes() == 4
+        parsed = nx.read_graphml(tmp_path / "core.graphml")
+        assert sorted(parsed.nodes) == ["b", "c", "d"]
+        assert sorted(map(sorted, parsed.edges)) == [["b", "c"], ["c", "d"]]
 
     @settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(
@@ -210,7 +218,9 @@ class TestExport:
             user_classes=dict.fromkeys(users, user_class),
             user_scores={u: 0.25 * len(u) for u in users},
         )
-        parsed = nx.read_graphml(export(graph, tmp_path / "g.graphml", graphml_lines(graph)))
+        path = tmp_path / "g.graphml"
+        export(graph, {path: None})
+        parsed = nx.read_graphml(path)
         graph = to_nx(graph)
 
         def edges(g):
@@ -220,9 +230,9 @@ class TestExport:
         assert edges(parsed) == edges(graph)
 
     def test_export_is_byte_stable(self, tmp_path):
-        first, second = self.build(), self.build()
-        one = export(first, tmp_path / "one.graphml", graphml_lines(first))
-        two = export(second, tmp_path / "two.graphml", graphml_lines(second))
+        one, two = tmp_path / "one.graphml", tmp_path / "two.graphml"
+        export(self.build(), {one: None})
+        export(self.build(), {two: None})
         assert one.read_bytes() == two.read_bytes()
 
 
@@ -255,20 +265,18 @@ class TestMatchesNetworkx:
         scores, _, _ = table
         assert named_edges(build_sync_graph(scores)) == list(nx_sync_graph(scores).edges(data="weight"))
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(pair_tables(), st.integers(0, 7))
     @example(({("a", "b"): 1.0}, {"a": "bot"}, {"a": 1.0}), 5)  # pruned to nothing
-    def test_prune_and_graphml_equal_k_core(self, table, k):
+    def test_prune_and_graphml_equal_k_core(self, tmp_path, table, k):
         scores, classes, users = table
         graph = build_sync_graph(scores, user_classes=classes, user_scores=users)
         reference = nx_sync_graph(scores, classes, users)
-        assert "".join(_graphml_document(graph, graphml_lines(graph))) == nx_graphml_text(reference)
-        pruned = prune_by_partner_count(graph, k)
-        core = nx_graphml_text(nx.k_core(reference, k))
-        assert "".join(_graphml_document(pruned, graphml_lines(pruned))) == core
-        assert "".join(_graphml_document(pruned, graphml_lines(graph))) == core
-        kept = set(pruned.nodes)
-        assert named_edges(pruned) == [e for e in named_edges(graph) if e[0] in kept and e[1] in kept]
+        core = prune_by_partner_count(graph, k)
+        assert core_nodes(graph, core) == set(nx.k_core(reference, k))
+        whole, pruned = exported(graph, tmp_path, core)
+        assert whole == nx_graphml_text(reference)
+        assert pruned == nx_graphml_text(nx.k_core(reference, k))
 
     @settings(max_examples=200, deadline=None)
     @given(pair_tables(), st.randoms(use_true_random=False))
@@ -282,15 +290,15 @@ class TestMatchesNetworkx:
         partition = {node: rnd.randrange(3) for node in graph.nodes}
         assert newman_modularity(graph, partition).hex() == nx_newman_modularity(reference, partition).hex()
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(
         st.lists(st.tuples(st.sampled_from("abcde"), st.sampled_from("abcde")), max_size=20),
         st.lists(st.sampled_from("abcdefg"), max_size=5),
     )
-    def test_allcomm_equals_networkx(self, ends, users):
+    def test_allcomm_equals_networkx(self, tmp_path, ends, users):
         records = [interaction(u, v, t=t) for t, (u, v) in enumerate(ends)]
         graph = build_allcomm_graph(records, users=users)
         reference = nx_allcomm_graph(records, users=users)
         assert graph.nodes == sorted(reference.nodes)
         assert sorted(named_edges(graph)) == sorted((*sorted((u, v)), w) for u, v, w in reference.edges(data="weight"))
-        assert "".join(_graphml_document(graph, graphml_lines(graph))) == nx_graphml_text(reference)
+        assert exported(graph, tmp_path)[0] == nx_graphml_text(reference)

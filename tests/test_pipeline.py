@@ -709,6 +709,12 @@ class TestCompare:
         assert f"syncindex compare: {path}: " in capsys.readouterr().err
         assert not (tmp_path / "ranking.json").exists()
 
+    def test_label_not_a_string_is_named(self, tmp_path):
+        path = tmp_path / "report.json"
+        path.write_text('{"event_label": 5, "csi_network_combined": 1.5}')
+        with pytest.raises(ReportParseError, match=re.escape(f"{path}: event_label 5 is not a UTF-8 string")):
+            compare([path])
+
 
 class TestCli:
     def test_end_to_end_subcommands(self, sim_inputs, tmp_path, capsys):
@@ -735,6 +741,22 @@ class TestCli:
         assert (out / "metrics.json").exists()
         assert (out / "centrality.csv").exists()
         capsys.readouterr()
+
+    @pytest.mark.parametrize("k", [0, 3])
+    def test_graph_prints_k_core_counts(self, tmp_path, capsys, k):
+        # A 4-clique with a two-node tail and a separate pair: k = 3 keeps the clique only.
+        reference = nx.complete_graph(["a", "b", "c", "d"])
+        reference.add_edges_from([("d", "e"), ("e", "f"), ("x", "y")])
+        pairs = tmp_path / "pairs.csv"
+        pairs.write_text("user_u,user_v,csi_userpair\n" + "".join(f"{u},{v},1.0\n" for u, v in reference.edges))
+        argv = ["graph", "--pairs", str(pairs), "--min-partners", str(k), "--out", str(tmp_path)]
+        assert cli.main(argv) == 0
+        core = nx.k_core(reference, k)
+        assert k == 0 or core.number_of_nodes() < 8 and core.number_of_edges() < 9
+        assert capsys.readouterr().out == (
+            "sync graph: 8 nodes, 9 edges; "
+            f"pruned(k={k}): {core.number_of_nodes()} nodes, {core.number_of_edges()} edges\n"
+        )
 
     def test_simulate_subcommand(self, tmp_path):
         config = {

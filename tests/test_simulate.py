@@ -113,6 +113,19 @@ class TestConfig:
         }
         assert listed == {key: list(value) if isinstance(value, tuple) else value for key, value in defaults.items()}
 
+    @pytest.mark.parametrize(
+        "artifacts, action_types",
+        [(["#"], ["hashtag"]), (["a\u0001b"], ["hashtag"]), (["ok", "@"], ["hashtag", "mention"]), ([" "], ["url"])],
+        ids=["marker-only", "xml-forbidden", "empty-for-one-type", "whitespace-url"],
+    )
+    def test_artifact_the_pipeline_rejects_is_config_error(self, tmp_path, artifacts, action_types):
+        """Else the ground truth would plant pairs that report can never find."""
+        path = tmp_path / "sim.json"
+        cohort = {"member_count": 3, "action_types": action_types, "artifacts": artifacts}
+        path.write_text(json.dumps({"cohorts": [cohort]}))
+        with pytest.raises(SimConfigError, match=re.escape(f"{path}: artifact ")):
+            config_from_json(path)
+
     def test_missing_config_keys_take_the_dataclass_defaults(self, tmp_path):
         path = tmp_path / "sim.json"
         path.write_text(json.dumps({"cohorts": [{"member_count": 2}]}))
