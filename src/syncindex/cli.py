@@ -20,7 +20,6 @@ from . import bots as botmod
 from . import csi as csimod
 from . import metrics as metricmod
 from . import pipeline
-from . import simulate as simmod
 from . import synchrony
 from .events import load_events, read_events_file, write_events_jsonl, write_json
 
@@ -220,6 +219,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    from . import simulate as simmod  # only this command loads the simulator
+
     config = simmod.config_from_json(args.config)
     if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)

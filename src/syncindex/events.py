@@ -13,7 +13,7 @@ import logging
 import math
 import re
 from dataclasses import dataclass, field, replace
-from datetime import datetime, timezone
+from datetime import datetime
 from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Sequence, TextIO
@@ -28,7 +28,21 @@ ACTION_TYPES = ("hashtag", "url", "mention")
 # 9999-12-31T23:59:59Z, the last second a four-digit ISO-8601 year can name.
 # Every timestamp path accepts 0 to MAX_TIMESTAMP, after rounding down.
 MAX_TIMESTAMP = 253_402_300_799
-_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+_EPOCH = datetime(1970, 1, 1)
+
+# The one ISO-8601 grammar, the same on every Python (fromisoformat takes
+# more forms from 3.11 on): YYYY-MM-DD; then, optionally, any one character
+# and hh[:mm[:ss[.fraction]]], the fraction's mark a point or a comma; then,
+# optionally, a space and an offset: Z, or + or - with hh, hhmm, hh:mm,
+# hh:mm:ss or hh:mm:ss.fraction. A fraction has one digit or more, and is
+# dropped. No offset is UTC. Group 1, the date and time without the
+# fraction, is a form fromisoformat reads alike on every version.
+_ISO_8601 = re.compile(
+    r"([0-9]{4}-[0-9]{2}-[0-9]{2}(?:.[0-9]{2}(?::[0-9]{2}(?::([0-9]{2}))?)?)?)"
+    r"(?(2)(?:[.,][0-9]+)?)"  # a fraction only after the seconds
+    r" ?(?:Z|([+-])([01][0-9]|2[0-3])(?:([0-5][0-9])|:([0-5][0-9])(?::([0-5][0-9])(?:\.[0-9]+)?)?)?)?",
+    re.DOTALL,
+)
 
 # Characters XML 1.0 cannot carry, even escaped: C0 controls other than tab,
 # newline and carriage return, surrogates, U+FFFE and U+FFFF. None of them
@@ -85,6 +99,20 @@ class EventDataset:
     malformed: int = field(default=0, compare=False)
 
 
+def _iso_8601_seconds(text: str) -> int:
+    """Epoch seconds of text in the _ISO_8601 grammar."""
+    match = _ISO_8601.fullmatch(text)
+    if match is None:
+        raise ValueError(f"not an ISO-8601 timestamp: {text!r}")
+    local, _, sign, hours, minutes, ext_minutes, seconds = match.groups()
+    since = datetime.fromisoformat(local) - _EPOCH  # days, then seconds in [0, 86400)
+    ts = since.days * 86_400 + since.seconds
+    if sign:
+        offset = int(hours) * 3_600 + int(minutes or ext_minutes or 0) * 60 + int(seconds or 0)
+        ts += offset if sign == "-" else -offset
+    return ts
+
+
 def _coerce_timestamp(value: object) -> int:
     """Accept epoch seconds (int/float/int-string) or ISO-8601; return UTC epoch
     seconds, rounded down, in [0, MAX_TIMESTAMP]."""
@@ -109,11 +137,7 @@ def _coerce_timestamp(value: object) -> int:
             except ValueError:
                 pass
         if ts is None:
-            dt = datetime.fromisoformat(text.replace("Z", "+00:00"))
-            if dt.tzinfo is None:
-                dt = dt.replace(tzinfo=timezone.utc)
-            since = dt - _EPOCH  # days, then seconds in [0, 86400) and microseconds >= 0
-            ts = since.days * 86_400 + since.seconds
+            ts = _iso_8601_seconds(text)
     else:
         raise ValueError(f"bad timestamp type: {type(value).__name__}")
     if ts < 0:

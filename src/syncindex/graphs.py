@@ -18,7 +18,6 @@ from functools import cached_property
 from itertools import chain, compress
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping
-from xml.sax.saxutils import escape, quoteattr
 
 from .events import InteractionRecord
 
@@ -142,6 +141,25 @@ def prune_by_partner_count(graph: Graph, min_partners: int) -> list[bool]:
     return core
 
 
+def _escape(text: str) -> str:
+    """xml.sax.saxutils.escape: &, > and < as entities. (Importing saxutils
+    would load urllib.request and the network stack behind it.)"""
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
+
+
+def _quoteattr(text: str) -> str:
+    """xml.sax.saxutils.quoteattr: text escaped, with newline, carriage
+    return and tab as character references, in double quotes; in single
+    quotes when it holds a double quote but no single one, and in double
+    quotes with &quot; when it holds both."""
+    text = _escape(text).replace("\n", "&#10;").replace("\r", "&#13;").replace("\t", "&#9;")
+    if '"' not in text:
+        return f'"{text}"'
+    if "'" not in text:
+        return f"'{text}'"
+    return '"' + text.replace('"', "&quot;") + '"'
+
+
 def export(graph: Graph, files: Mapping[str | Path, list[bool] | None]) -> None:
     """Write graph as GraphML to each path in files, with stable lexicographic
     node and edge ordering: the nodes whose flag (one per node index) is True,
@@ -149,10 +167,10 @@ def export(graph: Graph, files: Mapping[str | Path, list[bool] | None]) -> None:
     line is formatted once for all the files; each file's keys are decided on
     its own nodes."""
     classes, scores = graph.user_class, graph.csi_user
-    quoted = [quoteattr(str(node)) for node in graph.nodes]
+    quoted = [_quoteattr(str(node)) for node in graph.nodes]
     nodes = []
     for i, node_id in enumerate(quoted):
-        cls = f'<data key="user_class">{escape(str(classes[i]))}</data>' if classes is not None else ""
+        cls = f'<data key="user_class">{_escape(str(classes[i]))}</data>' if classes is not None else ""
         csi = f'<data key="csi_user">{scores[i]!r}</data>' if scores is not None and scores[i] is not None else ""
         nodes.append(f"    <node id={node_id}>{cls}{csi}</node>\n")
     # Index order is id order, so edges sort as their (lower, higher) index pairs do.

@@ -684,11 +684,46 @@ def set_transitivity(graph: nx.Graph) -> float:
 
 # The events parser's former per-field definition, kept verbatim as the
 # oracle of the one-pass parse_events: each field is validated by its own
-# helper, and CSV rows come from csv.DictReader.
+# helper, and CSV rows come from csv.DictReader. Only the ISO-8601 branch
+# changed: it reads the README's grammar field by field, where the former
+# definition took whatever the running Python's fromisoformat took.
 _EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 _SECOND = timedelta(seconds=1)
 _XML_FORBIDDEN = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
 logger = logging.getLogger(__name__)
+_ISO_FIELDS = re.compile(
+    r"""(?P<year>[0-9]{4})-(?P<month>[0-9]{2})-(?P<day>[0-9]{2})
+    (?:.(?P<hour>[0-9]{2})
+       (?::(?P<minute>[0-9]{2})
+          (?::(?P<second>[0-9]{2})(?:[.,](?P<fraction>[0-9]+))?)?)?)?
+    [ ]?
+    (?:Z
+     |(?P<sign>[+-])(?P<offset_hours>[0-9]{2})
+      (?:(?P<basic_minutes>[0-9]{2})
+       |:(?P<offset_minutes>[0-9]{2})(?::(?P<offset_seconds>[0-9]{2})(?:\.[0-9]+)?)?)?)?""",
+    re.VERBOSE | re.DOTALL,
+)
+
+
+def _iso_fields_datetime(text: str) -> datetime:
+    """text in the README's ISO-8601 grammar as an aware datetime."""
+    fields = _ISO_FIELDS.fullmatch(text)
+    if fields is None:
+        raise ValueError(f"not in the grammar: {text!r}")
+
+    def number(name):
+        return int(fields[name] or 0)
+
+    minutes = number("basic_minutes") or number("offset_minutes")
+    if number("offset_hours") > 23 or minutes > 59 or number("offset_seconds") > 59:
+        raise ValueError(f"offset out of range: {text!r}")
+    offset = timedelta(hours=number("offset_hours"), minutes=minutes, seconds=number("offset_seconds"))
+    micro = int((fields["fraction"] or "")[:6].ljust(6, "0"))
+    zone = timezone(-offset if fields["sign"] == "-" else offset)
+    return datetime(
+        number("year"), number("month"), number("day"), number("hour"), number("minute"), number("second"), micro,
+        tzinfo=zone,
+    )
 
 
 def _coerce_timestamp(value: object) -> int:
@@ -709,10 +744,7 @@ def _coerce_timestamp(value: object) -> int:
         try:
             ts = int(text)
         except ValueError:
-            dt = datetime.fromisoformat(text.replace("Z", "+00:00"))
-            if dt.tzinfo is None:
-                dt = dt.replace(tzinfo=timezone.utc)
-            ts = (dt - _EPOCH) // _SECOND
+            ts = (_iso_fields_datetime(text) - _EPOCH) // _SECOND
     else:
         raise ValueError(f"bad timestamp type: {type(value).__name__}")
     if ts < 0:

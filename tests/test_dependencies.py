@@ -1,11 +1,12 @@
 """The package has no runtime dependency: every import in it is the
-standard library or the package itself, and a report run loads no
-networkx (the tests use it as an oracle). Every name it defines is used
-in it."""
+standard library or the package itself, and no command loads networkx
+(the tests use it as an oracle) or the network stack. Every name it
+defines is used in it."""
 
 from __future__ import annotations
 
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -131,19 +132,32 @@ def test_graphs_are_built_only_by_the_two_builders():
 
 
 def test_report_loads_no_networkx(tmp_path):
+    """The five stages and report, run in one fresh interpreter, load neither
+    networkx nor the network stack (xml.sax.saxutils would bring in
+    urllib.request, http.client, email and ssl), and only simulate loads the
+    simulator. Modules loaded before the package (by site) do not count."""
     script = (
         "import sys\n"
+        "preloaded = set(sys.modules)\n"
+        "import json\n"
         "from syncindex import cli\n"
-        "code = cli.main(sys.argv[1:])\n"
-        "assert code == 0, code\n"
-        "assert 'networkx' not in sys.modules, 'networkx was imported'\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    assert cli.main(argv) == 0, argv\n"
+        "unwanted = ('networkx.', 'ssl.', 'http.client.', 'urllib.request.', 'email.', 'xml.sax.',\n"
+        "            'syncindex.simulate.')\n"
+        "loaded = sorted(m for m in set(sys.modules) - preloaded if (m + '.').startswith(unwanted))\n"
+        "assert loaded == [], loaded\n"
     )
-    argv = [
-        sys.executable, "-c", script, "report",
-        "--events", str(DATA / "fixture_events.jsonl"),
-        "--bots", str(DATA / "fixture_bots.csv"),
-        "--out", str(tmp_path / "out"),
+    bots, out = str(DATA / "fixture_bots.csv"), tmp_path / "out"
+    chain = [
+        ["ingest", "--events", str(DATA / "fixture_events.jsonl"), "--out", str(out)],
+        ["detect", "--events", str(out / "events.jsonl"), "--out", str(out)],
+        ["score", "--pairs", str(out / "pair_counts.csv"), "--out", str(out)],
+        ["graph", "--pairs", str(out / "pairs.csv"), "--users", str(out / "users.csv"), "--bots", bots,
+         "--out", str(out)],
+        ["metrics", "--pairs", str(out / "pairs.csv"), "--events", str(out / "events.jsonl"), "--out", str(out)],
+        ["report", "--events", str(DATA / "fixture_events.jsonl"), "--bots", bots, "--out", str(tmp_path / "report")],
     ]
     env = dict(os.environ, PYTHONPATH=str(Path(syncindex.__file__).resolve().parents[1]))
-    result = subprocess.run(argv, env=env, capture_output=True, text=True)
+    result = subprocess.run([sys.executable, "-c", script, json.dumps(chain)], env=env, capture_output=True, text=True)
     assert result.returncode == 0, result.stderr

@@ -10,7 +10,7 @@ import re
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import reference_parse_events
+from conftest import _coerce_timestamp as reference_coerce_timestamp, reference_parse_events
 from syncindex.events import (
     MAX_TIMESTAMP,
     ArtifactError,
@@ -18,6 +18,7 @@ from syncindex.events import (
     EventDataset,
     InteractionRecord,
     PostEvent,
+    _coerce_timestamp,
     canonicalize_artifact,
     dataset_lines,
     extract_actions,
@@ -123,6 +124,31 @@ class TestParse:
             ("1970-01-01T00:00:00Z", 0),
             ("1969-12-31T23:59:59.5Z", None),
             (-0.5, None),
+            # The grammar, where fromisoformat differs by Python version
+            # (3.10 takes none of these forms, 3.11 to 3.13 take them all).
+            ("20210101T000000Z", None),
+            ("2021-W01-1", None),
+            ("2021-01-01T0000", None),
+            ("2021-01-01T00:00:00.5Z", 1_609_459_200),
+            ("2021-01-01T00:00:00,5Z", 1_609_459_200),
+            ("2021-01-01T00:00:00.1234567Z", 1_609_459_200),
+            ("2021-01-01T00:00:00+0200", 1_609_452_000),
+            ("2021-01-01T00:00:00+02", 1_609_452_000),
+            ("2021-01-01T00:00:00.5+00:00:00.7", 1_609_459_200),
+            # Forms every version read, kept: a space before the offset and
+            # an offset with minutes or seconds.
+            ("2021-01-01 00:00:00 +02:00", 1_609_452_000),
+            ("2021-01-01T00:00:00+05:30", 1_609_439_400),
+            ("2021-01-01T00:00:00-02:00:30", 1_609_466_430),
+            # Forms every version read outside ISO-8601, now malformed: a
+            # fraction of an hour read as one of a second, a mark before the
+            # offset, and an offset minute past 59.
+            ("2021-01-01T12.5", None),
+            ("2021-01-01T00:00:00.+02:00", None),
+            ("2021-01-01T00:00:00-02:60", None),
+            # An offset's fraction of a second is dropped, as the time's is
+            # (every version gave 1_609_459_198).
+            ("2021-01-01T00:00:00.500000+00:00:01.700000", 1_609_459_199),
         ],
     )
     def test_timestamp_bounds_on_every_path(self, raw, expected):
@@ -267,7 +293,8 @@ _users = st.sampled_from(["a", "b", "c", " a ", "a\x1c", "zoë", "a\tb", "a\\b",
 _stamps = st.one_of(
     st.integers(0, 10**6),
     st.sampled_from(["5", " 7 ", "1_000", "+9", "1970-01-01T00:00:05Z", "2021-01-01T03:04:10+02:00",
-                     "2021-01-01T01:49:25.999Z", "2021-01-01", "9999-12-31T23:59:59Z", "12:00", 5.5, 1e6 + 0.25]),
+                     "2021-01-01T01:49:25.999Z", "2021-01-01", "9999-12-31T23:59:59Z", "12:00", 5.5, 1e6 + 0.25,
+                     "2021-01-01 01:49:25,5 +0200", "2021-01-01T0000", "2021-01-01T12.5"]),
 )
 _artifacts = st.lists(st.sampled_from(["#a", "#A", " #b ", "", " ", "https://x.y/Z", "@c", "\x0b#d"]), max_size=3)
 _post_fields = {
@@ -360,6 +387,33 @@ def _parsed(parse, lines, format):
 def test_parse_events_equals_reference_parser(source):
     format, lines = source
     assert _parsed(parse_events, lines, format) == _parsed(reference_parse_events, lines, format)
+
+
+# Timestamp strings near the ISO-8601 grammar: each part is well formed or a
+# near miss (a basic or week date, an hour of 24, a fraction after a colon,
+# a mark before the offset, an offset minute past 59, a lower-case z).
+_iso_texts = st.tuples(
+    st.sampled_from(["2021-01-01", "1970-01-01", "9999-12-31", "2021-02-29", "20210101", "2021-W01-1"]),
+    st.sampled_from(["", "T", " ", "x", "Z", "+"]),
+    st.sampled_from(["", "12", "12:30", "00:00:00", "23:59:59", "1230", "24:00", "12:60"]),
+    st.sampled_from(["", ".5", ",123", ".1234567", ".", ":123"]),
+    st.sampled_from(["", " ", "x"]),
+    st.sampled_from(
+        ["", "Z", "+02", "-0230", "+02:00", "-02:00:30", "+00:00:00.7", "-23:59:59.9", "+24:00", "+02:60", "z"]
+    ),
+).map("".join)
+
+
+@settings(max_examples=300)
+@given(_iso_texts)
+def test_iso_timestamps_equal_the_field_by_field_reading(text):
+    def outcome(coerce):
+        try:
+            return coerce(text)
+        except ValueError:
+            return None
+
+    assert outcome(_coerce_timestamp) == outcome(reference_coerce_timestamp)
 
 
 class TestUndecodableBytes:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import random
+from xml.sax import saxutils
 
 import networkx as nx
 import pytest
@@ -19,7 +20,7 @@ from conftest import (
     to_nx,
 )
 from syncindex.events import CorpusRejectedError, InteractionRecord, parse_events
-from syncindex.graphs import build_allcomm_graph, build_sync_graph, export, prune_by_partner_count
+from syncindex.graphs import _escape, _quoteattr, build_allcomm_graph, build_sync_graph, export, prune_by_partner_count
 from syncindex.metrics import degree_centrality, density, newman_modularity
 
 
@@ -234,6 +235,11 @@ class TestExport:
         export(self.build(), {one: None})
         export(self.build(), {two: None})
         assert one.read_bytes() == two.read_bytes()
+
+    @given(st.text(st.sampled_from("ab\"'&<>\n\r\t xé")))
+    def test_escapes_equal_saxutils(self, text):
+        assert _escape(text) == saxutils.escape(text)
+        assert _quoteattr(text) == saxutils.quoteattr(text)
 
 
 @st.composite
