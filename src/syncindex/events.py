@@ -113,6 +113,20 @@ def _iso_8601_seconds(text: str) -> int:
     return ts
 
 
+def parse_integer(text: str) -> int | None:
+    """The integer text spells, surrounding whitespace aside, as an optional
+    ASCII sign and ASCII digits; None for any other text (int() also takes
+    underscores and non-ASCII digits) and for more digits than int() converts."""
+    text = text.strip()
+    digits = text[1:] if text[:1] in ("+", "-") else text
+    if digits.isascii() and digits.isdigit():
+        try:
+            return int(text)
+        except ValueError:  # past int()'s digit limit
+            pass
+    return None
+
+
 def _coerce_timestamp(value: object) -> int:
     """Accept epoch seconds (int/float/int-string) or ISO-8601; return UTC epoch
     seconds, rounded down, in [0, MAX_TIMESTAMP]."""
@@ -130,12 +144,7 @@ def _coerce_timestamp(value: object) -> int:
         text = value.strip()
         if not text:
             raise ValueError("empty timestamp")
-        ts = None
-        if ":" not in text:  # int() rejects an ISO-8601 time, but slowly
-            try:
-                ts = int(text)
-            except ValueError:
-                pass
+        ts = parse_integer(text)
         if ts is None:
             ts = _iso_8601_seconds(text)
     else:

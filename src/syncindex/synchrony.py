@@ -13,7 +13,7 @@ from itertools import combinations
 from pathlib import Path
 from typing import Iterable
 
-from .events import ACTION_TYPES, ActionRecord, read_csv, write_csv
+from .events import ACTION_TYPES, ActionRecord, parse_integer, read_csv, write_csv
 
 PAIR_COUNT_COLUMNS = ("user_u", "user_v", "action_type", "count")
 DEFAULT_WINDOW_SECONDS = 300
@@ -101,10 +101,7 @@ def read_pair_counts_csv(path: str | Path) -> PairCounts:
     pair and action type listed twice (in either order)."""
     table: PairCounts = {}
     for line, (u, v, action_type, text) in read_csv(path, PAIR_COUNT_COLUMNS, ids=("user_u", "user_v")):
-        try:
-            count = int(text)
-        except ValueError:
-            count = 0
+        count = parse_integer(text) or 0
         if u == v:
             raise ValueError(f"{path}: line {line}: self-pair {u!r}")
         if action_type not in ACTION_TYPES:

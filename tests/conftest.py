@@ -741,9 +741,9 @@ def _coerce_timestamp(value: object) -> int:
         text = value.strip()
         if not text:
             raise ValueError("empty timestamp")
-        try:
+        if re.fullmatch(r"[+-]?[0-9]+", text):  # an ASCII sign and ASCII digits only
             ts = int(text)
-        except ValueError:
+        else:
             ts = (_iso_fields_datetime(text) - _EPOCH) // _SECOND
     else:
         raise ValueError(f"bad timestamp type: {type(value).__name__}")

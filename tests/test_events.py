@@ -6,6 +6,7 @@ import json
 import logging
 import random
 import re
+import warnings
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -117,6 +118,13 @@ class TestParse:
             (str(MAX_TIMESTAMP), MAX_TIMESTAMP),
             (str(MAX_TIMESTAMP + 1), None),
             ("99999999999999999999", None),
+            # An integer string is an optional ASCII sign and ASCII digits:
+            # int() would also take underscores and non-ASCII digits.
+            ("+1609459200", 1_609_459_200),
+            (" 1609459200 ", 1_609_459_200),
+            ("1_609_459_200", None),
+            ("\uff11\uff16\uff10\uff19\uff14\uff15\uff19\uff12\uff10\uff10", None),
+            ("\u0661\u0666\u0660\u0669\u0664\u0665\u0669\u0662\u0660\u0660", None),
             ("9999-12-31T23:59:59Z", MAX_TIMESTAMP),
             ("9999-12-31T23:59:59.999999Z", MAX_TIMESTAMP),
             ("9999-12-31T23:59:59-00:00:01", None),
@@ -446,7 +454,8 @@ class TestUndecodableBytes:
             b"post_id,user_id,timestamp,post_type,user_id\np1,alice,100,original,alice\np2,\xff,100,original,bob\n",
         ):
             path.write_bytes(content)
-            assert read_events_file(path).malformed == 1
+            dataset = read_events_file(path)
+            assert ([p.post_id for p in dataset.posts], dataset.malformed) == (["p1"], 1)
 
     def test_csv_cell_over_field_limit_is_malformed(self, tmp_path):
         path = tmp_path / "events.csv"
@@ -726,6 +735,12 @@ class TestRoundTrip:
         path = write_events_jsonl(dataset, tmp_path / "events.jsonl")
         again = read_events_file(path)
         assert again == dataset
+
+    def test_a_resource_warning_is_an_error(self):
+        """pyproject.toml's filterwarnings makes a file left open, for instance
+        by a streaming writer, fail the suite."""
+        with pytest.raises(ResourceWarning):
+            warnings.warn("leak", ResourceWarning)
 
     def test_merge_counts_a_post_id_repeated_across_datasets(self):
         first = parse_events([post_line(post_id="p1", timestamp=90), post_line(post_id="p2", timestamp=5)])

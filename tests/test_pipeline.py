@@ -551,25 +551,42 @@ def test_report_and_detect_heap_peaks_stay_near_the_parse(tmp_path, capsys):
     assert detect <= 1.25 * load, (detect, load)
 
 
+# Two cycles of fixture users sharing the cut vertex c0_u002, plus a pendant
+# edge: an all-communication graph of several biconnected blocks.
+BLOCK_INTERACTIONS = (
+    ("retweet", "c0_u000", "c0_u001"), ("reply", "c0_u001", "c0_u002"), ("quote", "c0_u002", "c0_u000"),
+    ("retweet", "c0_u002", "c0_u003"), ("reply", "c0_u003", "c0_u004"), ("mention", "c0_u004", "c1_u000"),
+    ("retweet", "c1_u000", "c0_u002"), ("reply", "c1_u001", "c1_u000"),
+)
+
+
 def test_report_independent_of_hash_seed(tmp_path):
-    """String hashing is randomized per process; no artifact may depend on it."""
+    """String hashing is randomized per process; no artifact may depend on it,
+    on the fixture alone or with the block interactions."""
     data = Path(__file__).parent / "data"
+    blocks = tmp_path / "blocks.jsonl"
+    blocks.write_text("".join(
+        json.dumps({"interaction_type": kind, "source_user": source, "target_user": target, "timestamp": 10 * i})
+        + "\n"
+        for i, (kind, source, target) in enumerate(BLOCK_INTERACTIONS, 1)
+    ))
     env = dict(os.environ, PYTHONPATH=str(Path(syncindex.__file__).resolve().parents[1]))
-    outputs = []
-    for seed in ("1", "2"):
-        out = tmp_path / f"seed{seed}"
-        argv = [
-            sys.executable, "-m", "syncindex.cli", "report",
-            "--events", str(data / "fixture_events.jsonl"),
-            "--bots", str(data / "fixture_bots.csv"),
-            "--out", str(out),
-        ]
-        subprocess.run(argv, env={**env, "PYTHONHASHSEED": seed}, check=True, capture_output=True)
-        outputs.append(out)
     names = (*SHARED_ARTIFACTS, "centrality_by_action_types.csv", "report.json")
-    assert sorted(p.name for p in outputs[0].iterdir()) == sorted(names)
-    for name in names:
-        assert (outputs[0] / name).read_bytes() == (outputs[1] / name).read_bytes(), name
+    for case, extra in (("fixture", []), ("blocks", ["--interactions", str(blocks)])):
+        outputs = []
+        for seed in ("1", "2"):
+            out = tmp_path / f"{case}{seed}"
+            argv = [
+                sys.executable, "-m", "syncindex.cli", "report",
+                "--events", str(data / "fixture_events.jsonl"), *extra,
+                "--bots", str(data / "fixture_bots.csv"),
+                "--out", str(out),
+            ]
+            subprocess.run(argv, env={**env, "PYTHONHASHSEED": seed}, check=True, capture_output=True)
+            outputs.append(out)
+        assert sorted(p.name for p in outputs[0].iterdir()) == sorted(names)
+        for name in names:
+            assert (outputs[0] / name).read_bytes() == (outputs[1] / name).read_bytes(), (case, name)
 
 
 def test_structure_section_counts_triangles_once(monkeypatch, tmp_path):
@@ -964,6 +981,32 @@ class TestCli:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    def test_label_names_an_events_file_whose_stem_is_not_utf8(self, tmp_path, capsys):
+        """With --label, an events file whose name is not UTF-8 gives the nine
+        artifacts of the same file under a plain name."""
+        data = Path(__file__).parent / "data"
+        outs = []
+        for stem in ("events", "ev\udcff"):
+            events = tmp_path / f"{stem}.jsonl"
+            shutil.copy(data / "fixture_events.jsonl", events)
+            outs.append(tmp_path / f"out{len(outs)}")
+            argv = ["report", "--events", str(events), "--bots", str(data / "fixture_bots.csv"), "--label", "demo"]
+            assert cli.main([*argv, "--out", str(outs[-1])]) == 0
+        capsys.readouterr()
+        assert len(list(outs[0].iterdir())) == 9
+        assert_same_files(*outs)
+
+    @pytest.mark.parametrize(
+        "command", ["ingest", "detect", "score", "graph", "metrics", "report", "simulate", "compare"]
+    )
+    def test_help_exits_0(self, capsys, command):
+        """argparse formats help text, with defaults taken from other modules,
+        only on --help."""
+        with pytest.raises(SystemExit) as err:
+            cli.main([command, "--help"])
+        assert err.value.code == 0
+        assert capsys.readouterr().out.startswith(f"usage: syncindex {command} ")
+
     def test_ingest_has_no_label_flag(self, tmp_path):
         with pytest.raises(SystemExit) as err:
             cli.main(["ingest", "--events", "e.jsonl", "--label", "XYZ", "--out", str(tmp_path)])
@@ -1025,13 +1068,20 @@ class TestCli:
             ("score", "pair_counts.csv",
              f"user_u,user_v,action_type,count\na,b,hashtag,{2**53}\nb,a,hashtag,{2**53 - 1}\n",
              "line 3: pair ('b', 'a') with action_type 'hashtag' listed twice"),
+            ("score", "pair_counts.csv", "user_u,user_v,action_type,count\na,b,hashtag,1_0\n",
+             "line 2: count '1_0' is not an integer in 1..2**53"),
+            ("score", "pair_counts.csv", "user_u,user_v,action_type,count\na,b,hashtag,\u0663\n",
+             "line 2: count '\u0663' is not an integer in 1..2**53"),
+            ("score", "pair_counts.csv", "user_u,user_v,action_type,count\na,b,hashtag,\uff13\n",
+             "line 2: count '\uff13' is not an integer in 1..2**53"),
         ],
         ids=["short-pair-count-row", "pair-counts-without-action-type", "short-pair-score-row", "pair-score-self-pair",
-             "pair-score-repeated", "pair-count-repeated"],
+             "pair-score-repeated", "pair-count-repeated", "count-with-underscore", "count-arabic-indic-digit",
+             "count-full-width-digit"],
     )
     def test_malformed_stage_table_is_data_error(self, tmp_path, capsys, stage, name, text, message):
         path = tmp_path / name
-        path.write_text(text)
+        path.write_text(text, encoding="utf-8")
         assert cli.main([stage, "--pairs", str(path), "--out", str(tmp_path / "out")]) == 2
         assert f"{path}: {message}" in capsys.readouterr().err
 
@@ -1078,6 +1128,41 @@ class TestCli:
         report = json.loads((tmp_path / "report" / "report.json").read_text())
         assert report["counts"]["sync_pairs"] == 1 and report["counts"]["action_records"] == 2
         capsys.readouterr()
+
+    def test_two_users_one_hashtag_give_defined_values(self, tmp_path, capsys):
+        """Two users posting one hashtag in one window, with no interactions: a
+        two-node sync graph and an edgeless all-communication graph, every
+        centrality cell of which is 0."""
+        events, bots = tmp_path / "two.jsonl", tmp_path / "bots.csv"
+        events.write_text("".join(
+            json.dumps({"post_id": f"p{i}", "user_id": user, "timestamp": 10 * i, "post_type": "original",
+                        "hashtags": ["#x"]}) + "\n"
+            for i, user in enumerate("ab")
+        ))
+        bots.write_text("user_id,score\na,0.9\nb,0.1\n")
+        out = tmp_path / "out"
+        assert cli.main(["report", "--events", str(events), "--bots", str(bots), "--out", str(out)]) == 0
+        capsys.readouterr()
+        metrics = json.loads((out / "metrics.json").read_text())
+        assert (metrics["density"], metrics["transitivity"]) == (1.0, 0.0)
+        assert (out / "centrality_by_action_types.csv").read_bytes() == (
+            b"user_id,num_action_types,total_degree,betweenness,eigenvector\r\n"
+            b"a,1,0.0,0.0,0.0\r\nb,1,0.0,0.0,0.0\r\n"
+        )
+
+    def test_metrics_without_pairs_writes_empty_metrics(self, tmp_path, capsys):
+        """A header-only pairs.csv: metrics.json is {} and the one post author
+        has a row of zero centralities."""
+        pairs, events = tmp_path / "pairs.csv", tmp_path / "one.jsonl"
+        pairs.write_text("user_u,user_v,num_action_types,s_total,csi_userpair\n")
+        events.write_text('{"post_id": "p1", "user_id": "a", "timestamp": 0, "post_type": "original"}\n')
+        out = tmp_path / "out"
+        assert cli.main(["metrics", "--pairs", str(pairs), "--events", str(events), "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert (out / "metrics.json").read_bytes() == b"{}\n"
+        assert (out / "centrality.csv").read_bytes() == (
+            b"user_id,total_degree,betweenness,eigenvector\r\na,0.0,0.0,0.0\r\n"
+        )
 
     def test_csv_report_format(self, sim_inputs, tmp_path):
         events, bots, _ = sim_inputs
