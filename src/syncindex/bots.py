@@ -15,7 +15,7 @@ from statistics import fmean, pstdev
 from typing import Iterable, Mapping
 
 from . import metrics
-from .events import _xml_forbidden, csv_rows, open_input
+from .events import _xml_forbidden, csv_rows, open_input, parse_float
 from .graphs import Graph
 
 logger = logging.getLogger(__name__)
@@ -54,7 +54,7 @@ class BotScoreTable:
 
 def load_bot_scores(path: str | Path, threshold: float = DEFAULT_THRESHOLD) -> BotScoreTable:
     """Read the user_id,score CSV (header required) through events.csv_rows;
-    invalid rows are rejected.
+    a row whose score events.parse_float does not read into [0, 1] is rejected.
 
     A row whose user id is not valid UTF-8 or holds another character XML 1.0
     forbids is one rejected row, as is a row the csv module cannot read, and
@@ -71,17 +71,14 @@ def load_bot_scores(path: str | Path, threshold: float = DEFAULT_THRESHOLD) -> B
             raise ScoreError(f"bot score file {path} must have a user_id,score header")
         user_at, score_at = position["user_id"], position["score"]
         for _, cells in rows:
-            try:
-                if not isinstance(cells, list):  # a csv.Error
-                    raise ValueError
-                user = cells[user_at].strip() if user_at < len(cells) else ""
-                score = float(cells[score_at] if score_at < len(cells) else "")
-                if not 0.0 <= score <= 1.0 or not user or user in scores or _xml_forbidden(user):
-                    raise ValueError
-            except ValueError:
+            if isinstance(cells, list) and max(user_at, score_at) < len(cells):
+                user, score = cells[user_at].strip(), parse_float(cells[score_at])
+            else:  # a csv.Error, or a row short of a column
+                user, score = "", None
+            if score is None or not 0.0 <= score <= 1.0 or not user or user in scores or _xml_forbidden(user):
                 rejected += 1
-                continue
-            scores[user] = score
+            else:
+                scores[user] = score
     if rejected:
         logger.warning("rejected %d bot score rows from %s", rejected, path)
     return BotScoreTable(scores=scores, threshold=threshold, rejected=rejected)

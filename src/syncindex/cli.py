@@ -21,7 +21,7 @@ from . import csi as csimod
 from . import metrics as metricmod
 from . import pipeline
 from . import synchrony
-from .events import load_events, read_events_file, write_events_jsonl, write_json
+from .events import load_events, parse_float, parse_integer, read_events_file, write_events_jsonl, write_json
 
 USAGE_ERROR = 1
 DATA_ERROR = 2
@@ -38,15 +38,12 @@ def _add_out(parser: argparse.ArgumentParser) -> None:
 
 
 def _bounded(convert, low: float, high: float, what: str):
-    """An argparse type: convert(text) in [low, high]; anything else, NaN
-    included, is a usage error naming the flag and what it takes."""
+    """An argparse type: convert(text), an events parser, in [low, high]; any
+    other text is a usage error naming the flag and what it takes."""
 
     def parse(text: str):
-        try:
-            value = convert(text)
-        except ValueError:
-            value = math.nan
-        if not low <= value <= high:  # False for NaN
+        value = convert(text)
+        if value is None or not low <= value <= high:
             raise argparse.ArgumentTypeError(f"{text!r} is not {what}")
         return value
 
@@ -58,14 +55,14 @@ def _bounded(convert, low: float, high: float, what: str):
 # and its class attribute the flag's default, so a flag reads the same on
 # every subcommand that takes it.
 _OPTIONS = {
-    "bot_threshold": ("--bot-threshold", {"type": _bounded(float, 0.0, 1.0, "a number in [0, 1]")}),
-    "window_seconds": ("--window", {"type": _bounded(int, 1, math.inf, "an integer >= 1"), "metavar": "WINDOW",
-                                    "help": "window seconds (default %(default)s)"}),
+    "bot_threshold": ("--bot-threshold", {"type": _bounded(parse_float, 0.0, 1.0, "a number in [0, 1]")}),
+    "window_seconds": ("--window", {"type": _bounded(parse_integer, 1, math.inf, "an integer >= 1"),
+                                    "metavar": "WINDOW", "help": "window seconds (default %(default)s)"}),
     "pair_formula": ("--pair-formula", {"choices": csimod.PAIR_FORMULAS}),
     "normalization": ("--normalization", {"choices": csimod.NORMALIZATIONS}),
-    "min_partners": ("--min-partners", {"type": _bounded(int, 0, math.inf, "an integer >= 0")}),
+    "min_partners": ("--min-partners", {"type": _bounded(parse_integer, 0, math.inf, "an integer >= 0")}),
     "lang": ("--lang", {"help": "keep only posts with this language tag"}),
-    "seed": ("--seed", {"type": int}),
+    "seed": ("--seed", {"type": _bounded(parse_integer, -math.inf, math.inf, "an integer")}),
     "label": ("--label", {"help": "event label in report.json (default: the events file's stem)"}),
 }
 
@@ -122,7 +119,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="generate a synthetic dataset with ground truth")
     p.add_argument("--config", required=True, help="simulation config JSON")
-    p.add_argument("--seed", type=int, help="override the config seed")
+    p.add_argument("--seed", type=_bounded(parse_integer, -math.inf, math.inf, "an integer"),
+                   help="override the config seed")
     _add_out(p)
 
     p = sub.add_parser("compare", help="rank event reports by synchronization level")

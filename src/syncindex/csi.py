@@ -15,11 +15,10 @@ sigma = sum of normalized per-action counts):
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .events import ACTION_TYPES, read_csv, write_csv, write_json
+from .events import ACTION_TYPES, parse_float, read_csv, write_csv, write_json
 from .synchrony import PairCounts
 
 PAIR_FORMULAS = ("anchored", "prose", "literal")
@@ -141,11 +140,8 @@ def write_pair_scores_csv(tables: CsiTables, counts: PairCounts, path: str | Pat
 
 
 def _finite_score(text: str, column: str, path: str | Path, line: int) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not math.isfinite(value):
+    value = parse_float(text)
+    if value is None:
         raise ValueError(f"{path}: line {line}: {column} {text!r} is not a finite number")
     return value
 

@@ -127,6 +127,21 @@ def parse_integer(text: str) -> int | None:
     return None
 
 
+def parse_float(text: str) -> float | None:
+    """The finite float text spells, surrounding whitespace aside, as an
+    optional ASCII sign and ASCII digits with an optional point and exponent,
+    which covers every repr of a finite float; None for any other text (float()
+    also takes underscores, non-ASCII digits, nan and infinity)."""
+    text = text.strip()
+    if text.isascii() and "_" not in text:
+        try:
+            value = float(text)
+        except ValueError:
+            return None
+        return value if math.isfinite(value) else None
+    return None
+
+
 def _coerce_timestamp(value: object) -> int:
     """Accept epoch seconds (int/float/int-string) or ISO-8601; return UTC epoch
     seconds, rounded down, in [0, MAX_TIMESTAMP]."""
@@ -142,8 +157,6 @@ def _coerce_timestamp(value: object) -> int:
         ts = math.floor(value)
     elif isinstance(value, str):
         text = value.strip()
-        if not text:
-            raise ValueError("empty timestamp")
         ts = parse_integer(text)
         if ts is None:
             ts = _iso_8601_seconds(text)

@@ -90,10 +90,11 @@ class TestLoad:
 
     def test_bad_rows_rejected_not_fatal(self, tmp_path):
         path = tmp_path / "bots.csv"
-        path.write_text("user_id,score\nalice,0.95\nbob,notanumber\ncarol,1.7\n")
+        rows = ["alice,0.95", "bob,notanumber", "carol,1.7", "dave,\uff10.1", "erin,0_1"]
+        path.write_text("user_id,score\n" + "\n".join(rows) + "\n", encoding="utf-8")
         t = load_bot_scores(path)
         assert set(t.scores) == {"alice"}
-        assert t.rejected == 2
+        assert t.rejected == 4
 
     def test_bad_byte_row_rejected_not_fatal(self, tmp_path):
         path = tmp_path / "bots.csv"

@@ -6,6 +6,7 @@ import json
 import logging
 import random
 import re
+import unicodedata
 import warnings
 
 import pytest
@@ -27,6 +28,7 @@ from syncindex.events import (
     filter_originals,
     merge_datasets,
     parse_events,
+    parse_float,
     read_csv,
     read_events_file,
     write_csv,
@@ -60,6 +62,10 @@ class TestParse:
         dataset = parse_events([])
         assert dataset == EventDataset()
         assert dataset.malformed == 0
+
+    def test_unknown_format_is_value_error(self):
+        with pytest.raises(ValueError, match="unknown format: xml"):
+            parse_events([], format="xml")
 
     def test_missing_user_id_counts_malformed(self):
         lines = [post_line(post_id=f"p{i}") for i in range(3)]
@@ -422,6 +428,32 @@ def test_iso_timestamps_equal_the_field_by_field_reading(text):
             return None
 
     assert outcome(_coerce_timestamp) == outcome(reference_coerce_timestamp)
+
+
+_finite_floats = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@given(_finite_floats)
+@example(-0.0)
+@example(5e-324)
+@example(1.7976931348623157e308)
+def test_parse_float_reads_every_finite_repr(x):
+    assert parse_float(repr(x)).hex() == x.hex()
+
+
+@given(_finite_floats, st.characters(whitelist_categories=("Nd",)).filter(lambda c: not c.isascii()))
+def test_parse_float_refuses_near_misses(x, digit):
+    """float() reads x from its repr with an underscore after a leading zero,
+    or with the digits of another Unicode block; parse_float refuses both, and
+    a full-width sign, nan, infinity and hex too."""
+    text = repr(x)
+    sign, unsigned = ("-", text[1:]) if text.startswith("-") else ("", text)
+    zero = ord(digit) - unicodedata.digit(digit)
+    for miss in (sign + "0_" + unsigned, text.translate({ord("0") + d: zero + d for d in range(10)})):
+        assert float(miss) == x
+        assert parse_float(miss) is None
+    for miss in ("\uff0d" + unsigned, "\uff0b" + unsigned, "nan", "-NaN", "infinity", "+inf", x.hex()):
+        assert parse_float(miss) is None
 
 
 class TestUndecodableBytes:

@@ -820,10 +820,15 @@ class TestCli:
           """not a simulation config (TypeError: cohort key 'artifacts' must be a list of strings, not "abc")"""),
          ('"seed": "7"', """not a simulation config (TypeError: key 'seed' must be an integer, not "7")"""),
          ('"duration_seconds": true',
-          "not a simulation config (TypeError: key 'duration_seconds' must be an integer, not true)")],
+          "not a simulation config (TypeError: key 'duration_seconds' must be an integer, not true)"),
+         ('"cohorts": [{"member_count": 3, "user_class": "robot"}]', "unknown user class: robot"),
+         ('"cohorts": [{"member_count": 3, "action_types": []}]', "cohorts need at least one action type"),
+         ('"cohorts": [{"member_count": 3, "windows_active": 0}]', "windows_active and posts_per_window must be >= 1"),
+         ('"cohorts": [{"member_count": 3, "posts_per_window": 0}]',
+          "windows_active and posts_per_window must be >= 1")],
         ids=["nan-rate", "rate-past-expected-posts", "zero-vocabulary", "unknown-keys", "unknown-cohort-key", "duration-past-max-timestamp",
              "vocabulary-key-not-an-action-type", "float-member-count", "string-artifacts", "string-seed",
-             "bool-duration"],
+             "bool-duration", "unknown-user-class", "no-action-types", "zero-windows-active", "zero-posts-per-window"],
     )
     def test_simulate_bad_config_value_is_data_error(self, tmp_path, capsys, setting, message):
         config_path = tmp_path / "sim.json"
@@ -920,7 +925,7 @@ class TestCli:
         assert results[0][0] == 0
         assert_same_files(tmp_path / "out_plain", tmp_path / "out_marked")
 
-    @pytest.mark.parametrize("value", ["nan", "inf", "-0.1", "1.5"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-0.1", "1.5", "\uff10.5", "0_1"])
     @pytest.mark.parametrize("stage", ["graph", "metrics", "report"])
     def test_bot_threshold_outside_unit_interval_is_usage_error(self, tmp_path, capsys, stage, value):
         source = ["--events", "events.jsonl"] if stage == "report" else ["--pairs", "pairs.csv"]
@@ -944,6 +949,9 @@ class TestCli:
             ["report", "--events", "FIXTURE", "--window", "-300"],
             ["detect", "--events", "FIXTURE", "--window", "-5"],
             ["detect", "--events", "FIXTURE", "--window", "five"],
+            ["report", "--events", "FIXTURE", "--window", "\uff13_00"],
+            ["report", "--events", "FIXTURE", "--seed", "1_0"],
+            ["simulate", "--config", "sim.json", "--seed", "1_0"],
         ],
         ids=lambda argv: f"{argv[0]}{argv[-2]}={argv[-1]}",
     )
@@ -953,8 +961,8 @@ class TestCli:
         with pytest.raises(SystemExit) as err:
             cli.main([fixture if arg == "FIXTURE" else arg for arg in argv] + ["--out", str(out)])
         assert err.value.code == 1
-        minimum = 0 if argv[-2] == "--min-partners" else 1
-        assert f"argument {argv[-2]}: {argv[-1]!r} is not an integer >= {minimum}" in capsys.readouterr().err
+        what = {"--min-partners": "an integer >= 0", "--window": "an integer >= 1"}.get(argv[-2], "an integer")
+        assert f"argument {argv[-2]}: {argv[-1]!r} is not {what}" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("argv", [["graph", "--pairs", "p.csv", "--min-partners", "0"],
@@ -1074,15 +1082,29 @@ class TestCli:
              "line 2: count '\u0663' is not an integer in 1..2**53"),
             ("score", "pair_counts.csv", "user_u,user_v,action_type,count\na,b,hashtag,\uff13\n",
              "line 2: count '\uff13' is not an integer in 1..2**53"),
+            ("score", "pair_counts.csv", f"user_u,user_v,action_type,count\na,b,hashtag,{'1' * 5000}\n",
+             f"line 2: count '{'1' * 5000}' is not an integer in 1..2**53"),
+            ("score", "pair_counts.csv", f"user_u,user_v,action_type,{'c' * 131_073}\na,b,hashtag,1\n",
+             "line 1: field larger than field limit (131072)"),
+            ("graph", "pairs.csv", "user_u,user_v,num_action_types,s_total,csi_userpair\na,b,1,1,1_0\n",
+             "line 2: csi_userpair '1_0' is not a finite number"),
+            ("metrics", "users.csv", "user_id,csi_user\na,\uff10.5\nb,1.0\n",
+             "line 2: csi_user '\uff10.5' is not a finite number"),
         ],
         ids=["short-pair-count-row", "pair-counts-without-action-type", "short-pair-score-row", "pair-score-self-pair",
              "pair-score-repeated", "pair-count-repeated", "count-with-underscore", "count-arabic-indic-digit",
-             "count-full-width-digit"],
+             "count-full-width-digit", "count-past-int-digit-limit", "header-over-field-limit",
+             "pair-score-with-underscore", "user-score-full-width-digit"],
     )
     def test_malformed_stage_table_is_data_error(self, tmp_path, capsys, stage, name, text, message):
         path = tmp_path / name
         path.write_text(text, encoding="utf-8")
-        assert cli.main([stage, "--pairs", str(path), "--out", str(tmp_path / "out")]) == 2
+        tables = ["--pairs", str(path)]
+        if name == "users.csv":
+            pairs = tmp_path / "pairs.csv"
+            pairs.write_text("user_u,user_v,num_action_types,s_total,csi_userpair\na,b,1,1,1.0\n")
+            tables = ["--pairs", str(pairs), "--users", str(path)]
+        assert cli.main([stage, *tables, "--out", str(tmp_path / "out")]) == 2
         assert f"{path}: {message}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("stage", ["graph", "metrics"])
@@ -1165,13 +1187,25 @@ class TestCli:
         )
 
     def test_csv_report_format(self, sim_inputs, tmp_path):
+        """report.csv holds one field,value row per leaf of report.json, its
+        path joined by "." for a key and [i] for a list entry, keys sorted."""
+
+        def leaves(prefix, obj):
+            if isinstance(obj, dict):
+                return [row for key in sorted(obj) for row in leaves(f"{prefix}.{key}" if prefix else key, obj[key])]
+            if isinstance(obj, list):
+                return [row for i, item in enumerate(obj) for row in leaves(f"{prefix}[{i}]", item)]
+            return [[prefix, "" if obj is None else str(obj)]]
+
         events, bots, _ = sim_inputs
-        out = tmp_path / "csvrep"
-        assert cli.main(
-            ["report", "--events", str(events), "--bots", str(bots), "--out", str(out), "--format", "csv"]
-        ) == 0
-        assert (out / "report.csv").exists()
-        assert (out / "report.json").exists()
+        for name, flags in (("bots", ["--bots", str(bots)]), ("no-bots", [])):
+            out = tmp_path / name
+            assert cli.main(["report", "--events", str(events), *flags, "--out", str(out), "--format", "csv"]) == 0
+            report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+            with (out / "report.csv").open(encoding="utf-8", newline="") as handle:
+                rows = list(csv.reader(handle))
+            assert rows == [["field", "value"], *leaves("", report)]
+        assert ["notices[0]", "bot scores not provided; class sections omitted"] in rows
 
     def test_control_character_id_is_one_malformed_line(self, tmp_path, capsys):
         lines = [
