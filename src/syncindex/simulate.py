@@ -4,9 +4,10 @@ Cohort members post a shared artifact inside a single detection bucket for
 each of their active windows, so every planted pair is guaranteed a
 synchrony count of at least windows_active per action type. Background
 users post Poisson-distributed noise drawn uniformly from large artifact
-vocabularies, keeping coincidental collisions negligible. Output is
-byte-identical for a fixed seed; cohort and background draws use separate
-random streams so tuning one leaves the other untouched.
+vocabularies, keeping coincidental collisions negligible. Posts that carry
+the same artifact share one artifact set. Output is byte-identical for a
+fixed seed; cohort and background draws use separate random streams so
+tuning one leaves the other untouched.
 """
 
 from __future__ import annotations
@@ -17,11 +18,11 @@ import random
 from dataclasses import dataclass, field
 from itertools import combinations
 from pathlib import Path
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .events import (
-    ACTION_TYPES, MAX_TIMESTAMP, ArtifactError, EventDataset, PostEvent, _xml_forbidden, canonicalize_artifact,
-    merge_datasets, write_csv,
+    _NO_ARTIFACTS, ACTION_TYPES, MAX_TIMESTAMP, ArtifactError, EventDataset, PostEvent, _xml_forbidden,
+    canonicalize_artifact, merge_datasets, write_csv,
 )
 from .synchrony import DEFAULT_WINDOW_SECONDS
 
@@ -31,8 +32,8 @@ DEFAULT_VOCABULARY = 10_000
 MAX_EXPECTED_POSTS = 10_000
 # The largest rate _poisson draws at once, well below the underflow of exp(-rate).
 _POISSON_PART = 500.0
-# The PostEvent field that holds the artifacts of each action type.
-_ARTIFACT_FIELDS = dict(zip(ACTION_TYPES, ("hashtags", "urls", "mentions")))
+# Where each action type's artifacts go among PostEvent's hashtags, urls and mentions fields.
+_ARTIFACT_SLOT = {action: slot for slot, action in enumerate(ACTION_TYPES)}
 
 
 class SimConfigError(ValueError):
@@ -111,8 +112,9 @@ class SimConfig:
                 )
 
 
-@dataclass(frozen=True)
-class PlantedPair:
+class PlantedPair(NamedTuple):
+    """One planted (pair, action type) row, with user_u < user_v."""
+
     user_u: str
     user_v: str
     action_type: str
@@ -163,10 +165,15 @@ def generate(config: SimConfig) -> tuple[EventDataset, GroundTruth]:
     posts: list[PostEvent] = []
     planted: list[PlantedPair] = []
     user_classes: dict[str, str] = {}
+    artifact_sets: dict[str, frozenset[str]] = {}  # one set per distinct artifact, shared by its posts
 
     def emit(user: str, timestamp: int, action_type: str, artifact: str) -> None:
-        artifacts = {_ARTIFACT_FIELDS[action_type]: frozenset({artifact})}
-        posts.append(PostEvent(f"p{len(posts):08d}", user, timestamp, "original", "en", **artifacts))
+        shared = artifact_sets.get(artifact)
+        if shared is None:
+            shared = artifact_sets[artifact] = frozenset({artifact})
+        sets = [_NO_ARTIFACTS] * len(ACTION_TYPES)  # shared, as frozenset() is a new object on each call
+        sets[_ARTIFACT_SLOT[action_type]] = shared
+        posts.append(PostEvent(f"p{len(posts):08d}", user, timestamp, "original", "en", *sets))
 
     for cohort_index, cohort in enumerate(config.cohorts):
         members = [f"c{cohort_index}_u{j:03d}" for j in range(cohort.member_count)]
@@ -184,14 +191,14 @@ def generate(config: SimConfig) -> tuple[EventDataset, GroundTruth]:
                     for _ in range(cohort.posts_per_window):
                         offset = cohort_rng.randrange(config.window_seconds)
                         emit(member, start + offset, action_type, artifact)
-        for u, v in combinations(members, 2):
+        for u, v in combinations(sorted(members), 2):  # c0_u1000 sorts before c0_u101
             for action_type in cohort.action_types:
                 planted.append(PlantedPair(u, v, action_type, cohort.windows_active))
 
+    lam = config.background_rate_per_hour * config.duration_seconds / 3600.0
     for j in range(config.background_users):
         user = f"bg_u{j:05d}"
         user_classes[user] = "human"
-        lam = config.background_rate_per_hour * config.duration_seconds / 3600.0
         for _ in range(_poisson(background_rng, lam)):
             timestamp = background_rng.randrange(config.duration_seconds)
             action_type = ACTION_TYPES[background_rng.randrange(len(ACTION_TYPES))]
@@ -212,8 +219,7 @@ def bot_scores_from_truth(truth: GroundTruth) -> dict[str, float]:
 
 
 def write_ground_truth_csv(truth: GroundTruth, path: str | Path) -> Path:
-    rows = sorted((p.user_u, p.user_v, p.action_type, p.min_count) for p in truth.pairs)
-    return write_csv(path, ("user_u", "user_v", "action_type", "min_count"), rows)
+    return write_csv(path, PlantedPair._fields, sorted(truth.pairs))
 
 
 def write_bot_scores_csv(scores: Mapping[str, float], path: str | Path) -> Path:

@@ -4,13 +4,15 @@ Run from the repository root:
 
     PYTHONPATH=src python tests/data/generate_digests.py
 
-Four runs are digested, each as its input files and its output files:
+Five runs are digested, each as its input files and its output files:
 
 - ``fixture``: ``report`` on the 1,000-event fixture with its bot scores;
 - ``interact`` and ``coord``: ``report`` on the benchmark workloads' inputs
   at seed 11, full size;
 - ``chain``: the five-stage chain (ingest, detect, score, graph, metrics)
-  on the benchmark's raw CSV workload at seed 11.
+  on the benchmark's raw CSV workload at seed 11;
+- ``simulate``: ``simulate`` on the README's quick-start ``sim.json``, read
+  from the README itself.
 
 The benchmark inputs come from ``perfbench/workloads.py``. The test in
 ``tests/test_golden_digests.py`` rebuilds the same runs and compares their
@@ -25,6 +27,7 @@ import hashlib
 import importlib.util
 import io
 import json
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -34,6 +37,7 @@ from syncindex import cli
 HERE = Path(__file__).parent
 WORKLOADS = HERE.parents[1] / "perfbench" / "workloads.py"
 GOLDEN = HERE / "golden_digests.json"
+README = HERE.parents[1] / "README.md"
 SEED = 11
 
 
@@ -76,6 +80,13 @@ def _chain(events: Path, bots: Path, out: Path) -> dict[str, dict[str, str]]:
     return {"inputs": _digests([events, bots]), "outputs": _digests(out.iterdir())}
 
 
+def _simulate(config: Path, out: Path) -> dict[str, dict[str, str]]:
+    readme = README.read_text(encoding="utf-8")
+    config.write_text(re.search(r"^cat > sim\.json <<'EOF'\n(.*?^)EOF$", readme, re.M | re.S)[1], encoding="utf-8")
+    _run([["simulate", "--config", str(config), "--out", str(out)]])
+    return {"inputs": _digests([config]), "outputs": _digests(out.iterdir())}
+
+
 def build(work: Path) -> dict[str, dict[str, dict[str, str]]]:
     """Run name -> {"inputs": file -> sha256, "outputs": file -> sha256}."""
     workloads = _workloads()
@@ -84,6 +95,7 @@ def build(work: Path) -> dict[str, dict[str, dict[str, str]]]:
         inputs = workloads.generate(name, SEED, work / name / "in")
         run = _chain if name == "chain" else _report
         runs[name] = run(inputs.events, inputs.bots, work / name / "out")
+    runs["simulate"] = _simulate(work / "sim.json", work / "simulate")
     return runs
 
 

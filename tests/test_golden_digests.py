@@ -1,10 +1,10 @@
 """Every artifact of every workload shape is byte-identical to its golden digest.
 
 tests/data/golden_digests.json holds the sha256 of the inputs and outputs of
-four runs: report on the 1,000-event fixture, report on the benchmark's
-interact and coord workloads at seed 11, and the five-stage chain on its
-chain workload at seed 11 (see tests/data/generate_digests.py, which
-regenerates the file). Input digests are compared first, so a simulator or
+five runs: report on the 1,000-event fixture, report on the benchmark's
+interact and coord workloads at seed 11, the five-stage chain on its
+chain workload at seed 11, and simulate on the README's quick-start config
+(see tests/data/generate_digests.py, which regenerates the file). Input digests are compared first, so a simulator or
 workload change is told apart from a change in what the program writes.
 """
 

@@ -207,6 +207,45 @@ class TestGenerate:
         counts = detect(extract_actions(filter_originals(dataset)))
         assert len(counts[("c0_u000", "c0_u001")]) >= 2
 
+    def test_cohort_artifacts_cycle_over_its_windows(self):
+        config = small_config(
+            background_users=0, cohorts=(CohortSpec(member_count=3, artifacts=("#a", "#b"), windows_active=3),)
+        )
+        dataset, truth = generate(config)
+        by_bucket = {}
+        for post in dataset.posts:
+            by_bucket.setdefault(post.timestamp // config.window_seconds, set()).update(post.hashtags)
+        assert [by_bucket[bucket] for bucket in sorted(by_bucket)] == [{"#a"}, {"#b"}, {"#a"}]
+        counts = detect(extract_actions(filter_originals(dataset)), config.window_seconds)
+        assert len(truth.pairs) == 3
+        for planted in truth.pairs:
+            assert count_of(counts, planted.user_u, planted.user_v, planted.action_type) == 3
+
+    def test_background_rate_zero_posts_only_the_cohort(self):
+        dataset, truth = generate(small_config(background_rate_per_hour=0.0))
+        assert sum(cls == "human" for cls in truth.user_classes.values()) == 20
+        assert {post.user_id for post in dataset.posts} == {f"c0_u{j:03d}" for j in range(4)}
+        assert len(dataset.posts) == 4 * 3
+        rng = random.Random(5)
+        state = rng.getstate()
+        assert _poisson(rng, 0.0) == 0
+        assert rng.getstate() == state
+
+    def test_posts_share_one_set_per_artifact(self):
+        dataset, _ = generate(small_config(vocabulary_sizes={"hashtag": 3, "url": 3, "mention": 3}))
+        sets = [artifacts for post in dataset.posts for artifacts in (post.hashtags, post.urls, post.mentions)]
+        assert len({id(artifacts) for artifacts in sets if not artifacts}) == 1
+        distinct = {artifact for artifacts in sets for artifact in artifacts}
+        # the cohort's artifact and all 3 of each type's vocabulary
+        assert len({id(artifacts) for artifacts in sets if artifacts}) == len(distinct) == 1 + 9
+
+    def test_planted_pairs_ordered_past_999_members(self):
+        """c0_u1000 sorts between c0_u100 and c0_u101, as every pair table sorts it."""
+        config = small_config(background_users=0, cohorts=(CohortSpec(member_count=1_001),))
+        _, truth = generate(config)
+        assert len(truth.pairs) == 1_001 * 1_000 // 2
+        assert all(pair.user_u < pair.user_v for pair in truth.pairs)
+
 
 class TestOutputs:
     def test_bot_scores_cover_every_user(self):
@@ -217,11 +256,14 @@ class TestOutputs:
         assert all(scores[u] > 0.70 for u, c in truth.user_classes.items() if c == "bot")
 
     def test_ground_truth_csv(self, tmp_path):
-        _, truth = generate(small_config())
+        # url before hashtag, so the pairs are not generated in row order
+        cohorts = (CohortSpec(member_count=4, action_types=("url", "hashtag"), windows_active=3),)
+        _, truth = generate(small_config(cohorts=cohorts))
         path = write_ground_truth_csv(truth, tmp_path / "gt.csv")
         lines = path.read_text().splitlines()
         assert lines[0] == "user_u,user_v,action_type,min_count"
-        assert len(lines) == 1 + len(truth.pairs)
+        rows = sorted((p.user_u, p.user_v, p.action_type, p.min_count) for p in truth.pairs)
+        assert lines[1:] == [f"{u},{v},{action},{count}" for u, v, action, count in rows]
 
     def test_config_json_loading(self, tmp_path):
         payload = {
