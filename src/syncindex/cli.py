@@ -206,13 +206,9 @@ def _cmd_report(args: argparse.Namespace) -> int:
     )
     if args.format == "csv":
         pipeline.write_report_csv(report, Path(args.out) / "report.csv")
-    if report.csi_network_combined is None:
-        print(f"report written to {Path(args.out) / 'report.json'} ({report.reason})")
-    else:
-        print(
-            f"report written to {Path(args.out) / 'report.json'} "
-            f"(csi_network={pipeline.round_floats(report.csi_network_combined)})"
-        )
+    value = report["csi_network_combined"]
+    detail = report["reason"] if value is None else f"csi_network={pipeline.round_floats(value)}"
+    print(f"report written to {Path(args.out) / 'report.json'} ({detail})")
     return 0
 
 

@@ -279,6 +279,14 @@ def _artifact_set(value: object) -> frozenset[str]:
     return cleaned - {""} if "" in cleaned else cleaned
 
 
+def _stripped_type(value: object, types: tuple[str, ...], field: str) -> str:
+    """value stripped, for a type field whose exact value is not one of types;
+    ValueError naming the field unless the stripped value is one."""
+    if not isinstance(value, str) or value.strip() not in types:
+        raise ValueError(f"unknown {field}: {value!r}")
+    return value.strip()
+
+
 def _post(fields: tuple, check: bool) -> PostEvent:
     """The post of one record's raw field values, in PostEvent order with None
     for an absent field; ValueError or TypeError when the record is malformed.
@@ -287,11 +295,7 @@ def _post(fields: tuple, check: bool) -> PostEvent:
     otherwise the strings read here are searched for one.
     """
     post_id, user_id, timestamp, post_type, lang, hashtags, urls, mentions = fields
-    kind = post_type
-    if kind not in POST_TYPES:
-        if not isinstance(kind, str) or kind.strip() not in POST_TYPES:
-            raise ValueError(f"unknown post_type: {post_type!r}")
-        kind = kind.strip()
+    kind = post_type if post_type in POST_TYPES else _stripped_type(post_type, POST_TYPES, "post_type")
     if not (isinstance(post_id, str) and isinstance(user_id, str)):
         raise ValueError("post_id and user_id must be strings")
     code = None
@@ -323,11 +327,8 @@ def _interaction(fields: tuple, check: bool) -> InteractionRecord | None:
     order, as _post reads a post; None for a self-interaction, which is
     dropped, not malformed."""
     source, target, interaction_type, timestamp = fields
-    kind = interaction_type
-    if kind not in INTERACTION_TYPES:
-        if not isinstance(kind, str) or kind.strip() not in INTERACTION_TYPES:
-            raise ValueError(f"unknown interaction_type: {interaction_type!r}")
-        kind = kind.strip()
+    kind = (interaction_type if interaction_type in INTERACTION_TYPES
+            else _stripped_type(interaction_type, INTERACTION_TYPES, "interaction_type"))
     if not (isinstance(source, str) and isinstance(target, str)):
         raise ValueError("source_user and target_user must be strings")
     source_user, target_user = source.strip(), target.strip()

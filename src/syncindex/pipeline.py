@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -43,23 +43,6 @@ class PipelineOptions:
     label: str = ""
 
 
-@dataclass
-class EventReport:
-    event_label: str
-    config: dict
-    counts: dict
-    action_type_participation: dict[str, float]
-    csi_network_combined: float | None = None
-    csi_per_action: dict[str, float | None] = field(default_factory=dict)
-    reason: str | None = None
-    avg_csi_userpair_by_pair_class: dict | None = None
-    avg_csi_user_by_user_class: dict | None = None
-    centrality_by_class: dict | None = None
-    dominant_sync_class: str | None = None
-    structure: dict | None = None
-    notices: list[str] = field(default_factory=list)
-
-
 def round_floats(obj: object) -> object:
     """Recursively round floats to 6 significant digits for serialization."""
     if isinstance(obj, float):
@@ -71,11 +54,11 @@ def round_floats(obj: object) -> object:
     return obj
 
 
-def write_report_json(report: EventReport, path: str | Path) -> Path:
-    return write_json(path, round_floats(asdict(report)))
+def write_report_json(report: dict, path: str | Path) -> Path:
+    return write_json(path, round_floats(report))
 
 
-def write_report_csv(report: EventReport, path: str | Path) -> Path:
+def write_report_csv(report: dict, path: str | Path) -> Path:
     """Flattened section,name,value view of the report."""
 
     def rows(prefix: str, obj: object):
@@ -88,7 +71,7 @@ def write_report_csv(report: EventReport, path: str | Path) -> Path:
         else:
             yield prefix, obj
 
-    return write_csv(path, ("field", "value"), rows("", round_floats(asdict(report))))
+    return write_csv(path, ("field", "value"), rows("", round_floats(report)))
 
 
 def original_actions(dataset: EventDataset) -> tuple[list[ActionRecord], int]:
@@ -193,8 +176,9 @@ def run_pipeline(
     bots_path: str | Path | None = None,
     options: PipelineOptions | None = None,
     interactions_path: str | Path | None = None,
-) -> EventReport:
-    """Run the full analysis over an events file, writing its artifacts to out_dir.
+) -> dict:
+    """Run the full analysis over an events file, writing its artifacts to
+    out_dir; returns the report dict, whose round_floats report.json holds.
 
     The stages are the functions the CLI runs one at a time (ingest, detect,
     score, graph, metrics), so their shared artifacts are byte-identical:
@@ -237,11 +221,30 @@ def run_pipeline(
     sync = sync_graph(tables.pair_scores, tables.user_scores, bot_table)
     write_sync_graphs(sync, options.min_partners, out)
     per_user = synchrony.user_action_type_counts(counts)
+    structure = structure_section(sync, options.seed, out)
 
-    report = EventReport(
-        event_label=event_label,
-        config={key: value for key, value in asdict(options).items() if key != "label"},
-        counts={
+    participation, by_pair, by_user, by_class = [], None, None, None
+    if counts:
+        centralities = metricmod.node_centralities(allcomm)
+        if centralities.eigenvector is None:
+            notices.append("eigenvector centrality did not converge; reported as null")
+        participation = metricmod.centrality_by_action_type_count(centralities, per_user)
+        if sync.user_class is not None:  # bot scores given
+            by_pair = botmod.average_csi_by_pair_class(sync)
+            by_user, unknown = botmod.average_csi_by_user_class(sync)
+            if unknown:
+                notices.append(f"{unknown} synchronizing users without bot scores")
+            by_class = botmod.centrality_by_class(centralities, sync)
+    write_csv(
+        out / "centrality_by_action_types.csv",
+        ("user_id", "num_action_types", *metricmod.CENTRALITY_COLUMNS),
+        participation,
+    )
+
+    report = {
+        "event_label": event_label,
+        "config": {key: value for key, value in asdict(options).items() if key != "label"},
+        "counts": {
             "posts": posts,
             "original_posts": original_posts,
             "interactions": interactions,
@@ -250,38 +253,20 @@ def run_pipeline(
             "sync_users": len(per_user),
             "sync_pairs": len(counts),
         },
-        action_type_participation={
-            str(level): value
-            for level, value in synchrony.action_type_participation(per_user).items()
+        "action_type_participation": {
+            str(level): value for level, value in synchrony.action_type_participation(per_user).items()
         },
-        csi_network_combined=summary["csi_network"],
-        csi_per_action=summary["per_action"],
-        structure=structure_section(sync, options.seed, out),
-        notices=notices,
-    )
-    participation = []
-    if not counts:
-        report.reason = "no synchronized pairs detected"
-    else:
-        centralities = metricmod.node_centralities(allcomm)
-        if centralities.eigenvector is None:
-            notices.append("eigenvector centrality did not converge; reported as null")
-        participation = metricmod.centrality_by_action_type_count(centralities, per_user)
-        if sync.user_class is not None:  # bot scores given
-            report.avg_csi_userpair_by_pair_class = botmod.average_csi_by_pair_class(sync)
-            by_user, unknown = botmod.average_csi_by_user_class(sync)
-            report.avg_csi_user_by_user_class = by_user
-            if unknown:
-                notices.append(f"{unknown} synchronizing users without bot scores")
-            report.centrality_by_class = botmod.centrality_by_class(centralities, sync)
-            # the class of highest mean user score; by_user is sorted, so bot on a tie
-            report.dominant_sync_class = max(by_user, key=lambda cls: by_user[cls]["mean"], default=None)
-
-    write_csv(
-        out / "centrality_by_action_types.csv",
-        ("user_id", "num_action_types", *metricmod.CENTRALITY_COLUMNS),
-        participation,
-    )
+        "csi_network_combined": summary["csi_network"],
+        "csi_per_action": summary["per_action"],
+        "reason": None if counts else "no synchronized pairs detected",
+        "avg_csi_userpair_by_pair_class": by_pair,
+        "avg_csi_user_by_user_class": by_user,
+        "centrality_by_class": by_class,
+        # the class of highest mean user score; by_user is sorted, so bot on a tie
+        "dominant_sync_class": max(by_user, key=lambda cls: by_user[cls]["mean"]) if by_user else None,
+        "structure": structure,
+        "notices": notices,
+    }
     write_report_json(report, out / "report.json")
     return report
 

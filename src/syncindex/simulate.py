@@ -61,6 +61,8 @@ class CohortSpec:
         for action in self.action_types:
             if action not in ACTION_TYPES:
                 raise SimConfigError(f"unknown action type: {action}")
+            if self.action_types.count(action) > 1:
+                raise SimConfigError(f"repeated action type: {action}")
         if self.windows_active < 1 or self.posts_per_window < 1:
             raise SimConfigError("windows_active and posts_per_window must be >= 1")
         # An artifact the pipeline rejects would plant pairs it can never find.

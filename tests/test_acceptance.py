@@ -33,7 +33,7 @@ from syncindex.metrics import (
     transitivity,
     triangle_counts,
 )
-from syncindex.pipeline import EventReport, compare, run_pipeline, write_report_json
+from syncindex.pipeline import compare, run_pipeline, write_report_json
 from syncindex.simulate import CohortSpec, SimConfig, generate
 from syncindex.synchrony import detect
 
@@ -266,13 +266,7 @@ def test_criterion_10_compare_ordering_fixture(tmp_path):
         ]
         paths = []
         for label, value in published:
-            report = EventReport(
-                event_label=label,
-                config={},
-                counts={},
-                action_type_participation={},
-                csi_network_combined=value,
-            )
+            report = {"event_label": label, "csi_network_combined": value}
             paths.append(write_report_json(report, tmp_path / f"{label}.json"))
         ranking = compare(paths)
         assert [label for label, _ in ranking] == [

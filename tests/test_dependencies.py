@@ -6,6 +6,7 @@ defines is used in it."""
 from __future__ import annotations
 
 import ast
+import functools
 import json
 import os
 import subprocess
@@ -19,19 +20,26 @@ DATA = Path(__file__).parent / "data"
 CALLED_FROM_OUTSIDE = {"_Parser.error"}  # methods only a library calls: argparse, on a usage error
 
 
-def test_runtime_imports_are_stdlib():
+@functools.cache
+def parsed_modules() -> tuple[tuple[str, ast.Module], ...]:
+    """Each module of the package, by stem, and its syntax tree, parsed once
+    for every test here."""
     sources = sorted(Path(syncindex.__file__).parent.glob("*.py"))
     assert sources
+    return tuple((path.stem, ast.parse(path.read_text(encoding="utf-8"), filename=str(path))) for path in sources)
+
+
+def test_runtime_imports_are_stdlib():
     foreign = []
-    for path in sources:
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+    for stem, tree in parsed_modules():
+        for node in ast.walk(tree):
             if isinstance(node, ast.Import):
                 names = [alias.name for alias in node.names]
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
                 names = [node.module]
             else:
                 continue
-            foreign += [f"{path.name}:{node.lineno} {name}" for name in names if name.split(".")[0] not in ALLOWED]
+            foreign += [f"{stem}.py:{node.lineno} {name}" for name in names if name.split(".")[0] not in ALLOWED]
     assert foreign == []
 
 
@@ -40,18 +48,16 @@ def test_every_definition_is_referenced():
     in the package: in a call, an attribute or an import (__init__'s
     re-exports count), so none is kept only for the tests. Dunders are
     exempt, and so are the methods only a library calls."""
-    sources = sorted(Path(syncindex.__file__).parent.glob("*.py"))
-    assert sources
     defined = []
     referenced = set()
-    for path in sources:
+    for stem, tree in parsed_modules():
         qualname = {}
         # Breadth first, so a class comes before its methods.
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+        for node in ast.walk(tree):
             if isinstance(node, ast.ClassDef):
                 qualname.update((child, f"{node.name}.{child.name}") for child in node.body if hasattr(child, "name"))
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                defined.append((node.name, qualname.get(node, node.name), f"{path.name}:{node.lineno}"))
+                defined.append((node.name, qualname.get(node, node.name), f"{stem}.py:{node.lineno}"))
             elif isinstance(node, ast.Name):
                 referenced.add(node.id)
             elif isinstance(node, ast.Attribute):
@@ -73,11 +79,9 @@ def test_one_csv_reader_and_one_csv_writer():
     input, and csv.writer only in events.write_csv, which writes every table.
     The csv module's other readers and writers, and names imported from it,
     count too, so neither rule can be kept twice."""
-    sources = sorted(Path(syncindex.__file__).parent.glob("*.py"))
-    assert sources
     uses = []
-    for path in sources:
-        for top in ast.parse(path.read_text(encoding="utf-8"), filename=str(path)).body:
+    for stem, tree in parsed_modules():
+        for top in tree.body:
             owner = getattr(top, "name", "<module>")
             for node in ast.walk(top):
                 if (
@@ -86,9 +90,9 @@ def test_one_csv_reader_and_one_csv_writer():
                     and node.value.id == "csv"
                     and node.attr in ("reader", "writer", "DictReader", "DictWriter")
                 ):
-                    uses.append((path.stem, owner, node.attr))
+                    uses.append((stem, owner, node.attr))
                 elif isinstance(node, ast.ImportFrom) and node.module == "csv":
-                    uses.append((path.stem, owner, "from csv import"))
+                    uses.append((stem, owner, "from csv import"))
     assert sorted(uses) == [("events", "csv_rows", "reader"), ("events", "write_csv", "writer")]
 
 
@@ -98,20 +102,18 @@ def test_one_user_class_grouping_and_one_centrality_column_list():
     which classes each pair. The centrality column names are string
     constants only in metrics.CENTRALITY_COLUMNS (a docstring never equals
     one)."""
-    sources = sorted(Path(syncindex.__file__).parent.glob("*.py"))
-    assert sources
     columns = {"total_degree", "betweenness", "eigenvector"}
     class_readers = set()
     names = []
-    for path in sources:
-        for top in ast.parse(path.read_text(encoding="utf-8"), filename=str(path)).body:
+    for stem, tree in parsed_modules():
+        for top in tree.body:
             targets = [target.id for target in getattr(top, "targets", ()) if isinstance(target, ast.Name)]
             owner = getattr(top, "name", None) or ",".join(targets) or "<module>"
             for node in ast.walk(top):
-                if path.stem == "bots" and isinstance(node, ast.Attribute) and node.attr == "user_class":
+                if stem == "bots" and isinstance(node, ast.Attribute) and node.attr == "user_class":
                     class_readers.add(owner)
                 elif isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value in columns:
-                    names.append((path.stem, owner, node.value))
+                    names.append((stem, owner, node.value))
     assert sorted(class_readers) == ["average_csi_by_pair_class", "class_members"]
     assert sorted(names) == sorted(("metrics", "CENTRALITY_COLUMNS", name) for name in columns)
 
@@ -120,14 +122,12 @@ def test_graphs_are_built_only_by_the_two_builders():
     """A Graph is constructed only in graphs.build_sync_graph and
     graphs.build_allcomm_graph, so no second copy of a graph, such as a
     pruned one, is built: a subset of nodes is a flag per node index."""
-    sources = sorted(Path(syncindex.__file__).parent.glob("*.py"))
-    assert sources
     builders = []
-    for path in sources:
-        for top in ast.parse(path.read_text(encoding="utf-8"), filename=str(path)).body:
+    for stem, tree in parsed_modules():
+        for top in tree.body:
             for func in (node.func for node in ast.walk(top) if isinstance(node, ast.Call)):
                 if "Graph" in (getattr(func, "id", None), getattr(func, "attr", None)):
-                    builders.append((path.stem, getattr(top, "name", "<module>")))
+                    builders.append((stem, getattr(top, "name", "<module>")))
     assert sorted(builders) == [("graphs", "build_allcomm_graph"), ("graphs", "build_sync_graph")]
 
 

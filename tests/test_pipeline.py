@@ -36,7 +36,6 @@ from syncindex.events import (
 from syncindex.graphs import build_sync_graph
 from syncindex.metrics import node_centralities
 from syncindex.pipeline import (
-    EventReport,
     PipelineOptions,
     ReportParseError,
     compare,
@@ -138,10 +137,10 @@ class TestRunPipeline:
         events, bots, _ = sim_inputs
         out = tmp_path / "out"
         report = run_pipeline(events, out, bots_path=bots)
-        assert report.csi_network_combined is not None
-        assert report.reason is None
-        assert report.structure is not None
-        assert 0.0 <= report.structure["density"] <= 1.0
+        assert report["csi_network_combined"] is not None
+        assert report["reason"] is None
+        assert report["structure"] is not None
+        assert 0.0 <= report["structure"]["density"] <= 1.0
         for name in (
             "pair_counts.csv",
             "pairs.csv",
@@ -159,8 +158,9 @@ class TestRunPipeline:
         events, bots, _ = sim_inputs
         report = run_pipeline(events, tmp_path, bots_path=bots)
         # the 5-member 4-window bot cohort dominates the 3-member 2-window human one
-        assert report.dominant_sync_class == "bot"
-        assert report.avg_csi_user_by_user_class["bot"]["mean"] > report.avg_csi_user_by_user_class["human"]["mean"]
+        assert report["dominant_sync_class"] == "bot"
+        by_user = report["avg_csi_user_by_user_class"]
+        assert by_user["bot"]["mean"] > by_user["human"]["mean"]
 
     def test_network_equals_mean_of_emitted_user_scores(self, sim_inputs, tmp_path):
         events, bots, _ = sim_inputs
@@ -170,7 +170,7 @@ class TestRunPipeline:
 
         users = read_user_scores_csv(out / "users.csv")
         mean = sum(users.values()) / len(users)
-        assert abs(report.csi_network_combined - mean) < 1e-9
+        assert abs(report["csi_network_combined"] - mean) < 1e-9
 
     def test_byte_identical_reports_across_runs(self, sim_inputs, tmp_path):
         events, bots, _ = sim_inputs
@@ -184,22 +184,22 @@ class TestRunPipeline:
     def test_missing_bots_omits_class_sections(self, sim_inputs, tmp_path):
         events, _, _ = sim_inputs
         report = run_pipeline(events, tmp_path)
-        assert report.avg_csi_user_by_user_class is None
-        assert report.centrality_by_class is None
-        assert report.dominant_sync_class is None
-        assert any("bot scores" in note for note in report.notices)
+        assert report["avg_csi_user_by_user_class"] is None
+        assert report["centrality_by_class"] is None
+        assert report["dominant_sync_class"] is None
+        assert any("bot scores" in note for note in report["notices"])
 
     def test_event_label_is_option_or_events_stem(self, no_sync_inputs, tmp_path):
         events, _ = no_sync_inputs
-        assert run_pipeline(events, tmp_path / "a").event_label == "events"
-        assert run_pipeline(events, tmp_path / "b", options=PipelineOptions(label="XYZ")).event_label == "XYZ"
+        assert run_pipeline(events, tmp_path / "a")["event_label"] == "events"
+        assert run_pipeline(events, tmp_path / "b", options=PipelineOptions(label="XYZ"))["event_label"] == "XYZ"
         assert b'"event_label": "XYZ"' in (tmp_path / "b" / "report.json").read_bytes()
 
     def test_no_synchrony_report(self, no_sync_inputs, tmp_path):
         events, _ = no_sync_inputs
         report = run_pipeline(events, tmp_path / "out")
-        assert report.csi_network_combined is None
-        assert report.reason == "no synchronized pairs detected"
+        assert report["csi_network_combined"] is None
+        assert report["reason"] == "no synchronized pairs detected"
         assert (tmp_path / "out" / "report.json").exists()
         assert json.loads((tmp_path / "out" / "metrics.json").read_text()) == {}
 
@@ -235,7 +235,7 @@ class TestRunPipeline:
     def test_language_filter_drops_everything_when_tagless(self, sim_inputs, tmp_path):
         events, _, _ = sim_inputs
         report = run_pipeline(events, tmp_path, options=PipelineOptions(lang="xx"))
-        assert report.csi_network_combined is None
+        assert report["csi_network_combined"] is None
 
 
 # Ids holding the CSV separator and quote, line breaks, tabs and spaces; the
@@ -492,7 +492,7 @@ def test_run_pipeline_counts_action_types_once(sim_inputs, monkeypatch, tmp_path
     events, bots, _ = sim_inputs
     report = run_pipeline(events, tmp_path, bots_path=bots)
     assert len(calls) == 1
-    assert report.action_type_participation == {
+    assert report["action_type_participation"] == {
         str(level): value for level, value in synchrony.action_type_participation(count(calls[0])).items()
     }
 
@@ -618,7 +618,7 @@ def test_transitivity_without_triples_warns_once(tmp_path, caplog):
     bots.write_text("user_id,score\nu0,0.9\nu1,0.1\n")
     with caplog.at_level(logging.WARNING, logger="syncindex"):
         report = run_pipeline(events, tmp_path / "out", bots_path=bots)
-    assert report.structure["transitivity"] == 0.0
+    assert report["structure"]["transitivity"] == 0.0
     assert [r.getMessage() for r in caplog.records if "triples" in r.getMessage()] == [
         "no connected triples: transitivity reported as 0 for sync, bot, human"
     ]
@@ -651,10 +651,14 @@ class TestReportSerialization:
         assert round_floats(7) == 7
 
     def test_non_finite_float_is_not_written(self, tmp_path):
-        report = EventReport(event_label="x", config={}, counts={}, action_type_participation={},
-                             csi_network_combined=math.nan)
         with pytest.raises(ValueError):
-            write_report_json(report, tmp_path / "report.json")
+            write_report_json({"event_label": "x", "csi_network_combined": math.nan}, tmp_path / "report.json")
+
+    @pytest.mark.parametrize("inputs", ["sim_inputs", "no_sync_inputs"])
+    def test_report_json_is_the_returned_dict_rounded(self, inputs, request, tmp_path):
+        events, bots = request.getfixturevalue(inputs)[:2]
+        report = run_pipeline(events, tmp_path, bots_path=bots)
+        assert round_floats(report) == json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
 
     def test_json_text_stable(self, sim_inputs, tmp_path):
         events, bots, _ = sim_inputs
@@ -662,20 +666,12 @@ class TestReportSerialization:
         first = write_report_json(report, tmp_path / "one.json").read_bytes()
         assert write_report_json(report, tmp_path / "two.json").read_bytes() == first
         payload = json.loads(first)
-        assert payload["event_label"] == report.event_label
+        assert payload["event_label"] == report["event_label"]
 
 
 class TestCompare:
     def write_report(self, path, label, value):
-        report = EventReport(
-            event_label=label,
-            config={},
-            counts={},
-            action_type_participation={},
-            csi_network_combined=value,
-        )
-        write_report_json(report, path)
-        return path
+        return write_report_json({"event_label": label, "csi_network_combined": value}, path)
 
     def test_orders_ascending(self, tmp_path):
         paths = [
@@ -790,6 +786,22 @@ class TestCli:
         assert (out / "ground_truth.csv").exists()
         assert (out / "bots.csv").exists()
 
+    def test_readme_library_snippet_prints_the_score_network(self, tmp_path, monkeypatch, capsys):
+        """The README's Python block, run where its quick start put data/,
+        prints the csi_network that score writes for the same events."""
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        config = re.search(r"^cat > sim\.json <<'EOF'\n(.*?^)EOF$", readme, re.M | re.S)[1]
+        snippet = re.search(r"^## Library use\n\n```python\n(.*?^)```$", readme, re.M | re.S)[1]
+        monkeypatch.chdir(tmp_path)
+        Path("sim.json").write_text(config, encoding="utf-8")
+        assert cli.main(["simulate", "--config", "sim.json", "--out", "data"]) == 0
+        assert cli.main(["detect", "--events", "data/events.jsonl", "--out", "out"]) == 0
+        assert cli.main(["score", "--pairs", "out/pair_counts.csv", "--out", "out"]) == 0
+        capsys.readouterr()
+        exec(snippet, {})
+        network = json.loads(Path("out/network.json").read_text(encoding="utf-8"))["csi_network"]
+        assert capsys.readouterr().out.startswith(f"{network!r} ")
+
     def test_simulate_seed_flag_overrides_config_seed(self, tmp_path):
         config = {"duration_seconds": 3600, "background_users": 4, "cohorts": [{"member_count": 3}]}
         outs = {}
@@ -823,12 +835,15 @@ class TestCli:
           "not a simulation config (TypeError: key 'duration_seconds' must be an integer, not true)"),
          ('"cohorts": [{"member_count": 3, "user_class": "robot"}]', "unknown user class: robot"),
          ('"cohorts": [{"member_count": 3, "action_types": []}]', "cohorts need at least one action type"),
+         ('"cohorts": [{"member_count": 2, "action_types": ["hashtag", "hashtag"], "windows_active": 2}]',
+          "repeated action type: hashtag"),
          ('"cohorts": [{"member_count": 3, "windows_active": 0}]', "windows_active and posts_per_window must be >= 1"),
          ('"cohorts": [{"member_count": 3, "posts_per_window": 0}]',
           "windows_active and posts_per_window must be >= 1")],
         ids=["nan-rate", "rate-past-expected-posts", "zero-vocabulary", "unknown-keys", "unknown-cohort-key", "duration-past-max-timestamp",
              "vocabulary-key-not-an-action-type", "float-member-count", "string-artifacts", "string-seed",
-             "bool-duration", "unknown-user-class", "no-action-types", "zero-windows-active", "zero-posts-per-window"],
+             "bool-duration", "unknown-user-class", "no-action-types", "repeated-action-type", "zero-windows-active",
+             "zero-posts-per-window"],
     )
     def test_simulate_bad_config_value_is_data_error(self, tmp_path, capsys, setting, message):
         config_path = tmp_path / "sim.json"
